@@ -102,7 +102,7 @@ func run() error {
 			return fmt.Errorf("load snapshot: %w", err)
 		}
 		if shard.Config().PQSubvectors > 0 && !shard.PQEnabled() {
-			// A pre-PQ (v1) snapshot carries features but no codes: train a
+			// A PQ-less snapshot carries features but no codes: train a
 			// quantizer from the stored rows so this node still serves the
 			// ADC scan path.
 			if err := shard.TrainPQStored(*pqSample, *fseed); err != nil {

@@ -215,6 +215,12 @@ type Cluster struct {
 	blenders  []*blender.Blender
 	front     *frontend.Frontend
 
+	// bootstrapMsgs is the number of per-image messages the initial
+	// catalog feed produced — consumed by full indexing, not the real-time
+	// loop. Recorded once at Start: Catalog.Products grows afterwards
+	// (workload.MixGen lists fresh products into it).
+	bootstrapMsgs int64
+
 	seq atomic.Uint64
 }
 
@@ -252,9 +258,11 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 	c.Catalog = cat
 	for i := range cat.Products {
-		if _, err := indexer.RouteUpdate(c.Queue, c.AddProductEvent(&cat.Products[i])); err != nil {
+		n, err := indexer.RouteUpdate(c.Queue, c.AddProductEvent(&cat.Products[i]))
+		if err != nil {
 			return nil, fmt.Errorf("cluster: bootstrap feed: %w", err)
 		}
+		c.bootstrapMsgs += int64(n)
 	}
 
 	// Full indexing (Figs. 2–3).
@@ -530,7 +538,7 @@ func (c *Cluster) WaitForDrain(timeout time.Duration) bool {
 		for p := 0; p < c.cfg.Partitions; p++ {
 			applied += c.searchers[p][0].Applied()
 		}
-		if applied >= produced-c.bootstrapLen() {
+		if applied >= produced-c.bootstrapMsgs {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -538,16 +546,6 @@ func (c *Cluster) WaitForDrain(timeout time.Duration) bool {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-// bootstrapLen returns the number of per-image messages produced by the
-// initial catalog feed (consumed by full indexing, not the RT loop).
-func (c *Cluster) bootstrapLen() int64 {
-	var n int64
-	for i := range c.Catalog.Products {
-		n += int64(len(c.Catalog.Products[i].ImageURLs))
-	}
-	return n
 }
 
 // Reindex performs the periodic full indexing cycle of §2.2 against the

@@ -10,6 +10,7 @@ import (
 	"jdvs/internal/catalog"
 	"jdvs/internal/core"
 	"jdvs/internal/msg"
+	"jdvs/internal/workload"
 )
 
 func startTestCluster(t *testing.T, cfg Config) *Cluster {
@@ -210,6 +211,52 @@ func TestDisableRealTime(t *testing.T) {
 	part := c.Searcher(0, 0)
 	if part.Applied() != 0 {
 		t.Fatalf("searcher applied %d updates with RT disabled", part.Applied())
+	}
+}
+
+// TestWaitForDrainUnderFreshAdditions: the update mix lists brand-new
+// products into Catalog.Products, so the bootstrap message count has to be
+// the one recorded at Start — recomputed from the grown catalog it cancels
+// exactly the events still waiting, and WaitForDrain reports a drained
+// queue while nothing has been applied.
+func TestWaitForDrainUnderFreshAdditions(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	cfg := smallConfig()
+	// Hold every partition's real-time loop right after its first event.
+	cfg.OnApplied = func(*msg.ProductUpdate, string, bool, time.Duration) { <-gate }
+	c := startTestCluster(t, cfg)
+	t.Cleanup(open) // runs before c.Close, which waits for the loops
+
+	gen := workload.NewMix(workload.MixConfig{AddWeight: 1, FreshAddFraction: 1, Seed: 5}, c.Catalog, c.Images)
+	events := int64(0)
+	for i := 0; i < 20; i++ {
+		u, _, fresh, err := gen.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fresh {
+			t.Fatalf("event %d is not a fresh-product addition", i)
+		}
+		if err := c.Publish(u); err != nil {
+			t.Fatal(err)
+		}
+		events += int64(len(u.ImageURLs))
+	}
+	if c.WaitForDrain(200 * time.Millisecond) {
+		t.Fatal("WaitForDrain reported a drained queue with fresh additions still unapplied")
+	}
+	open()
+	if !c.WaitForDrain(5 * time.Second) {
+		t.Fatal("drain timeout")
+	}
+	applied := int64(0)
+	for p := 0; p < c.Partitions(); p++ {
+		applied += c.Searcher(p, 0).Applied()
+	}
+	if applied != events {
+		t.Fatalf("WaitForDrain returned with %d of %d events applied", applied, events)
 	}
 }
 

@@ -130,7 +130,10 @@ func (r *SearchRequest) AdmitsHit(h *Hit) bool {
 type SearchResponse struct {
 	Hits []Hit
 	// Scanned is the number of candidate images whose distances were
-	// computed; Probed is the number of inverted lists visited.
+	// computed: on the exact path the admitted candidates, on the ADC path
+	// (either code width) every code in the probed lists — codes are
+	// scored a block at a time before admission is consulted. Probed is
+	// the number of inverted lists visited.
 	Scanned int
 	Probed  int
 }

@@ -6,15 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// chunkMat is the shared core of the shard's row matrices (featMat's
-// float32 feature rows, codeMat's byte PQ codes): row i belongs to image
-// ID i, aligned with the forward index. Rows live in fixed-size chunks
-// behind an atomically published directory, so the search path reads rows
-// lock-free while the (single) real-time indexing writer appends — a row
-// is visible only once the length counter publishes it, and committed
-// rows are immutable. Keeping this concurrency-sensitive protocol in one
-// generic type means a fix to the publish ordering cannot silently miss
-// one of the matrices.
+// chunkMat is the chunked core of featMat, the RAM feature-row store: row
+// i belongs to image ID i, aligned with the forward index. (PQ codes are
+// not ID-keyed: they live per inverted list in codeBlocks, which follows
+// the same publish protocol.) Rows live in fixed-size chunks behind an
+// atomically published directory, so the search path reads rows lock-free
+// while the (single) real-time indexing writer appends — a row is visible
+// only once the length counter publishes it, and committed rows are
+// immutable.
 type chunkMat[T any] struct {
 	label    string // row-kind noun for error messages, e.g. "feature dim"
 	width    int    // elements per row

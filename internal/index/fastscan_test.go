@@ -2,9 +2,7 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -132,40 +130,44 @@ func TestPQ4SerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestPQ4InsertLockstep: inserts after a 4-bit quantizer is installed
-// must append packed codes to the owning list's block storage in slot
-// lockstep with the inverted list, and the fresh images must be findable
-// through the blocked scan (including from a partially filled tail
-// block).
-func TestPQ4InsertLockstep(t *testing.T) {
-	const n, dim = 1000, 32
-	_, quant, _ := buildPQBitsPair(t, n, dim, 16, 8, 4)
-	rng := rand.New(rand.NewSource(9))
-	fresh := clusteredFeatures(rng, 50, dim, 3, 0.1)
-	for i, f := range fresh {
-		url := fmt.Sprintf("jfs://pq4-late/%d.jpg", i)
-		id, reused, err := quant.Insert(core.Attrs{ProductID: uint64(9000 + i), URL: url}, f)
-		if err != nil || reused {
-			t.Fatalf("insert %d: id=%d reused=%v err=%v", i, id, reused, err)
-		}
-		resp, err := quant.Search(&core.SearchRequest{Feature: f, TopK: 1, NProbe: quant.cfg.NLists, Category: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Hits) != 1 || resp.Hits[0].Image.Local != id {
-			t.Fatalf("freshly inserted image %d not the nearest to its own feature: %+v", id, resp.Hits)
-		}
-	}
-	st := quant.Stats()
-	if st.PQCodes != st.Images {
-		t.Fatalf("codes %d out of lockstep with images %d", st.PQCodes, st.Images)
-	}
-	// Every list's code count matches its inverted length (slot alignment).
-	ps := quant.pqState.Load()
-	for l, cb := range ps.lists {
-		if int(cb.published()) != quant.inv.ListLen(l) {
-			t.Fatalf("list %d: %d codes, %d inverted entries", l, cb.published(), quant.inv.ListLen(l))
-		}
+// TestPQInsertLockstep: inserts after a quantizer is installed must append
+// codes to the owning list's block storage in slot lockstep with the
+// inverted list — at both code widths — and the fresh images must be
+// findable through the blocked scan (including from a partially filled
+// tail block).
+func TestPQInsertLockstep(t *testing.T) {
+	for _, bits := range []int{8, 4} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			const n, dim = 1000, 32
+			_, quant, _ := buildPQBitsPair(t, n, dim, 16, 8, bits)
+			rng := rand.New(rand.NewSource(9))
+			fresh := clusteredFeatures(rng, 50, dim, 3, 0.1)
+			for i, f := range fresh {
+				url := fmt.Sprintf("jfs://pq-late/%d.jpg", i)
+				id, reused, err := quant.Insert(core.Attrs{ProductID: uint64(9000 + i), URL: url}, f)
+				if err != nil || reused {
+					t.Fatalf("insert %d: id=%d reused=%v err=%v", i, id, reused, err)
+				}
+				resp, err := quant.Search(&core.SearchRequest{Feature: f, TopK: 1, NProbe: quant.cfg.NLists, Category: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Hits) != 1 || resp.Hits[0].Image.Local != id {
+					t.Fatalf("freshly inserted image %d not the nearest to its own feature: %+v", id, resp.Hits)
+				}
+			}
+			st := quant.Stats()
+			if st.PQCodes != st.Images {
+				t.Fatalf("codes %d out of lockstep with images %d", st.PQCodes, st.Images)
+			}
+			// Every list's code count matches its inverted length (slot alignment).
+			ps := quant.pqState.Load()
+			for l, cb := range ps.lists {
+				if int(cb.published()) != quant.inv.ListLen(l) {
+					t.Fatalf("list %d: %d codes, %d inverted entries", l, cb.published(), quant.inv.ListLen(l))
+				}
+			}
+		})
 	}
 }
 
@@ -187,181 +189,88 @@ func TestPQ4CodeMemoryHalved(t *testing.T) {
 	}
 }
 
-// writeSnapshotV2 emits the v2 snapshot layout — covered offset + always-
-// 8-bit PQ section without the bit-width byte — byte-identical to what a
-// PR-8-era binary wrote.
-func writeSnapshotV2(s *Shard, w io.Writer) error {
-	if _, err := io.WriteString(w, snapMagic); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{snapVersionV2}); err != nil {
-		return err
-	}
-	var off [8]byte
-	binary.LittleEndian.PutUint64(off[:], uint64(s.coveredOffset.Load()))
-	if _, err := w.Write(off[:]); err != nil {
-		return err
-	}
-	if err := writeCodebook(w, s.codebook); err != nil {
-		return err
-	}
-	if _, err := s.fwd.WriteTo(w); err != nil {
-		return err
-	}
-	if _, err := s.inv.WriteTo(w); err != nil {
-		return err
-	}
-	if err := writeBitmap(w, s.valid); err != nil {
-		return err
-	}
-	if _, err := s.feats.writeTo(w); err != nil {
-		return err
-	}
-	ps := s.pqState.Load()
-	if ps == nil {
-		_, err := w.Write([]byte{0})
-		return err
-	}
-	if _, err := w.Write([]byte{1}); err != nil {
-		return err
-	}
-	if err := writePQCodebook(w, ps.cb); err != nil {
-		return err
-	}
-	_, err := ps.codes.writeTo(w)
-	return err
-}
+// TestSnapshotRoundTripPQ: a quantized shard's snapshot must round-trip
+// the quantizer, the covered offset and the codes — through the portable
+// per-code wire format back into blocked storage, at both code widths —
+// with slot alignment validated and identical results.
+func TestSnapshotRoundTripPQ(t *testing.T) {
+	for _, bits := range []int{8, 4} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			const n, dim = 1500, 32
+			_, quant, feats := buildPQBitsPair(t, n, dim, 16, 8, bits)
+			quant.SetCoveredOffset(4242)
 
-// TestSnapshotBackCompatV2: a v2 snapshot (written before the bit-width
-// byte existed) must load onto the 8-bit ADC path with identical results
-// and its covered offset intact.
-func TestSnapshotBackCompatV2(t *testing.T) {
-	const n, dim = 1500, 32
-	_, quant, feats := buildPQPair(t, n, dim, 16, 8)
-	quant.SetCoveredOffset(777)
-
-	var v2 bytes.Buffer
-	if err := writeSnapshotV2(quant, &v2); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := New(quant.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.LoadSnapshot(bytes.NewReader(v2.Bytes())); err != nil {
-		t.Fatalf("v2 snapshot failed to load: %v", err)
-	}
-	if !loaded.PQEnabled() {
-		t.Fatal("v2 snapshot lost its quantizer")
-	}
-	if off := loaded.CoveredOffset(); off != 777 {
-		t.Fatalf("covered offset %d, want 777", off)
-	}
-	st := loaded.Stats()
-	if st.PQBits != 8 {
-		t.Fatalf("v2 snapshot loaded onto %d-bit path, want 8", st.PQBits)
-	}
-	if wt := quant.Stats(); st.PQCodes != wt.PQCodes || st.Images != wt.Images {
-		t.Fatalf("v2 load stats %+v vs %+v", st, wt)
-	}
-	for qi := 0; qi < 10; qi++ {
-		req := &core.SearchRequest{Feature: feats[qi*11], TopK: 8, NProbe: 8, Category: -1}
-		want, err := quant.Search(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.Search(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Hits) != len(got.Hits) {
-			t.Fatalf("query %d: %d hits vs %d", qi, len(got.Hits), len(want.Hits))
-		}
-		for i := range want.Hits {
-			if want.Hits[i].Image != got.Hits[i].Image || want.Hits[i].Dist != got.Hits[i].Dist {
-				t.Fatalf("query %d hit %d: %+v vs %+v", qi, i, got.Hits[i], want.Hits[i])
+			var buf bytes.Buffer
+			if err := quant.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// TestSnapshotV3RoundTrip4Bit: a 4-bit shard's snapshot must round-trip
-// the packed codes through the de-interleaved wire format back into
-// blocked storage, with slot alignment validated and identical results.
-func TestSnapshotV3RoundTrip4Bit(t *testing.T) {
-	const n, dim = 1500, 32
-	_, quant, feats := buildPQBitsPair(t, n, dim, 16, 8, 4)
-	quant.SetCoveredOffset(4242)
-
-	var buf bytes.Buffer
-	if err := quant.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := New(quant.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.PQEnabled() {
-		t.Fatal("4-bit PQ state lost in snapshot round trip")
-	}
-	if off := loaded.CoveredOffset(); off != 4242 {
-		t.Fatalf("covered offset %d, want 4242", off)
-	}
-	st, wt := loaded.Stats(), quant.Stats()
-	if st.PQBits != 4 {
-		t.Fatalf("round trip landed on %d-bit path, want 4", st.PQBits)
-	}
-	if st.PQCodes != wt.PQCodes || st.Images != wt.Images {
-		t.Fatalf("round trip stats %+v vs %+v", st, wt)
-	}
-	for qi := 0; qi < 10; qi++ {
-		req := &core.SearchRequest{Feature: feats[qi*7], TopK: 8, NProbe: 8, Category: -1}
-		want, err := quant.Search(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.Search(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Hits) != len(got.Hits) {
-			t.Fatalf("query %d: %d hits vs %d", qi, len(got.Hits), len(want.Hits))
-		}
-		for i := range want.Hits {
-			if want.Hits[i].Image != got.Hits[i].Image || want.Hits[i].Dist != got.Hits[i].Dist {
-				t.Fatalf("query %d hit %d: %+v vs %+v", qi, i, got.Hits[i], want.Hits[i])
+			loaded, err := New(quant.Config())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// And the loaded replica keeps accepting real-time inserts in slot
-	// lockstep: the fresh image must surface through the blocked scan. (A
-	// near-duplicate of feats[0] can tie with the original inside the
-	// coarse 4-bit ADC ranking, so ask for a page rather than the single
-	// nearest.)
-	f := make([]float32, dim)
-	for d, v := range feats[0] {
-		f[d] = v + 0.01
-	}
-	id, _, err := loaded.Insert(core.Attrs{ProductID: 424242, URL: "jfs://pq4-rt/0.jpg"}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := loaded.Search(&core.SearchRequest{Feature: f, TopK: 10, NProbe: loaded.cfg.NLists, Category: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, h := range resp.Hits {
-		found = found || h.Image.Local == id
-	}
-	if !found {
-		t.Fatalf("post-load insert %d not findable: %+v", id, resp.Hits)
-	}
-	if st := loaded.Stats(); st.PQCodes != st.Images {
-		t.Fatalf("post-load insert: codes %d out of lockstep with images %d", st.PQCodes, st.Images)
+			if err := loaded.LoadSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !loaded.PQEnabled() {
+				t.Fatal("PQ state lost in snapshot round trip")
+			}
+			if off := loaded.CoveredOffset(); off != 4242 {
+				t.Fatalf("covered offset %d, want 4242", off)
+			}
+			st, wt := loaded.Stats(), quant.Stats()
+			if st.PQBits != bits {
+				t.Fatalf("round trip landed on %d-bit path, want %d", st.PQBits, bits)
+			}
+			if st.PQCodes != wt.PQCodes || st.Images != wt.Images {
+				t.Fatalf("round trip stats %+v vs %+v", st, wt)
+			}
+			for qi := 0; qi < 10; qi++ {
+				req := &core.SearchRequest{Feature: feats[qi*7], TopK: 8, NProbe: 8, Category: -1}
+				want, err := quant.Search(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := loaded.Search(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Hits) != len(got.Hits) {
+					t.Fatalf("query %d: %d hits vs %d", qi, len(got.Hits), len(want.Hits))
+				}
+				for i := range want.Hits {
+					if want.Hits[i].Image != got.Hits[i].Image || want.Hits[i].Dist != got.Hits[i].Dist {
+						t.Fatalf("query %d hit %d: %+v vs %+v", qi, i, got.Hits[i], want.Hits[i])
+					}
+				}
+			}
+			// And the loaded replica keeps accepting real-time inserts in
+			// slot lockstep: the fresh image must surface through the
+			// blocked scan. (A near-duplicate of feats[0] can tie with the
+			// original inside the coarse 4-bit ADC ranking, so ask for a
+			// page rather than the single nearest.)
+			f := make([]float32, dim)
+			for d, v := range feats[0] {
+				f[d] = v + 0.01
+			}
+			id, _, err := loaded.Insert(core.Attrs{ProductID: 424242, URL: "jfs://pq-rt/0.jpg"}, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := loaded.Search(&core.SearchRequest{Feature: f, TopK: 10, NProbe: loaded.cfg.NLists, Category: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, h := range resp.Hits {
+				found = found || h.Image.Local == id
+			}
+			if !found {
+				t.Fatalf("post-load insert %d not findable: %+v", id, resp.Hits)
+			}
+			if st := loaded.Stats(); st.PQCodes != st.Images {
+				t.Fatalf("post-load insert: codes %d out of lockstep with images %d", st.PQCodes, st.Images)
+			}
+		})
 	}
 }
 
@@ -390,63 +299,69 @@ func TestConfigPQBitsValidation(t *testing.T) {
 	}
 }
 
-// TestConcurrent4BitSearchDuringInserts: the blocked 4-bit scan — single
-// and batched — is lock-free against the real-time writer. Full blocks go
-// through the gather kernel; the partially filled tail block is read
-// per published slot, byte-disjoint from the writer's unpublished-slot
-// lane writes, which is exactly what the race detector checks here.
-func TestConcurrent4BitSearchDuringInserts(t *testing.T) {
-	const n, dim = 2000, 32
-	_, quant, feats := buildPQBitsPair(t, n, dim, 16, 8, 4)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // the single real-time writer
-		defer wg.Done()
-		defer close(done)
-		wrng := rand.New(rand.NewSource(99))
-		fresh := clusteredFeatures(wrng, 1500, dim, 24, 0.25)
-		for i, f := range fresh {
-			a := core.Attrs{ProductID: uint64(50000 + i), URL: fmt.Sprintf("jfs://pq4-rt/%d.jpg", i), Category: uint16(i % 4)}
-			if _, _, err := quant.Insert(a, f); err != nil {
-				t.Errorf("rt insert: %v", err)
-				return
-			}
-		}
-	}()
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			qrng := rand.New(rand.NewSource(int64(w)))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if w%2 == 0 {
-					q := feats[qrng.Intn(len(feats))]
-					if _, err := quant.Search(&core.SearchRequest{Feature: q, TopK: 10, NProbe: 8, Category: -1}); err != nil {
-						t.Errorf("search during inserts: %v", err)
+// TestConcurrentADCSearchDuringInserts: the blocked ADC scan — single and
+// batched, at both code widths — is lock-free against the real-time
+// writer. Full blocks go through the block kernel; the partially filled
+// tail block is read only up to the published slot (the row prefix at 8
+// bits, the published slots' lane bytes at 4), byte-disjoint from the
+// writer's unpublished-slot writes, which is exactly what the race
+// detector checks here.
+func TestConcurrentADCSearchDuringInserts(t *testing.T) {
+	for _, bits := range []int{8, 4} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			const n, dim = 2000, 32
+			_, quant, feats := buildPQBitsPair(t, n, dim, 16, 8, bits)
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { // the single real-time writer
+				defer wg.Done()
+				defer close(done)
+				wrng := rand.New(rand.NewSource(99))
+				fresh := clusteredFeatures(wrng, 1500, dim, 24, 0.25)
+				for i, f := range fresh {
+					a := core.Attrs{ProductID: uint64(50000 + i), URL: fmt.Sprintf("jfs://pq-rt/%d.jpg", i), Category: uint16(i % 4)}
+					if _, _, err := quant.Insert(a, f); err != nil {
+						t.Errorf("rt insert: %v", err)
 						return
 					}
-				} else {
-					reqs := batchRequests(qrng, feats, 4)
-					_, errs := quant.SearchBatch(reqs)
-					for _, err := range errs {
-						if err != nil {
-							t.Errorf("batched search during inserts: %v", err)
+				}
+			}()
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					qrng := rand.New(rand.NewSource(int64(w)))
+					for {
+						select {
+						case <-done:
 							return
+						default:
+						}
+						if w%2 == 0 {
+							q := feats[qrng.Intn(len(feats))]
+							if _, err := quant.Search(&core.SearchRequest{Feature: q, TopK: 10, NProbe: 8, Category: -1}); err != nil {
+								t.Errorf("search during inserts: %v", err)
+								return
+							}
+						} else {
+							reqs := batchRequests(qrng, feats, 4)
+							_, errs := quant.SearchBatch(reqs)
+							for _, err := range errs {
+								if err != nil {
+									t.Errorf("batched search during inserts: %v", err)
+									return
+								}
+							}
 						}
 					}
-				}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	st := quant.Stats()
-	if st.PQCodes != st.Images {
-		t.Fatalf("codes %d out of lockstep with images %d after concurrent inserts", st.PQCodes, st.Images)
+			wg.Wait()
+			st := quant.Stats()
+			if st.PQCodes != st.Images {
+				t.Fatalf("codes %d out of lockstep with images %d after concurrent inserts", st.PQCodes, st.Images)
+			}
+		})
 	}
 }

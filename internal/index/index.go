@@ -264,12 +264,12 @@ type Shard struct {
 
 	filteredSearches atomic.Int64
 
-	// pqState is the atomically published (codebook, code matrix) pair of
-	// the ADC scan path. nil means no product quantizer is installed and
-	// searches take the exact float path. Published only after every
+	// pqState is the atomically published (codebook, per-list codes) pair
+	// of the ADC scan path. nil means no product quantizer is installed
+	// and searches take the exact float path. Published only after every
 	// existing feature row has been encoded, so readers always see codes
-	// in lockstep with features; thereafter the single real-time writer
-	// appends to both.
+	// in lockstep with the inverted lists; thereafter the single real-time
+	// writer appends to both.
 	pqState atomic.Pointer[shardPQ]
 	// codeScratch is the writer's per-insert encode buffer (single-writer
 	// contract: Insert is never concurrent with itself).
@@ -363,22 +363,16 @@ func (s *Shard) Codebook() *kmeans.Codebook { return s.codebook }
 func (s *Shard) Trained() bool { return s.codebook != nil }
 
 // shardPQ is the published state of the ADC scan path: the product
-// quantizer and the code storage it produced, always in lockstep with the
-// feature matrix. 8-bit codebooks fill codes (an ID-keyed matrix, scanned
-// per candidate); 4-bit codebooks fill lists (per-inverted-list blocked
-// fast-scan storage, scanned per 32-code block) — exactly one of the two
-// is non-nil.
+// quantizer and the codes it produced, one block store per inverted list
+// (the code of a list's i-th entry at slot i), always in lockstep with the
+// inverted index and the feature matrix.
 type shardPQ struct {
 	cb    *pq.Codebook
-	codes *codeMat      // 8-bit: code of image id at row id
-	lists []*codeBlocks // 4-bit: code of a list's i-th entry at slot i
+	lists []*codeBlocks
 }
 
 // codeCount returns the number of committed codes.
 func (ps *shardPQ) codeCount() int {
-	if ps.codes != nil {
-		return ps.codes.Len()
-	}
 	n := 0
 	for _, cb := range ps.lists {
 		n += int(cb.published())
@@ -388,9 +382,6 @@ func (ps *shardPQ) codeCount() int {
 
 // codeHeapBytes returns the memory code storage holds (chunk-rounded).
 func (ps *shardPQ) codeHeapBytes() int64 {
-	if ps.codes != nil {
-		return ps.codes.heapBytes()
-	}
 	n := int64(0)
 	for _, cb := range ps.lists {
 		n += cb.heapBytes()
@@ -455,53 +446,37 @@ func (s *Shard) SetPQCodebook(cb *pq.Codebook) error {
 }
 
 // installPQ backfills codes for every committed feature row and publishes
-// the ADC state. 8-bit codes backfill the ID-keyed matrix in row order;
-// 4-bit codes backfill each inverted list's blocked storage in list order,
-// because a 4-bit slot must match the position of the id the list yields
+// the ADC state. Each inverted list's block store is filled in list order,
+// because a code's slot must match the position of the id the list yields
 // (codeBlocks contract). Writer-context only — the list walk below assumes
 // no concurrent appends.
 func (s *Shard) installPQ(cb *pq.Codebook) error {
 	// Keep the mmap mapping alive across the Row reads (see Search).
 	defer runtime.KeepAlive(s)
-	if cb.Bits == 4 {
-		lists := make([]*codeBlocks, s.cfg.NLists)
-		code := make([]byte, cb.CodeBytes())
-		var encErr error
-		for l := range lists {
-			blocks := newCodeBlocks(cb.CodeBytes())
-			s.inv.Scan(l, func(id uint32) bool {
-				row := s.feats.Row(id)
-				if row == nil {
-					encErr = fmt.Errorf("index: pq backfill: list %d id %d has no feature row", l, id)
-					return false
-				}
-				if err := cb.Encode(row, code); err != nil {
-					encErr = fmt.Errorf("index: pq encode row %d: %w", id, err)
-					return false
-				}
-				blocks.append(code)
-				return true
-			})
-			if encErr != nil {
-				return encErr
+	lists := make([]*codeBlocks, s.cfg.NLists)
+	code := make([]byte, cb.CodeBytes())
+	var encErr error
+	for l := range lists {
+		blocks := newCodeBlocks(cb)
+		s.inv.Scan(l, func(id uint32) bool {
+			row := s.feats.Row(id)
+			if row == nil {
+				encErr = fmt.Errorf("index: pq backfill: list %d id %d has no feature row", l, id)
+				return false
 			}
-			lists[l] = blocks
+			if err := cb.Encode(row, code); err != nil {
+				encErr = fmt.Errorf("index: pq encode row %d: %w", id, err)
+				return false
+			}
+			blocks.append(code)
+			return true
+		})
+		if encErr != nil {
+			return encErr
 		}
-		s.pqState.Store(&shardPQ{cb: cb, lists: lists})
-		return nil
+		lists[l] = blocks
 	}
-	codes := newCodeMat(cb.M)
-	n := uint32(s.feats.Len())
-	code := make([]byte, cb.M)
-	for id := uint32(0); id < n; id++ {
-		if err := cb.Encode(s.feats.Row(id), code); err != nil {
-			return fmt.Errorf("index: pq encode row %d: %w", id, err)
-		}
-		if _, err := codes.Append(code); err != nil {
-			return fmt.Errorf("index: pq backfill row %d: %w", id, err)
-		}
-	}
-	s.pqState.Store(&shardPQ{cb: cb, codes: codes})
+	s.pqState.Store(&shardPQ{cb: cb, lists: lists})
 	return nil
 }
 
@@ -669,10 +644,10 @@ func (s *Shard) appendRow(attrs core.Attrs, feature []float32) (core.ImageID, er
 	cluster := s.codebook.Assign(feature)
 	if ps := s.pqState.Load(); ps != nil {
 		// Keep code storage in lockstep: the code must be committed before
-		// the inverted entry and validity bit make the id scannable. The
-		// 4-bit layout is keyed by list position, so its append targets the
-		// id's inverted list and must slot in exactly where inv.Append is
-		// about to place the id.
+		// the inverted entry and validity bit make the id scannable. Codes
+		// are keyed by list position, so the append targets the id's
+		// inverted list and must slot in exactly where inv.Append is about
+		// to place the id.
 		mb := ps.cb.CodeBytes()
 		if cap(s.codeScratch) < mb {
 			s.codeScratch = make([]byte, mb)
@@ -681,21 +656,11 @@ func (s *Shard) appendRow(attrs core.Attrs, feature []float32) (core.ImageID, er
 		if err := ps.cb.Encode(feature, code); err != nil {
 			return 0, fmt.Errorf("index: pq encode: %w", err)
 		}
-		if ps.codes != nil {
-			cid, err := ps.codes.Append(code)
-			if err != nil {
-				return 0, fmt.Errorf("index: pq code append: %w", err)
-			}
-			if cid != id {
-				return 0, fmt.Errorf("index: id skew: forward %d, codes %d", id, cid)
-			}
-		} else {
-			blocks := ps.lists[cluster]
-			if slot, have := int(blocks.published()), s.inv.ListLen(cluster); slot != have {
-				return 0, fmt.Errorf("index: list %d slot skew: codes %d, inverted %d", cluster, slot, have)
-			}
-			blocks.append(code)
+		blocks := ps.lists[cluster]
+		if slot, have := int(blocks.published()), s.inv.ListLen(cluster); slot != have {
+			return 0, fmt.Errorf("index: list %d slot skew: codes %d, inverted %d", cluster, slot, have)
 		}
+		blocks.append(code)
 	}
 	if err := s.inv.Append(cluster, id); err != nil {
 		return 0, fmt.Errorf("index: inverted append: %w", err)
@@ -1151,32 +1116,25 @@ func (s *Shard) Attrs(id core.ImageID) (core.Attrs, bool) { return s.fwd.Get(id)
 func (s *Shard) Feature(id core.ImageID) []float32 { return s.feats.Row(id) }
 
 // searchScratch is the pooled per-query scratch: probe-selection buffers,
-// one top-k selector per scan worker, and the merge output. Pooling keeps
-// the hot path free of per-query allocations across serial and parallel
-// scans.
+// the ADC lookup table, one top-k selector per scan worker, and the merge
+// output. Pooling keeps the hot path free of per-query allocations across
+// serial, parallel and batched scans (a batch takes one scratch per
+// member).
 type searchScratch struct {
 	probe     []int
 	probeDist []float32
+	lut       []float32 // ADC lookup table (quantized shards only)
 	sels      []*topk.Selector
 	parts     [][]topk.Item
 	merged    []topk.Item
 	counts    []int
-	ids       [][]uint32  // per-worker id snapshots of the blocked 4-bit scan
+	ids       [][]uint32  // per-worker id snapshots of the ADC traversal
 	missing   []topk.Item // re-rank candidates whose raw row was unavailable
 	adm       bitmapx.Words
 	admCat    bitmapx.Words
 }
 
 var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
-
-// lutPool pools ADC lookup tables separately from searchScratch: the
-// batched path needs one live LUT per batch member — a variable number no
-// single scratch field can serve — and sharing one pool between the
-// single-query and batched paths keeps both allocation-free at steady
-// state (visible in BenchmarkADCScan's allocs/op). Tables are stored as
-// pointers so pool puts don't allocate, and BuildLUT grows a too-small
-// table in place of the pooled slice.
-var lutPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // ensureIDBufs guarantees n per-worker id buffers exist. Must run before
 // scan workers fan out: workers index sc.ids[w] concurrently, so the
@@ -1211,21 +1169,29 @@ func (sc *searchScratch) workerCounts(n int) []int {
 	return sc.counts
 }
 
-// Search scans the nprobe nearest inverted lists and returns the k nearest
-// valid images with their attributes (§2.4); TopK is clamped to MaxTopK.
-// Lock-free with respect to the real-time indexing writer. When the
-// shard's SearchWorkers is above 1 the
-// probed lists are striped across that many goroutines, each selecting a
-// private top-k over its share, merged at the end; results are identical
-// to the serial scan.
-//
-// When a product quantizer is installed (TrainPQ / SetPQCodebook / a
-// PQ-bearing snapshot) the scan scores ADC codes instead of float rows: a
-// per-query lookup table turns each candidate into M byte-indexed table
-// adds, the scan over-fetches RerankK candidates, and that short list is
-// re-ranked exactly against the raw feature rows before the final top-k.
-// Shards without a quantizer take the exact float path unchanged.
-func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
+// query is one search in flight: the state prepare derives from a request
+// and the list traversals score against. SearchBatch holds one per member;
+// Search holds one, copied per scan worker with that worker's selector.
+type query struct {
+	req     *core.SearchRequest
+	idx     int            // position in SearchBatch's request slice
+	k       int            // clamped TopK
+	rerankK int            // ADC over-fetch depth (quantized shards only)
+	sc      *searchScratch // probe set in sc.probe, lookup table in sc.lut
+	adm     admission
+	sel     *topk.Selector // where scanADC pushes this query's candidates
+	scanned int            // codes scanADC scored on this query's behalf
+}
+
+// prepare validates req and derives everything a scan needs from it into q,
+// whose scratch the caller supplies: the clamped k, the admission filter,
+// the (possibly filter-widened) probe set in q.sc.probe and, on a quantized
+// shard (ps != nil), the ADC lookup table and over-fetch depth. It is the
+// one query-prep path of Search and SearchBatch, so a batched query probes
+// the same lists at the same re-rank depth as an unbatched one. A non-nil
+// response answers the query without a scan: no committed row can pass its
+// filter (e.g. a never-seen category).
+func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.SearchResponse, error) {
 	if s.codebook == nil {
 		return nil, ErrNotTrained
 	}
@@ -1243,23 +1209,20 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 	if nprobe <= 0 {
 		nprobe = s.cfg.DefaultNProbe
 	}
-
-	sc := searchScratchPool.Get().(*searchScratch)
-	defer searchScratchPool.Put(sc)
+	sc := q.sc
 
 	// Build the candidate-admission filter before probe selection: its
 	// set-bit count prices the filter's selectivity, which may widen the
 	// probe set (and the ADC re-rank depth, by the same factor) so that
 	// selective filters still fill the result page.
-	adm := s.buildAdmission(req, sc)
+	q.adm = s.buildAdmission(req, sc)
 	rerankBoost := 1
-	if adm.live == nil {
+	if q.adm.live == nil {
 		s.filteredSearches.Add(1)
-		if adm.matches == 0 && adm.exhaustive {
-			// No committed row passes the filter; nothing to probe.
+		if q.adm.matches == 0 && q.adm.exhaustive {
 			return &core.SearchResponse{}, nil
 		}
-		widened := s.widenNProbe(nprobe, k, adm.matches)
+		widened := s.widenNProbe(nprobe, k, q.adm.matches)
 		if widened > nprobe {
 			rerankBoost = (widened + nprobe - 1) / nprobe
 			nprobe = widened
@@ -1268,6 +1231,39 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 
 	sc.probe, sc.probeDist = vecmath.TopCentroidsInto(
 		sc.probe, sc.probeDist, req.Feature, s.codebook.Centroids, s.cfg.Dim, nprobe)
+	q.req, q.k = req, k
+	if ps != nil {
+		// Dimensions were validated against the shard config above, and the
+		// codebook against the shard at install time, so BuildLUT cannot
+		// fail here.
+		sc.lut, _ = ps.cb.BuildLUT(req.Feature, sc.lut)
+		q.rerankK = s.widenRerank(s.rerankDepth(k, ps.cb.Bits), rerankBoost)
+	}
+	return nil, nil
+}
+
+// Search scans the nprobe nearest inverted lists and returns the k nearest
+// valid images with their attributes (§2.4); TopK is clamped to MaxTopK.
+// Lock-free with respect to the real-time indexing writer. When the
+// shard's SearchWorkers is above 1 the probed lists are striped across
+// that many goroutines, each selecting a private top-k over its share,
+// merged at the end; results are identical to the serial scan.
+//
+// When a product quantizer is installed (TrainPQ / SetPQCodebook / a
+// PQ-bearing snapshot) the scan scores ADC codes instead of float rows —
+// the SearchBatch traversal with one member: a per-query lookup table
+// turns each candidate into M byte-indexed table adds, the scan over-fetches
+// RerankK candidates, and that short list is re-ranked exactly against the
+// raw feature rows before the final top-k. Shards without a quantizer take
+// the exact float path.
+func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
+	sc := searchScratchPool.Get().(*searchScratch)
+	defer searchScratchPool.Put(sc)
+	ps := s.pqState.Load()
+	q := query{sc: sc}
+	if resp, err := s.prepare(&q, req, ps); resp != nil || err != nil {
+		return resp, err
+	}
 	lists := sc.probe
 
 	workers := int(s.searchWorkers.Load())
@@ -1288,11 +1284,20 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 
 	var items []topk.Item
 	scanned := 0
-	if ps := s.pqState.Load(); ps != nil {
-		items, scanned = s.searchADC(req, lists, workers, k, sc, ps, &adm, rerankBoost)
+	if ps != nil {
+		sc.ensureIDBufs(workers)
+		scanned = s.scanStriped(workers, q.rerankK, sc, func(start, stride int, sel *topk.Selector) int {
+			// scanStriped hands worker w the stripe starting at w (0 on
+			// the serial path), which also names its id buffer.
+			m := q
+			m.sel = sel
+			sc.ids[start] = s.scanADC(ps, lists, start, stride, []*query{&m}, nil, sc.ids[start])
+			return m.scanned
+		})
+		items = s.rerankExact(req, q.k, sc, &q.adm)
 	} else {
-		scanned = s.scanStriped(workers, k, sc, func(start, stride int, sel *topk.Selector) int {
-			return s.scanLists(req, lists, start, stride, sel, &adm)
+		scanned = s.scanStriped(workers, q.k, sc, func(start, stride int, sel *topk.Selector) int {
+			return s.scanLists(req, lists, start, stride, sel, &q.adm)
 		})
 		items = sc.merged
 	}
@@ -1371,8 +1376,8 @@ func (s *Shard) scanLists(req *core.SearchRequest, lists []int, start, stride in
 // 0.9930), saturating at 1.0 by mul=30. 8-bit defaults to that knee; the
 // 16-centroid 4-bit quantizer gets the full-saturation depth as margin
 // for corpora fine-grained enough for codebook resolution to matter —
-// which its cheaper scan more than pays for (610µs/query vs the 8-bit
-// default's 963µs on the sweep corpus).
+// which its cheaper scan pays for (445µs/query vs the 8-bit default's
+// 584µs on the sweep corpus).
 const (
 	defaultRerankMul8 = 20
 	defaultRerankMul4 = 30
@@ -1434,37 +1439,6 @@ func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, 
 	return scanned
 }
 
-// searchADC is the product-quantized scan: build the query's ADC lookup
-// table, select the rerankDepth approximate-nearest candidates over the
-// probed lists (striped across workers exactly like the exact scan), then
-// re-rank that short list against the raw feature rows and keep the exact
-// top k. Returns the final items and the number of candidates scored.
-func (s *Shard) searchADC(req *core.SearchRequest, lists []int, workers, k int, sc *searchScratch, ps *shardPQ, adm *admission, rerankBoost int) ([]topk.Item, int) {
-	// The exact re-rank reads raw rows; keep the mmap mapping alive for
-	// the duration (see Search).
-	defer runtime.KeepAlive(s)
-	// Dimensions were validated against the shard config, and the codebook
-	// was validated against the shard at install time, so BuildLUT cannot
-	// fail here.
-	lutp := lutPool.Get().(*[]float32)
-	defer lutPool.Put(lutp)
-	*lutp, _ = ps.cb.BuildLUT(req.Feature, *lutp)
-	lut := *lutp
-	rerankK := s.widenRerank(s.rerankDepth(k, ps.cb.Bits), rerankBoost)
-	var scanned int
-	if ps.lists != nil {
-		sc.ensureIDBufs(workers)
-		scanned = s.scanStriped(workers, rerankK, sc, func(start, stride int, sel *topk.Selector) int {
-			return s.scanListsADC4(lists, start, stride, sel, ps, lut, adm, sc)
-		})
-	} else {
-		scanned = s.scanStriped(workers, rerankK, sc, func(start, stride int, sel *topk.Selector) int {
-			return s.scanListsADC(req, lists, start, stride, sel, ps, lut, adm)
-		})
-	}
-	return s.rerankExact(req, k, sc, adm), scanned
-}
-
 // rerankExact re-ranks the ADC-selected candidates in sc.merged exactly
 // against the raw feature rows and returns the final top k — the shared
 // last stage of the single-query and batched ADC paths.
@@ -1514,95 +1488,62 @@ func (s *Shard) rerankExact(req *core.SearchRequest, k int, sc *searchScratch, a
 	return sel.Sorted()
 }
 
-// scanListsADC is scanLists scoring PQ codes through the query's lookup
-// table instead of float rows: M byte-indexed adds per candidate instead
-// of Dim float subtract-multiply-adds over a Dim×4-byte row.
-func (s *Shard) scanListsADC(req *core.SearchRequest, lists []int, start, stride int, sel *topk.Selector, ps *shardPQ, lut []float32, adm *admission) int {
-	scanned := 0
-	scan := func(id uint32) bool {
-		if !adm.admit(id) {
-			return true // off-market or filtered out (§2.2 validity, scope, predicates)
-		}
-		code := ps.codes.Row(id)
-		if code == nil {
-			return true
-		}
-		scanned++
-		sel.Push(uint64(id), pq.ADCDist(lut, code))
-		return true
-	}
-	for i := start; i < len(lists); i += stride {
-		s.inv.Scan(lists[i], scan)
-	}
-	return scanned
-}
-
-// scanListsADC4 is the 4-bit fast-scan list walk: snapshot the list's
-// published ids (insertion order, which by the codeBlocks contract is
-// slot order), stream its full code blocks through the gather kernel, and
-// score the partially filled tail block per slot. Distances come first
-// and admission second — the reverse of the 8-bit path — because the
-// blocked kernel scores 32 candidates in one sweep for less than the cost
-// of 32 admission reads, and the current-worst threshold then discards
-// most candidates before any admission word is touched. The scanned count
-// is therefore "codes scored" (every published code in the probed lists),
-// not "candidates admitted" as on the 8-bit path; the batched path counts
-// identically, so batched and unbatched responses match field for field.
+// scanADC is the ADC list traversal, shared by Search (one member,
+// optionally striped across workers) and SearchBatch (many members, one
+// pass): for every list in lists[start::stride] it snapshots the list's
+// published ids (insertion order, which by the codeBlocks contract is slot
+// order), streams the list's code blocks, and scores each block — the
+// published prefix, for the tail block — once per member while its bytes
+// are resident. The members probing list l are byList[l], or solo for
+// every list when byList is nil. ids is the caller's snapshot buffer,
+// returned (possibly grown) for reuse.
 //
-// The slice of per-worker id buffers is indexed by start: scanStriped
-// hands worker w the stripe starting at w (and 0 on the serial path), and
-// sc.ensureIDBufs ran before the fan-out.
-func (s *Shard) scanListsADC4(lists []int, start, stride int, sel *topk.Selector, ps *shardPQ, lut []float32, adm *admission, sc *searchScratch) int {
-	mb := ps.cb.CodeBytes()
+// Distances come first and admission second: a block scorer prices 32
+// candidates in one sweep for less than the cost of 32 admission reads,
+// and the member's current-worst threshold then discards most of them
+// before any admission word is touched. A member's scanned count is
+// therefore "codes scored" — every published code in the lists it probes —
+// not "candidates admitted".
+func (s *Shard) scanADC(ps *shardPQ, lists []int, start, stride int, solo []*query, byList map[int][]*query, ids []uint32) []uint32 {
 	var dists [pq.BlockCodes]float32
-	ids := sc.ids[start][:0]
-	scanned := 0
 	for i := start; i < len(lists); i += stride {
 		l := lists[i]
+		qs := solo
+		if byList != nil {
+			qs = byList[l]
+		}
 		ids = ids[:0]
 		s.inv.Scan(l, func(id uint32) bool { ids = append(ids, id); return true })
-		scanned += len(ids)
-		blocks := ps.lists[l]
-		full := len(ids) / pq.BlockCodes
-		for b := 0; b < full; b++ {
-			pq.ScanBlock4(lut, blocks.block(b), mb, &dists)
-			worst, bounded := sel.WorstDist()
-			base := b * pq.BlockCodes
-			for sl, d := range dists {
-				// Skipping on d > worst never changes the result — the
-				// selector would reject the push — it only skips the
-				// admission read, so batched/unbatched/serial/parallel
-				// scans still select identical candidates.
-				if bounded && d > worst {
-					continue
-				}
-				id := ids[base+sl]
-				if !adm.admit(id) {
-					continue
-				}
-				if sel.Push(uint64(id), d) {
-					worst, bounded = sel.WorstDist()
-				}
-			}
+		for _, q := range qs {
+			q.scanned += len(ids)
 		}
-		if tail := len(ids) % pq.BlockCodes; tail > 0 {
-			// The tail block has unpublished slots whose lane bytes the
-			// writer may still be filling; the per-slot scalar path reads
-			// only published slots' bytes (bit-identical to the kernel).
-			blk := blocks.block(full)
-			base := full * pq.BlockCodes
-			for sl := 0; sl < tail; sl++ {
-				d := pq.ADCDistBlockSlot(lut, blk, mb, sl)
-				id := ids[base+sl]
-				if !adm.admit(id) {
-					continue
+		blocks := ps.lists[l]
+		for base := 0; base < len(ids); base += pq.BlockCodes {
+			n := min(pq.BlockCodes, len(ids)-base)
+			blk := blocks.block(base / pq.BlockCodes)
+			for _, q := range qs {
+				blocks.score(q.sc.lut, blk, n, &dists)
+				worst, bounded := q.sel.WorstDist()
+				for sl, d := range dists[:n] {
+					// Skipping on d > worst never changes the result — the
+					// selector would reject the push — it only skips the
+					// admission read, so batched/unbatched/serial/parallel
+					// scans still select identical candidates.
+					if bounded && d > worst {
+						continue
+					}
+					id := ids[base+sl]
+					if !q.adm.admit(id) {
+						continue // off-market or filtered out (§2.2 validity, scope, predicates)
+					}
+					if q.sel.Push(uint64(id), d) {
+						worst, bounded = q.sel.WorstDist()
+					}
 				}
-				sel.Push(uint64(id), d)
 			}
 		}
 	}
-	sc.ids[start] = ids
-	return scanned
+	return ids
 }
 
 // Stats returns a snapshot of shard counters.
@@ -1635,21 +1576,16 @@ func (s *Shard) bump(fn func(*Stats)) {
 	s.statsMu.Unlock()
 }
 
-// snapshot format identifiers. Version 1 ends after the feature matrix;
-// version 2 adds an 8-byte covered queue offset after the version byte and
-// a trailing PQ section ([1B present] + PQ codebook + code matrix);
-// version 3 inserts a bit-width byte after the present flag ([1B present]
-// [1B bits] + codebook + codes) so 4-bit quantizers serialise — 8-bit
-// codes keep the v2 code-matrix layout, 4-bit codes serialise per
-// inverted list (writeCodeBlockLists). Older streams still load: v1
-// installs no quantizer (the shard serves the exact float path until
-// TrainPQ/TrainPQStored re-encodes it) and v2's missing bits byte reads
-// as 8.
+// snapshot format identifiers. There is one version: [magic][1B version]
+// [8B covered queue offset] + IVF codebook + forward + inverted + validity
+// bitmap + features + PQ section ([1B present], then when present [1B bits]
+// + PQ codebook + per-list codes, writeCodeBlockLists). Streams of any
+// other version are refused — a snapshot is a cache of one full-index
+// cycle, so the remedy is to run that cycle again, not to carry readers
+// for layouts no deployed build writes.
 const (
-	snapMagic     = "JDVSSNAP"
-	snapVersionV1 = 1
-	snapVersionV2 = 2
-	snapVersion   = 3
+	snapMagic   = "JDVSSNAP"
+	snapVersion = 4
 )
 
 // WriteSnapshot serialises the full shard (covered offset, codebook,
@@ -1702,11 +1638,7 @@ func (s *Shard) WriteSnapshot(w io.Writer) error {
 	if err := writePQCodebook(w, ps.cb); err != nil {
 		return fmt.Errorf("index: snapshot pq codebook: %w", err)
 	}
-	if ps.codes != nil {
-		if _, err := ps.codes.writeTo(w); err != nil {
-			return fmt.Errorf("index: snapshot pq codes: %w", err)
-		}
-	} else if err := writeCodeBlockLists(w, ps.lists, ps.cb.CodeBytes()); err != nil {
+	if err := writeCodeBlockLists(w, ps.lists); err != nil {
 		return fmt.Errorf("index: snapshot pq code lists: %w", err)
 	}
 	return nil
@@ -1714,9 +1646,8 @@ func (s *Shard) WriteSnapshot(w io.Writer) error {
 
 // LoadSnapshot replaces the shard contents from a WriteSnapshot stream and
 // rebuilds the lookup tables from the forward index. Readers and the
-// writer must be quiesced. The current v3 layout (bit-width-tagged PQ),
-// the v2 layout (always-8-bit PQ) and the legacy v1 layout are all
-// accepted.
+// writer must be quiesced. A stream of another snapshot version is refused
+// before anything is replaced.
 func (s *Shard) LoadSnapshot(r io.Reader) error {
 	magic := make([]byte, len(snapMagic)+1)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -1725,20 +1656,17 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 	if string(magic[:len(snapMagic)]) != snapMagic {
 		return errors.New("index: bad snapshot magic")
 	}
-	version := magic[len(snapMagic)]
-	if version != snapVersionV1 && version != snapVersionV2 && version != snapVersion {
-		return fmt.Errorf("index: unsupported snapshot version %d", version)
+	if version := magic[len(snapMagic)]; version != snapVersion {
+		return fmt.Errorf("index: snapshot version %d unsupported (this build reads v%d only; rebuild with a full index cycle)",
+			version, snapVersion)
 	}
-	covered := int64(0)
-	if version >= snapVersionV2 {
-		var off [8]byte
-		if _, err := io.ReadFull(r, off[:]); err != nil {
-			return fmt.Errorf("index: snapshot covered offset: %w", err)
-		}
-		covered = int64(binary.LittleEndian.Uint64(off[:]))
-		if covered < 0 {
-			return fmt.Errorf("index: corrupt snapshot covered offset %d", covered)
-		}
+	var off [8]byte
+	if _, err := io.ReadFull(r, off[:]); err != nil {
+		return fmt.Errorf("index: snapshot covered offset: %w", err)
+	}
+	covered := int64(binary.LittleEndian.Uint64(off[:]))
+	if covered < 0 {
+		return fmt.Errorf("index: corrupt snapshot covered offset %d", covered)
 	}
 	cb, err := readCodebook(r)
 	if err != nil {
@@ -1760,65 +1688,48 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 		return fmt.Errorf("index: snapshot features: %w", err)
 	}
 	var fresh *shardPQ
-	if version >= snapVersionV2 {
-		var flag [1]byte
-		if _, err := io.ReadFull(r, flag[:]); err != nil {
-			return fmt.Errorf("index: snapshot pq flag: %w", err)
+	var flag [1]byte
+	if _, err := io.ReadFull(r, flag[:]); err != nil {
+		return fmt.Errorf("index: snapshot pq flag: %w", err)
+	}
+	if flag[0] == 1 {
+		var bb [1]byte
+		if _, err := io.ReadFull(r, bb[:]); err != nil {
+			return fmt.Errorf("index: snapshot pq bits: %w", err)
 		}
-		if flag[0] == 1 {
-			// v2 has no bit-width byte: its codes are always 8-bit.
-			bits := 8
-			if version >= snapVersion {
-				var bb [1]byte
-				if _, err := io.ReadFull(r, bb[:]); err != nil {
-					return fmt.Errorf("index: snapshot pq bits: %w", err)
-				}
-				if bb[0] != 4 && bb[0] != 8 {
-					return fmt.Errorf("index: corrupt snapshot pq bits %d", bb[0])
-				}
-				bits = int(bb[0])
-			}
-			pcb, err := readPQCodebook(r, bits)
-			if err != nil {
-				return fmt.Errorf("index: snapshot pq codebook: %w", err)
-			}
-			if pcb.Dim != s.cfg.Dim {
-				return fmt.Errorf("index: snapshot pq dim %d, shard dim %d", pcb.Dim, s.cfg.Dim)
-			}
-			if bits == 4 {
-				lists, err := readCodeBlockLists(r, s.cfg.NLists, pcb.CodeBytes())
-				if err != nil {
-					return fmt.Errorf("index: snapshot pq code lists: %w", err)
-				}
-				// Slot alignment is the 4-bit scan's correctness condition:
-				// every list's code count must match its inverted length,
-				// and (with each row in exactly one list) the total must
-				// match the feature rows, mirroring the 8-bit row check.
-				total := 0
-				for l, cb := range lists {
-					if int(cb.published()) != s.inv.ListLen(l) {
-						return fmt.Errorf("index: snapshot pq list %d has %d codes, inverted %d entries",
-							l, cb.published(), s.inv.ListLen(l))
-					}
-					total += int(cb.published())
-				}
-				if total != s.feats.Len() {
-					return fmt.Errorf("index: snapshot pq codes %d, features %d", total, s.feats.Len())
-				}
-				fresh = &shardPQ{cb: pcb, lists: lists}
-			} else {
-				codes := newCodeMat(pcb.M)
-				if _, err := codes.readFrom(r); err != nil {
-					return fmt.Errorf("index: snapshot pq codes: %w", err)
-				}
-				if codes.Len() != s.feats.Len() {
-					return fmt.Errorf("index: snapshot pq codes %d rows, features %d", codes.Len(), s.feats.Len())
-				}
-				fresh = &shardPQ{cb: pcb, codes: codes}
-			}
-		} else if flag[0] != 0 {
-			return fmt.Errorf("index: corrupt snapshot pq flag %d", flag[0])
+		if bb[0] != 4 && bb[0] != 8 {
+			return fmt.Errorf("index: corrupt snapshot pq bits %d", bb[0])
 		}
+		pcb, err := readPQCodebook(r, int(bb[0]))
+		if err != nil {
+			return fmt.Errorf("index: snapshot pq codebook: %w", err)
+		}
+		if pcb.Dim != s.cfg.Dim {
+			return fmt.Errorf("index: snapshot pq dim %d, shard dim %d", pcb.Dim, s.cfg.Dim)
+		}
+		lists, err := readCodeBlockLists(r, s.cfg.NLists, pcb)
+		if err != nil {
+			return fmt.Errorf("index: snapshot pq code lists: %w", err)
+		}
+		// Slot alignment is the ADC scan's correctness condition: every
+		// list's code count must match its inverted length, and (with each
+		// row in exactly one list) the total must match the feature rows.
+		// A truncated or mismatched code section fails the load here
+		// instead of serving shifted codes.
+		total := 0
+		for l, cb := range lists {
+			if int(cb.published()) != s.inv.ListLen(l) {
+				return fmt.Errorf("index: snapshot pq list %d has %d codes, inverted %d entries",
+					l, cb.published(), s.inv.ListLen(l))
+			}
+			total += int(cb.published())
+		}
+		if total != s.feats.Len() {
+			return fmt.Errorf("index: snapshot pq codes %d, features %d", total, s.feats.Len())
+		}
+		fresh = &shardPQ{cb: pcb, lists: lists}
+	} else if flag[0] != 0 {
+		return fmt.Errorf("index: corrupt snapshot pq flag %d", flag[0])
 	}
 	s.pqState.Store(fresh)
 	// Rebuild the per-category bitmaps from the forward records. Stale

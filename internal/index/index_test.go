@@ -387,6 +387,60 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 	}
 }
 
+// TestLoadSnapshotCorruptCodeSection: the ADC scan pairs a list's i-th id
+// with its i-th code, so a code section whose per-list counts disagree
+// with the inverted lists — truncated, or one code moved between lists —
+// must fail the load at either code width rather than serve shifted codes.
+func TestLoadSnapshotCorruptCodeSection(t *testing.T) {
+	for _, bits := range []int{8, 4} {
+		_, quant, _ := buildPQBitsPair(t, 400, 32, 4, 8, bits)
+		var buf, section bytes.Buffer
+		if err := quant.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ps := quant.pqState.Load()
+		if err := writeCodeBlockLists(&section, ps.lists); err != nil {
+			t.Fatal(err)
+		}
+		// The code section is the snapshot's tail.
+		head := buf.Bytes()[:buf.Len()-section.Len()]
+
+		// List 0's last code moves to the end of list 1: every byte still
+		// parses and the total still matches the feature rows.
+		n0 := ps.lists[0].published()
+		if n0 == 0 {
+			t.Fatalf("bits=%d: corpus left list 0 empty", bits)
+		}
+		moved := append([]*codeBlocks(nil), ps.lists...)
+		moved[0], moved[1] = newCodeBlocks(ps.cb), newCodeBlocks(ps.cb)
+		code := make([]byte, ps.cb.CodeBytes())
+		for i := uint32(0); i < n0-1; i++ {
+			ps.lists[0].extract(i, code)
+			moved[0].append(code)
+		}
+		for i := uint32(0); i < ps.lists[1].published(); i++ {
+			ps.lists[1].extract(i, code)
+			moved[1].append(code)
+		}
+		ps.lists[0].extract(n0-1, code)
+		moved[1].append(code)
+		shifted := bytes.NewBuffer(append([]byte(nil), head...))
+		if err := writeCodeBlockLists(shifted, moved); err != nil {
+			t.Fatal(err)
+		}
+		dup, _ := New(quant.Config())
+		if err := dup.LoadSnapshot(shifted); err == nil {
+			t.Errorf("bits=%d: code section with a code moved between lists accepted", bits)
+		}
+
+		// Truncated inside the code section.
+		dup, _ = New(quant.Config())
+		if err := dup.LoadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()-len(code)-1])); err == nil {
+			t.Errorf("bits=%d: truncated code section accepted", bits)
+		}
+	}
+}
+
 // TestConcurrentSearchDuringRealtimeOps is the shard-level version of the
 // paper's search/update concurrency claim. Run with -race.
 func TestConcurrentSearchDuringRealtimeOps(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jdvs/internal/core"
+	"jdvs/internal/pq"
 )
 
 // modelImage is the reference state for one image URL.
@@ -20,20 +21,37 @@ type modelImage struct {
 // attrs by URL and by product) and checks it against a plain-map reference
 // model after every operation batch. This is the invariant the whole
 // real-time indexing path rests on: the shard is a faithful, queryable
-// materialisation of the event stream.
+// materialisation of the event stream. Trials rotate through the three
+// scan paths — exact, 8-bit ADC, 4-bit ADC — so the per-list code stores
+// ride the same operation mix as the structures they must stay in
+// lockstep with.
 func TestShardMatchesModel(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		trial := trial
-		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+		bits := []int{0, 8, 4}[trial%3]
+		t.Run(fmt.Sprintf("trial=%d/bits=%d", trial, bits), func(t *testing.T) {
 			t.Parallel()
-			runShardModelTrial(t, int64(trial))
+			runShardModelTrial(t, int64(trial), bits)
 		})
 	}
 }
 
-func runShardModelTrial(t *testing.T, seed int64) {
+func runShardModelTrial(t *testing.T, seed int64, bits int) {
 	s, rng := testShard(t, 8)
 	rng = rand.New(rand.NewSource(seed*31 + 7))
+	if bits != 0 {
+		train := make([]float32, 0, 500*testDim)
+		for i := 0; i < 500; i++ {
+			train = append(train, randFeature(rng)...)
+		}
+		cb, err := pq.Train(pq.Config{Dim: testDim, M: 4, Bits: bits, Seed: seed}, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetPQCodebook(cb); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	model := make(map[string]*modelImage) // url → state
 	products := make(map[uint64][]string) // product → urls
@@ -201,21 +219,33 @@ func runShardModelTrial(t *testing.T, seed int64) {
 	}
 
 	// Every valid image is findable by self-query at full probe width;
-	// every invalid one is not.
-	checked := 0
+	// every invalid one is not — asked one query at a time through Search
+	// and all at once through SearchBatch, which must agree field for
+	// field.
+	var reqs []*core.SearchRequest
+	var asked []*modelImage
 	for url, m := range model {
-		if checked >= 50 {
+		if len(reqs) >= 50 {
 			break
 		}
-		checked++
 		f := s.Feature(m.id)
 		if f == nil {
 			t.Fatalf("final: url %s lost its feature row", url)
 		}
-		resp, err := s.Search(&core.SearchRequest{Feature: f, TopK: len(model), NProbe: 8, Category: -1})
+		reqs = append(reqs, &core.SearchRequest{Feature: f, TopK: len(model), NProbe: 8, Category: -1})
+		asked = append(asked, m)
+	}
+	batched, errs := s.SearchBatch(reqs)
+	for i, req := range reqs {
+		resp, err := s.Search(req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		requireSameResponse(t, "batched model query", batched[i], resp)
+		m := asked[i]
 		found := false
 		for _, h := range resp.Hits {
 			if h.Image.Local == m.id {
@@ -223,7 +253,7 @@ func runShardModelTrial(t *testing.T, seed int64) {
 			}
 		}
 		if found != m.valid {
-			t.Fatalf("final: url %s searchable=%v, model valid=%v", url, found, m.valid)
+			t.Fatalf("final: url %s searchable=%v, model valid=%v", m.attrs.URL, found, m.valid)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -157,33 +156,6 @@ func TestPQSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestPQInsertLockstep: inserts after PQ is installed must encode codes in
-// lockstep, and the new images must be findable through the ADC path.
-func TestPQInsertLockstep(t *testing.T) {
-	const n, dim = 1000, 32
-	_, quant, _ := buildPQPair(t, n, dim, 16, 8)
-	rng := rand.New(rand.NewSource(9))
-	fresh := clusteredFeatures(rng, 10, dim, 3, 0.1)
-	for i, f := range fresh {
-		url := fmt.Sprintf("jfs://pq-late/%d.jpg", i)
-		id, reused, err := quant.Insert(core.Attrs{ProductID: uint64(9000 + i), URL: url}, f)
-		if err != nil || reused {
-			t.Fatalf("insert %d: id=%d reused=%v err=%v", i, id, reused, err)
-		}
-		resp, err := quant.Search(&core.SearchRequest{Feature: f, TopK: 1, NProbe: quant.cfg.NLists, Category: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Hits) != 1 || resp.Hits[0].Image.Local != id {
-			t.Fatalf("freshly inserted image %d not the nearest to its own feature: %+v", id, resp.Hits)
-		}
-	}
-	st := quant.Stats()
-	if st.PQCodes != st.Images {
-		t.Fatalf("codes %d out of lockstep with images %d", st.PQCodes, st.Images)
-	}
-}
-
 // TestPQCategoryFilter: the ADC path must honour category scoping like the
 // exact path.
 func TestPQCategoryFilter(t *testing.T) {
@@ -204,54 +176,26 @@ func TestPQCategoryFilter(t *testing.T) {
 	}
 }
 
-// writeSnapshotV1 emits the legacy (pre-PQ, pre-covered-offset) snapshot
-// layout, byte-identical to what a PR-3-era binary wrote.
-func writeSnapshotV1(s *Shard, w io.Writer) error {
-	if _, err := io.WriteString(w, snapMagic); err != nil {
-		return err
-	}
-	if _, err := w.Write([]byte{snapVersionV1}); err != nil {
-		return err
-	}
-	if err := writeCodebook(w, s.codebook); err != nil {
-		return err
-	}
-	if _, err := s.fwd.WriteTo(w); err != nil {
-		return err
-	}
-	if _, err := s.inv.WriteTo(w); err != nil {
-		return err
-	}
-	if err := writeBitmap(w, s.valid); err != nil {
-		return err
-	}
-	_, err := s.feats.writeTo(w)
-	return err
-}
-
-// TestSnapshotBackCompatV1: a legacy snapshot must still load — serving
-// the exact scan path — and TrainPQStored must lazily re-encode it onto
-// the ADC path with consistent results.
-func TestSnapshotBackCompatV1(t *testing.T) {
+// TestSnapshotNoPQ: shards without a quantizer keep round-tripping (flag
+// byte 0) and stay on the exact path — and TrainPQStored then lazily
+// re-encodes the loaded rows onto the ADC path with consistent results
+// (what jdvsd -pq-train-sample does with a PQ-less snapshot).
+func TestSnapshotNoPQ(t *testing.T) {
 	const n, dim = 1500, 32
 	exact, _, feats := buildPQPair(t, n, dim, 16, 8)
-
-	var v1 bytes.Buffer
-	if err := writeSnapshotV1(exact, &v1); err != nil {
+	var buf bytes.Buffer
+	if err := exact.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := New(Config{Dim: dim, NLists: 16, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.LoadSnapshot(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatalf("v1 snapshot failed to load: %v", err)
+	if err := loaded.LoadSnapshot(&buf); err != nil {
+		t.Fatal(err)
 	}
 	if loaded.PQEnabled() {
-		t.Fatal("v1 snapshot cannot carry PQ codes")
-	}
-	if off := loaded.CoveredOffset(); off != 0 {
-		t.Fatalf("v1 snapshot produced covered offset %d", off)
+		t.Fatal("exact shard grew a quantizer through the snapshot")
 	}
 	req := &core.SearchRequest{Feature: feats[3], TopK: 5, NProbe: 8, Category: -1}
 	want, err := exact.Search(req)
@@ -263,7 +207,7 @@ func TestSnapshotBackCompatV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want.Hits) != len(got.Hits) || want.Hits[0].Image != got.Hits[0].Image {
-		t.Fatalf("v1-loaded shard disagrees with source: %+v vs %+v", got.Hits, want.Hits)
+		t.Fatalf("round-tripped exact shard disagrees with source: %+v vs %+v", got.Hits, want.Hits)
 	}
 
 	// Lazy re-encode: train PQ from the loaded shard's own rows.
@@ -285,82 +229,38 @@ func TestSnapshotBackCompatV1(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2RoundTripPQ: a PQ-bearing snapshot must round-trip the
-// quantizer, the codes and the covered offset, and serve identical
-// results.
-func TestSnapshotV2RoundTripPQ(t *testing.T) {
-	const n, dim = 1500, 32
+// TestLoadSnapshotRejectsOldVersions: snapshots are single-version. A
+// stream stamped with any retired version is refused with the rebuild
+// remedy, before anything in the receiving shard is replaced.
+func TestLoadSnapshotRejectsOldVersions(t *testing.T) {
+	const n, dim = 300, 32
 	_, quant, feats := buildPQPair(t, n, dim, 16, 8)
-	quant.SetCoveredOffset(4242)
-
 	var buf bytes.Buffer
 	if err := quant.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := New(quant.Config())
+	req := &core.SearchRequest{Feature: feats[5], TopK: 5, NProbe: 8, Category: -1}
+	want, err := quant.Search(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.PQEnabled() {
-		t.Fatal("PQ state lost in snapshot round trip")
-	}
-	if off := loaded.CoveredOffset(); off != 4242 {
-		t.Fatalf("covered offset %d, want 4242", off)
-	}
-	if st, wt := loaded.Stats(), quant.Stats(); st.PQCodes != wt.PQCodes || st.Images != wt.Images {
-		t.Fatalf("round trip stats %+v vs %+v", st, wt)
-	}
-	for qi := 0; qi < 10; qi++ {
-		req := &core.SearchRequest{Feature: feats[qi*7], TopK: 8, NProbe: 8, Category: -1}
-		want, err := quant.Search(req)
+	for _, version := range []byte{1, 2, 3} {
+		old := append([]byte(nil), buf.Bytes()...)
+		old[len(snapMagic)] = version
+		err := quant.LoadSnapshot(bytes.NewReader(old))
+		wantMsg := fmt.Sprintf("index: snapshot version %d unsupported (this build reads v4 only; rebuild with a full index cycle)", version)
+		if err == nil || err.Error() != wantMsg {
+			t.Fatalf("version %d: err = %v, want %q", version, err, wantMsg)
+		}
+		st := quant.Stats()
+		if st.Images != n || st.PQCodes != n || !quant.PQEnabled() {
+			t.Fatalf("version %d: refused load disturbed the shard: %+v", version, st)
+		}
+		got, err := quant.Search(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := loaded.Search(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Hits) != len(got.Hits) {
-			t.Fatalf("query %d: %d hits vs %d", qi, len(got.Hits), len(want.Hits))
-		}
-		for i := range want.Hits {
-			if want.Hits[i].Image != got.Hits[i].Image || want.Hits[i].Dist != got.Hits[i].Dist {
-				t.Fatalf("query %d hit %d: %+v vs %+v", qi, i, got.Hits[i], want.Hits[i])
-			}
-		}
-	}
-}
-
-// TestSnapshotV2NoPQ: shards without a quantizer keep round-tripping
-// (flag byte 0) and stay on the exact path.
-func TestSnapshotV2NoPQ(t *testing.T) {
-	const n, dim = 800, 32
-	exact, _, feats := buildPQPair(t, n, dim, 16, 8)
-	var buf bytes.Buffer
-	if err := exact.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := New(exact.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if loaded.PQEnabled() {
-		t.Fatal("exact shard grew a quantizer through the snapshot")
-	}
-	req := &core.SearchRequest{Feature: feats[1], TopK: 3, NProbe: 8, Category: -1}
-	want, _ := exact.Search(req)
-	got, err := loaded.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Hits[0].Image != got.Hits[0].Image {
-		t.Fatal("round-tripped exact shard disagrees")
+		requireSameResponse(t, "after refused load", got, want)
 	}
 }
 

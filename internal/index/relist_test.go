@@ -13,8 +13,8 @@ import (
 // relistShard builds a PQ-enabled shard whose IVF centroids are far apart,
 // so features built near distinct centroids land in distinct inverted
 // lists — re-listing with a vector from another cluster must move the
-// image.
-func relistShard(t *testing.T) (*Shard, [][]float32) {
+// image. bits is the PQ code width.
+func relistShard(t *testing.T, bits int) (*Shard, [][]float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
 	feats := clusteredFeatures(rng, 2000, testDim, 8, 0.2)
@@ -22,7 +22,7 @@ func relistShard(t *testing.T) (*Shard, [][]float32) {
 	for _, f := range feats {
 		train = append(train, f...)
 	}
-	s, err := New(Config{Dim: testDim, NLists: 8, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: 4})
+	s, err := New(Config{Dim: testDim, NLists: 8, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: 4, PQBits: bits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +39,31 @@ func relistShard(t *testing.T) (*Shard, [][]float32) {
 		}
 	}
 	return s, feats
+}
+
+// storedCode returns the PQ code the shard holds for image id: codes are
+// keyed by list position, so it is the code at id's slot in the one
+// inverted list that yields id.
+func storedCode(t *testing.T, s *Shard, id core.ImageID) []byte {
+	t.Helper()
+	ps := s.pqState.Load()
+	for l, blocks := range ps.lists {
+		slot, found := uint32(0), false
+		s.inv.Scan(l, func(got uint32) bool {
+			found = got == id
+			if !found {
+				slot++
+			}
+			return !found
+		})
+		if found {
+			code := make([]byte, ps.cb.CodeBytes())
+			blocks.extract(slot, code)
+			return code
+		}
+	}
+	t.Fatalf("image %d is in no inverted list", id)
+	return nil
 }
 
 // topURL returns the URL of the closest hit for a query vector.
@@ -59,7 +84,13 @@ func topURL(t *testing.T, s *Shard, q []float32) (string, float32) {
 // location — fresh feature row, fresh PQ code, entry in the new vector's
 // inverted list — instead of serving the old vector forever.
 func TestRelistChangedFeature(t *testing.T) {
-	s, feats := relistShard(t)
+	for _, bits := range []int{8, 4} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) { runRelistChangedFeature(t, bits) })
+	}
+}
+
+func runRelistChangedFeature(t *testing.T, bits int) {
+	s, feats := relistShard(t, bits)
 	const victim = 7
 	url := fmt.Sprintf("jfs://relist/%d.jpg", victim)
 	oldFeat := feats[victim]
@@ -118,15 +149,12 @@ func TestRelistChangedFeature(t *testing.T) {
 		t.Fatal("stored row is not the new vector")
 	}
 	ps := s.pqState.Load()
-	want := make([]byte, ps.cb.M)
+	want := make([]byte, ps.cb.CodeBytes())
 	if err := ps.cb.Encode(newFeat, want); err != nil {
 		t.Fatal(err)
 	}
-	got := ps.codes.Row(id)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ADC code not re-encoded: got %v, want %v", got, want)
-		}
+	if got := storedCode(t, s, id); !bytes.Equal(got, want) {
+		t.Fatalf("ADC code not re-encoded: got %v, want %v", got, want)
 	}
 	// Attributes rode along.
 	if a, ok := s.Attrs(id); !ok || a.Sales != 777 {
@@ -162,7 +190,7 @@ func TestRelistChangedFeature(t *testing.T) {
 // also changes owners must move the image between byProduct entries, like
 // the plain reuse path does.
 func TestRelistChangedFeatureMovesProduct(t *testing.T) {
-	s, feats := relistShard(t)
+	s, feats := relistShard(t, 8)
 	const victim = 3
 	url := fmt.Sprintf("jfs://relist/%d.jpg", victim)
 	newFeat := append([]float32(nil), feats[victim]...)
@@ -184,7 +212,7 @@ func TestRelistChangedFeatureMovesProduct(t *testing.T) {
 // re-listing keeps the cheap §2.3 reuse path — validity flip plus
 // attribute refresh, no new generation.
 func TestRelistSameFeatureReuses(t *testing.T) {
-	s, feats := relistShard(t)
+	s, feats := relistShard(t, 8)
 	const victim = 11
 	url := fmt.Sprintf("jfs://relist/%d.jpg", victim)
 	before := s.Stats()
@@ -208,7 +236,7 @@ func TestRelistSameFeatureReuses(t *testing.T) {
 // vector exactly like the fresh-insert path, instead of silently
 // succeeding.
 func TestRelistDimValidation(t *testing.T) {
-	s, _ := relistShard(t)
+	s, _ := relistShard(t, 8)
 	url := "jfs://relist/0.jpg"
 	if _, _, err := s.Insert(core.Attrs{ProductID: 1, URL: url}, make([]float32, 3)); err == nil {
 		t.Fatal("wrong-dim re-listing accepted")
@@ -223,7 +251,7 @@ func TestRelistDimValidation(t *testing.T) {
 // the ADC path must backfill from the next approximate candidates (scored
 // by their ADC distance) instead of returning fewer than k results.
 func TestADCRerankBackfill(t *testing.T) {
-	s, feats := relistShard(t)
+	s, feats := relistShard(t, 8)
 	n := s.feats.Len()
 	// Simulate a store-level gap: all but the first 20 rows' raw features
 	// vanish while their codes remain scannable (the condition disk-backed
@@ -262,7 +290,7 @@ func TestADCRerankBackfill(t *testing.T) {
 // stale generation stays out of byProduct, so replicas loaded from the
 // stream agree with the shard that wrote it.
 func TestRelistSnapshotRoundTrip(t *testing.T) {
-	s, feats := relistShard(t)
+	s, feats := relistShard(t, 8)
 	const victim = 5
 	url := fmt.Sprintf("jfs://relist/%d.jpg", victim)
 	newFeat := append([]float32(nil), feats[victim]...)
@@ -322,7 +350,7 @@ func TestRelistSnapshotRoundTrip(t *testing.T) {
 // rejected up front — before the feature row commits — so one bad insert
 // cannot skew the matrices and wedge the shard's write path.
 func TestInsertRejectsOversizedURL(t *testing.T) {
-	s, feats := relistShard(t)
+	s, feats := relistShard(t, 8)
 	before := s.Stats()
 	huge := "jfs://" + strings.Repeat("x", 2<<20)
 	if _, _, err := s.Insert(core.Attrs{ProductID: 1, URL: huge}, feats[0]); err == nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // Feature-row storage selectors for Config.FeatureStore. The scan path
-// reads M-byte PQ codes (codeMat, always RAM-resident); the raw float rows
+// reads PQ codes (codeBlocks, always RAM-resident); the raw float rows
 // behind them are touched only for exact re-rank, the exact-path fallback
 // and PQ training, so where they live is a capacity/latency trade:
 //

@@ -50,7 +50,7 @@
 // high nibble = odd). Code memory halves again (M/2 bytes per image) and
 // the whole query LUT shrinks to M×16 floats — small enough to stay
 // L1/register-resident while a scan streams code bytes. Codes are stored
-// in the FAISS-style blocked "fast-scan" layout (see kernel_generic.go):
+// in the FAISS-style blocked "fast-scan" layout (see kernel.go):
 // groups of BlockCodes codes interleaved by packed-byte lane, so the
 // kernel's inner loop is a pure table gather with no per-candidate pointer
 // chasing. The coarser 16-centroid quantizer carries more error than the
@@ -360,9 +360,10 @@ func ADCDist4(lut []float32, code []byte) float32 {
 
 // ADCScan scores a contiguous block of n codes (codes holds n×m bytes,
 // code i at codes[i*m:(i+1)*m]) against lut, writing distances into out
-// and returning it. This is the benchmark kernel for the code-block layout
-// the shard's code matrix stores; the shard scan itself scores per
-// candidate via ADCDist because IVF candidates are scattered by image ID.
+// and returning it. This is the shard's 8-bit block scorer: an inverted
+// list's codes are stored row-major in list order, so the scan scores each
+// block (and the published prefix of the tail block) with one call.
+// out[i] is bit-identical to ADCDist(lut, code i).
 func ADCScan(lut []float32, codes []byte, m int, out []float32) []float32 {
 	if m <= 0 || len(codes)%m != 0 {
 		panic("pq: bad code block layout")

@@ -418,8 +418,8 @@ func TestPushSnapshotPQMultiChunk(t *testing.T) {
 	}
 }
 
-// TestPushSnapshot4BitMultiChunk: a 4-bit fast-scan snapshot (v3 layout
-// with packed per-list code blocks) must round-trip through the chunked
+// TestPushSnapshot4BitMultiChunk: a 4-bit fast-scan snapshot (packed
+// per-list code blocks) must round-trip through the chunked
 // streaming push and serve the blocked ADC scan on the receiver.
 func TestPushSnapshot4BitMultiChunk(t *testing.T) {
 	f := newFixture(t, 40)
