@@ -1,245 +1,25 @@
-// Benchmarks regenerating each evaluation artifact (one per table/figure,
-// §3 of the paper) plus ablations of the design choices DESIGN.md calls
-// out. Run with:
+// Ablation benchmarks of the paper's design choices, each isolating one
+// mechanism against the alternative the design avoids. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem .
 //
-// Macro benchmarks drive the real cluster over TCP; ablation benchmarks
-// isolate single mechanisms. cmd/jdvs-bench runs the full-size versions
-// and renders paper-style tables.
+// The paper's figures are regenerated by cmd/jdvs-bench (internal/experiments);
+// the repo's gated end-to-end numbers are BENCHMARK.json + bench/.
 package jdvs_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"jdvs/internal/catalog"
-	"jdvs/internal/cluster"
 	"jdvs/internal/cnn"
 	"jdvs/internal/core"
 	"jdvs/internal/imagestore"
 	"jdvs/internal/index"
 	"jdvs/internal/inverted"
-	"jdvs/internal/msg"
-	"jdvs/internal/workload"
 )
-
-// benchCluster lazily builds one shared cluster for the query benchmarks.
-var (
-	benchOnce    sync.Once
-	benchCl      *cluster.Cluster
-	benchApplied atomic.Int64
-	benchErr     error
-)
-
-func sharedCluster(b *testing.B) *cluster.Cluster {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchCl, benchErr = cluster.Start(cluster.Config{
-			Partitions: 4,
-			Brokers:    2,
-			Blenders:   2,
-			NLists:     32,
-			Catalog:    catalog.Config{Products: 1500, Categories: 10, Seed: 99},
-			OnApplied: func(u *msg.ProductUpdate, kind string, reused bool, lat time.Duration) {
-				benchApplied.Add(1)
-			},
-		})
-	})
-	if benchErr != nil {
-		b.Fatalf("cluster: %v", benchErr)
-	}
-	return benchCl
-}
-
-// waitApplied blocks until the shared cluster has applied n more updates.
-func waitApplied(b *testing.B, before int64, n int64) {
-	b.Helper()
-	deadline := time.Now().Add(5 * time.Minute)
-	for benchApplied.Load()-before < n {
-		if time.Now().After(deadline) {
-			b.Fatalf("drain timeout: %d/%d", benchApplied.Load()-before, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// BenchmarkTable1_UpdateMix streams the Table 1 event mix (315:521:141
-// with 98.5% of additions reusing features) through the live real-time
-// indexing path; each op is one per-image update applied end to end.
-func BenchmarkTable1_UpdateMix(b *testing.B) {
-	c := sharedCluster(b)
-	gen := workload.NewMix(workload.MixConfig{Seed: 7}, c.Catalog, c.Images)
-	before := benchApplied.Load()
-	b.ResetTimer()
-	published := 0
-	for published < b.N {
-		u, _, _, err := gen.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, url := range u.ImageURLs {
-			if published == b.N {
-				break
-			}
-			per := *u
-			per.ImageURLs = []string{url}
-			per.EventTimeNanos = time.Now().UnixNano()
-			if err := c.Publish(&per); err != nil {
-				b.Fatal(err)
-			}
-			published++
-		}
-	}
-	waitApplied(b, before, int64(b.N))
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/sec")
-}
-
-// BenchmarkFig11_RealtimeIndexing applies diurnally-stamped updates (the
-// Fig. 11 day compressed); each op is one applied update with its hour
-// derived from the Fig. 11(a) rate curve.
-func BenchmarkFig11_RealtimeIndexing(b *testing.B) {
-	c := sharedCluster(b)
-	gen := workload.NewMix(workload.MixConfig{Seed: 8}, c.Catalog, c.Images)
-	before := benchApplied.Load()
-	b.ResetTimer()
-	published := 0
-	for published < b.N {
-		u, _, _, err := gen.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, url := range u.ImageURLs {
-			if published == b.N {
-				break
-			}
-			per := *u
-			per.ImageURLs = []string{url}
-			per.EventTimeNanos = int64(workload.HourOfEvent(published, b.N, workload.DiurnalShape)) * 1e9
-			if err := c.Publish(&per); err != nil {
-				b.Fatal(err)
-			}
-			published++
-		}
-	}
-	waitApplied(b, before, int64(b.N))
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/sec")
-}
-
-// queryBench issues b.N image queries from `clients` concurrent emulated
-// users against the shared cluster (Fig. 12/13 client model). blobs must
-// be pre-generated by the caller — when an update stream owns the catalog
-// concurrently, the query side must not touch it.
-func queryBench(b *testing.B, c *cluster.Cluster, clients int, blobs [][]byte) {
-	b.Helper()
-	cl, err := c.Client()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	var next atomic.Int64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := context.Background()
-			for {
-				i := next.Add(1)
-				if i > int64(b.N) {
-					return
-				}
-				q := &core.QueryRequest{
-					ImageBlob:     blobs[int(i)%len(blobs)],
-					TopK:          10,
-					CategoryScope: core.AllCategories,
-				}
-				if _, err := cl.Query(ctx, q); err != nil {
-					b.Errorf("query: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-}
-
-// BenchmarkFig12_ThroughputWithoutRT measures query throughput at the
-// paper's client concurrencies with an idle update queue — the "W/O Real
-// Time Index" baseline of Fig. 12.
-func BenchmarkFig12_ThroughputWithoutRT(b *testing.B) {
-	c := sharedCluster(b)
-	blobs := workload.MakeQueryBlobs(c.Catalog, 32, 123)
-	for _, clients := range []int{50, 100, 200} {
-		b.Run(fmt.Sprintf("threads=%d", clients), func(b *testing.B) {
-			queryBench(b, c, clients, blobs)
-		})
-	}
-}
-
-// BenchmarkFig12_ThroughputWithRT measures the same throughput while a
-// real-time indexing stream runs concurrently; the per-qps delta against
-// the WithoutRT benchmark is the paper's <10% overhead claim.
-func BenchmarkFig12_ThroughputWithRT(b *testing.B) {
-	c := sharedCluster(b)
-	blobs := workload.MakeQueryBlobs(c.Catalog, 32, 124)
-	for _, clients := range []int{50, 100, 200} {
-		b.Run(fmt.Sprintf("threads=%d", clients), func(b *testing.B) {
-			stop := make(chan struct{})
-			var updaterWG sync.WaitGroup
-			updaterWG.Add(1)
-			go func() {
-				defer updaterWG.Done()
-				gen := workload.NewMix(workload.MixConfig{Seed: 9}, c.Catalog, c.Images)
-				ticker := time.NewTicker(time.Millisecond)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-ticker.C:
-					}
-					u, _, _, err := gen.Next()
-					if err != nil {
-						return
-					}
-					per := *u
-					per.ImageURLs = u.ImageURLs[:1]
-					per.EventTimeNanos = time.Now().UnixNano()
-					_ = c.Publish(&per)
-				}
-			}()
-			queryBench(b, c, clients, blobs)
-			close(stop)
-			updaterWG.Wait()
-		})
-	}
-}
-
-// BenchmarkFig13_Scalability sweeps client concurrency (the paper's
-// 1–35-thread x-axis) to expose the saturation knee of Fig. 13(a);
-// Fig. 13(b)'s CDF comes from cmd/jdvs-bench -experiment fig13.
-func BenchmarkFig13_Scalability(b *testing.B) {
-	c := sharedCluster(b)
-	blobs := workload.MakeQueryBlobs(c.Catalog, 32, 125)
-	for _, clients := range []int{1, 4, 9, 17, 25, 35} {
-		b.Run(fmt.Sprintf("threads=%d", clients), func(b *testing.B) {
-			queryBench(b, c, clients, blobs)
-		})
-	}
-}
-
-// --- Ablations ---
 
 // benchShard builds a standalone trained shard with n indexed images.
 func benchShard(b *testing.B, n int) (*index.Shard, [][]float32) {

@@ -1,208 +1,72 @@
-// Command jdvs-bench regenerates the paper's evaluation artifacts (§3)
-// against the real system and prints paper-style tables and series.
+// Command jdvs-bench regenerates the paper's evaluation artifacts (§3) and
+// the repo's A/B comparisons against the real system and prints
+// paper-style tables. It is a loop over the internal/experiments registry:
 //
-// Usage:
+//	jdvs-bench -experiment table1|fig11|fig12|fig13|hedge|filtered|cached|batched|all
 //
-//	jdvs-bench -experiment table1 [-events N]
-//	jdvs-bench -experiment fig11  [-events N] [-day 12s]
-//	jdvs-bench -experiment fig12  [-duration 3s] [-products N] [-rate N]
-//	jdvs-bench -experiment fig13  [-duration 2s] [-products N]
-//	jdvs-bench -experiment hedge  [-duration 3s] [-replicas 2] [-slow-replica-ms 200] [-slow-replica-frac 0.2]
-//	jdvs-bench -experiment filtered [-duration 2s] [-filter-selectivity 0.01] [-products N]
-//	jdvs-bench -experiment cached [-duration 2s] [-zipf-s 1.1] [-query-pool 512] [-extract-work 256]
-//	jdvs-bench -experiment batched [-duration 2s] [-zipf-s 2.0] [-query-pool 256] [-threads 16] [-pq-bits 4] [-batch-window 1ms] [-batch-max-queries 12]
-//	jdvs-bench -experiment all
+// Every experiment takes the same scale flags (-products, -partitions,
+// -events, -duration, -threads, -query-pool, -seed); a flag left at 0
+// takes that experiment's laptop-sized default, and a flag an experiment
+// has no use for is ignored. Everything else an experiment fixes — cluster
+// shape, skew, injected faults — is a constant in its registry entry.
 //
-// Scale flags default to laptop-friendly sizes; raise -products /-events
-// for a full-size run (the paper's testbed indexes 100,000 images).
-//
-// The hedge experiment injects -slow-replica-ms of extra latency into
-// -slow-replica-frac of the last replica's searches on every partition and
-// compares full-stack query tails with broker hedging off and on.
-//
-// The filtered experiment runs one query stream twice — unscoped, then with
-// every query scoped to its product's category over a catalog sized so a
-// scoped query admits ≈ -filter-selectivity of the corpus — and reports how
-// the searchers' bitmap-admission pushdown keeps the scoped page full.
-//
-// The cached experiment runs one zipf-skewed query stream (-zipf-s) against
-// two otherwise identical clusters — caches off, then the blender feature
-// cache plus the broker result cache on — and reports hit rates and the
-// closed-loop speedup the two levels recover.
-//
-// The batched experiment runs one zipf-skewed concurrent query stream
-// against two otherwise identical PQ clusters — searchers answering every
-// query alone, then collecting concurrent queries into -batch-window /
-// -batch-max-queries windows executed through index.SearchBatch — and
-// reports the closed-loop speedup plus a per-query result-equality audit.
+// These are closed-loop demonstrations, not the gate for a performance
+// claim: that is BENCHMARK.json and bench/ (see bench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"jdvs/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "jdvs-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		experiment = flag.String("experiment", "all", "which artifact to regenerate: table1, fig11, fig12, fig13, hedge, filtered, cached, batched, all")
-		events     = flag.Int("events", 0, "update events for table1/fig11 (0 = default scale)")
-		day        = flag.Duration("day", 0, "real duration of fig11's simulated day (0 = default 12s)")
-		duration   = flag.Duration("duration", 0, "measurement window per setting for fig12/fig13 (0 = defaults)")
-		products   = flag.Int("products", 0, "catalog size for fig12/fig13 (0 = default 4000)")
-		partitions = flag.Int("partitions", 0, "searcher partitions (0 = experiment default)")
-		rate       = flag.Int("rate", 0, "fig12 concurrent update load in events/sec (0 = default 2000)")
-		seed       = flag.Int64("seed", 42, "workload seed")
-		replicas   = flag.Int("replicas", 0, "hedge: searcher replicas per partition (0 = default 2)")
-		slowMS     = flag.Int("slow-replica-ms", 0, "hedge: extra latency injected into the slow replica, in ms (0 = default 200)")
-		slowFrac   = flag.Float64("slow-replica-frac", 0, "hedge: fraction of the slow replica's searches delayed (0 = default 0.2)")
-		pqM        = flag.Int("pq-subvectors", 0, "fig12/fig13/hedge: product-quantization code bytes per image (0 = exact float scan, -1 = dimension-derived)")
-		pqRerank   = flag.Int("pq-rerank", 0, "fig12/fig13/hedge: ADC over-fetch depth re-ranked exactly per query (0 = bit-width default: 20×TopK at 8 bits, 30×TopK at 4)")
-		featStore  = flag.String("feature-store", "", "fig12/fig13/hedge: where searcher shards keep raw feature rows: ram (default, dim×4 heap bytes/image) or mmap (rows in a page-cache-served spill file; RAM holds only the M-byte PQ codes)")
-		spillDir   = flag.String("spill-dir", "", "fig12/fig13/hedge: directory for feature-store spill files with -feature-store mmap (default: OS temp dir)")
-		filterSel  = flag.Float64("filter-selectivity", 0, "filtered: fraction of the corpus one scoped query admits; the catalog gets round(1/selectivity) categories (0 = default 0.01)")
-		zipfS      = flag.Float64("zipf-s", 0, "cached/batched: query skew exponent, must be > 1 (0 = experiment default: 1.1 cached, 2.0 batched)")
-		queryPool  = flag.Int("query-pool", 0, "cached/batched: distinct query images in the zipf-weighted pool (0 = default: 512 cached, 256 batched)")
-		extractW   = flag.Int("extract-work", 0, "cached: simulated CNN cost in extra forward passes per extraction (0 = default 256)")
-		featCache  = flag.Int("feature-cache", 0, "cached: blender feature-cache capacity in vectors (0 = half the query pool)")
-		resCache   = flag.Int("result-cache", 0, "cached: broker result-cache capacity in pages (0 = half the query pool)")
-		threads    = flag.Int("threads", 0, "batched: closed-loop client concurrency (0 = default 16)")
-		pqBits     = flag.Int("pq-bits", 0, "batched: searcher PQ code bit width, 4 or 8 (0 = default 4)")
-		batchWin   = flag.Duration("batch-window", 0, "batched: searcher collection window on the batched side (0 = default 1ms)")
-		batchMax   = flag.Int("batch-max-queries", 0, "batched: queries that close a collection window early (0 = default: three-quarters of -threads)")
-	)
-	flag.Parse()
+func run(args []string, out io.Writer) error {
+	var names, docs []string
+	for _, e := range experiments.All() {
+		names = append(names, e.Name)
+		docs = append(docs, fmt.Sprintf("\n  %-9s%s", e.Name, e.Doc))
+	}
+	fs := flag.NewFlagSet("jdvs-bench", flag.ExitOnError)
+	var sc experiments.Scale
+	experiment := fs.String("experiment", "all", "which experiment to run, or all of them in this order:"+strings.Join(docs, ""))
+	fs.IntVar(&sc.Products, "products", 0, "catalog size (0 = experiment default)")
+	fs.IntVar(&sc.Partitions, "partitions", 0, "searcher partitions (0 = experiment default)")
+	fs.IntVar(&sc.Events, "events", 0, "table1/fig11: per-image update events (0 = experiment default)")
+	fs.DurationVar(&sc.Duration, "duration", 0, "measurement window per load point; fig11: real length of the simulated day (0 = experiment default)")
+	fs.IntVar(&sc.Threads, "threads", 0, "closed-loop client concurrency; fig12 sweeps T/4, T/2, T and fig13 1, 3, …, T (0 = experiment default)")
+	fs.IntVar(&sc.QueryPool, "query-pool", 0, "cached/batched: distinct query images in the zipf-weighted pool (0 = experiment default)")
+	fs.Int64Var(&sc.Seed, "seed", 42, "catalog, update-mix and query seed")
+	_ = fs.Parse(args) // ExitOnError: a bad flag or -h never returns
 
-	runOne := func(name string) error {
+	ran := false
+	for _, e := range experiments.All() {
+		if *experiment != "all" && *experiment != e.Name {
+			continue
+		}
+		ran = true
 		started := time.Now()
-		fmt.Printf("=== %s ===\n", name)
-		defer func() { fmt.Printf("--- %s done in %s ---\n\n", name, time.Since(started).Round(time.Millisecond)) }()
-		switch name {
-		case "table1":
-			res, err := experiments.RunTable1(experiments.Table1Config{
-				Events: *events, Partitions: *partitions, Seed: *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "fig11":
-			res, err := experiments.RunFig11(experiments.Fig11Config{
-				Events: *events, DayDuration: *day, Partitions: *partitions, Seed: *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "fig12":
-			res, err := experiments.RunFig12(experiments.Fig12Config{
-				Duration: *duration, Products: *products, Partitions: *partitions,
-				UpdateRate: *rate, Seed: *seed,
-				PQSubvectors: *pqM, RerankK: *pqRerank,
-				FeatureStore: *featStore, SpillDir: *spillDir,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "fig13":
-			res, err := experiments.RunFig13(experiments.Fig13Config{
-				Duration: *duration, Products: *products, Partitions: *partitions, Seed: *seed,
-				PQSubvectors: *pqM, RerankK: *pqRerank,
-				FeatureStore: *featStore, SpillDir: *spillDir,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "hedge":
-			res, err := experiments.RunHedge(experiments.HedgeConfig{
-				Duration:     *duration,
-				Products:     *products,
-				Partitions:   *partitions,
-				Replicas:     *replicas,
-				SlowDelay:    time.Duration(*slowMS) * time.Millisecond,
-				SlowFraction: *slowFrac,
-				PQSubvectors: *pqM,
-				RerankK:      *pqRerank,
-				FeatureStore: *featStore,
-				SpillDir:     *spillDir,
-				Seed:         *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "filtered":
-			res, err := experiments.RunFiltered(experiments.FilteredConfig{
-				Selectivity:  *filterSel,
-				Duration:     *duration,
-				Partitions:   *partitions,
-				Products:     *products,
-				PQSubvectors: *pqM,
-				RerankK:      *pqRerank,
-				Seed:         *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "cached":
-			res, err := experiments.RunCached(experiments.CachedConfig{
-				ZipfS:            *zipfS,
-				Duration:         *duration,
-				Partitions:       *partitions,
-				Products:         *products,
-				QueryPool:        *queryPool,
-				ExtractWork:      *extractW,
-				FeatureCacheSize: *featCache,
-				ResultCacheSize:  *resCache,
-				Seed:             *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		case "batched":
-			res, err := experiments.RunBatched(experiments.BatchedConfig{
-				ZipfS:           *zipfS,
-				Threads:         *threads,
-				Duration:        *duration,
-				Partitions:      *partitions,
-				Products:        *products,
-				QueryPool:       *queryPool,
-				PQBits:          *pqBits,
-				BatchWindow:     *batchWin,
-				BatchMaxQueries: *batchMax,
-				Seed:            *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Render())
-		default:
-			return fmt.Errorf("unknown experiment %q (want table1, fig11, fig12, fig13, hedge, filtered, cached, batched, all)", name)
+		fmt.Fprintf(out, "=== %s ===\n", e.Name)
+		rep, err := e.Run(sc)
+		if err != nil {
+			return err
 		}
-		return nil
+		fmt.Fprintln(out, rep.Render())
+		fmt.Fprintf(out, "--- %s done in %s ---\n\n", e.Name, time.Since(started).Round(time.Millisecond))
 	}
-
-	if *experiment == "all" {
-		for _, name := range []string{"table1", "fig11", "fig12", "fig13", "hedge", "filtered", "cached", "batched"} {
-			if err := runOne(name); err != nil {
-				return err
-			}
-		}
-		return nil
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (want %s, all)", *experiment, strings.Join(names, ", "))
 	}
-	return runOne(*experiment)
+	return nil
 }

@@ -1,6 +1,6 @@
 // Package atomicmix enforces the first rule of the shard's lock-free
 // publish protocol: a word that is ever accessed through sync/atomic is
-// atomic forever. chunkMat, the inverted lists and every Stats counter
+// atomic forever. featMat, the inverted lists and every Stats counter
 // publish plain writes to readers via an atomic store; a single plain
 // load or store of the same word reintroduces the data race the protocol
 // exists to prevent — and -race only catches it on an exercised

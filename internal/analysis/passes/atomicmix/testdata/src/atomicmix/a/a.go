@@ -1,5 +1,5 @@
 // Package a seeds mixed plain/atomic accesses for the atomicmix
-// analyzer: the publish counter of a chunkMat-style matrix accessed with
+// analyzer: the publish counter of a featMat-style matrix accessed with
 // and without sync/atomic.
 package a
 

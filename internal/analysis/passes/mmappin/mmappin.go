@@ -28,9 +28,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // rowStoreTypes are the type names whose Row method yields possibly
-// mmap-backed memory. featMat rows are heap chunks and chunkMat is the
-// generic heap core, so neither is listed; the interface is, because a
-// rowStore-typed value may be the mmap store.
+// mmap-backed memory. featMat rows are heap chunks, so it is not listed;
+// the interface is, because a rowStore-typed value may be the mmap store.
 var rowStoreTypes = map[string]bool{
 	"rowStore": true,
 	"mmapMat":  true,

@@ -1,5 +1,5 @@
 // Package publishorder checks the ordering half of the shard's lock-free
-// publish protocol (atomicmix checks the atomicity half). chunkMat,
+// publish protocol (atomicmix checks the atomicity half). featMat,
 // codeBlocks, the inverted lists and the COW category bitmaps all share
 // one shape: a writer fills an element region with plain stores, then
 // publishes it with a single atomic store of the length (or a pointer

@@ -1,5 +1,5 @@
 // Package a seeds publish-protocol orderings, good and bad, mirroring
-// the chunkMat / inverted-list shapes from internal/index.
+// the featMat / inverted-list shapes from internal/index.
 package a
 
 import "sync/atomic"

@@ -107,7 +107,7 @@ type Config struct {
 	SpillDir     string
 	// SnapshotChunkSize bounds each chunk when Reindex streams the fresh
 	// shards to the searcher fleet over RPC (default rpc.DefaultChunkSize;
-	// see searcher.PushOptions). Tests use small values to force
+	// see searcher.PushSnapshot). Tests use small values to force
 	// multi-chunk transfers.
 	SnapshotChunkSize int
 	// PushTimeout bounds the whole snapshot distribution fan-out of one
@@ -148,7 +148,7 @@ type Config struct {
 	// into the LAST replica of every partition (searcher.Config
 	// SearchDelay/SearchDelayFraction): roughly SlowReplicaFraction of
 	// that replica's searches sleep SlowReplicaDelay. A fault injector for
-	// demonstrating hedging end-to-end (jdvs-bench -slow-replica-ms); zero
+	// demonstrating hedging end-to-end (jdvs-bench -experiment hedge); zero
 	// disables. With Replicas == 1 the only replica is the slow one.
 	SlowReplicaDelay    time.Duration
 	SlowReplicaFraction float64
@@ -199,6 +199,25 @@ func (c *Config) fill() {
 	}
 }
 
+// shardConfig is the index configuration of every shard this cluster
+// builds — at bootstrap and at every Reindex.
+func (c *Config) shardConfig() index.Config {
+	return index.Config{
+		Dim:              c.Dim,
+		NLists:           c.NLists,
+		ListInitialCap:   c.ListInitialCap,
+		DefaultNProbe:    c.DefaultNProbe,
+		SearchWorkers:    c.SearchWorkers,
+		PQSubvectors:     c.PQSubvectors,
+		PQBits:           c.PQBits,
+		RerankK:          c.RerankK,
+		FilterMaxNProbe:  c.FilterMaxNProbe,
+		FilterMaxRerankK: c.FilterMaxRerankK,
+		FeatureStore:     c.FeatureStore,
+		SpillDir:         c.SpillDir,
+	}
+}
+
 // Cluster is a running system.
 type Cluster struct {
 	cfg Config
@@ -214,12 +233,6 @@ type Cluster struct {
 	brokers   []*broker.Broker
 	blenders  []*blender.Blender
 	front     *frontend.Frontend
-
-	// bootstrapMsgs is the number of per-image messages the initial
-	// catalog feed produced — consumed by full indexing, not the real-time
-	// loop. Recorded once at Start: Catalog.Products grows afterwards
-	// (workload.MixGen lists fresh products into it).
-	bootstrapMsgs int64
 
 	seq atomic.Uint64
 }
@@ -258,31 +271,16 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 	c.Catalog = cat
 	for i := range cat.Products {
-		n, err := indexer.RouteUpdate(c.Queue, c.AddProductEvent(&cat.Products[i]))
-		if err != nil {
+		if err := c.Publish(c.AddProductEvent(&cat.Products[i])); err != nil {
 			return nil, fmt.Errorf("cluster: bootstrap feed: %w", err)
 		}
-		c.bootstrapMsgs += int64(n)
 	}
 
 	// Full indexing (Figs. 2–3).
 	full, err := indexer.NewFull(indexer.FullConfig{
 		Partitions: cfg.Partitions,
-		Shard: index.Config{
-			Dim:              cfg.Dim,
-			NLists:           cfg.NLists,
-			ListInitialCap:   cfg.ListInitialCap,
-			DefaultNProbe:    cfg.DefaultNProbe,
-			SearchWorkers:    cfg.SearchWorkers,
-			PQSubvectors:     cfg.PQSubvectors,
-			PQBits:           cfg.PQBits,
-			RerankK:          cfg.RerankK,
-			FilterMaxNProbe:  cfg.FilterMaxNProbe,
-			FilterMaxRerankK: cfg.FilterMaxRerankK,
-			FeatureStore:     cfg.FeatureStore,
-			SpillDir:         cfg.SpillDir,
-		},
-		Seed: cfg.FeatureSeed,
+		Shard:      cfg.shardConfig(),
+		Seed:       cfg.FeatureSeed,
 	}, c.resolver)
 	if err != nil {
 		return nil, err
@@ -517,28 +515,24 @@ func (c *Cluster) Publish(u *msg.ProductUpdate) error {
 	return err
 }
 
-// WaitForDrain blocks until every primary searcher has consumed its
-// partition's backlog or the timeout elapses. It reports whether the
-// backlog fully drained — used by tests and the freshness example to bound
-// "sub-second update" claims.
+// WaitForDrain blocks until every primary searcher's applied-offset
+// watermark has reached the end of its partition's log, or the timeout
+// elapses, and reports whether the backlog fully drained — used by tests,
+// the experiments and the freshness example to bound "sub-second update"
+// claims. The watermark passes every consumed message, applied or not
+// (poison, rejected by the indexer, skipped as snapshot-covered).
 func (c *Cluster) WaitForDrain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		var produced int64
-		for p := 0; p < c.cfg.Partitions; p++ {
-			n, err := c.Queue.Len(indexer.UpdatesTopic, p)
+		drained := true
+		for p := 0; p < c.cfg.Partitions && drained; p++ {
+			produced, err := c.Queue.Len(indexer.UpdatesTopic, p)
 			if err != nil {
 				return false
 			}
-			produced += n
+			drained = c.searchers[p][0].AppliedOffset() >= produced
 		}
-		// Applied counts only post-bootstrap events; the bootstrap feed was
-		// consumed by full indexing, not the real-time loop.
-		var applied int64
-		for p := 0; p < c.cfg.Partitions; p++ {
-			applied += c.searchers[p][0].Applied()
-		}
-		if applied >= produced-c.bootstrapMsgs {
+		if drained {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -560,21 +554,8 @@ func (c *Cluster) WaitForDrain(timeout time.Duration) bool {
 func (c *Cluster) Reindex() error {
 	full, err := indexer.NewFull(indexer.FullConfig{
 		Partitions: c.cfg.Partitions,
-		Shard: index.Config{
-			Dim:              c.cfg.Dim,
-			NLists:           c.cfg.NLists,
-			ListInitialCap:   c.cfg.ListInitialCap,
-			DefaultNProbe:    c.cfg.DefaultNProbe,
-			SearchWorkers:    c.cfg.SearchWorkers,
-			PQSubvectors:     c.cfg.PQSubvectors,
-			PQBits:           c.cfg.PQBits,
-			RerankK:          c.cfg.RerankK,
-			FilterMaxNProbe:  c.cfg.FilterMaxNProbe,
-			FilterMaxRerankK: c.cfg.FilterMaxRerankK,
-			FeatureStore:     c.cfg.FeatureStore,
-			SpillDir:         c.cfg.SpillDir,
-		},
-		Seed: c.cfg.FeatureSeed,
+		Shard:      c.cfg.shardConfig(),
+		Seed:       c.cfg.FeatureSeed,
 	}, c.resolver)
 	if err != nil {
 		return err
@@ -592,7 +573,6 @@ func (c *Cluster) Reindex() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 	defer cancel()
-	opts := searcher.PushOptions{ChunkSize: c.cfg.SnapshotChunkSize}
 	var wg sync.WaitGroup
 	errs := make(chan error, 1)
 	for p := 0; p < c.cfg.Partitions; p++ {
@@ -600,7 +580,7 @@ func (c *Cluster) Reindex() error {
 			wg.Add(1)
 			go func(p, r int, s *searcher.Searcher) {
 				defer wg.Done()
-				if err := searcher.PushSnapshotWith(ctx, s.Addr(), shards[p], opts); err != nil {
+				if err := searcher.PushSnapshot(ctx, s.Addr(), shards[p], c.cfg.SnapshotChunkSize); err != nil {
 					select {
 					case errs <- fmt.Errorf("cluster: reindex push p%d r%d: %w", p, r, err):
 					default:

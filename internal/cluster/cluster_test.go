@@ -260,6 +260,32 @@ func TestWaitForDrainUnderFreshAdditions(t *testing.T) {
 	}
 }
 
+// A message the real-time loop consumes without applying — here an
+// addition whose image cannot be resolved — is still drained.
+func TestWaitForDrainPastRejectedUpdate(t *testing.T) {
+	c := startTestCluster(t, smallConfig())
+	bad := c.AddProductEvent(&c.Catalog.Products[0])
+	bad.ImageURLs = []string{"jfs://nowhere/missing.jpg"}
+	if err := c.Publish(bad); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		if err := c.Publish(c.UpdateAttrsEvent(&c.Catalog.Products[i], 7, 7, 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.WaitForDrain(2 * time.Second) {
+		t.Fatal("WaitForDrain timed out with an empty backlog")
+	}
+	rejected := int64(0)
+	for p := 0; p < c.Partitions(); p++ {
+		rejected += c.Searcher(p, 0).ApplyErrors()
+	}
+	if rejected != 1 {
+		t.Fatalf("%d updates rejected, want the one unresolvable addition", rejected)
+	}
+}
+
 func TestFeatureReuseAcrossRemoveReAdd(t *testing.T) {
 	c := startTestCluster(t, smallConfig())
 	extractionsAfterBootstrap := c.Extractor.Calls()
@@ -391,14 +417,14 @@ func TestHedgingThroughFullStack(t *testing.T) {
 		wins += br.HedgeWins
 	}
 	if hedges == 0 || wins == 0 {
-		t.Fatalf("no hedging through the full stack: %s", st)
+		t.Fatalf("no hedging through the full stack: %+v", st.Brokers)
 	}
 	// Without hedging, every query whose round-robin primary is the slow
 	// replica (half of them, per partition) would take 150ms+. With
 	// hedging, the occasional straggler is tolerated but the pattern must
 	// be broken.
 	if slowCount > 5 {
-		t.Fatalf("%d/20 post-warmup queries still ran at slow-replica latency; hedging ineffective\n%s", slowCount, st)
+		t.Fatalf("%d/20 post-warmup queries still ran at slow-replica latency; hedging ineffective\n%+v", slowCount, st.Brokers)
 	}
 }
 

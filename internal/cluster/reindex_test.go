@@ -89,13 +89,20 @@ func TestReindexZeroDowntimeUnderLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReindexStreamsMultiChunk forces the snapshot distribution of a full
-// reindex through many small chunks, across replicas, end to end: the
-// whole fleet must swap to streamed shards and answer queries afterwards.
-func TestReindexStreamsMultiChunk(t *testing.T) {
+// TestReindexStreams runs the snapshot distribution of a full reindex
+// through many small chunks and through one default-sized chunk, across
+// replicas, end to end: the whole fleet must swap to streamed shards and
+// answer queries afterwards.
+func TestReindexStreams(t *testing.T) {
+	for name, chunkSize := range map[string]int{"multiChunk": 2048, "oneChunk": 0} {
+		t.Run(name, func(t *testing.T) { testReindexStreams(t, chunkSize) })
+	}
+}
+
+func testReindexStreams(t *testing.T, chunkSize int) {
 	cfg := smallConfig()
 	cfg.Replicas = 2
-	cfg.SnapshotChunkSize = 2048
+	cfg.SnapshotChunkSize = chunkSize
 	c := startTestCluster(t, cfg)
 
 	target := &c.Catalog.Products[7]

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"jdvs/internal/rpc"
 	"jdvs/internal/search"
@@ -21,48 +20,6 @@ type Stats struct {
 	Brokers   []broker.Stats   `json:"brokers"`
 	Blenders  []blender.Stats  `json:"blenders"`
 	Frontend  frontend.Stats   `json:"frontend"`
-}
-
-// TotalImages sums indexed images across primary searchers.
-func (s *Stats) TotalImages() int {
-	n := 0
-	for _, st := range s.Searchers {
-		n += st.Index.Images
-	}
-	return n
-}
-
-// TotalValid sums currently searchable images across primary searchers.
-func (s *Stats) TotalValid() int {
-	n := 0
-	for _, st := range s.Searchers {
-		n += st.Index.ValidImages
-	}
-	return n
-}
-
-// String renders a compact operational summary.
-func (s *Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "frontend: %d queries (%d retries, %d failures) over %d blenders\n",
-		s.Frontend.Queries, s.Frontend.Retries, s.Frontend.Failures, s.Frontend.Blenders)
-	for i, bl := range s.Blenders {
-		fmt.Fprintf(&b, "blender %d: %d queries, %d broker failures\n", i, bl.Queries, bl.Failures)
-	}
-	for i, br := range s.Brokers {
-		fmt.Fprintf(&b, "broker %d: %d queries over %d partitions, %d searcher failures, %d hedges (%d wins, %d cancels)\n",
-			i, br.Queries, br.Partitions, br.Failures, br.Hedges, br.HedgeWins, br.HedgeCancels)
-		for _, g := range br.Groups {
-			fmt.Fprintf(&b, "  group %d: %d replicas, %d samples, p50 %dµs p95 %dµs p99 %dµs\n",
-				g.Partition, g.Replicas, g.Samples, g.P50Micros, g.P95Micros, g.P99Micros)
-		}
-	}
-	for _, st := range s.Searchers {
-		fmt.Fprintf(&b, "searcher p%d: %d images (%d valid), %d searches, %d rt-updates (avg %dµs, p99 %dµs)\n",
-			st.Partition, st.Index.Images, st.Index.ValidImages, st.Searches,
-			st.Applied, st.RTAvgMicros, st.RTP99Micros)
-	}
-	return b.String()
 }
 
 // fetchStats calls MethodStats on addr and decodes into out.

@@ -1,275 +1,199 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The experiment harnesses are exercised at miniature scale: the point is
-// that the pipelines run end to end and the structural invariants hold
-// (counts add up, proportions track the paper, renders carry the rows);
-// cmd/jdvs-bench runs them at full scale.
-
-func TestRunTable1SmallScale(t *testing.T) {
-	res, err := RunTable1(Table1Config{
-		Events:     3_000,
-		Partitions: 2,
-		Products:   400,
-		Seed:       5,
-	})
-	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
+// Every registered experiment runs at miniature scale through the same
+// Run: the point is that the pipelines work end to end, each experiment's
+// structural invariant holds, and the render carries the documented
+// columns. cmd/jdvs-bench runs them at full scale.
+func TestRegistrySmallScale(t *testing.T) {
+	ms := time.Millisecond
+	cases := map[string]struct {
+		scale   Scale
+		headers []string // must appear in the render
+		check   func(t *testing.T, sc Scale, rep *Report)
+	}{
+		"table1": {
+			scale:   Scale{Products: 400, Partitions: 2, Events: 3_000, Seed: 5},
+			headers: []string{"Table 1", "Total", "AttrUpdate", "ImageAddition", "ImageDeletion", "reusing stored features"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				s := rep.Stats
+				if s["total"] != int64(sc.Events) || s["update"]+s["addition"]+s["deletion"] != s["total"] {
+					t.Fatalf("counts don't add up to %d events: %v", sc.Events, s)
+				}
+				// Table 1's 315:521:141, within a generous tolerance.
+				for kind, want := range map[string]float64{"update": 315.0 / 977, "addition": 521.0 / 977, "deletion": 141.0 / 977} {
+					if got := float64(s[kind]) / float64(s["total"]); got < want-0.08 || got > want+0.08 {
+						t.Errorf("%s share %.3f, want %.3f ± 0.08", kind, got, want)
+					}
+				}
+				// The reuse ratio is the headline claim.
+				if reuse := float64(s["reused_additions"]) / float64(s["addition"]); reuse < 0.9 {
+					t.Errorf("reuse ratio %.3f, want >= 0.9 (paper: 0.985)", reuse)
+				}
+				if s["fresh_extractions"] == 0 {
+					t.Error("no fresh extractions — the mix lost its fresh-add component")
+				}
+			},
+		},
+		"fig11": {
+			scale:   Scale{Products: 400, Partitions: 2, Events: 4_000, Duration: 1200 * ms, Seed: 6},
+			headers: []string{"Figure 11", "hour", "updates", "additions", "deletions", "total", "avg", "p90", "p99", "peak hour", "11:00"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				rows := rep.Tables[0].Rows
+				if len(rows) != 24 {
+					t.Fatalf("%d hourly buckets, want 24", len(rows))
+				}
+				if total := sumColumn(t, rows, 4); total != float64(sc.Events) {
+					t.Fatalf("hourly totals sum to %v, want %d", total, sc.Events)
+				}
+				// Small samples wobble between 10:00 and 12:00.
+				if h := rep.Stats["peak_hour"]; h < 9 || h > 13 {
+					t.Errorf("peak hour %d, want late morning (paper: 11)", h)
+				}
+			},
+		},
+		"fig12": {
+			scale:   Scale{Products: 300, Partitions: 2, Duration: 400 * ms, Threads: 8, Seed: 7},
+			headers: []string{"Figure 12", "QPS w/o RT", "QPS with RT", "normalised", "overhead", "Response time", "mean with RT", "p99 with RT"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				if len(rep.Points) != 6 {
+					t.Fatalf("%d points, want 3 thread counts × 2 modes", len(rep.Points))
+				}
+				for i := 0; i < len(rep.Points); i += 2 {
+					wo, wi := rep.Points[i], rep.Points[i+1]
+					if wo.Label != "without" || wi.Label != "with" || wo.Threads != wi.Threads || wo.QPS <= 0 || wi.QPS <= 0 {
+						t.Fatalf("points %d/%d not a measured pair: %+v %+v", i, i+1, wo, wi)
+					}
+				}
+				if rep.Stats["applied_during_run"] == 0 {
+					t.Fatal("no real-time updates applied during the 'with' passes — the comparison is void")
+				}
+			},
+		},
+		"fig13": {
+			scale:   Scale{Products: 300, Partitions: 2, Duration: 400 * ms, Threads: 4, Seed: 8},
+			headers: []string{"Figure 13", "threads", "QPS", "mean", "p99", "errors", "saturation", "latency", "CDF"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				if len(rep.Points) != 2 { // 1 and 3 threads
+					t.Fatalf("sweep has %d points", len(rep.Points))
+				}
+				cdf := rep.Tables[1].Rows
+				prev := 0.0
+				for _, row := range cdf {
+					f, err := strconv.ParseFloat(row[1], 64)
+					if err != nil || f < prev {
+						t.Fatalf("CDF not monotone at %v (after %v): %v", row, prev, err)
+					}
+					prev = f
+				}
+				if len(cdf) == 0 || prev != 1 {
+					t.Fatalf("CDF of %d points ends at %v, want 1", len(cdf), prev)
+				}
+			},
+		},
+		"hedge": {
+			scale:   Scale{Products: 300, Partitions: 2, Duration: 1500 * ms, Threads: 2, Seed: 5},
+			headers: []string{"mode", "QPS", "mean", "p50", "p95", "p99", "max", "errors", "no hedging", "hedge@p85", "win rate"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				plain, hedged := rep.Points[0], rep.Points[1]
+				if plain.Counters["hedges"] != 0 {
+					t.Fatalf("plain side hedged %d times with hedging disabled", plain.Counters["hedges"])
+				}
+				if hedged.Counters["hedges"] == 0 || hedged.Counters["hedge_wins"] == 0 {
+					t.Fatalf("hedged side never hedged or never won: %v", hedged.Counters)
+				}
+				// The injected 200ms mode must dominate the plain tail; the
+				// hedged side's extreme percentiles still hold its own
+				// pre-warm-up stragglers, so the robust signal is the mean.
+				if plain.P99 < 150*ms {
+					t.Fatalf("plain p99 %v does not show the injected slow mode", plain.P99)
+				}
+				if hedged.Mean >= plain.Mean*3/4 {
+					t.Fatalf("hedging did not improve mean latency: plain %v, hedged %v", plain.Mean, hedged.Mean)
+				}
+			},
+		},
+		"filtered": {
+			// 2,000 products × ~2 images over 100 categories leave ~40
+			// images per category: widening can always fill a page of 10.
+			scale:   Scale{Products: 2_000, Partitions: 2, Duration: 400 * ms, Threads: 2, Seed: 12},
+			headers: []string{"Filtered search", "side", "QPS", "mean", "p99", "queries", "errors", "full-page", "unscoped", "scoped"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				if got := rep.Points[1].FullPage; got < 0.99 {
+					t.Fatalf("scoped full-page rate %.3f (unscoped %.3f), want ≈ 1", got, rep.Points[0].FullPage)
+				}
+			},
+		},
+		"cached": {
+			scale:   Scale{Products: 300, Partitions: 2, Duration: 400 * ms, Threads: 4, QueryPool: 32, Seed: 3},
+			headers: []string{"Two-level caching", "mode", "QPS", "mean", "p50", "p99", "queries", "errors", "uncached", "feature cache:", "result cache:", "speedup"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				off, on := rep.Points[0].Counters, rep.Points[1].Counters
+				if off["feature_hits"]+off["result_hits"] != 0 {
+					t.Fatalf("uncached side hit a cache: %v", off)
+				}
+				if on["feature_hits"] == 0 || on["result_hits"] == 0 {
+					t.Fatalf("cached side never hit: %v", on)
+				}
+			},
+		},
+		"batched": {
+			scale:   Scale{Products: 300, Duration: 400 * ms, Threads: 4, QueryPool: 32, Seed: 9},
+			headers: []string{"Batched query execution", "mode", "QPS", "mean", "p50", "p99", "queries", "errors", "unbatched", "replayed, 0 mismatched", "speedup"},
+			check: func(t *testing.T, sc Scale, rep *Report) {
+				// The equality audit is the experiment's correctness half:
+				// both sides must answer every pool query identically.
+				if rep.Stats["replayed"] != int64(sc.QueryPool) || rep.Stats["mismatched"] != 0 {
+					t.Fatalf("audit over the whole pool of %d: %v", sc.QueryPool, rep.Stats)
+				}
+			},
+		},
 	}
-	if res.Total != 3_000 {
-		t.Fatalf("total = %d, want 3000", res.Total)
-	}
-	if res.AttrUpdates+res.Additions+res.Deletions != res.Total {
-		t.Fatalf("counts don't add up: %+v", res)
-	}
-	// Proportions within generous tolerance of Table 1.
-	frac := func(n int64) float64 { return float64(n) / float64(res.Total) }
-	if f := frac(res.Additions); f < 0.45 || f > 0.62 {
-		t.Errorf("additions fraction %.3f outside Table 1 band", f)
-	}
-	if f := frac(res.AttrUpdates); f < 0.25 || f > 0.40 {
-		t.Errorf("attr updates fraction %.3f outside Table 1 band", f)
-	}
-	// The reuse ratio is the headline claim: the overwhelming majority of
-	// additions must avoid extraction.
-	if res.Additions > 0 {
-		reuse := float64(res.ReusedAdditions) / float64(res.Additions)
-		if reuse < 0.9 {
-			t.Errorf("reuse ratio %.3f, want >= 0.9 (paper: 0.985)", reuse)
+	for _, e := range All() {
+		tc, ok := cases[e.Name]
+		if !ok {
+			t.Errorf("registered experiment %q has no test case", e.Name)
+			continue
 		}
+		t.Run(e.Name, func(t *testing.T) {
+			rep, err := e.Run(tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range rep.Points {
+				if p.Errors != 0 || p.QPS <= 0 {
+					t.Errorf("load point %q at %d threads: %d errors, %.0f QPS", p.Label, p.Threads, p.Errors, p.QPS)
+				}
+			}
+			out := rep.Render()
+			for _, want := range tc.headers {
+				if !strings.Contains(out, want) {
+					t.Errorf("render missing %q:\n%s", want, out)
+				}
+			}
+			tc.check(t, tc.scale.or(e.defaults), rep)
+		})
 	}
-	if res.FreshExtractions == 0 {
-		t.Error("no fresh extractions at all — the mix lost its fresh-add component")
-	}
-	out := res.Render()
-	for _, want := range []string{"Table 1", "AttrUpdate", "reusing stored features"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	if len(cases) != len(All()) {
+		t.Errorf("%d test cases for %d registered experiments", len(cases), len(All()))
 	}
 }
 
-func TestRunFig11SmallScale(t *testing.T) {
-	res, err := RunFig11(Fig11Config{
-		Events:      4_000,
-		DayDuration: 1200 * time.Millisecond,
-		Partitions:  2,
-		Products:    400,
-		ExtractWork: 10,
-		Seed:        6,
-	})
-	if err != nil {
-		t.Fatalf("RunFig11: %v", err)
-	}
-	// All events accounted for across the 24 hours.
-	var total int64
-	for h := 0; h < 24; h++ {
-		total += res.Series.Kinds[h].Total()
-	}
-	if total != 4_000 {
-		t.Fatalf("hourly totals sum to %d, want 4000", total)
-	}
-	// The peak must land in the late-morning band the diurnal shape puts
-	// it in (small samples wobble between 10:00 and 12:00).
-	if res.PeakHour < 9 || res.PeakHour > 13 {
-		t.Errorf("peak hour %d, want late morning (paper: 11)", res.PeakHour)
-	}
-	if res.Avg <= 0 || res.P99 < res.P90 || res.P90 < 0 {
-		t.Errorf("latency stats inconsistent: avg=%v p90=%v p99=%v", res.Avg, res.P90, res.P99)
-	}
-	out := res.Render()
-	if !strings.Contains(out, "peak hour") || !strings.Contains(out, "11:00") {
-		t.Errorf("render incomplete:\n%s", out)
-	}
-}
-
-func TestRunFig12SmallScale(t *testing.T) {
-	res, err := RunFig12(Fig12Config{
-		Threads:    []int{4, 8},
-		Duration:   400 * time.Millisecond,
-		Partitions: 2,
-		Brokers:    1,
-		Blenders:   1,
-		Products:   300,
-		UpdateRate: 500,
-		Seed:       7,
-	})
-	if err != nil {
-		t.Fatalf("RunFig12: %v", err)
-	}
-	if len(res.Without) != 2 || len(res.With) != 2 {
-		t.Fatalf("points: %d/%d", len(res.Without), len(res.With))
-	}
-	for i := range res.Without {
-		if res.Without[i].QPS <= 0 || res.With[i].QPS <= 0 {
-			t.Fatalf("zero QPS: %+v %+v", res.Without[i], res.With[i])
+func sumColumn(t *testing.T, rows [][]string, col int) float64 {
+	t.Helper()
+	sum := 0.0
+	for _, row := range rows {
+		v, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			t.Fatalf("row %v column %d: %v", row, col, err)
 		}
-		if res.Without[i].Errors > 0 || res.With[i].Errors > 0 {
-			t.Fatalf("query errors: %+v %+v", res.Without[i], res.With[i])
-		}
+		sum += v
 	}
-	if res.AppliedDuringRun == 0 {
-		t.Fatal("no real-time updates applied during the 'with' pass — baseline comparison invalid")
-	}
-	out := res.Render()
-	for _, want := range []string{"Figure 12", "normalised", "Response time"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
-}
-
-func TestRunFig13SmallScale(t *testing.T) {
-	res, err := RunFig13(Fig13Config{
-		Threads:    []int{1, 4},
-		Duration:   400 * time.Millisecond,
-		Partitions: 2,
-		Brokers:    1,
-		Blenders:   1,
-		Products:   300,
-		Seed:       8,
-	})
-	if err != nil {
-		t.Fatalf("RunFig13: %v", err)
-	}
-	if len(res.Sweep) != 2 {
-		t.Fatalf("sweep has %d points", len(res.Sweep))
-	}
-	if res.Best.QPS <= 0 {
-		t.Fatalf("best = %+v", res.Best)
-	}
-	if len(res.CDF) == 0 {
-		t.Fatal("no CDF")
-	}
-	last := res.CDF[len(res.CDF)-1]
-	if last.Fraction != 1.0 {
-		t.Fatalf("CDF does not reach 1.0: %+v", last)
-	}
-	if res.MaxResp < res.P99Resp {
-		t.Fatalf("max %v < p99 %v", res.MaxResp, res.P99Resp)
-	}
-	out := res.Render()
-	for _, want := range []string{"Figure 13", "saturation", "CDF"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
-}
-
-func TestRunFilteredSmallScale(t *testing.T) {
-	res, err := RunFiltered(FilteredConfig{
-		Selectivity: 0.1, // 10 categories over a tiny corpus
-		Threads:     2,
-		Duration:    400 * time.Millisecond,
-		Partitions:  2,
-		Brokers:     1,
-		Blenders:    1,
-		Products:    300,
-		Seed:        12,
-	})
-	if err != nil {
-		t.Fatalf("RunFiltered: %v", err)
-	}
-	if res.Categories != 10 {
-		t.Fatalf("derived %d categories, want 10", res.Categories)
-	}
-	if res.Unscoped.QPS <= 0 || res.Scoped.QPS <= 0 {
-		t.Fatalf("no load measured: %+v", res)
-	}
-	if res.Unscoped.Errors != 0 || res.Scoped.Errors != 0 {
-		t.Fatalf("query errors: unscoped %d, scoped %d", res.Unscoped.Errors, res.Scoped.Errors)
-	}
-	// 300 products × ≥1 image over 10 categories leaves ≥ 10 images per
-	// category with overwhelming probability; widening must fill the page.
-	if res.Scoped.FullPageRate < 0.99 {
-		t.Fatalf("scoped full-page rate %.3f, want ≈ 1", res.Scoped.FullPageRate)
-	}
-	out := res.Render()
-	for _, want := range []string{"Filtered search", "unscoped", "scoped", "full-page"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
-}
-
-func TestRunHedgeSmallScale(t *testing.T) {
-	res, err := RunHedge(HedgeConfig{
-		Duration:     800 * time.Millisecond,
-		Partitions:   2,
-		Replicas:     2,
-		Brokers:      1,
-		Blenders:     1,
-		Products:     300,
-		Concurrency:  2,
-		SlowDelay:    80 * time.Millisecond,
-		SlowFraction: 0.2,
-		Seed:         5,
-	})
-	if err != nil {
-		t.Fatalf("RunHedge: %v", err)
-	}
-	if res.Plain.QPS <= 0 || res.Hedged.QPS <= 0 {
-		t.Fatalf("no load measured: %+v", res)
-	}
-	if res.Hedged.Hedges == 0 || res.Hedged.Wins == 0 {
-		t.Fatalf("hedged side never hedged: %+v", res.Hedged)
-	}
-	if res.Plain.Hedges != 0 {
-		t.Fatalf("plain side hedged %d times with hedging disabled", res.Plain.Hedges)
-	}
-	// The injected 80ms mode must dominate the plain tail. The hedged
-	// side's extreme percentiles still contain its own pre-warm-up
-	// stragglers (the window needs samples before it can hedge), so the
-	// robust improvement signal at this tiny scale is the mean, which the
-	// ~20%-slow plain run cannot match once hedging kicks in.
-	if res.Plain.P99 < 60*time.Millisecond {
-		t.Fatalf("plain p99 %v does not show the injected slow mode", res.Plain.P99)
-	}
-	if res.Hedged.Mean >= res.Plain.Mean*3/4 {
-		t.Fatalf("hedging did not improve mean latency: plain %v, hedged %v", res.Plain.Mean, res.Hedged.Mean)
-	}
-	out := res.Render()
-	for _, want := range []string{"no hedging", "hedge@p", "win rate"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunBatchedSmallScale(t *testing.T) {
-	res, err := RunBatched(BatchedConfig{
-		Duration:  400 * time.Millisecond,
-		Threads:   4,
-		Products:  300,
-		QueryPool: 32,
-		Seed:      9,
-	})
-	if err != nil {
-		t.Fatalf("RunBatched: %v", err)
-	}
-	if res.Unbatched.QPS <= 0 || res.Batched.QPS <= 0 {
-		t.Fatalf("no load measured: %+v", res)
-	}
-	if res.Unbatched.Errors != 0 || res.Batched.Errors != 0 {
-		t.Fatalf("query errors: unbatched %d, batched %d", res.Unbatched.Errors, res.Batched.Errors)
-	}
-	// The equality audit is the experiment's correctness half: at any
-	// scale, both sides must answer every pool query identically.
-	if res.Replayed != 32 {
-		t.Fatalf("replayed %d pool queries, want 32", res.Replayed)
-	}
-	if res.Mismatches != 0 {
-		t.Fatalf("%d of %d replayed queries mismatched between sides", res.Mismatches, res.Replayed)
-	}
-	out := res.Render()
-	for _, want := range []string{"Batched query execution", "unbatched", "replayed, 0 mismatched", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
+	return sum
 }

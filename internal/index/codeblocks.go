@@ -29,7 +29,7 @@ import (
 //     blocks go through pq.ScanBlock4 and the tail block through the
 //     per-slot pq.ADCDistBlockSlot.
 //
-// Lock-free reader contract, same shape as chunkMat: bytes are written
+// Lock-free reader contract, same shape as featMat: bytes are written
 // into chunk storage first, then the length counter publishes the slot.
 // Readers load the length before the chunk directory and only touch bytes
 // of published slots — in the tail block that is the row prefix (8-bit) or

@@ -5,40 +5,93 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
+	"sync/atomic"
 )
 
-// featMat is the in-shard feature matrix: row i holds the feature vector
-// of image ID i. The lock-free chunked storage lives in chunkMat; this
-// wrapper owns the float32 snapshot codec.
+// featMat is the RAM feature-row store: row i holds the feature vector of
+// image ID i, aligned with the forward index. (PQ codes are not ID-keyed:
+// they live per inverted list in codeBlocks, which follows the same
+// publish protocol.) Rows live in fixed-size chunks behind an atomically
+// published directory, so the search path reads rows lock-free while the
+// (single) real-time indexing writer appends — a row is visible only once
+// the length counter publishes it, and committed rows are immutable.
 type featMat struct {
-	chunkMat[float32]
+	dim int // floats per row
+
+	mu     sync.Mutex
+	dir    atomic.Pointer[[][]float32] // chunks of featRowsPerChunk × dim, each allocated once
+	length atomic.Uint32
 }
 
 const featRowsPerChunk = 1 << 12 // 4096 rows per chunk
 
 func newFeatMat(dim int) *featMat {
-	m := &featMat{}
-	m.init("feature dim", dim, featRowsPerChunk)
+	m := &featMat{dim: dim}
+	m.dir.Store(&[][]float32{})
 	return m
+}
+
+// Len returns the number of committed rows.
+func (m *featMat) Len() int { return int(m.length.Load()) }
+
+// Append stores row as the next row and returns its row index. row must
+// have exactly dim elements.
+func (m *featMat) Append(row []float32) (uint32, error) {
+	if len(row) != m.dim {
+		return 0, fmt.Errorf("index: feature dim %d, shard feature dim %d", len(row), m.dim)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	id := m.length.Load()
+	chunks := *m.dir.Load()
+	ci := int(id) / featRowsPerChunk
+	if ci >= len(chunks) {
+		next := make([][]float32, ci+1)
+		copy(next, chunks)
+		for i := len(chunks); i <= ci; i++ {
+			next[i] = make([]float32, featRowsPerChunk*m.dim)
+		}
+		m.dir.Store(&next)
+		chunks = next
+	}
+	off := (int(id) % featRowsPerChunk) * m.dim
+	copy(chunks[ci][off:off+m.dim], row)
+	m.length.Store(id + 1) // publish
+	return id, nil
+}
+
+// Row returns row id as a sub-slice of chunk storage. Rows are immutable
+// once committed; callers must not modify the result. Returns nil for
+// uncommitted ids.
+func (m *featMat) Row(id uint32) []float32 {
+	if id >= m.length.Load() {
+		return nil
+	}
+	chunks := *m.dir.Load()
+	off := (int(id) % featRowsPerChunk) * m.dim
+	return chunks[int(id)/featRowsPerChunk][off : off+m.dim]
 }
 
 // writeTo serialises the matrix: [4B dim][4B rows][rows×dim float32] —
 // the shared rowStore codec, byte-identical to the mmap store's.
 func (m *featMat) writeTo(w io.Writer) (int64, error) {
-	return writeFloatRows(w, m.width, m.length.Load(), m.Row)
+	return writeFloatRows(w, m.dim, m.length.Load(), m.Row)
 }
 
 // heapBytes reports the chunk storage held on the Go heap: every
-// allocated chunk pins perChunk×dim×4 bytes whether or not it is full.
+// allocated chunk pins featRowsPerChunk×dim×4 bytes whether or not it is
+// full.
 func (m *featMat) heapBytes() int64 {
 	chunks := len(*m.dir.Load())
-	return int64(chunks) * int64(m.perChunk) * int64(m.width) * 4
+	return int64(chunks) * featRowsPerChunk * int64(m.dim) * 4
 }
 
 // Close is a no-op: chunk storage is plain heap memory, reclaimed by GC.
 func (m *featMat) Close() error { return nil }
 
-// readFrom replaces the matrix contents. Not concurrent-safe.
+// readFrom replaces the matrix contents (snapshot load). Not
+// concurrent-safe with readers or the writer.
 func (m *featMat) readFrom(r io.Reader) (int64, error) {
 	var read int64
 	var hdr [8]byte
@@ -49,8 +102,8 @@ func (m *featMat) readFrom(r io.Reader) (int64, error) {
 	}
 	dim := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	n := binary.LittleEndian.Uint32(hdr[4:8])
-	if dim != m.width {
-		return read, fmt.Errorf("index: snapshot dim %d, shard dim %d", dim, m.width)
+	if dim != m.dim {
+		return read, fmt.Errorf("index: snapshot dim %d, shard dim %d", dim, m.dim)
 	}
 	fresh := newFeatMat(dim)
 	buf := make([]byte, 4*dim)
@@ -68,6 +121,12 @@ func (m *featMat) readFrom(r io.Reader) (int64, error) {
 			return read, err
 		}
 	}
-	m.replace(&fresh.chunkMat)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// Bound before backing, matching Row's read order; fresh is
+	// quiescent here, so this is for uniformity, not correctness.
+	length := fresh.length.Load()
+	m.dir.Store(fresh.dir.Load())
+	m.length.Store(length)
 	return read, nil
 }

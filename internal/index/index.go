@@ -125,8 +125,8 @@ const MaxTopK = 4096
 // beat 4 at any probe width — at nprobe=8 each of 8 workers gets a single
 // list, so per-query fan-out overhead eats the scan savings, and per-query
 // allocations double (2720 B vs 1824 B). GitHub's ubuntu-latest CI runners
-// (the BENCH_searcher.json source) expose 4 vCPUs, so a wider default was
-// never exercisable there anyway. PR 1 guessed 8; the measurements say 4.
+// expose 4 vCPUs, so a wider default was never exercisable there anyway.
+// PR 1 guessed 8; the measurements say 4.
 const maxDefaultSearchWorkers = 4
 
 func defaultSearchWorkers() int {

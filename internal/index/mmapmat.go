@@ -24,7 +24,7 @@ import (
 // pages (the in-RAM tail of the store) until kernel writeback tiers them
 // to disk, and cold rows fault back in on the first re-rank touch.
 //
-// Concurrency matches chunkMat exactly: committed rows are immutable, a
+// Concurrency matches featMat exactly: committed rows are immutable, a
 // row becomes visible only through the length counter, and any number of
 // readers run against the single writer without locks. Capacity grows by
 // ftruncate-and-remap (geometric doubling); superseded mappings stay

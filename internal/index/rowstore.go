@@ -11,7 +11,7 @@ import (
 // behind them are touched only for exact re-rank, the exact-path fallback
 // and PQ training, so where they live is a capacity/latency trade:
 //
-//   - FeatureStoreRAM: rows in heap chunks (chunkMat). Dim×4 bytes of RAM
+//   - FeatureStoreRAM: rows in heap chunks (featMat). Dim×4 bytes of RAM
 //     per image; every row read is a plain memory load.
 //   - FeatureStoreMmap: rows in an unlinked spill file served through the
 //     OS page cache. Per-image RAM drops to the M code bytes (plus the

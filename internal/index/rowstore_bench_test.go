@@ -11,8 +11,8 @@ import (
 	"jdvs/internal/core"
 )
 
-// BenchmarkFeatureStoreRerank tracks the latency cost of tiering raw
-// feature rows onto mmap, per commit, in BENCH_searcher.json. Every
+// BenchmarkFeatureStoreRerank measures the latency cost of tiering raw
+// feature rows onto mmap. Every
 // variant runs the full ADC query path (probe → code scan → exact re-rank
 // over RerankK raw rows) at the ADC benchmark's operating point; only
 // where the re-ranked rows live differs:

@@ -10,11 +10,9 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -132,36 +130,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return h.Max()
 }
 
-// Merge adds other's observations into h. (Used to combine per-worker
-// histograms after a run; not linearisable with concurrent Records, which
-// is fine for post-hoc aggregation.)
-func (h *Histogram) Merge(other *Histogram) {
-	for i := 0; i < nBuckets; i++ {
-		if v := other.buckets[i].Load(); v != 0 {
-			h.buckets[i].Add(v)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	if m := other.maxNS.Load(); m > h.maxNS.Load() {
-		h.maxNS.Store(m)
-	}
-	if m := other.minNS.Load(); m != 0 && (h.minNS.Load() == 0 || m < h.minNS.Load()) {
-		h.minNS.Store(m)
-	}
-}
-
-// Reset zeroes the histogram. Not safe concurrently with Record.
-func (h *Histogram) Reset() {
-	for i := 0; i < nBuckets; i++ {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.maxNS.Store(0)
-	h.minNS.Store(0)
-}
-
 // CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	Latency  time.Duration
@@ -207,11 +175,9 @@ type Counter struct {
 }
 
 // Inc adds one. Add adds delta. Value reads the total.
-func (c *Counter) Inc()               { c.n.Add(1) }
-func (c *Counter) Add(delta int64)    { c.n.Add(delta) }
-func (c *Counter) Value() int64       { return c.n.Load() }
-func (c *Counter) Reset()             { c.n.Store(0) }
-func (c *Counter) Swap(v int64) int64 { return c.n.Swap(v) }
+func (c *Counter) Inc()            { c.n.Add(1) }
+func (c *Counter) Add(delta int64) { c.n.Add(delta) }
+func (c *Counter) Value() int64    { return c.n.Load() }
 
 // HourlyKinds is the set of update kinds tracked per hour for Fig. 11(a).
 type HourlyKinds struct {
@@ -250,26 +216,6 @@ func (s *HourlySeries) RecordUpdate(h int, kind string, d time.Duration) {
 		s.Kinds[h].Deletions.Inc()
 	}
 	s.Lat[h].Record(d)
-}
-
-// Table renders the series as aligned text rows (hour, counts by kind,
-// avg/p90/p99 latency), the textual equivalent of Fig. 11.
-func (s *HourlySeries) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %12s %12s %12s %12s %12s %12s %12s\n",
-		"hour", "updates", "additions", "deletions", "total", "avg", "p90", "p99")
-	for h := 0; h < 24; h++ {
-		k := &s.Kinds[h]
-		if k.Total() == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%02d:00  %12d %12d %12d %12d %12s %12s %12s\n",
-			h, k.Updates.Value(), k.Additions.Value(), k.Deletions.Value(), k.Total(),
-			s.Lat[h].Mean().Round(time.Microsecond),
-			s.Lat[h].Percentile(90).Round(time.Microsecond),
-			s.Lat[h].Percentile(99).Round(time.Microsecond))
-	}
-	return b.String()
 }
 
 // Quantiles computes exact quantiles from a raw sample (used where the full

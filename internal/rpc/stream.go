@@ -154,11 +154,9 @@ func DecodeStreamCommit(p []byte) (session, chunks, bytes uint64, sum uint32, er
 // StreamSender uploads a byte stream to a server as a chunked session. It
 // is an io.Writer: producers serialise straight into it and it ships a
 // chunk each time its buffer fills, so peak sender memory is
-// O(window × chunk), not O(stream). The begin call is lazy — issued only
-// when the stream outgrows one chunk — so a stream that fits in a single
-// chunk sends nothing; Finish then reports streamed=false and the caller
-// can deliver Buffered() however it likes (e.g. a legacy single-frame
-// method).
+// O(window × chunk), not O(stream). The session begins with the first
+// chunk shipped (or at Finish): a stream that fits in a single chunk is a
+// one-chunk session.
 //
 // Chunk requests are pipelined: up to the configured window (default
 // DefaultStreamWindow) are in flight concurrently over the multiplexed
@@ -261,25 +259,34 @@ func (s *StreamSender) setAsyncErr(err error) {
 	s.asyncMu.Unlock()
 }
 
+// begin opens the session if it is not open yet.
+func (s *StreamSender) begin() error {
+	if s.begun {
+		return nil
+	}
+	resp, err := s.c.Call(s.ctx, s.m.Begin, nil)
+	if err != nil {
+		s.err = err
+		return err
+	}
+	id, err := DecodeStreamSession(resp)
+	if err != nil {
+		s.err = err
+		return err
+	}
+	s.session = id
+	s.begun = true
+	s.sem = make(chan struct{}, s.window)
+	s.free = make(chan []byte, s.window)
+	return nil
+}
+
 // flush dispatches the buffered chunk, beginning the session first if
 // needed. The chunk request goes out asynchronously; flush only blocks
 // when the pipeline window is full.
 func (s *StreamSender) flush() error {
-	if !s.begun {
-		resp, err := s.c.Call(s.ctx, s.m.Begin, nil)
-		if err != nil {
-			s.err = err
-			return err
-		}
-		id, err := DecodeStreamSession(resp)
-		if err != nil {
-			s.err = err
-			return err
-		}
-		s.session = id
-		s.begun = true
-		s.sem = make(chan struct{}, s.window)
-		s.free = make(chan []byte, s.window)
+	if err := s.begin(); err != nil {
+		return err
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -320,39 +327,33 @@ func (s *StreamSender) flush() error {
 	return nil
 }
 
-// Finish completes the transfer. If the whole stream fit inside one chunk
-// no session was ever begun: Finish sends nothing and returns
-// streamed=false, leaving the bytes in Buffered(). Otherwise it flushes
-// the tail chunk, drains the pipeline, and commits the session, which
-// installs the stream server-side.
-func (s *StreamSender) Finish() (streamed bool, err error) {
+// Finish completes the transfer: it flushes the tail chunk, drains the
+// pipeline, and commits the session, which installs the stream
+// server-side.
+func (s *StreamSender) Finish() error {
 	if s.err != nil {
-		return s.begun, s.err
+		return s.err
 	}
-	if !s.begun {
-		return false, nil
+	if err := s.begin(); err != nil {
+		return err
 	}
 	if len(s.buf) > 0 {
 		if err := s.flush(); err != nil {
 			s.wg.Wait()
-			return true, err
+			return err
 		}
 	}
 	s.wg.Wait()
 	if err := s.takeAsyncErr(); err != nil {
 		s.err = err
-		return true, err
+		return err
 	}
 	if _, err := s.c.Call(s.ctx, s.m.Commit, EncodeStreamCommit(s.session, s.seq, s.total, s.sum)); err != nil {
 		s.err = err
-		return true, err
+		return err
 	}
-	return true, nil
+	return nil
 }
-
-// Buffered returns the bytes still held locally (the whole stream when
-// Finish reported streamed=false).
-func (s *StreamSender) Buffered() []byte { return s.buf }
 
 // Abort tears down a begun session server-side, best effort. Safe to call
 // whether or not a session was begun; never call it after a successful

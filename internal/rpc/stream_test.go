@@ -125,34 +125,30 @@ func TestStreamCommitCodec(t *testing.T) {
 	}
 }
 
-// TestStreamSenderSingleChunkFallback: a stream that fits in one chunk
-// must not open a session at all — the caller delivers Buffered() itself.
-func TestStreamSenderSingleChunkFallback(t *testing.T) {
+// TestStreamSenderSingleChunk: a stream that fits in one chunk is a
+// one-chunk session, and an empty stream a zero-chunk one — both commit.
+func TestStreamSenderSingleChunk(t *testing.T) {
 	f := newStreamFixture(t, 0, 0)
 	c, err := Dial(f.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	s := NewStreamSender(context.Background(), c, testMethods, 1024)
-	if _, err := s.Write([]byte("small payload")); err != nil {
-		t.Fatal(err)
+	for i, payload := range []string{"small payload", ""} {
+		s := NewStreamSender(context.Background(), c, testMethods, 1024)
+		if _, err := s.Write([]byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		data, committed, aborted := f.sink(t, i).state()
+		if string(data) != payload || committed != 1 || aborted != 0 {
+			t.Fatalf("sink got %q, committed=%d aborted=%d", data, committed, aborted)
+		}
 	}
-	streamed, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed {
-		t.Fatal("single-chunk stream reported streamed=true")
-	}
-	if string(s.Buffered()) != "small payload" {
-		t.Fatalf("Buffered() = %q", s.Buffered())
-	}
-	f.mu.Lock()
-	opened := len(f.sinks)
-	f.mu.Unlock()
-	if opened != 0 {
-		t.Fatalf("%d sessions opened for an unstreamed payload", opened)
+	if n := f.ss.Sessions(); n != 0 {
+		t.Fatalf("%d sessions left after commit", n)
 	}
 }
 
@@ -182,12 +178,8 @@ func TestStreamRoundTripMultiChunk(t *testing.T) {
 		}
 		off += n
 	}
-	streamed, err := s.Finish()
-	if err != nil {
+	if err := s.Finish(); err != nil {
 		t.Fatal(err)
-	}
-	if !streamed {
-		t.Fatal("multi-chunk stream reported streamed=false")
 	}
 	data, committed, aborted := f.sink(t, 0).state()
 	if !bytes.Equal(data, payload) {
@@ -395,9 +387,8 @@ func TestStreamPipelinedRoundTrip(t *testing.T) {
 			}
 			off += n
 		}
-		streamed, err := s.Finish()
-		if err != nil || !streamed {
-			t.Fatalf("window=%d: streamed=%v err=%v", window, streamed, err)
+		if err := s.Finish(); err != nil {
+			t.Fatalf("window=%d: %v", window, err)
 		}
 		data, committed, aborted := f.sink(t, 0).state()
 		if !bytes.Equal(data, payload) {

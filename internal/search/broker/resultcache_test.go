@@ -171,10 +171,10 @@ func TestResultCacheSkipsPartialPages(t *testing.T) {
 	}
 }
 
-// BenchmarkBrokerCachedQuery is the CI artifact gating the result cache:
+// BenchmarkBrokerCachedQuery is the micro-benchmark of the result cache:
 // the same single-partition query with the cache off and on. The cached
-// side should collapse to digest-lookup cost, and its cache-hitrate metric
-// lands in BENCH_broker.json next to the latency numbers.
+// side should collapse to digest-lookup cost; it reports a cache-hitrate
+// metric next to the latency numbers.
 func BenchmarkBrokerCachedQuery(b *testing.B) {
 	for _, cached := range []bool{false, true} {
 		b.Run(fmt.Sprintf("cached=%v", cached), func(b *testing.B) {

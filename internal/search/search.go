@@ -22,15 +22,13 @@ const (
 	MethodStats uint16 = 3
 	// MethodPing: empty → empty. Liveness probe.
 	MethodPing uint16 = 4
-	// MethodLoadIndex: shard snapshot bytes → empty. Served by searchers:
-	// the weekly full indexing pushes fresh partition indexes to the fleet
-	// and each searcher hot-swaps with zero downtime (§2.2). Single-frame
-	// path, only usable when the whole snapshot fits under rpc.MaxFrame;
-	// larger snapshots go through the chunked session below.
-	MethodLoadIndex uint16 = 5
+	// 5 was the single-frame snapshot push; retired, never reuse.
 
-	// Chunked snapshot streaming (rpc.StreamMethods wiring; payload formats
-	// are defined by package rpc's stream codec). A pusher begins a session,
+	// Snapshot push: the weekly full indexing pushes fresh partition
+	// indexes to the fleet and each searcher hot-swaps with zero downtime
+	// (§2.2), as a chunked session (rpc.StreamMethods wiring; payload
+	// formats are defined by package rpc's stream codec) however small the
+	// snapshot. A pusher begins a session,
 	// streams the snapshot as sequence-numbered CRC-checked chunks, and
 	// commits; the searcher materialises the shard incrementally and only
 	// hot-swaps it in on a verified commit. Abort (explicit, or implicit via

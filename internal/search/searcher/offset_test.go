@@ -75,7 +75,7 @@ func TestPushSnapshotSkipsCoveredOffsets(t *testing.T) {
 	next.SetCoveredOffset(9)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := PushSnapshot(ctx, s.Addr(), next); err != nil {
+	if err := PushSnapshot(ctx, s.Addr(), next, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,7 +201,7 @@ func TestPushSnapshotRewindsOutrunConsumer(t *testing.T) {
 	next.SetCoveredOffset(2)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := PushSnapshot(ctx, s.Addr(), next); err != nil {
+	if err := PushSnapshot(ctx, s.Addr(), next, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -41,8 +41,7 @@ func benchShard(b *testing.B, images, dim int) *index.Shard {
 }
 
 // BenchmarkPushSnapshot measures full-index distribution throughput per
-// chunk size, including the single-frame fallback (a chunk size larger
-// than the snapshot).
+// chunk size.
 func BenchmarkPushSnapshot(b *testing.B) {
 	shard := benchShard(b, 20000, 64)
 	var snap bytes.Buffer
@@ -63,14 +62,13 @@ func BenchmarkPushSnapshot(b *testing.B) {
 	}{
 		{"chunk64KB", 64 << 10},
 		{"chunk1MB", 1 << 20},
-		{"singleFrame", int(size) + 1},
 	} {
 		b.Run(cs.name, func(b *testing.B) {
 			ctx := context.Background()
 			b.SetBytes(size)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := PushSnapshotWith(ctx, recv.Addr(), shard, PushOptions{ChunkSize: cs.chunkSize}); err != nil {
+				if err := PushSnapshot(ctx, recv.Addr(), shard, cs.chunkSize); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,7 +72,7 @@ func TestPushSnapshotSwapsIndex(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := PushSnapshot(ctx, s.Addr(), next); err != nil {
+	if err := PushSnapshot(ctx, s.Addr(), next, 0); err != nil {
 		t.Fatalf("PushSnapshot: %v", err)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -134,7 +135,7 @@ func TestPushSnapshotMultiChunk(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := PushSnapshotWith(ctx, s.Addr(), next, PushOptions{ChunkSize: chunkSize}); err != nil {
+	if err := PushSnapshot(ctx, s.Addr(), next, chunkSize); err != nil {
 		t.Fatalf("chunked PushSnapshot: %v", err)
 	}
 	if got := s.SnapshotLoads(); got != 1 {
@@ -320,8 +321,9 @@ func TestPushChunkSequenceViolation(t *testing.T) {
 	}
 }
 
-// TestPushSnapshotRejectsGarbage: corrupt snapshot payloads must be
-// rejected without disturbing the serving index.
+// TestPushSnapshotRejectsGarbage: a corrupt snapshot committed through the
+// chunked session, and a call to the retired single-frame method, must
+// both be rejected without disturbing the serving index.
 func TestPushSnapshotRejectsGarbage(t *testing.T) {
 	f := newFixture(t, 5)
 	s, err := New(Config{Shard: f.shard})
@@ -335,8 +337,20 @@ func TestPushSnapshotRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(context.Background(), search.MethodLoadIndex, []byte("garbage snapshot")); err == nil {
-		t.Fatal("garbage snapshot accepted")
+	ctx := context.Background()
+	sender := rpc.NewStreamSender(ctx, c, search.LoadIndexStream, 0)
+	if _, err := sender.Write([]byte("garbage snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.Finish(); err == nil {
+		t.Fatal("garbage snapshot committed")
+	}
+	if _, err := c.Call(ctx, 5, []byte("garbage snapshot")); err == nil || !strings.Contains(err.Error(), "unknown method 5") {
+		t.Fatalf("retired single-frame method: err = %v, want unknown method", err)
+	}
+	if s.SnapshotLoads() != 0 || s.LoadSessions() != 0 || s.Shard() != f.shard {
+		t.Fatalf("rejected pushes left a trace: %d loads, %d sessions, shard swapped=%v",
+			s.SnapshotLoads(), s.LoadSessions(), s.Shard() != f.shard)
 	}
 	// The original index still serves.
 	url := f.cat.Products[0].ImageURLs[0]
@@ -386,8 +400,8 @@ func TestPushSnapshotPQMultiChunk(t *testing.T) {
 	defer cancel()
 	// A 4 KiB chunk forces a long multi-chunk session through the
 	// pipelined sender.
-	if err := PushSnapshotWith(ctx, s.Addr(), next, PushOptions{ChunkSize: 4 << 10}); err != nil {
-		t.Fatalf("PushSnapshotWith: %v", err)
+	if err := PushSnapshot(ctx, s.Addr(), next, 4<<10); err != nil {
+		t.Fatalf("PushSnapshot: %v", err)
 	}
 	got := s.Shard()
 	if !got.PQEnabled() {
@@ -434,8 +448,8 @@ func TestPushSnapshot4BitMultiChunk(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := PushSnapshotWith(ctx, s.Addr(), next, PushOptions{ChunkSize: 4 << 10}); err != nil {
-		t.Fatalf("PushSnapshotWith: %v", err)
+	if err := PushSnapshot(ctx, s.Addr(), next, 4<<10); err != nil {
+		t.Fatalf("PushSnapshot: %v", err)
 	}
 	got := s.Shard()
 	if !got.PQEnabled() {

@@ -6,27 +6,19 @@
 // # Snapshot distribution
 //
 // The periodic full indexing cycle (§2.2) ends by pushing each partition's
-// fresh index to its searchers. Two wire paths exist:
-//
-//   - search.MethodLoadIndex: the whole snapshot as one frame. Only viable
-//     while the snapshot fits under rpc.MaxFrame; kept for small shards and
-//     back compatibility.
-//   - search.LoadIndexStream (MethodLoadIndexBegin/Chunk/Commit/Abort): a
-//     chunked session (rpc stream codec). The receiver feeds verified
-//     chunks straight into index.LoadSnapshot through a pipe, so a shard is
-//     materialised incrementally with O(chunk) transfer buffering; the
-//     serving shard is hot-swapped only on a clean, totals-verified commit.
-//     An abort — explicit, or implicit when the session idles past
-//     Config.LoadIdleTimeout — discards the partial shard and leaves the
-//     serving index untouched.
-//
-// PushSnapshot picks between the two automatically: it serialises straight
-// into the chunked sender and falls back to the single frame when the
-// whole snapshot fit inside one chunk.
+// fresh index to its searchers over search.LoadIndexStream
+// (MethodLoadIndexBegin/Chunk/Commit/Abort), a chunked session (rpc stream
+// codec); a snapshot smaller than one chunk is a one-chunk session. The
+// receiver feeds verified chunks straight into index.LoadSnapshot through
+// a pipe, so a shard is materialised incrementally with O(chunk) transfer
+// buffering; the serving shard is hot-swapped only on a clean,
+// totals-verified commit. An abort — explicit, or implicit when the
+// session idles past Config.LoadIdleTimeout — discards the partial shard
+// and leaves the serving index untouched. PushSnapshot is the sender: it
+// serialises the shard straight into the chunked stream.
 package searcher
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -95,7 +87,7 @@ type Config struct {
 	BatchMaxQueries int
 	// SearchDelay and SearchDelayFraction inject artificial latency into
 	// this replica's search handler — the fault injector behind broker
-	// hedging demos and benchmarks (jdvs-bench -slow-replica-ms). When
+	// hedging demos and benchmarks (jdvs-bench -experiment hedge). When
 	// both are set, roughly SearchDelayFraction of searches (deterministic,
 	// counter-based: every round(1/fraction)-th request) sleep SearchDelay
 	// before answering. Zero disables.
@@ -130,7 +122,7 @@ type Searcher struct {
 	searches      metrics.Counter
 	dropped       metrics.Counter // undecodable (poison) queue messages
 	applyErrors   metrics.Counter // decoded updates indexer.Apply rejected
-	snapshotLoads metrics.Counter // snapshots installed by push (both paths)
+	snapshotLoads metrics.Counter // snapshots installed by push
 	offsetSkips   metrics.Counter // queue messages skipped as snapshot-covered
 
 	// skipTo is the queue offset covered by the serving shard: the
@@ -202,7 +194,6 @@ func New(cfg Config) (*Searcher, error) {
 	s.srv = rpc.NewServer()
 	s.srv.Handle(search.MethodSearch, s.handleSearch)
 	s.srv.Handle(search.MethodStats, s.handleStats)
-	s.srv.Handle(search.MethodLoadIndex, s.handleLoadIndex)
 	s.srv.Handle(search.MethodPing, func([]byte) ([]byte, error) { return nil, nil })
 	s.loads = rpc.NewStreamServer(s.openSnapshotSink, cfg.LoadIdleTimeout, 0)
 	s.loads.Register(s.srv, search.LoadIndexStream)
@@ -313,9 +304,8 @@ type Stats struct {
 	// ApplyErrors counts decoded updates the indexer rejected (e.g. an
 	// addition whose image could not be resolved).
 	ApplyErrors int64 `json:"apply_errors"`
-	// SnapshotLoads counts pushed snapshots installed (single-frame or
-	// streamed); LoadSessions is the number of chunked transfers currently
-	// in flight.
+	// SnapshotLoads counts pushed snapshots installed; LoadSessions is the
+	// number of chunked transfers currently in flight.
 	SnapshotLoads int64 `json:"snapshot_loads"`
 	LoadSessions  int   `json:"load_sessions"`
 	// OffsetSkips counts queue messages the real-time consumer skipped
@@ -347,25 +337,6 @@ func (s *Searcher) handleStats([]byte) ([]byte, error) {
 		QueueConsumed: s.queue != nil,
 	}
 	return json.Marshal(st)
-}
-
-// handleLoadIndex receives a full shard snapshot (the output of the weekly
-// full indexing, §2.2) as one frame, materialises it into a fresh shard
-// with the same configuration, and hot-swaps it in. In-flight searches
-// finish on the old shard; the real-time loop applies subsequent events to
-// the new one. Snapshots too large for one frame arrive through the
-// chunked session handlers instead (search.LoadIndexStream).
-func (s *Searcher) handleLoadIndex(payload []byte) ([]byte, error) {
-	fresh, err := index.New(s.shard.Load().Config())
-	if err != nil {
-		return nil, err
-	}
-	if err := fresh.LoadSnapshot(bytes.NewReader(payload)); err != nil {
-		return nil, fmt.Errorf("searcher: load pushed index: %w", err)
-	}
-	s.SwapShard(fresh)
-	s.snapshotLoads.Inc()
-	return nil, nil
 }
 
 // snapshotSink materialises one streamed snapshot. Chunk bytes are piped
@@ -430,56 +401,29 @@ func (k *snapshotSink) Abort() {
 	<-k.done // wait the decoder goroutine out
 }
 
-// PushOptions tunes PushSnapshot.
-type PushOptions struct {
-	// ChunkSize bounds each streamed chunk (default rpc.DefaultChunkSize,
-	// capped at rpc.MaxChunkData). Snapshots that fit inside a single chunk
-	// skip the session entirely and go over the legacy single-frame
-	// MethodLoadIndex.
-	ChunkSize int
-	// Window is the number of chunk requests kept in flight (default
-	// rpc.DefaultStreamWindow; 1 sends one chunk per round trip).
-	Window int
-}
-
-// PushSnapshot serialises shard and installs it on the searcher at addr —
-// the distribution step of the periodic full indexing cycle — with default
-// options.
-func PushSnapshot(ctx context.Context, addr string, shard *index.Shard) error {
-	return PushSnapshotWith(ctx, addr, shard, PushOptions{})
-}
-
-// PushSnapshotWith streams shard's snapshot to the searcher at addr in
-// checksummed chunks. The snapshot is serialised straight into the chunked
-// sender, so peak sender memory is O(chunk size) regardless of shard size;
-// snapshots no larger than one chunk fall back to the single-frame path.
-// On any mid-stream failure the session is aborted and the receiver keeps
-// serving its current shard.
-func PushSnapshotWith(ctx context.Context, addr string, shard *index.Shard, opts PushOptions) error {
+// PushSnapshot streams shard's snapshot to the searcher at addr in
+// checksummed chunks of at most chunkSize bytes (0 takes
+// rpc.DefaultChunkSize; capped at rpc.MaxChunkData) and installs it — the
+// distribution step of the periodic full indexing cycle. The snapshot is
+// serialised straight into the chunked sender, so peak sender memory is
+// O(chunk size) regardless of shard size. On any mid-stream failure the
+// session is aborted and the receiver keeps serving its current shard.
+func PushSnapshot(ctx context.Context, addr string, shard *index.Shard, chunkSize int) error {
 	c, err := rpc.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	sender := rpc.NewStreamSender(ctx, c, search.LoadIndexStream, opts.ChunkSize)
-	if opts.Window > 0 {
-		sender.SetWindow(opts.Window)
-	}
+	sender := rpc.NewStreamSender(ctx, c, search.LoadIndexStream, chunkSize)
 	if err := shard.WriteSnapshot(sender); err != nil {
 		sender.Abort()
 		return fmt.Errorf("searcher: push snapshot: %w", err)
 	}
-	streamed, err := sender.Finish()
-	if err != nil {
+	if err := sender.Finish(); err != nil {
 		// A failed commit already tore the session down server-side; Abort
 		// covers failures before the commit was processed.
 		sender.Abort()
 		return fmt.Errorf("searcher: push snapshot: %w", err)
-	}
-	if !streamed {
-		if _, err := c.Call(ctx, search.MethodLoadIndex, sender.Buffered()); err != nil {
-			return fmt.Errorf("searcher: push snapshot: %w", err)
-		}
 	}
 	return nil
 }
@@ -556,9 +500,6 @@ func (s *Searcher) applyOne(m mq.Message) {
 		s.onApplied(u, kind, reused, lat)
 	}
 }
-
-// RTLatency exposes the real-time indexing latency histogram.
-func (s *Searcher) RTLatency() *metrics.Histogram { return &s.rtLatency }
 
 // Applied returns the number of updates applied.
 func (s *Searcher) Applied() int64 { return s.applied.Value() }

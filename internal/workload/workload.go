@@ -9,7 +9,6 @@ package workload
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -229,7 +228,8 @@ func HourOfEvent(i, total int, shape [24]float64) int {
 	return 23
 }
 
-// QueryLoadConfig parameterises a concurrent query run.
+// QueryLoadConfig parameterises a concurrent query run. Every query asks
+// for a page of QueryTopK results.
 type QueryLoadConfig struct {
 	// Addr is the frontend (or blender) address.
 	Addr string
@@ -238,37 +238,32 @@ type QueryLoadConfig struct {
 	// Duration bounds the run (default 3s). Queries in flight at the
 	// deadline complete and are counted.
 	Duration time.Duration
-	// TopK and NProbe shape each query (defaults 10 / 0 = searcher
-	// default).
-	TopK, NProbe int
-	// QueryPool is how many distinct query images to pre-generate
-	// (default 64).
-	QueryPool int
-	// Blobs, when non-nil, supplies pre-encoded query images and the
-	// catalog is not touched — required when another goroutine (an update
-	// generator) owns the catalog during the run.
+	// NProbe is each query's probe width (0 = searcher default).
+	NProbe int
+	// Blobs supplies the pre-encoded query images (MakeQueryBlobs).
+	// Required: the run never touches a catalog, which an update generator
+	// may own concurrently.
 	Blobs [][]byte
 	// BlobCategories, when non-nil, scopes each query to the category of
 	// its blob (aligned index-for-index with Blobs — MakeScopedQueryBlobs
 	// builds the pair): the category-skewed filtered workload. Nil
 	// searches all categories.
 	BlobCategories []int32
-	// MinPriceCents / MaxPriceCents / MinSales are attribute predicates
-	// attached to every query (0 = unbounded), pushed down into the
-	// searchers' bitmap-admission scan.
+	// MinPriceCents is a price-floor predicate attached to every query
+	// (0 = unbounded), pushed down into the searchers' bitmap-admission
+	// scan.
 	MinPriceCents uint32
-	MaxPriceCents uint32
-	MinSales      uint32
 	// ZipfS, when > 1, skews blob selection with a zipf distribution of
 	// exponent s over the query pool (rank 0 hottest) — the heavy-skew
 	// shape of e-commerce query traffic, where a few hero images dominate.
 	// <= 1 keeps the uniform pick.
 	ZipfS float64
-	// Seed selects query products.
+	// Seed selects query images.
 	Seed int64
-	// Conns caps client connections (default min(Concurrency, 16)).
-	Conns int
 }
+
+// QueryTopK is the page size every load query asks for.
+const QueryTopK = 10
 
 // MakeQueryBlobs pre-generates n encoded query photos of random catalog
 // products, for passing to RunQueryLoad as QueryLoadConfig.Blobs.
@@ -302,7 +297,7 @@ func MakeScopedQueryBlobs(cat *catalog.Catalog, n int, seed int64) ([][]byte, []
 type QueryLoadResult struct {
 	Queries int64
 	Errors  int64
-	// FullPages counts queries whose response filled the whole TopK page —
+	// FullPages counts queries whose response filled the whole page —
 	// the page-fill rate selective filters threaten.
 	FullPages int64
 	Wall      time.Duration
@@ -312,42 +307,30 @@ type QueryLoadResult struct {
 
 // RunQueryLoad emulates cfg.Concurrency users issuing back-to-back visual
 // queries against a running cluster, exactly like the §3.2 client machine.
-func RunQueryLoad(cfg QueryLoadConfig, cat *catalog.Catalog) (*QueryLoadResult, error) {
+func RunQueryLoad(cfg QueryLoadConfig) (*QueryLoadResult, error) {
 	if cfg.Concurrency <= 0 {
 		return nil, errors.New("workload: Concurrency must be positive")
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 3 * time.Second
 	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 10
-	}
-	if cfg.QueryPool <= 0 {
-		cfg.QueryPool = 64
-	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = cfg.Concurrency
-		if cfg.Conns > 16 {
-			cfg.Conns = 16
-		}
-	}
 	blobs := cfg.Blobs
-	if blobs == nil {
-		if cat == nil || len(cat.Products) == 0 {
-			return nil, errors.New("workload: empty catalog and no pre-generated blobs")
-		}
-		blobs = MakeQueryBlobs(cat, cfg.QueryPool, cfg.Seed)
+	if len(blobs) == 0 {
+		return nil, errors.New("workload: no query blobs")
+	}
+	if cfg.BlobCategories != nil && len(cfg.BlobCategories) != len(blobs) {
+		return nil, errors.New("workload: BlobCategories must align with Blobs")
 	}
 
-	cl, err := client.Dial(cfg.Addr, cfg.Conns)
+	conns := cfg.Concurrency
+	if conns > 16 {
+		conns = 16
+	}
+	cl, err := client.Dial(cfg.Addr, conns)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.Close()
-
-	if cfg.BlobCategories != nil && len(cfg.BlobCategories) != len(blobs) {
-		return nil, errors.New("workload: BlobCategories must align with Blobs")
-	}
 
 	res := &QueryLoadResult{Latency: &metrics.Histogram{}}
 	var queries, errs, fullPages atomic.Int64
@@ -382,12 +365,10 @@ func RunQueryLoad(cfg QueryLoadConfig, cat *catalog.Catalog) (*QueryLoadResult, 
 				}
 				q := &core.QueryRequest{
 					ImageBlob:     blobs[bi],
-					TopK:          cfg.TopK,
+					TopK:          QueryTopK,
 					NProbe:        cfg.NProbe,
 					CategoryScope: scope,
 					MinPriceCents: cfg.MinPriceCents,
-					MaxPriceCents: cfg.MaxPriceCents,
-					MinSales:      cfg.MinSales,
 				}
 				t0 := time.Now()
 				resp, err := cl.Query(ctx, q)
@@ -397,7 +378,7 @@ func RunQueryLoad(cfg QueryLoadConfig, cat *catalog.Catalog) (*QueryLoadResult, 
 					continue
 				}
 				queries.Add(1)
-				if len(resp.Hits) >= cfg.TopK {
+				if len(resp.Hits) >= QueryTopK {
 					fullPages.Add(1)
 				}
 				res.Latency.Record(lat)
@@ -413,13 +394,4 @@ func RunQueryLoad(cfg QueryLoadConfig, cat *catalog.Catalog) (*QueryLoadResult, 
 		res.QPS = float64(res.Queries) / res.Wall.Seconds()
 	}
 	return res, nil
-}
-
-// String renders a one-line summary.
-func (r *QueryLoadResult) String() string {
-	return fmt.Sprintf("queries=%d errors=%d wall=%s qps=%.1f avg=%s p99=%s max=%s",
-		r.Queries, r.Errors, r.Wall.Round(time.Millisecond), r.QPS,
-		r.Latency.Mean().Round(time.Microsecond),
-		r.Latency.Percentile(99).Round(time.Microsecond),
-		r.Latency.Max().Round(time.Microsecond))
 }

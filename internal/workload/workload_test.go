@@ -159,9 +159,9 @@ func TestRunQueryLoadAgainstCluster(t *testing.T) {
 		Addr:        c.FrontendAddr(),
 		Concurrency: 4,
 		Duration:    500 * time.Millisecond,
-		TopK:        5,
+		Blobs:       MakeQueryBlobs(c.Catalog, 16, 1),
 		Seed:        1,
-	}, c.Catalog)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,21 +177,13 @@ func TestRunQueryLoadAgainstCluster(t *testing.T) {
 	if res.Latency.Count() != uint64(res.Queries) {
 		t.Fatalf("histogram count %d != queries %d", res.Latency.Count(), res.Queries)
 	}
-	if res.String() == "" {
-		t.Fatal("empty summary")
-	}
 }
 
 func TestRunQueryLoadValidation(t *testing.T) {
-	cat, err := catalog.Generate(catalog.Config{Products: 1, Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunQueryLoad(QueryLoadConfig{Addr: "x"}, cat); err == nil {
+	if _, err := RunQueryLoad(QueryLoadConfig{Addr: "x", Blobs: [][]byte{{1}}}); err == nil {
 		t.Fatal("zero concurrency accepted")
 	}
-	empty := &catalog.Catalog{}
-	if _, err := RunQueryLoad(QueryLoadConfig{Addr: "x", Concurrency: 1}, empty); err == nil {
-		t.Fatal("empty catalog accepted")
+	if _, err := RunQueryLoad(QueryLoadConfig{Addr: "x", Concurrency: 1}); err == nil {
+		t.Fatal("empty query pool accepted")
 	}
 }
