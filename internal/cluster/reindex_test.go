@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"jdvs/internal/catalog"
 	"jdvs/internal/core"
+	"jdvs/internal/index"
 )
 
 func TestReindexFoldsLiveUpdates(t *testing.T) {
@@ -247,4 +249,44 @@ func TestReindexCarriesCoveredOffsetsAndPQ(t *testing.T) {
 			t.Fatalf("partition %d: %d codes for %d images after push", p, st.PQCodes, st.Images)
 		}
 	}
+}
+
+// requireListMajor fails unless the shard's image IDs ascend with inverted
+// list — the layout full indexing gives a shard (index.Shard.BulkLoad).
+func requireListMajor(t *testing.T, label string, s *index.Shard) {
+	t.Helper()
+	prev := 0
+	for id := 0; id < s.Stats().Images; id++ {
+		l := s.Codebook().Assign(s.Feature(core.ImageID(id)))
+		if l < prev {
+			t.Fatalf("%s: image %d sits in list %d, after an image of list %d", label, id, l, prev)
+		}
+		prev = l
+	}
+}
+
+// TestFullIndexLayoutReachesEveryReplica: the list-major layout of a full
+// build is what every serving shard holds — the built shard, the replica
+// cloned from it at start-up, and both after a Reindex push.
+func TestFullIndexLayoutReachesEveryReplica(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Replicas = 2
+	cfg.PQSubvectors = -1
+	c := startTestCluster(t, cfg)
+	check := func(stage string) {
+		for p := 0; p < c.Partitions(); p++ {
+			for r := 0; r < c.Replicas(); r++ {
+				shard := c.Searcher(p, r).Shard()
+				if shard.Stats().Images == 0 {
+					t.Fatalf("%s: partition %d replica %d is empty", stage, p, r)
+				}
+				requireListMajor(t, fmt.Sprintf("%s partition %d replica %d", stage, p, r), shard)
+			}
+		}
+	}
+	check("start")
+	if err := c.Reindex(); err != nil {
+		t.Fatalf("Reindex: %v", err)
+	}
+	check("reindex")
 }

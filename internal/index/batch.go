@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"jdvs/internal/core"
-	"jdvs/internal/topk"
 )
 
 // SearchBatch executes several queries in one pass over the shard's
@@ -114,10 +113,8 @@ func (s *Shard) SearchBatch(reqs []*core.SearchRequest) ([]*core.SearchResponse,
 	host.ids[0] = s.scanADC(ps, lists, 0, 1, nil, byList, host.ids[0])
 
 	for _, q := range members {
-		sc := q.sc
-		sc.merged = topk.MergeInto(sc.merged, q.rerankK, q.sel.Sorted())
-		items := s.rerankExact(q.req, q.k, sc, &q.adm)
-		resps[q.idx] = s.assembleResponse(items, q.scanned, len(sc.probe))
+		items := s.rerankExact(q.req, q.k, q.sel.Items(), q.sc, &q.adm)
+		resps[q.idx] = s.assembleResponse(items, q.scanned, len(q.sc.probe))
 	}
 	for i, j := range leaderOf {
 		if j == i {

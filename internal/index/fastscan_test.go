@@ -319,12 +319,22 @@ func TestConcurrentADCSearchDuringInserts(t *testing.T) {
 				defer close(done)
 				wrng := rand.New(rand.NewSource(99))
 				fresh := clusteredFeatures(wrng, 1500, dim, 24, 0.25)
+				// Half row by row, half as one bulk load: both publish
+				// through appendRow under the same scans.
+				var bulk []Row
 				for i, f := range fresh {
 					a := core.Attrs{ProductID: uint64(50000 + i), URL: fmt.Sprintf("jfs://pq-rt/%d.jpg", i), Category: uint16(i % 4)}
+					if i >= len(fresh)/2 {
+						bulk = append(bulk, Row{Attrs: a, Feature: f})
+						continue
+					}
 					if _, _, err := quant.Insert(a, f); err != nil {
 						t.Errorf("rt insert: %v", err)
 						return
 					}
+				}
+				if err := quant.BulkLoad(bulk); err != nil {
+					t.Errorf("bulk load: %v", err)
 				}
 			}()
 			for w := 0; w < 4; w++ {

@@ -540,6 +540,73 @@ func (s *Shard) SetSearchWorkers(n int) {
 // returns the image's (possibly new) ID and whether an existing record
 // was reused.
 func (s *Shard) Insert(attrs core.Attrs, feature []float32) (core.ImageID, bool, error) {
+	return s.insert(attrs, feature, unassigned)
+}
+
+// unassigned is insert's cluster argument when the caller has not already
+// found the feature's nearest IVF centroid.
+const unassigned = -1
+
+// Row is one image handed to BulkLoad: its forward-index attributes and
+// its feature vector.
+type Row struct {
+	Attrs   core.Attrs
+	Feature []float32
+}
+
+// BulkLoad inserts rows list-major — the entry point of full indexing
+// (§2.2), which rebuilds a shard from scratch and so gets to choose where
+// every row lives. Each row is assigned to its inverted list once; rows are
+// then inserted list by list, in the caller's order inside a list, through
+// the same path as Insert. On a fresh shard every inverted list's image IDs
+// therefore form one consecutive run, so a list's raw feature rows, forward
+// records and validity/admission bits sit next to each other, and the exact
+// re-rank of a query's candidates — all members of its few probed lists —
+// walks a few contiguous regions of the row store instead of all of it.
+// Real-time Inserts afterwards append at the tail as always; the next full
+// index restores the layout.
+//
+// rows is only read, through an index permutation (no copy of it is made).
+// Search results do not depend on the order, except which of two
+// equidistant images carries the smaller ID. Writer-context only, like
+// Insert. On error the rows inserted so far stay in the shard.
+func (s *Shard) BulkLoad(rows []Row) error {
+	if s.codebook == nil {
+		return ErrNotTrained
+	}
+	// Counting sort by list: stable, so equal-list rows keep the caller's
+	// order and the load is a pure function of (codebook, rows).
+	assign := make([]int32, len(rows))
+	next := make([]int32, s.cfg.NLists+1)
+	for i := range rows {
+		if len(rows[i].Feature) != s.cfg.Dim {
+			return fmt.Errorf("index: bulk load %s: feature dim %d, shard dim %d",
+				rows[i].Attrs.URL, len(rows[i].Feature), s.cfg.Dim)
+		}
+		l := s.codebook.Assign(rows[i].Feature)
+		assign[i] = int32(l)
+		next[l+1]++
+	}
+	for l := 1; l < len(next); l++ {
+		next[l] += next[l-1]
+	}
+	order := make([]int32, len(rows))
+	for i, l := range assign {
+		order[next[l]] = int32(i)
+		next[l]++
+	}
+	for _, i := range order {
+		r := &rows[i]
+		if _, _, err := s.insert(r.Attrs, r.Feature, int(assign[i])); err != nil {
+			return fmt.Errorf("index: bulk load %s: %w", r.Attrs.URL, err)
+		}
+	}
+	return nil
+}
+
+// insert is Insert with the feature's inverted list supplied when the
+// caller already knows it (BulkLoad), or unassigned.
+func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.ImageID, bool, error) {
 	// The reuse path below compares against a stored row; keep the mmap
 	// mapping alive across that read (see Search).
 	defer runtime.KeepAlive(s)
@@ -568,7 +635,7 @@ func (s *Shard) Insert(attrs core.Attrs, feature []float32) (core.ImageID, bool,
 				return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
 			}
 			if !rowsEqual(s.feats.Row(id), feature) {
-				return s.refreshFeature(id, attrs, feature)
+				return s.refreshFeature(id, attrs, feature, cluster)
 			}
 		}
 		// Reuse path: refresh numeric attributes — including the category,
@@ -601,7 +668,7 @@ func (s *Shard) Insert(attrs core.Attrs, feature []float32) (core.ImageID, bool,
 	if len(feature) != s.cfg.Dim {
 		return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
 	}
-	id, err := s.appendRow(attrs, feature)
+	id, err := s.appendRow(attrs, feature, cluster)
 	if err != nil {
 		return 0, false, err
 	}
@@ -624,8 +691,9 @@ func (s *Shard) Insert(attrs core.Attrs, feature []float32) (core.ImageID, bool,
 // and appending it before anything else means such a failure commits
 // nothing — the shard keeps ingesting once space frees, instead of being
 // wedged behind a forward record with no row (permanent id skew). The
-// remaining appends only fail on invariant violations.
-func (s *Shard) appendRow(attrs core.Attrs, feature []float32) (core.ImageID, error) {
+// remaining appends only fail on invariant violations. cluster is the
+// feature's inverted list, or unassigned to have it found here.
+func (s *Shard) appendRow(attrs core.Attrs, feature []float32, cluster int) (core.ImageID, error) {
 	fid, err := s.feats.Append(feature)
 	if err != nil {
 		return 0, fmt.Errorf("index: feature append: %w", err)
@@ -641,7 +709,9 @@ func (s *Shard) appendRow(attrs core.Attrs, feature []float32) (core.ImageID, er
 	// caller's publish step), so a scoped scan that sees the image as
 	// valid also finds it in its category's bitmap.
 	s.ensureCat(attrs.Category).Set(id)
-	cluster := s.codebook.Assign(feature)
+	if cluster == unassigned {
+		cluster = s.codebook.Assign(feature)
+	}
 	if ps := s.pqState.Load(); ps != nil {
 		// Keep code storage in lockstep: the code must be committed before
 		// the inverted entry and validity bit make the id scannable. Codes
@@ -682,9 +752,9 @@ func (s *Shard) appendRow(attrs core.Attrs, feature []float32) (core.ImageID, er
 // score both generations and return the URL twice — the same
 // single-writer visibility window every non-atomic §2.3 update has, gone
 // by the next query.
-func (s *Shard) refreshFeature(stale core.ImageID, attrs core.Attrs, feature []float32) (core.ImageID, bool, error) {
+func (s *Shard) refreshFeature(stale core.ImageID, attrs core.Attrs, feature []float32, cluster int) (core.ImageID, bool, error) {
 	oldProduct, hadProduct := s.fwd.ProductID(stale)
-	id, err := s.appendRow(attrs, feature)
+	id, err := s.appendRow(attrs, feature, cluster)
 	if err != nil {
 		return 0, false, err
 	}
@@ -1116,17 +1186,16 @@ func (s *Shard) Attrs(id core.ImageID) (core.Attrs, bool) { return s.fwd.Get(id)
 func (s *Shard) Feature(id core.ImageID) []float32 { return s.feats.Row(id) }
 
 // searchScratch is the pooled per-query scratch: probe-selection buffers,
-// the ADC lookup table, one top-k selector per scan worker, and the merge
-// output. Pooling keeps the hot path free of per-query allocations across
-// serial, parallel and batched scans (a batch takes one scratch per
-// member).
+// the ADC lookup table, one top-k selector per scan worker, and the
+// re-rank's final selector. Pooling keeps the hot path free of per-query
+// allocations across serial, parallel and batched scans (a batch takes one
+// scratch per member).
 type searchScratch struct {
 	probe     []int
 	probeDist []float32
 	lut       []float32 // ADC lookup table (quantized shards only)
 	sels      []*topk.Selector
-	parts     [][]topk.Item
-	merged    []topk.Item
+	final     *topk.Selector // rerankExact's top-k, apart from sels: it reads their items
 	counts    []int
 	ids       [][]uint32  // per-worker id snapshots of the ADC traversal
 	missing   []topk.Item // re-rank candidates whose raw row was unavailable
@@ -1282,11 +1351,12 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 	// does.
 	defer runtime.KeepAlive(s)
 
+	var sel *topk.Selector
 	var items []topk.Item
 	scanned := 0
 	if ps != nil {
 		sc.ensureIDBufs(workers)
-		scanned = s.scanStriped(workers, q.rerankK, sc, func(start, stride int, sel *topk.Selector) int {
+		sel, scanned = s.scanStriped(workers, q.rerankK, sc, func(start, stride int, sel *topk.Selector) int {
 			// scanStriped hands worker w the stripe starting at w (0 on
 			// the serial path), which also names its id buffer.
 			m := q
@@ -1294,12 +1364,12 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 			sc.ids[start] = s.scanADC(ps, lists, start, stride, []*query{&m}, nil, sc.ids[start])
 			return m.scanned
 		})
-		items = s.rerankExact(req, q.k, sc, &q.adm)
+		items = s.rerankExact(req, q.k, sel.Items(), sc, &q.adm)
 	} else {
-		scanned = s.scanStriped(workers, q.k, sc, func(start, stride int, sel *topk.Selector) int {
+		sel, scanned = s.scanStriped(workers, q.k, sc, func(start, stride int, sel *topk.Selector) int {
 			return s.scanLists(req, lists, start, stride, sel, &q.adm)
 		})
-		items = sc.merged
+		items = sel.Sorted()
 	}
 
 	return s.assembleResponse(items, scanned, len(lists)), nil
@@ -1405,15 +1475,15 @@ func (s *Shard) rerankDepth(k, bits int) int {
 
 // scanStriped runs scan(start, stride, sel) striped across the workers —
 // the §2.4 multi-thread fan-out shared by the exact and ADC paths — and
-// leaves the merged best-k candidates in sc.merged, returning the total
-// candidates scored. scan must be safe for concurrent calls with distinct
-// (start, sel) pairs.
-func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, stride int, sel *topk.Selector) int) int {
+// returns the selector holding the best k candidates over all of them,
+// unsorted, with the total candidates scored. Worker selectors fold into
+// the first by Push: selection is a pure function of the candidate
+// multiset, so the survivors are the serial scan's. scan must be safe for
+// concurrent calls with distinct (start, sel) pairs.
+func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, stride int, sel *topk.Selector) int) (*topk.Selector, int) {
 	if workers == 1 {
 		sel := sc.selectors(1, k)[0]
-		n := scan(0, 1, sel)
-		sc.merged = topk.MergeInto(sc.merged, k, sel.Sorted())
-		return n
+		return sel, scan(0, 1, sel)
 	}
 	sels := sc.selectors(workers, k)
 	counts := sc.workerCounts(workers)
@@ -1428,29 +1498,34 @@ func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, 
 	// Worker 0 runs on the calling goroutine.
 	counts[0] = scan(0, workers, sels[0])
 	wg.Wait()
-	parts := sc.parts[:0]
-	scanned := 0
-	for w := 0; w < workers; w++ {
+	scanned := counts[0]
+	for w := 1; w < workers; w++ {
 		scanned += counts[w]
-		parts = append(parts, sels[w].Sorted())
+		for _, it := range sels[w].Items() {
+			sels[0].Push(it.ID, it.Dist)
+		}
 	}
-	sc.parts = parts
-	sc.merged = topk.MergeInto(sc.merged, k, parts...)
-	return scanned
+	return sels[0], scanned
 }
 
-// rerankExact re-ranks the ADC-selected candidates in sc.merged exactly
-// against the raw feature rows and returns the final top k — the shared
-// last stage of the single-query and batched ADC paths.
-func (s *Shard) rerankExact(req *core.SearchRequest, k int, sc *searchScratch, adm *admission) []topk.Item {
+// rerankExact scores the ADC-selected candidates exactly against the raw
+// feature rows and returns the final top k — the shared last stage of the
+// single-query and batched ADC paths. cands may come in any order (it is
+// the over-fetch selector's heap, read in place): every candidate is
+// scored, and the final selector orders by (dist, id) whatever the push
+// order, so sorting them by the ADC distance the re-rank replaces would
+// buy nothing.
+func (s *Shard) rerankExact(req *core.SearchRequest, k int, cands []topk.Item, sc *searchScratch, adm *admission) []topk.Item {
 	// Raw row reads below; keep the mmap mapping alive (see Search).
 	defer runtime.KeepAlive(s)
-	// The candidates are safely copied into sc.merged, so the pooled
-	// selectors can be reconfigured for the final top-k.
-	sel := sc.selectors(1, k)[0]
+	if sc.final == nil {
+		sc.final = topk.New(k)
+	}
+	sel := sc.final
+	sel.ResetK(k)
 	ranked := 0
 	missing := sc.missing[:0]
-	for _, it := range sc.merged {
+	for _, it := range cands {
 		row := s.feats.Row(uint32(it.ID))
 		if row == nil {
 			// The raw row is unavailable (it was scannable by code, so
@@ -1463,12 +1538,13 @@ func (s *Shard) rerankExact(req *core.SearchRequest, k int, sc *searchScratch, a
 		ranked++
 		sel.Push(it.ID, vecmath.L2Squared(req.Feature, row))
 	}
-	if ranked < k {
-		// Backfill from the next approximate candidates: sc.merged is
-		// ADC-distance-ordered, and the ADC estimate is the best score
-		// available for a row the store cannot produce. Only the shortfall
-		// is filled, so an approximate score never displaces an exact one
-		// when k exact candidates exist.
+	if ranked < k && len(missing) > 0 {
+		// Backfill from the best approximate candidates: the ADC estimate
+		// is the best score available for a row the store cannot produce,
+		// so this rare path is the one reader of ADC order and sorts for
+		// itself. Only the shortfall is filled, so an approximate score
+		// never displaces an exact one when k exact candidates exist.
+		topk.Sort(missing)
 		for _, it := range missing {
 			if ranked == k {
 				break

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"jdvs/internal/core"
 	"jdvs/internal/topk"
@@ -331,5 +332,101 @@ func BenchmarkUpdateAttrs(b *testing.B) {
 		if _, err := s.UpdateAttrs(uint64(i%10_000+1), uint32(i), 50, 999, uint16(i%8)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMixedRealtimeStages times the two stages of a quantized search
+// separately at the shape of the repo benchmark's mixed_realtime workload
+// (bench/workloads.go: ≈25k rows per shard, dim 64, 64 lists, 4-bit codes
+// with M=16, nprobe 8, every query scoped to a category — 12 of them —
+// and a price band, TopK 30 as the blender asks): scan-ns/query is the
+// ADC traversal that selects the 900-candidate over-fetch, rerank-ns/query
+// the exact re-rank of those candidates against their raw rows. ns/op
+// covers both plus query preparation (admission bitmap, probe selection,
+// lookup table). The two layouts hold the same rows: list-major is what a
+// full build leaves (BulkLoad), url-order what row-by-row inserts leave —
+// the real-time tail between two full builds, and every shard before
+// BulkLoad existed. The scan reads codes list by list either way; only the
+// re-rank's row reads see the difference.
+func BenchmarkMixedRealtimeStages(b *testing.B) {
+	const n, dim, nlists, categories, queries = 25_000, 64, 64, 12, 1024
+	rng := rand.New(rand.NewSource(53))
+	// Eight visual sub-clusters per category: a category's images share a
+	// few lists, as catalog photos of one kind of product do.
+	centres := categories * 8
+	centre := make([]float32, centres*dim)
+	for i := range centre {
+		centre[i] = float32(rng.NormFloat64() * 4)
+	}
+	rows := make([]Row, n)
+	var train []float32
+	for i := range rows {
+		c := rng.Intn(centres)
+		f := make([]float32, dim)
+		for d := range f {
+			f[d] = centre[c*dim+d] + float32(rng.NormFloat64()*0.25)
+		}
+		rows[i] = Row{Feature: f, Attrs: core.Attrs{
+			ProductID:  uint64(i/2 + 1),
+			URL:        fmt.Sprintf("jfs://mixed/%d.jpg", i),
+			Category:   uint16(c % categories),
+			PriceCents: uint32(100 + (i*37)%9900),
+		}}
+		if i < 2000 {
+			train = append(train, f...)
+		}
+	}
+	reqs := make([]*core.SearchRequest, queries)
+	for i := range reqs {
+		r := &rows[rng.Intn(n)]
+		q := make([]float32, dim)
+		for d := range q {
+			q[d] = r.Feature[d] + float32(rng.NormFloat64()*0.05)
+		}
+		reqs[i] = &core.SearchRequest{
+			Feature: q, TopK: 30, Category: int32(r.Attrs.Category),
+			MinPriceCents: 2000, MaxPriceCents: 7000,
+		}
+	}
+	layouts := []struct {
+		name string
+		load func(*Shard)
+	}{
+		{"list-major", bulkLoader(b, rows)},
+		{"url-order", insertLoader(b, rows)},
+	}
+	for _, layout := range layouts {
+		b.Run("layout="+layout.name, func(b *testing.B) {
+			cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: 16, PQBits: 4}
+			s := loadShard(b, cfg, train, layout.load)
+			ps := s.pqState.Load()
+			sc := new(searchScratch)
+			sc.ensureIDBufs(1)
+			var scan, rerank time.Duration
+			hits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := reqs[i%queries]
+				q := query{sc: sc}
+				if resp, err := s.prepare(&q, req, ps); resp != nil || err != nil {
+					b.Fatalf("prepare answered without a scan: %v %v", resp, err)
+				}
+				q.sel = sc.selectors(1, q.rerankK)[0]
+				t0 := time.Now()
+				sc.ids[0] = s.scanADC(ps, sc.probe, 0, 1, []*query{&q}, nil, sc.ids[0])
+				t1 := time.Now()
+				items := s.rerankExact(req, q.k, q.sel.Items(), sc, &q.adm)
+				rerank += time.Since(t1)
+				scan += t1.Sub(t0)
+				hits += len(items)
+			}
+			b.StopTimer()
+			if hits < b.N {
+				b.Fatalf("%d hits over %d queries", hits, b.N)
+			}
+			b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N), "scan-ns/query")
+			b.ReportMetric(float64(rerank.Nanoseconds())/float64(b.N), "rerank-ns/query")
+		})
 	}
 }

@@ -234,18 +234,16 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 	// Resolve features for valid images (check-before-extract: almost all
 	// of these hit the feature DB because the real-time path already
 	// extracted them).
-	type resolved struct {
-		attrs   core.Attrs
-		feature []float32
-	}
-	perPartition := make([][]resolved, fi.cfg.Partitions)
+	perPartition := make([][]index.Row, fi.cfg.Partitions)
 	train := make([]float32, 0, fi.cfg.TrainSample*fi.cfg.Shard.Dim)
 	trained := 0
 	// Iterate the replayed states in sorted URL order: map order would make
-	// image ID assignment and the training sample differ run to run, and a
-	// full build must be a pure function of the log — two builds of the
-	// same log serve byte-identical results (replica equality, experiment
-	// result audits).
+	// the training sample, and the order of images inside an inverted list,
+	// differ run to run, and a full build must be a pure function of the
+	// log — two builds of the same log serve byte-identical results
+	// (replica equality, experiment result audits). Image IDs themselves
+	// are handed out list-major by Shard.BulkLoad below, in this order
+	// within each list.
 	urls := make([]string, 0, len(states))
 	for url, st := range states {
 		if st.valid {
@@ -260,7 +258,7 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 			return nil, nil, fmt.Errorf("indexer: full build resolve %s: %w", url, err)
 		}
 		p := int(mq.PartitionFor(url, fi.cfg.Partitions))
-		perPartition[p] = append(perPartition[p], resolved{attrs: st.attrs, feature: entry.Feature})
+		perPartition[p] = append(perPartition[p], index.Row{Attrs: st.attrs, Feature: entry.Feature})
 		if trained < fi.cfg.TrainSample {
 			train = append(train, entry.Feature...)
 			trained++
@@ -305,10 +303,8 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 				return nil, nil, err
 			}
 		}
-		for _, rv := range perPartition[p] {
-			if _, _, err := s.Insert(rv.attrs, rv.feature); err != nil {
-				return nil, nil, fmt.Errorf("indexer: full build insert %s: %w", rv.attrs.URL, err)
-			}
+		if err := s.BulkLoad(perPartition[p]); err != nil {
+			return nil, nil, fmt.Errorf("indexer: full build partition %d: %w", p, err)
 		}
 		if p < len(covered) {
 			s.SetCoveredOffset(covered[p])

@@ -1,7 +1,9 @@
 package indexer
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"jdvs/internal/catalog"
@@ -427,6 +429,81 @@ func TestFullBuildCoveredOffsetsAndPQ(t *testing.T) {
 	for i := range a.Centroids {
 		if a.Centroids[i] != b.Centroids[i] {
 			t.Fatal("partitions trained divergent pq codebooks")
+		}
+	}
+}
+
+// requireListMajor fails unless image IDs ascend with inverted list: the
+// list of image id (its feature's nearest centroid) never decreases as id
+// grows, so every list's members are one consecutive run of IDs, rows and
+// forward records.
+func requireListMajor(t *testing.T, label string, s *index.Shard) {
+	t.Helper()
+	prev := 0
+	lists := 0
+	for id := 0; id < s.Stats().Images; id++ {
+		l := s.Codebook().Assign(s.Feature(core.ImageID(id)))
+		if l < prev {
+			t.Fatalf("%s: image %d sits in list %d, after an image of list %d", label, id, l, prev)
+		}
+		if l > prev || id == 0 {
+			lists++
+		}
+		prev = l
+	}
+	if lists < 2 {
+		t.Fatalf("%s: images fall in %d list(s); the layout is untested", label, lists)
+	}
+}
+
+// TestFullBuildListMajorAndDeterministic: a full build hands out image IDs
+// list by list, a replica loaded from its snapshot keeps that layout, and
+// the build stays a pure function of the log — two builds of one log write
+// byte-identical snapshots.
+func TestFullBuildListMajorAndDeterministic(t *testing.T) {
+	const partitions = 2
+	f := newFixture(t, 60, partitions)
+	for i := range f.cat.Products {
+		if _, err := RouteUpdate(f.queue, f.addEvent(&f.cat.Products[i], uint64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build := func() [][]byte {
+		fi, err := NewFull(FullConfig{
+			Partitions: partitions,
+			Shard:      index.Config{Dim: testDim, NLists: 8, PQSubvectors: 4, PQBits: 4},
+			Seed:       1,
+		}, f.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, _, err := fi.Build(f.queue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := make([][]byte, partitions)
+		for p, s := range shards {
+			requireListMajor(t, fmt.Sprintf("built partition %d", p), s)
+			var buf bytes.Buffer
+			if err := s.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			snaps[p] = buf.Bytes()
+			replica, err := index.New(s.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replica.LoadSnapshot(bytes.NewReader(snaps[p])); err != nil {
+				t.Fatal(err)
+			}
+			requireListMajor(t, fmt.Sprintf("snapshot-loaded partition %d", p), replica)
+		}
+		return snaps
+	}
+	first, second := build(), build()
+	for p := range first {
+		if !bytes.Equal(first[p], second[p]) {
+			t.Fatalf("partition %d: two builds of the same log wrote different snapshots", p)
 		}
 	}
 }

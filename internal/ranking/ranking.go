@@ -12,8 +12,9 @@
 package ranking
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"jdvs/internal/core"
 )
@@ -123,15 +124,14 @@ func (r *Ranker) Rank(hits []core.Hit, k int) []core.Hit {
 		}
 		h.Score = score
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		// Deterministic ordering for equal scores.
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ProductID < out[j].ProductID
+	slices.SortFunc(out, func(a, b core.Hit) int {
+		// Descending score; equal scores order deterministically by
+		// distance, then product (unique after the dedup above).
+		return cmp.Or(
+			cmp.Compare(b.Score, a.Score),
+			cmp.Compare(a.Dist, b.Dist),
+			cmp.Compare(a.ProductID, b.ProductID),
+		)
 	})
 	if len(out) > k {
 		out = out[:k]

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +45,7 @@ import (
 	"jdvs/internal/metrics"
 	"jdvs/internal/rpc"
 	"jdvs/internal/search"
+	"jdvs/internal/topk"
 )
 
 // Config assembles a broker.
@@ -533,18 +533,18 @@ func (b *Broker) handleSearch(payload []byte) ([]byte, error) {
 	wg.Wait()
 
 	merged := &core.SearchResponse{}
-	okCount := 0
+	pages := make([][]core.Hit, 0, len(results))
 	var lastErr error
 	for _, r := range results {
 		if r.err != nil {
 			lastErr = r.err
 			continue
 		}
-		okCount++
-		merged.Hits = append(merged.Hits, r.resp.Hits...)
+		pages = append(pages, r.resp.Hits)
 		merged.Scanned += r.resp.Scanned
 		merged.Probed += r.resp.Probed
 	}
+	okCount := len(pages)
 	if okCount == 0 {
 		return nil, fmt.Errorf("broker: all partitions failed: %w", lastErr)
 	}
@@ -552,15 +552,15 @@ func (b *Broker) handleSearch(payload []byte) ([]byte, error) {
 		b.partials.Inc()
 	}
 	// Keep the k best across partitions; the blender re-ranks globally.
-	sort.Slice(merged.Hits, func(i, j int) bool {
-		if merged.Hits[i].Dist != merged.Hits[j].Dist {
-			return merged.Hits[i].Dist < merged.Hits[j].Dist
-		}
-		return merged.Hits[i].Image.Pack() < merged.Hits[j].Image.Pack()
-	})
-	if req.TopK > 0 && len(merged.Hits) > req.TopK {
-		merged.Hits = merged.Hits[:req.TopK]
+	// Every partition's page arrives ordered by (dist, image ref) — the
+	// shard's final selector order with the partition stamped in — so a
+	// k-way merge of the page heads yields the order a sort of the
+	// concatenation would, without touching hits past the k-th.
+	k := req.TopK
+	if k <= 0 {
+		k = math.MaxInt // unbounded: every hit, merged
 	}
+	merged.Hits = topk.Merge(k, hitBefore, pages...)
 	out := core.EncodeSearchResponse(merged)
 	// Cache only complete pages: a partial would pin a missing partition's
 	// absence into every repeat of a hot query until invalidation.
@@ -568,6 +568,15 @@ func (b *Broker) handleSearch(payload []byte) ([]byte, error) {
 		b.rcache.put(ckey, out, cmarks)
 	}
 	return out, nil
+}
+
+// hitBefore is the broker's page order: ascending distance, ties by packed
+// image reference.
+func hitBefore(a, b *core.Hit) bool {
+	if a.Dist != b.Dist {
+		return a.Dist < b.Dist
+	}
+	return a.Image.Pack() < b.Image.Pack()
 }
 
 // GroupStats is one partition group's live replica-attempt latency

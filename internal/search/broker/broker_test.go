@@ -1,11 +1,13 @@
 package broker
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -172,6 +174,11 @@ func TestFanOutMergesAcrossPartitions(t *testing.T) {
 	}
 }
 
+// TestMergeOrderedAndTruncated pins the broker's k-way merge to the page a
+// sort of the concatenated partition pages would give — same hits, same
+// order, same bytes on the wire — for a truncating TopK, one past every
+// hit, and the unbounded TopK 0. The query is chosen so that distances tie
+// across partitions, which the packed image reference must break.
 func TestMergeOrderedAndTruncated(t *testing.T) {
 	f := newTwoPartitions(t, 1)
 	b, err := New(Config{PartitionReplicas: f.groups()})
@@ -179,26 +186,52 @@ func TestMergeOrderedAndTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	rng := rand.New(rand.NewSource(1))
+	// The origin: the fixture's features are unit-norm, so distances take
+	// only the few float32 values next to 1 and repeat across partitions.
 	q := make([]float32, testDim)
-	for i := range q {
-		q[i] = float32(rng.NormFloat64())
-	}
-	resp, err := callBroker(t, b.Addr(), &core.SearchRequest{Feature: q, TopK: 7, NProbe: 8, Category: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Hits) != 7 {
-		t.Fatalf("merged %d hits, want 7", len(resp.Hits))
-	}
-	for i := 1; i < len(resp.Hits); i++ {
-		if resp.Hits[i].Dist < resp.Hits[i-1].Dist {
-			t.Fatalf("merged hits not sorted by distance: %+v", resp.Hits)
+	for _, topK := range []int{7, 1000, 0} {
+		req := &core.SearchRequest{Feature: q, TopK: topK, NProbe: 8, Category: -1}
+		var want []core.Hit
+		probed := 0
+		for _, group := range f.searchers {
+			page, err := callBroker(t, group[0].Addr(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, page.Hits...)
+			probed += page.Probed
 		}
-	}
-	// Scan diagnostics aggregate across partitions.
-	if resp.Probed < 2 {
-		t.Fatalf("probed = %d, want >= 2", resp.Probed)
+		slices.SortFunc(want, func(a, b core.Hit) int {
+			return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Image.Pack(), b.Image.Pack()))
+		})
+		ties := 0
+		for i := 1; i < len(want); i++ {
+			if want[i].Dist == want[i-1].Dist && want[i].Image.Partition != want[i-1].Image.Partition {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("TopK %d: no cross-partition distance tie among %d hits; the tie order is untested", topK, len(want))
+		}
+		if topK > 0 && len(want) > topK {
+			want = want[:topK]
+		}
+		resp, err := callBroker(t, b.Addr(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Hits) != len(want) || len(want) == 0 {
+			t.Fatalf("TopK %d: merged %d hits, want %d (> 0)", topK, len(resp.Hits), len(want))
+		}
+		for i := range want {
+			if resp.Hits[i] != want[i] {
+				t.Fatalf("TopK %d: hit %d = %+v, want %+v", topK, i, resp.Hits[i], want[i])
+			}
+		}
+		// Scan diagnostics aggregate across partitions.
+		if resp.Probed != probed {
+			t.Fatalf("probed = %d, want %d", resp.Probed, probed)
+		}
 	}
 }
 

@@ -269,7 +269,10 @@ func TestSwapShardZeroDowntime(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	f := newFixture(t, 5)
-	s, err := New(Config{Partition: 2, Shard: f.shard})
+	// Every search sleeps 2ms, so the search-latency figures have a floor
+	// the assertion below can name.
+	const delay = 2 * time.Millisecond
+	s, err := New(Config{Partition: 2, Shard: f.shard, SearchDelay: delay, SearchDelayFraction: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +295,10 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Partition != 2 || st.Searches != 1 || st.Index.Images == 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// The histogram's buckets are ≈6% wide, the percentile their lower bound.
+	if floor := delay.Microseconds(); st.SearchAvgMicros < floor || st.SearchP99Micros < floor*9/10 {
+		t.Fatalf("search latency avg %dµs p99 %dµs, want both about %dµs or more", st.SearchAvgMicros, st.SearchP99Micros, floor)
 	}
 }
 

@@ -2,11 +2,11 @@
 // and k-way merging of partial result lists.
 //
 // Searchers use a Selector to keep the k nearest images while scanning
-// inverted lists; brokers and blenders use Merge to combine partial top-k
-// lists from downstream nodes into a global top-k.
+// inverted lists; brokers use Merge to combine the sorted pages of their
+// partitions into a global top-k.
 package topk
 
-import "sort"
+import "slices"
 
 // Item is a candidate search result: an opaque 64-bit identifier and its
 // distance to the query. Lower distance is better.
@@ -88,7 +88,7 @@ func (s *Selector) Push(id uint64, dist float32) bool {
 func (s *Selector) Results() []Item {
 	out := s.heap
 	s.heap = make([]Item, 0, s.k)
-	sortItems(out)
+	Sort(out)
 	return out
 }
 
@@ -111,6 +111,13 @@ func (s *Selector) ResetK(k int) {
 	s.heap = s.heap[:0]
 }
 
+// Items returns the retained items in heap order — unspecified, but a pure
+// function of the pushes — without sorting or draining: the read for
+// callers that re-score every retained item anyway (the ADC over-fetch on
+// its way to the exact re-rank). The slice is the selector's own; it is
+// invalidated by the next Push, Reset or ResetK.
+func (s *Selector) Items() []Item { return s.heap }
+
 // Sorted sorts the retained items in place by ascending distance (ties
 // broken by ascending ID) and returns the selector's internal slice.
 // Unlike Results it performs no allocation, which makes it the right
@@ -118,7 +125,7 @@ func (s *Selector) ResetK(k int) {
 // invariant: call Reset or ResetK before pushing again, and treat the
 // returned slice as invalidated by any subsequent use of the selector.
 func (s *Selector) Sorted() []Item {
-	sortItems(s.heap)
+	Sort(s.heap)
 	return s.heap
 }
 
@@ -152,58 +159,48 @@ func (s *Selector) siftDown(i int) {
 	}
 }
 
-func sortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+// Sort orders items by (Dist, ID) ascending, the order Sorted and Results
+// return.
+func Sort(items []Item) {
+	slices.SortFunc(items, func(a, b Item) int {
+		switch {
+		case itemLess(a, b):
+			return -1
+		case itemLess(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
-// Merge combines several already-sorted partial top-k lists into a single
-// sorted list of at most k items. Inputs must be sorted by ascending
-// distance (as produced by Selector.Results); Merge does not verify this.
-// Duplicate IDs are retained — deduplication is a ranking concern, not a
-// selection concern.
-func Merge(k int, lists ...[]Item) []Item {
-	return MergeInto(nil, k, lists...)
-}
-
-// MergeInto is Merge appending into dst (sliced to zero length first), so
-// per-query merge buffers can be pooled and reused without reallocating.
-// dst must not overlap any of the input lists. It returns the extended
-// slice.
-func MergeInto(dst []Item, k int, lists ...[]Item) []Item {
-	dst = dst[:0]
-	if k <= 0 {
-		return dst
-	}
+// Merge combines several partial lists, each already ascending under less
+// (a strict total order — e.g. a Selector's Sorted output under (Dist, ID)),
+// into one ascending list of at most k elements (nil when there are none).
+// Merge does not verify the inputs' order; duplicates are retained —
+// deduplication is a ranking concern, not a selection concern.
+func Merge[T any](k int, less func(a, b *T) bool, lists ...[]T) []T {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	if total == 0 {
-		return dst
+	if k <= 0 || total == 0 {
+		return nil
 	}
-	// Small constant number of lists (scan workers per shard, searchers per
-	// broker, brokers per blender): a repeated linear scan over list heads
-	// beats heap overhead.
+	// Small constant number of lists (searchers per broker): a repeated
+	// linear scan over list heads beats heap overhead.
 	var headsArr [16]int
 	heads := headsArr[:]
 	if len(lists) > len(headsArr) {
 		heads = make([]int, len(lists))
 	}
-	out := dst
-	if cap(out) < min(k, total) {
-		out = make([]Item, 0, min(k, total))
-	}
+	out := make([]T, 0, min(k, total))
 	for len(out) < k {
 		best := -1
 		for i, l := range lists {
 			if heads[i] >= len(l) {
 				continue
 			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			if itemLess(l[heads[i]], lists[best][heads[best]]) {
+			if best == -1 || less(&l[heads[i]], &lists[best][heads[best]]) {
 				best = i
 			}
 		}
@@ -214,11 +211,4 @@ func MergeInto(dst []Item, k int, lists ...[]Item) []Item {
 		heads[best]++
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

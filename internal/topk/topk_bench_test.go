@@ -48,7 +48,7 @@ func BenchmarkMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := Merge(10, lists...); len(got) != 10 {
+		if got := Merge(10, lessPtr, lists...); len(got) != 10 {
 			b.Fatal("short merge")
 		}
 	}

@@ -1,8 +1,9 @@
 package topk
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -109,12 +110,7 @@ func TestSelectorMatchesSortOracle(t *testing.T) {
 
 		oracle := make([]Item, n)
 		copy(oracle, items)
-		sort.Slice(oracle, func(i, j int) bool {
-			if oracle[i].Dist != oracle[j].Dist {
-				return oracle[i].Dist < oracle[j].Dist
-			}
-			return oracle[i].ID < oracle[j].ID
-		})
+		sortOracle(oracle)
 		if len(oracle) > k {
 			oracle = oracle[:k]
 		}
@@ -157,10 +153,22 @@ func TestSelectorResultsSortedProperty(t *testing.T) {
 	}
 }
 
+// sortOracle orders items by (Dist, ID) with a comparator written apart
+// from itemLess, for the tests that check selection and merging against
+// sort-everything.
+func sortOracle(items []Item) {
+	slices.SortFunc(items, func(a, b Item) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+	})
+}
+
+// lessPtr is the selector's (Dist, ID) order in the shape Merge takes.
+func lessPtr(a, b *Item) bool { return itemLess(*a, *b) }
+
 func TestMergeBasics(t *testing.T) {
 	a := []Item{{1, 1}, {3, 3}, {5, 5}}
 	b := []Item{{2, 2}, {4, 4}, {6, 6}}
-	got := Merge(4, a, b)
+	got := Merge(4, lessPtr, a, b)
 	want := []uint64{1, 2, 3, 4}
 	if len(got) != len(want) {
 		t.Fatalf("Merge = %v", got)
@@ -173,17 +181,17 @@ func TestMergeBasics(t *testing.T) {
 }
 
 func TestMergeEdgeCases(t *testing.T) {
-	if got := Merge(0, []Item{{1, 1}}); got != nil {
+	if got := Merge(0, lessPtr, []Item{{1, 1}}); got != nil {
 		t.Errorf("k=0 should merge to nil, got %v", got)
 	}
-	if got := Merge(5); got != nil {
+	if got := Merge[Item](5, lessPtr); got != nil {
 		t.Errorf("no lists should merge to nil, got %v", got)
 	}
-	if got := Merge(5, nil, nil); got != nil {
+	if got := Merge[Item](5, lessPtr, nil, nil); got != nil {
 		t.Errorf("empty lists should merge to nil, got %v", got)
 	}
 	// k larger than total.
-	got := Merge(10, []Item{{1, 1}}, []Item{{2, 2}})
+	got := Merge(10, lessPtr, []Item{{1, 1}}, []Item{{2, 2}})
 	if len(got) != 2 {
 		t.Errorf("merge of 2 items with k=10: got %v", got)
 	}
@@ -254,34 +262,19 @@ func TestSortedMatchesResults(t *testing.T) {
 	}
 }
 
-func TestMergeIntoReusesBuffer(t *testing.T) {
-	a := []Item{{1, 1}, {3, 3}}
-	b := []Item{{2, 2}, {4, 4}}
-	buf := make([]Item, 0, 8)
-	got := MergeInto(buf, 3, a, b)
-	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 2 || got[2].ID != 3 {
-		t.Fatalf("MergeInto = %v", got)
-	}
-	if &got[:1][0] != &buf[:1][0] {
-		t.Fatal("MergeInto reallocated despite sufficient capacity")
-	}
-	// A stale longer result is truncated, not retained.
-	got = MergeInto(got, 1, a)
-	if len(got) != 1 || got[0].ID != 1 {
-		t.Fatalf("MergeInto reuse = %v", got)
-	}
-	// More lists than the inline head buffer handles.
+// TestMergeManyLists: more lists than the inline head buffer handles.
+func TestMergeManyLists(t *testing.T) {
 	var lists [][]Item
 	for i := 0; i < 20; i++ {
 		lists = append(lists, []Item{{uint64(i), float32(i)}})
 	}
-	got = MergeInto(nil, 20, lists...)
+	got := Merge(20, lessPtr, lists...)
 	if len(got) != 20 {
-		t.Fatalf("wide MergeInto len = %d", len(got))
+		t.Fatalf("wide Merge len = %d", len(got))
 	}
 	for i := range got {
 		if got[i].ID != uint64(i) {
-			t.Fatalf("wide MergeInto[%d] = %v", i, got[i])
+			t.Fatalf("wide Merge[%d] = %v", i, got[i])
 		}
 	}
 }
@@ -302,22 +295,12 @@ func TestMergeMatchesSortOracle(t *testing.T) {
 				list[i] = Item{ID: id, Dist: float32(rng.Intn(30))}
 				id++
 			}
-			sort.Slice(list, func(i, j int) bool {
-				if list[i].Dist != list[j].Dist {
-					return list[i].Dist < list[j].Dist
-				}
-				return list[i].ID < list[j].ID
-			})
+			sortOracle(list)
 			lists = append(lists, list)
 			all = append(all, list...)
 		}
-		got := Merge(k, lists...)
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Dist != all[j].Dist {
-				return all[i].Dist < all[j].Dist
-			}
-			return all[i].ID < all[j].ID
-		})
+		got := Merge(k, lessPtr, lists...)
+		sortOracle(all)
 		if len(all) > k {
 			all = all[:k]
 		}
@@ -329,5 +312,24 @@ func TestMergeMatchesSortOracle(t *testing.T) {
 				t.Fatalf("trial %d: merge mismatch at %d:\ngot  %v\nwant %v", trial, i, got, all)
 			}
 		}
+	}
+}
+
+// TestItemsReadsWithoutDraining: Items exposes the retained set unsorted
+// and leaves the selector usable — later pushes still select correctly.
+func TestItemsReadsWithoutDraining(t *testing.T) {
+	s := New(4)
+	for i, d := range []float32{9, 1, 7, 3, 5, 8} {
+		s.Push(uint64(i), d)
+	}
+	got := append([]Item(nil), s.Items()...)
+	sortOracle(got)
+	want := []Item{{1, 1}, {3, 3}, {4, 5}, {2, 7}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Items = %v, want the set %v", got, want)
+	}
+	s.Push(6, 2) // evicts {2 7}; only a still-valid heap picks the right victim
+	if got := s.Sorted(); !slices.Equal(got, []Item{{1, 1}, {6, 2}, {3, 3}, {4, 5}}) {
+		t.Fatalf("after Items and one more push: %v", got)
 	}
 }
