@@ -80,9 +80,11 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
 	}
-	fmt.Printf("photo of product %d (%s) -> %d results in %s (%d candidates scanned)\n\n",
+	// Lists probed 0 with candidates scanned means every searcher answered
+	// the filtered query by scoring its admitted rows exactly.
+	fmt.Printf("photo of product %d (%s) -> %d results in %s (%d candidates scanned, %d lists probed)\n\n",
 		target.ID, cat.CategoryName(target.Category), len(resp.Hits),
-		time.Since(t0).Round(time.Microsecond), resp.Scanned)
+		time.Since(t0).Round(time.Microsecond), resp.Scanned, resp.Probed)
 	fmt.Printf("%4s  %9s  %-12s  %8s  %8s  %7s  %9s\n", "rank", "product", "category", "dist", "score", "sales", "price")
 	for i, h := range resp.Hits {
 		marker := " "

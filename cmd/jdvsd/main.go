@@ -60,8 +60,6 @@ func run() error {
 		pqBits    = flag.Int("pq-bits", 0, "searcher: PQ code bit width: 8 (default) = one code byte per subvector, 4 = two 16-centroid subvectors packed per byte, scanned through the blocked fast-scan kernel at half the code memory")
 		batchWin  = flag.Duration("batch-window", 0, "searcher: collect concurrent searches arriving within this window into one batched index pass (0 = disabled; adds up to the window to a lone query's latency)")
 		batchMax  = flag.Int("batch-max-queries", 0, "searcher: cap on one search batch; a full window executes immediately (0 = default 16)")
-		filterNP  = flag.Int("filter-max-nprobe", 0, "searcher: cap on the adaptive probe widening for filtered queries (0 = 8× the base width, clamped to -nlists; set to -nlists to let very selective filters scan every list)")
-		filterRK  = flag.Int("filter-max-rerank", 0, "searcher: cap on the matching ADC re-rank widening for filtered queries (0 = 4× the unfiltered depth)")
 		pqSample  = flag.Int("pq-train-sample", 10000, "searcher: stored rows used to train PQ when the snapshot carries no codes")
 		featStore = flag.String("feature-store", "", "searcher: where raw feature rows live: ram (default, dim×4 heap bytes per image) or mmap (rows tiered onto a page-cache-served spill file — RAM holds only the PQ codes, so one shard fits several× more images)")
 		spillDir  = flag.String("spill-dir", "", "searcher: directory for feature-store spill files with -feature-store mmap (default: OS temp dir; files are unlinked at creation)")
@@ -86,7 +84,6 @@ func run() error {
 		shard, err := index.New(index.Config{
 			Dim: *dim, NLists: *nlists, ListInitialCap: *listCap, DefaultNProbe: *nprobe,
 			PQSubvectors: *pqM, PQBits: *pqBits, RerankK: *pqRerank,
-			FilterMaxNProbe: *filterNP, FilterMaxRerankK: *filterRK,
 			FeatureStore: *featStore, SpillDir: *spillDir,
 		})
 		if err != nil {

@@ -260,7 +260,7 @@ func And(dst, a, b Words) Words {
 }
 
 // AndCount returns the number of set bits in a ∧ b without materialising
-// the intersection — the selectivity estimate the scan widens nprobe from.
+// the intersection.
 func AndCount(a, b Words) int {
 	n := min(len(a), len(b))
 	c := 0

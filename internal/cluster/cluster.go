@@ -88,14 +88,6 @@ type Config struct {
 	// SearchBatch pass over the shard. Zero window disables batching.
 	BatchWindow     time.Duration
 	BatchMaxQueries int
-	// FilterMaxNProbe / FilterMaxRerankK cap the adaptive widening the
-	// searchers apply to filtered queries (category scope or price/sales
-	// predicates): a selective filter raises nprobe — and the ADC re-rank
-	// depth by the same factor — so the page still fills
-	// (index.Config.FilterMaxNProbe / FilterMaxRerankK; 0 derives 8× the
-	// base width resp. 4× the unfiltered depth).
-	FilterMaxNProbe  int
-	FilterMaxRerankK int
 	// FeatureStore selects where each searcher shard keeps its raw
 	// feature rows (index.Config.FeatureStore): "ram" (default) holds
 	// dim×4 bytes per image on the heap; "mmap" tiers the rows onto an
@@ -203,18 +195,16 @@ func (c *Config) fill() {
 // builds — at bootstrap and at every Reindex.
 func (c *Config) shardConfig() index.Config {
 	return index.Config{
-		Dim:              c.Dim,
-		NLists:           c.NLists,
-		ListInitialCap:   c.ListInitialCap,
-		DefaultNProbe:    c.DefaultNProbe,
-		SearchWorkers:    c.SearchWorkers,
-		PQSubvectors:     c.PQSubvectors,
-		PQBits:           c.PQBits,
-		RerankK:          c.RerankK,
-		FilterMaxNProbe:  c.FilterMaxNProbe,
-		FilterMaxRerankK: c.FilterMaxRerankK,
-		FeatureStore:     c.FeatureStore,
-		SpillDir:         c.SpillDir,
+		Dim:            c.Dim,
+		NLists:         c.NLists,
+		ListInitialCap: c.ListInitialCap,
+		DefaultNProbe:  c.DefaultNProbe,
+		SearchWorkers:  c.SearchWorkers,
+		PQSubvectors:   c.PQSubvectors,
+		PQBits:         c.PQBits,
+		RerankK:        c.RerankK,
+		FeatureStore:   c.FeatureStore,
+		SpillDir:       c.SpillDir,
 	}
 }
 

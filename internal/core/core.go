@@ -132,8 +132,9 @@ type SearchResponse struct {
 	// Scanned is the number of candidate images whose distances were
 	// computed: on the exact path the admitted candidates, on the ADC path
 	// (either code width) every code in the probed lists — codes are
-	// scored a block at a time before admission is consulted. Probed is
-	// the number of inverted lists visited.
+	// scored a block at a time before admission is consulted; on a
+	// filtered query's exact plan every admitted row. Probed is the number
+	// of inverted lists visited — 0 on the exact plan.
 	Scanned int
 	Probed  int
 }

@@ -149,9 +149,9 @@ func hedge(Scale) ab {
 
 // filtered: side 1 scopes every query to its product's category (plus an
 // always-true price floor, so the predicate machinery is exercised too)
-// over a catalog of 100 categories; the searchers'
-// bitmap-admission pushdown with adaptive probe widening is what keeps
-// the scoped page full.
+// over a catalog of 100 categories; the searchers' bitmap admission,
+// which answers a query this selective by scoring every admitted row
+// exactly, is what keeps the scoped page full.
 func filtered(sc Scale) ab {
 	// A scoped query admits ≈1/categories of the corpus: the 1% band the
 	// recall gate is pinned at (TestFilteredRecallGuardrail).
@@ -169,8 +169,8 @@ func filtered(sc Scale) ab {
 			lc.MinPriceCents = 1
 		},
 		notes: func(rep *Report) {
-			rep.notef("scoped queries admit only their product's category; bitmap admission plus")
-			rep.notef("adaptive probe widening is what keeps the scoped full-page rate near 1.")
+			rep.notef("scoped queries admit only their product's category; bitmap admission and")
+			rep.notef("exact scoring of the admitted rows keep the scoped full-page rate near 1.")
 		},
 	}
 }

@@ -121,7 +121,7 @@ func TestRegistrySmallScale(t *testing.T) {
 		},
 		"filtered": {
 			// 2,000 products × ~2 images over 100 categories leave ~40
-			// images per category: widening can always fill a page of 10.
+			// images per category: the exact plan can always fill a page of 10.
 			scale:   Scale{Products: 2_000, Partitions: 2, Duration: 400 * ms, Threads: 2, Seed: 12},
 			headers: []string{"Filtered search", "side", "QPS", "mean", "p99", "queries", "errors", "full-page", "unscoped", "scoped"},
 			check: func(t *testing.T, sc Scale, rep *Report) {

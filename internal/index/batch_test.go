@@ -180,8 +180,7 @@ func TestSearchBatchDuplicateSingleFlight(t *testing.T) {
 }
 
 // TestSearchBatchFiltered: predicate-filtered members inside a batch keep
-// the adaptive probe/re-rank widening and exact filtering of the
-// unbatched path.
+// the plan and exact filtering of the unbatched path.
 func TestSearchBatchFiltered(t *testing.T) {
 	_, quant, feats := buildPQBitsPair(t, 2000, 32, 16, 8, 4)
 	reqs := []*core.SearchRequest{

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
 	"jdvs/internal/core"
+	"jdvs/internal/topk"
 	"jdvs/internal/vecmath"
 )
 
@@ -72,38 +72,45 @@ func buildFilterShard(t testing.TB, n, dim, nlists, pqM int, cfgMut func(*Config
 }
 
 // filterOracle is the post-filter reference: exact L2 over every valid
-// image, the filter applied afterwards, then top-k — the semantics the
-// pushdown must reproduce.
-func filterOracle(s *Shard, feats [][]float32, req *core.SearchRequest) []uint32 {
-	type cand struct {
-		id uint32
-		d  float32
-	}
-	var cands []cand
-	for id := 0; id < len(feats); id++ {
-		if !s.Valid(uint32(id)) {
-			continue
-		}
-		a, ok := s.Attrs(uint32(id))
-		if !ok {
-			continue
-		}
+// committed image — or, with lists non-nil, over the members of those
+// inverted lists only — the filter applied afterwards, then the k nearest
+// by (distance, id). Over every image it is the page the exact plan must
+// return; over a probe set, the page an exact scan of those lists must.
+func filterOracle(s *Shard, req *core.SearchRequest, lists []int) []topk.Item {
+	var cands []topk.Item
+	consider := func(id uint32) bool {
+		a, ok := s.Attrs(id)
 		h := core.Hit{Sales: a.Sales, PriceCents: a.PriceCents, Category: a.Category}
-		if !req.AdmitsHit(&h) {
-			continue
+		if ok && s.Valid(id) && req.AdmitsHit(&h) {
+			cands = append(cands, topk.Item{ID: uint64(id), Dist: vecmath.L2Squared(req.Feature, s.Feature(id))})
 		}
-		cands = append(cands, cand{uint32(id), vecmath.L2Squared(req.Feature, feats[id])})
+		return true
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	k := req.TopK
-	if len(cands) > k {
-		cands = cands[:k]
+	if lists == nil {
+		for id := uint32(0); id < uint32(s.fwd.Len()); id++ {
+			consider(id)
+		}
+	} else {
+		for _, l := range lists {
+			s.inv.Scan(l, consider)
+		}
 	}
-	ids := make([]uint32, len(cands))
-	for i, c := range cands {
-		ids[i] = c.id
+	topk.Sort(cands)
+	return cands[:min(len(cands), req.TopK)]
+}
+
+// requirePage fails unless resp's hits are exactly want — same images,
+// same distances, same order.
+func requirePage(t *testing.T, label string, resp *core.SearchResponse, want []topk.Item) {
+	t.Helper()
+	if len(resp.Hits) != len(want) {
+		t.Fatalf("%s: %d hits, oracle %d", label, len(resp.Hits), len(want))
 	}
-	return ids
+	for i, h := range resp.Hits {
+		if uint64(h.Image.Local) != want[i].ID || h.Dist != want[i].Dist {
+			t.Fatalf("%s: hit %d is (%d, %g), oracle (%d, %g)", label, i, h.Image.Local, h.Dist, want[i].ID, want[i].Dist)
+		}
+	}
 }
 
 func filterQuery(rng *rand.Rand, feats [][]float32, dim int) []float32 {
@@ -148,16 +155,16 @@ func TestFilteredExactMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := filterOracle(s, feats, &req)
+				want := filterOracle(s, &req, nil)
 				if len(resp.Hits) != len(want) {
 					t.Fatalf("query %d: %d hits, oracle %d", qi, len(resp.Hits), len(want))
 				}
-				wantSet := make(map[uint32]bool, len(want))
-				for _, id := range want {
-					wantSet[id] = true
+				wantSet := make(map[uint64]bool, len(want))
+				for _, it := range want {
+					wantSet[it.ID] = true
 				}
 				for _, h := range resp.Hits {
-					if !wantSet[h.Image.Local] {
+					if !wantSet[uint64(h.Image.Local)] {
 						t.Fatalf("query %d: hit %d not in oracle set", qi, h.Image.Local)
 					}
 					if !req.AdmitsHit(&h) {
@@ -195,12 +202,12 @@ func TestFilteredEmptyCategory(t *testing.T) {
 	}
 }
 
-// TestFilteredRecallGuardrail is the accuracy gate on the filtered ADC
-// path: at 1% selectivity, recall@10 against the exact post-filter oracle
-// must stay at least 0.95 and every query must fill its page. Adaptive
-// widening is what makes this pass at the default probe width — 1% of the
-// corpus spread over all lists leaves too few admitted candidates in 8
-// lists.
+// TestFilteredRecallGuardrail is the accuracy gate on filtered queries
+// over a quantized shard: at 1% selectivity, recall@10 against the exact
+// post-filter oracle must stay at least 0.95 and every query must fill its
+// page. 1% of the corpus spread over all lists leaves too few admitted
+// candidates in 8 lists; the exact plan, which scores every admitted row,
+// is what makes this pass at the default probe width.
 func TestFilteredRecallGuardrail(t *testing.T) {
 	const n, dim, queries = 6000, 64, 60
 	s, feats := buildFilterShard(t, n, dim, 32, 16, nil)
@@ -216,115 +223,259 @@ func TestFilteredRecallGuardrail(t *testing.T) {
 		if len(resp.Hits) != 10 {
 			t.Fatalf("query %d: %d hits, want a full page of 10", qi, len(resp.Hits))
 		}
-		truth := filterOracle(s, feats, req)
-		truthSet := make(map[uint32]bool, len(truth))
-		for _, id := range truth {
-			truthSet[id] = true
+		truth := filterOracle(s, req, nil)
+		truthSet := make(map[uint64]bool, len(truth))
+		for _, it := range truth {
+			truthSet[it.ID] = true
 		}
 		want += len(truth)
 		for _, h := range resp.Hits {
-			if truthSet[h.Image.Local] {
+			if truthSet[uint64(h.Image.Local)] {
 				hit++
 			}
 		}
 	}
 	recall := float64(hit) / float64(want)
-	t.Logf("filtered ADC recall@10 at 1%% selectivity over %d queries: %.4f", queries, recall)
+	t.Logf("filtered recall@10 at 1%% selectivity over %d queries: %.4f", queries, recall)
 	if recall < 0.95 {
 		t.Fatalf("filtered recall@10 = %.4f, want >= 0.95", recall)
 	}
 }
 
-// TestFilteredProbeWidening: a selective filter must widen the probe set
-// (visible via Probed) up to FilterMaxNProbe, while unfiltered queries
-// keep the configured width. At maximum selectivity the widening reaches
-// every list, so all matches — fewer than k — come back.
-func TestFilteredProbeWidening(t *testing.T) {
-	const n, dim, nlists = 4000, 32, 32
-	s, feats := buildFilterShard(t, n, dim, nlists, 0, func(c *Config) {
-		c.DefaultNProbe = 2
-		c.FilterMaxNProbe = nlists
-	})
-	rng := rand.New(rand.NewSource(5))
-	q := filterQuery(rng, feats, dim)
+// planWidths are the three scan configurations a filtered query can meet:
+// unquantised, and 4-bit and 8-bit codes (M=8 over dim 32).
+var planWidths = []struct {
+	name      string
+	pqM, bits int
+}{{"bits=0", 0, 0}, {"bits=4", 8, 4}, {"bits=8", 8, 8}}
 
-	plain, err := s.Search(&core.SearchRequest{Feature: q, TopK: 10, Category: -1})
-	if err != nil {
-		t.Fatal(err)
+// TestFilteredPlanMatchesOracle: a filtered query admitting no more rows
+// than its probe would score takes the exact plan — no list probed, every
+// admitted row scored — and returns exactly the brute-force post-filter
+// page at every code width, since the plan reads raw rows, not codes. The
+// 50% band is under the limit because 10 of 16 lists hold 2,500 rows; the
+// 0.1% band holds fewer images than k, so all of them come back. The
+// unfiltered query keeps the list scan and counts as neither.
+func TestFilteredPlanMatchesOracle(t *testing.T) {
+	const n, dim, nlists, nprobe, perBand = 4000, 32, 16, 10, 5
+	bands := []struct {
+		name     string
+		req      core.SearchRequest
+		admitted int
+	}{
+		{"selectivity=0.1%", core.SearchRequest{Category: 1}, n / 1000},
+		{"selectivity=1%", core.SearchRequest{Category: 2}, n / 100},
+		{"selectivity=10%", core.SearchRequest{Category: 3}, n / 10},
+		{"selectivity=50%", core.SearchRequest{Category: -1, MinSales: 50}, n / 2},
 	}
-	if plain.Probed != 2 {
-		t.Fatalf("unfiltered probe width %d, want the configured 2", plain.Probed)
-	}
-
-	oneP, err := s.Search(&core.SearchRequest{Feature: q, TopK: 10, Category: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oneP.Probed <= 2 || oneP.Probed > nlists {
-		t.Fatalf("1%% filter probed %d lists, want widened into (2, %d]", oneP.Probed, nlists)
-	}
-	if len(oneP.Hits) != 10 {
-		t.Fatalf("1%% filter returned %d hits, want full page of 10", len(oneP.Hits))
-	}
-
-	tiny, err := s.Search(&core.SearchRequest{Feature: q, TopK: 10, Category: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.Probed != nlists {
-		t.Fatalf("0.1%% filter probed %d lists, want all %d", tiny.Probed, nlists)
-	}
-	if len(tiny.Hits) != n/1000 {
-		t.Fatalf("0.1%% filter returned %d hits, want all %d matches", len(tiny.Hits), n/1000)
-	}
-
-	st := s.Stats()
-	if st.FilteredSearches != 2 {
-		t.Fatalf("FilteredSearches = %d, want 2 (the unfiltered query must not count)", st.FilteredSearches)
+	for _, w := range planWidths {
+		t.Run(w.name, func(t *testing.T) {
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			rng := rand.New(rand.NewSource(29))
+			for _, band := range bands {
+				for qi := 0; qi < perBand; qi++ {
+					req := band.req
+					req.Feature = filterQuery(rng, feats, dim)
+					req.TopK, req.NProbe = 10, nprobe
+					resp, err := s.Search(&req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s query %d", band.name, qi)
+					if resp.Probed != 0 || resp.Scanned != band.admitted {
+						t.Fatalf("%s: probed %d scanned %d, want the exact plan's 0 lists and %d rows",
+							label, resp.Probed, resp.Scanned, band.admitted)
+					}
+					requirePage(t, label, resp, filterOracle(s, &req, nil))
+				}
+			}
+			plain, err := s.Search(&core.SearchRequest{Feature: feats[0], TopK: 10, NProbe: nprobe, Category: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Probed != nprobe {
+				t.Fatalf("unfiltered query probed %d lists, want %d", plain.Probed, nprobe)
+			}
+			st := s.Stats()
+			if want := int64(len(bands) * perBand); st.FilteredSearches != want || st.ExactPlanSearches != want {
+				t.Fatalf("FilteredSearches %d ExactPlanSearches %d, want %d each (the unfiltered query counts as neither)",
+					st.FilteredSearches, st.ExactPlanSearches, want)
+			}
+		})
 	}
 }
 
-// TestWidenKnobs pins the widening arithmetic and its caps.
-func TestWidenKnobs(t *testing.T) {
-	s := &Shard{cfg: Config{NLists: 64, DefaultNProbe: 8}}
-	// 640 matches over 64 lists at k=10: 3·10·64/640 = 3 lists suffice —
-	// never narrow below the requested width.
-	if got := s.widenNProbe(8, 10, 640); got != 8 {
-		t.Fatalf("abundant matches widened to %d, want 8", got)
+// TestExactPlanTailAndDelisted: the exact plan reads the admission bitmap
+// below its coverage and checks the rows past it one by one. Rows appended
+// after the cached predicate bitmap was built lie past that coverage and
+// must be judged on their own attributes; rows delisted after it was built
+// must not come back, because validity is intersected per query, not
+// cached.
+func TestExactPlanTailAndDelisted(t *testing.T) {
+	const n, dim, nlists = 4000, 32, 16
+	for _, w := range planWidths {
+		t.Run(w.name, func(t *testing.T) {
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			rng := rand.New(rand.NewSource(31))
+			req := &core.SearchRequest{
+				Feature: filterQuery(rng, feats, dim), TopK: 10,
+				Category: 3, MinPriceCents: 1000, MaxPriceCents: 8000,
+			}
+			// Builds and caches the price bitmap over the n rows.
+			first, err := s.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Probed != 0 || len(first.Hits) != req.TopK {
+				t.Fatalf("first query: probed %d, %d hits; want the exact plan and a full page", first.Probed, len(first.Hits))
+			}
+			delisted := map[string]bool{first.Hits[0].URL: true, first.Hits[1].URL: true}
+			for url := range delisted {
+				if _, err := s.RemoveImageURL(url); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Next to the query: one image the filter admits, one in the
+			// category but priced out, one priced in but outside the category.
+			for i, a := range []core.Attrs{
+				{ProductID: 9001, URL: "jfs://filter/tail-in.jpg", Category: 3, PriceCents: 5000},
+				{ProductID: 9002, URL: "jfs://filter/tail-price.jpg", Category: 3, PriceCents: 9000},
+				{ProductID: 9003, URL: "jfs://filter/tail-cat.jpg", Category: 2, PriceCents: 5000},
+			} {
+				f := append([]float32(nil), req.Feature...)
+				f[0] += float32(i) * 1e-3
+				if _, _, err := s.Insert(a, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if adm := s.buildAdmission(req, new(searchScratch)); adm.tail >= uint32(s.fwd.Len()) {
+				t.Fatalf("admission covers all %d rows; the appended ones must lie past it", s.fwd.Len())
+			}
+			resp, err := s.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Probed != 0 {
+				t.Fatalf("probed %d lists, want the exact plan", resp.Probed)
+			}
+			requirePage(t, "after append and delist", resp, filterOracle(s, req, nil))
+			if resp.Hits[0].ProductID != 9001 {
+				t.Fatalf("top hit is product %d, want the appended match 9001", resp.Hits[0].ProductID)
+			}
+			for _, h := range resp.Hits {
+				if delisted[h.URL] {
+					t.Fatalf("delisted %s came back", h.URL)
+				}
+			}
+		})
 	}
-	// 64 matches: want 30 lists, below the derived cap of 8×8.
-	if got := s.widenNProbe(8, 10, 64); got != 30 {
-		t.Fatalf("1%%-ish matches widened to %d, want 30", got)
-	}
-	// 4 matches: want 480, clamped to the derived 8× cap.
-	if got := s.widenNProbe(8, 10, 4); got != 64 {
-		t.Fatalf("scarce matches widened to %d, want 64 (derived cap)", got)
-	}
-	s.cfg.FilterMaxNProbe = 16
-	if got := s.widenNProbe(8, 10, 4); got != 16 {
-		t.Fatalf("scarce matches widened to %d, want the FilterMaxNProbe cap 16", got)
-	}
-	// An explicit request wider than the cap is never narrowed.
-	if got := s.widenNProbe(32, 10, 4); got != 32 {
-		t.Fatalf("explicit wide nprobe narrowed to %d, want 32", got)
-	}
-	// Zero bitmap matches with a non-exhaustive bitmap: assume worst case.
-	if got := s.widenNProbe(8, 10, 0); got != 16 {
-		t.Fatalf("zero-match widening %d, want cap 16", got)
-	}
+}
 
-	if got := s.widenRerank(100, 1); got != 100 {
-		t.Fatalf("boost 1 changed rerank depth to %d", got)
+// TestExactPlanBoundary pins the plan decision at its limit. One admitted
+// row above it, the list scan runs as it did before the plan existed:
+// nprobe lists, no widening, and on the unquantised shard exactly the
+// exact scan's page over those lists. One delisting later the same query
+// sits at the limit and takes the exact plan.
+func TestExactPlanBoundary(t *testing.T) {
+	const n, dim, nlists, nprobe, k = 4000, 32, 16, 2, 10
+	const moved = 7 // a category no filterAttrs image carries
+	for _, w := range planWidths {
+		t.Run(w.name, func(t *testing.T) {
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			for _, c := range []struct{ nprobe, k, want int }{
+				{2, 10, 500},   // what the probe scores: 2 lists of 250 rows
+				{1, 10, 480},   // the page-fill term: 3·10·16 / 1
+				{16, 10, 4000}, // a full probe scores every row
+			} {
+				if got := s.exactPlanLimit(c.nprobe, c.k); got != c.want {
+					t.Fatalf("exactPlanLimit(%d, %d) = %d, want %d", c.nprobe, c.k, got, c.want)
+				}
+			}
+			limit := s.exactPlanLimit(nprobe, k)
+			// Move limit+1 images, spread over the corpus, into their own
+			// category.
+			var urls []string
+			for i := 0; len(urls) <= limit; i += 7 {
+				a := filterAttrs(i, n)
+				if err := s.UpdateAttrsURL(a.URL, a.Sales, a.Praise, a.PriceCents, moved); err != nil {
+					t.Fatal(err)
+				}
+				urls = append(urls, a.URL)
+			}
+			rng := rand.New(rand.NewSource(37))
+			req := &core.SearchRequest{Feature: filterQuery(rng, feats, dim), TopK: k, NProbe: nprobe, Category: moved}
+			scan, err := s.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scan.Probed != nprobe {
+				t.Fatalf("%d admitted rows: probed %d lists, want the list scan's %d", limit+1, scan.Probed, nprobe)
+			}
+			probe, _ := vecmath.TopCentroidsInto(nil, nil, req.Feature, s.codebook.Centroids, dim, nprobe)
+			if w.pqM == 0 {
+				requirePage(t, "list scan", scan, filterOracle(s, req, probe))
+			} else {
+				codes := 0
+				for _, l := range probe {
+					codes += s.inv.ListLen(l)
+				}
+				if scan.Scanned != codes {
+					t.Fatalf("list scan scored %d codes, want the %d in its %d lists", scan.Scanned, codes, nprobe)
+				}
+			}
+			if _, err := s.RemoveImageURL(urls[0]); err != nil {
+				t.Fatal(err)
+			}
+			exact, err := s.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exact.Probed != 0 || exact.Scanned != limit {
+				t.Fatalf("%d admitted rows: probed %d scanned %d, want the exact plan's 0 and %d", limit, exact.Probed, exact.Scanned, limit)
+			}
+			requirePage(t, "exact plan", exact, filterOracle(s, req, nil))
+		})
 	}
-	if got := s.widenRerank(100, 3); got != 300 {
-		t.Fatalf("boost 3 rerank depth %d, want 300", got)
-	}
-	if got := s.widenRerank(100, 8); got != 400 {
-		t.Fatalf("boost 8 rerank depth %d, want derived cap 400", got)
-	}
-	s.cfg.FilterMaxRerankK = 150
-	if got := s.widenRerank(100, 8); got != 150 {
-		t.Fatalf("boost 8 rerank depth %d, want FilterMaxRerankK cap 150", got)
+}
+
+// TestSearchBatchMixedPlans: one batch holding exact-plan members and list
+// scan members answers each exactly as a lone Search does. Unquantised
+// shards are left out: their SearchBatch is per-query Search.
+func TestSearchBatchMixedPlans(t *testing.T) {
+	const n, dim, nlists = 4000, 32, 16
+	for _, w := range planWidths[1:] {
+		t.Run(w.name, func(t *testing.T) {
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			rng := rand.New(rand.NewSource(43))
+			reqs := []*core.SearchRequest{
+				{Category: 1},               // 4 rows: exact plan
+				{Category: -1},              // unfiltered: list scan
+				{Category: 4},               // 89% of rows: list scan
+				{Category: 2, MinSales: 20}, // 32 rows: exact plan
+				{Category: -1, MinSales: 5}, // 95% of rows: list scan
+			}
+			for _, r := range reqs {
+				r.Feature, r.TopK, r.NProbe = filterQuery(rng, feats, dim), 10, 4
+			}
+			resps, errs := s.SearchBatch(reqs)
+			exact := 0
+			for i, req := range reqs {
+				if errs[i] != nil {
+					t.Fatalf("member %d: %v", i, errs[i])
+				}
+				want, err := s.Search(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResponse(t, fmt.Sprintf("member %d", i), resps[i], want)
+				if want.Probed == 0 {
+					exact++
+				}
+			}
+			if exact != 2 {
+				t.Fatalf("%d members took the exact plan, want 2 of %d", exact, len(reqs))
+			}
+		})
 	}
 }
 
@@ -394,7 +545,7 @@ func TestFilteredSnapshotRoundtrip(t *testing.T) {
 				Feature: filterQuery(rng, feats, dim), TopK: 10, NProbe: nlists,
 				Category: 2, MinPriceCents: 500, MaxPriceCents: 9000,
 			}
-			want := filterOracle(replica, feats, req)
+			want := filterOracle(replica, req, nil)
 			resp, err := replica.Search(req)
 			if err != nil {
 				t.Fatal(err)
@@ -402,12 +553,12 @@ func TestFilteredSnapshotRoundtrip(t *testing.T) {
 			if len(resp.Hits) != len(want) {
 				t.Fatalf("%s: %d hits, oracle %d", stage, len(resp.Hits), len(want))
 			}
-			wantSet := make(map[uint32]bool, len(want))
-			for _, id := range want {
-				wantSet[id] = true
+			wantSet := make(map[uint64]bool, len(want))
+			for _, it := range want {
+				wantSet[it.ID] = true
 			}
 			for _, h := range resp.Hits {
-				if !wantSet[h.Image.Local] {
+				if !wantSet[uint64(h.Image.Local)] {
 					t.Fatalf("%s: hit %d not in oracle set", stage, h.Image.Local)
 				}
 			}

@@ -83,19 +83,6 @@ type Config struct {
 	// on the 100k sweep corpus, guarded by TestPQRecallGuardrail).
 	// Clamped to [TopK, MaxTopK].
 	RerankK int
-	// FilterMaxNProbe caps the adaptive probe widening applied to
-	// filtered queries (category scope or attribute predicates): when the
-	// admission bitmap shows the filter is selective, the scan raises
-	// nprobe — aiming for enough admitted candidates to fill the result
-	// page — up to this many lists. 0 derives 8× the query's base nprobe,
-	// clamped to NLists. Set it to NLists to let very selective filters
-	// degrade to a full-shard scan and return every match.
-	FilterMaxNProbe int
-	// FilterMaxRerankK caps the matching ADC over-fetch widening: a
-	// filtered query's re-rank depth scales with the same factor as its
-	// probe widening, bounded by this knob. 0 derives 4× the unfiltered
-	// depth, clamped to MaxTopK.
-	FilterMaxRerankK int
 	// FeatureStore selects where raw feature rows live: FeatureStoreRAM
 	// ("ram", the default — heap chunks) or FeatureStoreMmap ("mmap" — an
 	// unlinked spill file served through the page cache). With the ADC
@@ -176,18 +163,6 @@ func (c *Config) validate() error {
 	if c.RerankK < 0 {
 		c.RerankK = 0
 	}
-	if c.FilterMaxNProbe < 0 {
-		c.FilterMaxNProbe = 0
-	}
-	if c.FilterMaxNProbe > c.NLists {
-		c.FilterMaxNProbe = c.NLists
-	}
-	if c.FilterMaxRerankK < 0 {
-		c.FilterMaxRerankK = 0
-	}
-	if c.FilterMaxRerankK > MaxTopK {
-		c.FilterMaxRerankK = MaxTopK
-	}
 	switch c.FeatureStore {
 	case "":
 		c.FeatureStore = FeatureStoreRAM
@@ -220,8 +195,11 @@ type Stats struct {
 	Deletions        int64
 	AttrUpdates      int64
 	// FilteredSearches counts queries that took the bitmap-admission path
-	// (category scope or attribute predicates set).
-	FilteredSearches int64
+	// (category scope or attribute predicates set); ExactPlanSearches
+	// counts the ones among them answered by scoring every admitted row
+	// exactly instead of scanning inverted lists.
+	FilteredSearches  int64
+	ExactPlanSearches int64
 	// FeatureHeapBytes is the Go-heap memory held by raw feature-row
 	// storage — Dim×4 per image (rounded up to chunks) for the RAM store,
 	// near zero for the mmap store, whose rows live in the page cache.
@@ -262,7 +240,8 @@ type Shard struct {
 	// wholesale when attrEpoch moves.
 	predCache atomic.Pointer[predState]
 
-	filteredSearches atomic.Int64
+	filteredSearches  atomic.Int64
+	exactPlanSearches atomic.Int64
 
 	// pqState is the atomically published (codebook, per-list codes) pair
 	// of the ADC scan path. nil means no product quantizer is installed
@@ -935,7 +914,7 @@ type admission struct {
 	s          *Shard
 	req        *core.SearchRequest
 	live       *bitmapx.Bitmap // unfiltered: consult the live validity bitmap
-	words      bitmapx.Words   // filtered: pre-intersected admission words
+	words      bitmapx.Words   // filtered: pre-intersected admission words, no bit at or past tail
 	tail       uint32          // ids ≥ tail take the slow per-candidate path
 	matches    int             // set bits in words (selectivity estimate)
 	exhaustive bool            // words covered every committed row at build time
@@ -1016,64 +995,6 @@ func (s *Shard) buildAdmission(req *core.SearchRequest, sc *searchScratch) admis
 	a.matches = a.words.Count()
 	a.exhaustive = tail >= uint32(s.fwd.Len())
 	return a
-}
-
-// filterCandidateTarget is how many admitted candidates — as a multiple of
-// k — the widened probe set should surface in expectation.
-const filterCandidateTarget = 3
-
-// widenNProbe adaptively raises a filtered query's probe width: with
-// matches admitted images spread across NLists lists, probing nprobe lists
-// surfaces ≈ matches·nprobe/NLists admitted candidates in expectation; aim
-// for filterCandidateTarget·k of them, clamped to FilterMaxNProbe (0
-// derives 8× the base width). An explicit wide nprobe is never narrowed.
-func (s *Shard) widenNProbe(nprobe, k, matches int) int {
-	maxProbe := s.cfg.FilterMaxNProbe
-	if maxProbe <= 0 {
-		maxProbe = 8 * nprobe
-	}
-	if maxProbe > s.cfg.NLists {
-		maxProbe = s.cfg.NLists
-	}
-	if maxProbe < nprobe {
-		return nprobe
-	}
-	if matches <= 0 {
-		// Every match (if any) lives past the bitmap's coverage — fresh
-		// appends only; assume worst-case selectivity.
-		return maxProbe
-	}
-	want := (filterCandidateTarget*k*s.cfg.NLists + matches - 1) / matches
-	if want <= nprobe {
-		return nprobe
-	}
-	if want > maxProbe {
-		want = maxProbe
-	}
-	return want
-}
-
-// widenRerank scales a filtered query's ADC over-fetch depth by the same
-// factor as its probe widening, capped by FilterMaxRerankK (0 derives 4×
-// the unfiltered depth) and MaxTopK.
-func (s *Shard) widenRerank(r, boost int) int {
-	if boost <= 1 {
-		return r
-	}
-	maxR := s.cfg.FilterMaxRerankK
-	if maxR <= 0 {
-		maxR = 4 * r
-	}
-	if maxR > MaxTopK {
-		maxR = MaxTopK
-	}
-	if maxR < r {
-		maxR = r
-	}
-	if r > maxR/boost {
-		return maxR
-	}
-	return r * boost
 }
 
 // HasURL reports whether the shard has ever indexed url (valid or not).
@@ -1254,12 +1175,13 @@ type query struct {
 
 // prepare validates req and derives everything a scan needs from it into q,
 // whose scratch the caller supplies: the clamped k, the admission filter,
-// the (possibly filter-widened) probe set in q.sc.probe and, on a quantized
-// shard (ps != nil), the ADC lookup table and over-fetch depth. It is the
-// one query-prep path of Search and SearchBatch, so a batched query probes
-// the same lists at the same re-rank depth as an unbatched one. A non-nil
-// response answers the query without a scan: no committed row can pass its
-// filter (e.g. a never-seen category).
+// the probe set in q.sc.probe and, on a quantized shard (ps != nil), the
+// ADC lookup table and over-fetch depth. It is the one query-prep path of
+// Search and SearchBatch, so a batched query is planned, probed and
+// re-ranked exactly as an unbatched one. A non-nil response answers the
+// query without a list scan: no committed row can pass its filter (e.g. a
+// never-seen category), or the filter admits no more rows than the probe
+// would score (exactPlanLimit) and scoreAdmitted scored them all.
 func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.SearchResponse, error) {
 	if s.codebook == nil {
 		return nil, ErrNotTrained
@@ -1281,32 +1203,29 @@ func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.S
 	sc := q.sc
 
 	// Build the candidate-admission filter before probe selection: its
-	// set-bit count prices the filter's selectivity, which may widen the
-	// probe set (and the ADC re-rank depth, by the same factor) so that
-	// selective filters still fill the result page.
+	// set-bit count prices the filter's selectivity, which picks the plan.
 	q.adm = s.buildAdmission(req, sc)
-	rerankBoost := 1
+	q.req, q.k = req, k
 	if q.adm.live == nil {
 		s.filteredSearches.Add(1)
 		if q.adm.matches == 0 && q.adm.exhaustive {
 			return &core.SearchResponse{}, nil
 		}
-		widened := s.widenNProbe(nprobe, k, q.adm.matches)
-		if widened > nprobe {
-			rerankBoost = (widened + nprobe - 1) / nprobe
-			nprobe = widened
+		if s.admittedBound(&q.adm) <= s.exactPlanLimit(nprobe, k) {
+			s.exactPlanSearches.Add(1)
+			items, scanned := s.scoreAdmitted(q)
+			return s.assembleResponse(items, scanned, 0), nil
 		}
 	}
 
 	sc.probe, sc.probeDist = vecmath.TopCentroidsInto(
 		sc.probe, sc.probeDist, req.Feature, s.codebook.Centroids, s.cfg.Dim, nprobe)
-	q.req, q.k = req, k
 	if ps != nil {
 		// Dimensions were validated against the shard config above, and the
 		// codebook against the shard at install time, so BuildLUT cannot
 		// fail here.
 		sc.lut, _ = ps.cb.BuildLUT(req.Feature, sc.lut)
-		q.rerankK = s.widenRerank(s.rerankDepth(k, ps.cb.Bits), rerankBoost)
+		q.rerankK = s.rerankDepth(k, ps.cb.Bits)
 	}
 	return nil, nil
 }
@@ -1324,7 +1243,9 @@ func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.S
 // turns each candidate into M byte-indexed table adds, the scan over-fetches
 // RerankK candidates, and that short list is re-ranked exactly against the
 // raw feature rows before the final top-k. Shards without a quantizer take
-// the exact float path.
+// the exact float path. A filtered query that admits no more rows than the
+// probe would score skips the lists and scores those rows exactly
+// (scoreAdmitted), reporting Probed 0.
 func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 	sc := searchScratchPool.Get().(*searchScratch)
 	defer searchScratchPool.Put(sc)
@@ -1630,6 +1551,7 @@ func (s *Shard) Stats() Stats {
 	st.Images = s.fwd.Len()
 	st.ValidImages = s.valid.Count()
 	st.FilteredSearches = s.filteredSearches.Load()
+	st.ExactPlanSearches = s.exactPlanSearches.Load()
 	st.Lists = s.inv.Lists()
 	st.FeatureHeapBytes = s.feats.heapBytes()
 	if ps := s.pqState.Load(); ps != nil {

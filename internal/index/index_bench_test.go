@@ -203,13 +203,14 @@ func filteredScanBaseline(s *Shard, req *core.SearchRequest, probe []int, probeD
 	return probe, probeDist
 }
 
-// BenchmarkFilteredScan pits the bitmap-admission scan against the
+// BenchmarkFilteredScan pits filtered Search as served against the
 // per-candidate-lookup baseline over one skewed corpus at every
-// selectivity band. Probe widening is pinned off (FilterMaxNProbe below
-// the query width) so both paths scan the identical lists and the
-// difference is pure admission cost; the 100% band uses a price floor
-// every image passes, so the filtered machinery runs without rejecting
-// anything.
+// selectivity band. path=lookup scans the probed lists deciding each
+// candidate with a validity read and a forward lookup. path=bitmap is
+// Search: the 0.1–10% bands admit fewer rows than the probe would score
+// and take the exact plan, the 100% band — a price floor every image
+// passes, so the filtered machinery runs without rejecting anything —
+// scans the same lists as the baseline with bitmap admission.
 func BenchmarkFilteredScan(b *testing.B) {
 	const n, dim, nlists, nprobe = 50_000, 64, 64, 8
 	rng := rand.New(rand.NewSource(43))
@@ -218,7 +219,7 @@ func BenchmarkFilteredScan(b *testing.B) {
 	for i := 0; i < 2000; i++ {
 		train = append(train, feats[i]...)
 	}
-	s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1, FilterMaxNProbe: 1})
+	s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,21 +336,26 @@ func BenchmarkUpdateAttrs(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedRealtimeStages times the two stages of a quantized search
-// separately at the shape of the repo benchmark's mixed_realtime workload
-// (bench/workloads.go: ≈25k rows per shard, dim 64, 64 lists, 4-bit codes
-// with M=16, nprobe 8, every query scoped to a category — 12 of them —
-// and a price band, TopK 30 as the blender asks): scan-ns/query is the
-// ADC traversal that selects the 900-candidate over-fetch, rerank-ns/query
-// the exact re-rank of those candidates against their raw rows. ns/op
-// covers both plus query preparation (admission bitmap, probe selection,
-// lookup table). The two layouts hold the same rows: list-major is what a
-// full build leaves (BulkLoad), url-order what row-by-row inserts leave —
-// the real-time tail between two full builds, and every shard before
-// BulkLoad existed. The scan reads codes list by list either way; only the
-// re-rank's row reads see the difference.
+// BenchmarkMixedRealtimeStages times the two plans of a filtered query on
+// the same requests, at the shape of the repo benchmark's mixed_realtime
+// workload (bench/workloads.go: ≈25k rows per shard, dim 64, 64 lists,
+// 4-bit codes with M=16, nprobe 8, TopK 30 as the blender asks).
+// exact-ns/query is the exact plan, scoring every admitted row against its
+// raw row; scan-ns/query is the list plan's ADC traversal that selects the
+// 900-candidate over-fetch and rerank-ns/query its exact re-rank. ns/op
+// covers both plans plus what each needs first (admission bitmap; probe
+// selection and lookup table). admitted/query is the rows the exact plan
+// scored and limit-rows the count up to which Search picks it
+// (exactPlanLimit), so each selectivity sits on a known side of the
+// crossover. Selectivity is a price band of that share of the uniform
+// price range, one cached predicate bitmap per band. The two layouts hold
+// the same rows: list-major is what a full build leaves (BulkLoad),
+// url-order what row-by-row inserts leave — the real-time tail between two
+// full builds. The scan reads codes list by list either way; the re-rank's
+// and the exact plan's row reads see the difference.
 func BenchmarkMixedRealtimeStages(b *testing.B) {
-	const n, dim, nlists, categories, queries = 25_000, 64, 64, 12, 1024
+	const n, dim, nlists, nprobe, categories, queries = 25_000, 64, 64, 8, 12, 1024
+	const minPrice, priceRange = 100, 9900
 	rng := rand.New(rand.NewSource(53))
 	// Eight visual sub-clusters per category: a category's images share a
 	// few lists, as catalog photos of one kind of product do.
@@ -370,22 +376,18 @@ func BenchmarkMixedRealtimeStages(b *testing.B) {
 			ProductID:  uint64(i/2 + 1),
 			URL:        fmt.Sprintf("jfs://mixed/%d.jpg", i),
 			Category:   uint16(c % categories),
-			PriceCents: uint32(100 + (i*37)%9900),
+			PriceCents: uint32(minPrice + (i*37)%priceRange),
 		}}
 		if i < 2000 {
 			train = append(train, f...)
 		}
 	}
-	reqs := make([]*core.SearchRequest, queries)
-	for i := range reqs {
+	qs := make([][]float32, queries)
+	for i := range qs {
 		r := &rows[rng.Intn(n)]
-		q := make([]float32, dim)
-		for d := range q {
-			q[d] = r.Feature[d] + float32(rng.NormFloat64()*0.05)
-		}
-		reqs[i] = &core.SearchRequest{
-			Feature: q, TopK: 30, Category: int32(r.Attrs.Category),
-			MinPriceCents: 2000, MaxPriceCents: 7000,
+		qs[i] = make([]float32, dim)
+		for d := range qs[i] {
+			qs[i][d] = r.Feature[d] + float32(rng.NormFloat64()*0.05)
 		}
 	}
 	layouts := []struct {
@@ -397,36 +399,58 @@ func BenchmarkMixedRealtimeStages(b *testing.B) {
 	}
 	for _, layout := range layouts {
 		b.Run("layout="+layout.name, func(b *testing.B) {
-			cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: 16, PQBits: 4}
+			cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1, PQSubvectors: 16, PQBits: 4}
 			s := loadShard(b, cfg, train, layout.load)
 			ps := s.pqState.Load()
-			sc := new(searchScratch)
-			sc.ensureIDBufs(1)
-			var scan, rerank time.Duration
-			hits := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := reqs[i%queries]
-				q := query{sc: sc}
-				if resp, err := s.prepare(&q, req, ps); resp != nil || err != nil {
-					b.Fatalf("prepare answered without a scan: %v %v", resp, err)
-				}
-				q.sel = sc.selectors(1, q.rerankK)[0]
-				t0 := time.Now()
-				sc.ids[0] = s.scanADC(ps, sc.probe, 0, 1, []*query{&q}, nil, sc.ids[0])
-				t1 := time.Now()
-				items := s.rerankExact(req, q.k, q.sel.Items(), sc, &q.adm)
-				rerank += time.Since(t1)
-				scan += t1.Sub(t0)
-				hits += len(items)
+			for _, pct := range []int{1, 10, 50} {
+				b.Run(fmt.Sprintf("selectivity=%d%%", pct), func(b *testing.B) {
+					reqs := make([]*core.SearchRequest, queries)
+					for i := range reqs {
+						reqs[i] = &core.SearchRequest{
+							Feature: qs[i], TopK: 30, NProbe: nprobe, Category: -1,
+							MinPriceCents: minPrice, MaxPriceCents: uint32(minPrice + pct*priceRange/100 - 1),
+						}
+					}
+					sc := new(searchScratch)
+					sc.ensureIDBufs(1)
+					var exact, scan, rerank time.Duration
+					admitted, exactHits, listHits := 0, 0, 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						req := reqs[i%queries]
+						q := query{sc: sc, req: req, k: req.TopK}
+						q.adm = s.buildAdmission(req, sc)
+						t0 := time.Now()
+						items, scored := s.scoreAdmitted(&q)
+						exact += time.Since(t0)
+						admitted += scored
+						exactHits += len(items)
+						// The list plan's preparation, as prepare does it.
+						sc.probe, sc.probeDist = vecmath.TopCentroidsInto(
+							sc.probe, sc.probeDist, req.Feature, s.codebook.Centroids, dim, nprobe)
+						sc.lut, _ = ps.cb.BuildLUT(req.Feature, sc.lut)
+						q.rerankK = s.rerankDepth(q.k, ps.cb.Bits)
+						q.sel = sc.selectors(1, q.rerankK)[0]
+						t1 := time.Now()
+						sc.ids[0] = s.scanADC(ps, sc.probe, 0, 1, []*query{&q}, nil, sc.ids[0])
+						t2 := time.Now()
+						items = s.rerankExact(req, q.k, q.sel.Items(), sc, &q.adm)
+						rerank += time.Since(t2)
+						scan += t2.Sub(t1)
+						listHits += len(items)
+					}
+					b.StopTimer()
+					if exactHits < b.N || listHits < b.N {
+						b.Fatalf("%d exact-plan and %d list-plan hits over %d queries", exactHits, listHits, b.N)
+					}
+					b.ReportMetric(float64(exact.Nanoseconds())/float64(b.N), "exact-ns/query")
+					b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N), "scan-ns/query")
+					b.ReportMetric(float64(rerank.Nanoseconds())/float64(b.N), "rerank-ns/query")
+					b.ReportMetric(float64(admitted)/float64(b.N), "admitted/query")
+					b.ReportMetric(float64(s.exactPlanLimit(nprobe, 30)), "limit-rows")
+				})
 			}
-			b.StopTimer()
-			if hits < b.N {
-				b.Fatalf("%d hits over %d queries", hits, b.N)
-			}
-			b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N), "scan-ns/query")
-			b.ReportMetric(float64(rerank.Nanoseconds())/float64(b.N), "rerank-ns/query")
 		})
 	}
 }

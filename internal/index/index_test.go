@@ -497,8 +497,13 @@ func TestConcurrentSearchDuringRealtimeOps(t *testing.T) {
 					return
 				default:
 				}
-				q := feats[qrng.Intn(len(feats))]
-				resp, err := s.Search(&core.SearchRequest{Feature: q, TopK: 10, NProbe: 8, Category: -1})
+				req := &core.SearchRequest{Feature: feats[qrng.Intn(len(feats))], TopK: 10, NProbe: 8, Category: -1}
+				if qrng.Intn(2) == 0 {
+					// Filtered: the exact plan walks the admitted rows and
+					// the appended tail while the writer grows both.
+					req.Category, req.MinSales = int32(qrng.Intn(4)), uint32(qrng.Intn(2))
+				}
+				resp, err := s.Search(req)
 				if err != nil {
 					t.Errorf("search during rt ops: %v", err)
 					return
@@ -660,8 +665,13 @@ func TestParallelSearchDuringRealtimeOps(t *testing.T) {
 					return
 				default:
 				}
-				q := feats[qrng.Intn(len(feats))]
-				resp, err := s.Search(&core.SearchRequest{Feature: q, TopK: 10, NProbe: 8, Category: -1})
+				req := &core.SearchRequest{Feature: feats[qrng.Intn(len(feats))], TopK: 10, NProbe: 8, Category: -1}
+				if qrng.Intn(2) == 0 {
+					// Filtered: the exact plan walks the admitted rows and
+					// the appended tail while the writer grows both.
+					req.Category, req.MinSales = int32(qrng.Intn(4)), uint32(qrng.Intn(2))
+				}
+				resp, err := s.Search(req)
 				if err != nil {
 					t.Errorf("parallel search during rt ops: %v", err)
 					return
