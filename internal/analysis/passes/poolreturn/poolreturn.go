@@ -21,7 +21,9 @@
 //     sc.buf, sc.hits[:n]) reachable after the Put is flagged;
 //   - a return of a chain-derived value while a deferred Put will
 //     recycle the buffer is flagged. Derivation stops at call results:
-//     append(nil, sc.buf...) copies out and is clean.
+//     append(nil, sc.buf...) copies out and is clean. It stops at channel
+//     receives too: a value received from a pooled channel (rpc.Call's
+//     reply slot) belongs to its sender, not to the pool.
 //
 // The escape hatch is `//jdvs:pool-ok <reason>`; the reason must say who
 // returns the value or why the escape cannot outlive the borrow.
@@ -29,6 +31,7 @@ package poolreturn
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"jdvs/internal/analysis"
@@ -324,6 +327,11 @@ func chainRoot(e ast.Expr) *ast.Ident {
 		case *ast.TypeAssertExpr:
 			e = x.X
 		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				// A value received from a pooled channel is what the
+				// sender put there, not memory of the channel.
+				return nil
+			}
 			e = x.X
 		default:
 			return nil

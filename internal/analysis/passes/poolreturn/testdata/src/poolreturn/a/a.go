@@ -128,6 +128,30 @@ func copyOutIsClean() []byte {
 	return append([]byte(nil), sc.buf...)
 }
 
+var slotPool = sync.Pool{New: func() any { return make(chan []byte, 1) }}
+
+// receivedValueOutlivesSlot is the rpc.Call shape: the reply received from
+// a pooled one-slot channel is the sender's, not the pool's, so using it
+// after the slot goes back is clean.
+func receivedValueOutlivesSlot() []byte {
+	slot := slotPool.Get().(chan []byte)
+	slot <- []byte("reply")
+	var reply []byte
+	select {
+	case reply = <-slot:
+	default:
+	}
+	slotPool.Put(slot)
+	return reply
+}
+
+// slotUseAfterPut: the channel itself is still the pool's after the Put.
+func slotUseAfterPut() {
+	slot := slotPool.Get().(chan []byte)
+	slotPool.Put(slot)
+	slot <- nil // want `used after the buffer it derives from was returned`
+}
+
 // justifiedLeak carries the escape hatch.
 func justifiedLeak(fail bool) error {
 	//jdvs:pool-ok the borrow transfers to the response writer, which Puts it after the flush

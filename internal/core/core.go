@@ -270,13 +270,24 @@ func DecodeSearchResponse(b []byte) (*SearchResponse, error) {
 		return nil, fmt.Errorf("%w: hit count %d too large", ErrCodec, n)
 	}
 	b = b[13:]
+	// Every hit takes at least 44 bytes: a count the payload cannot hold is
+	// rejected before it sizes the allocation.
+	if n > len(b)/44 {
+		return nil, fmt.Errorf("%w: %d hits cannot fit in %d bytes", ErrCodec, n, len(b))
+	}
 	resp.Hits = make([]Hit, 0, n)
 	for i := 0; i < n; i++ {
 		if len(b) < 44 {
 			return nil, fmt.Errorf("%w: short hit", ErrCodec)
 		}
 		var h Hit
-		h.Image = UnpackImageRef(binary.LittleEndian.Uint64(b[0:8]))
+		ref := binary.LittleEndian.Uint64(b[0:8])
+		if ref>>48 != 0 {
+			// Pack never sets these bits; a word that does is corrupt, and
+			// Unpack would drop them silently.
+			return nil, fmt.Errorf("%w: image reference %#x out of range", ErrCodec, ref)
+		}
+		h.Image = UnpackImageRef(ref)
 		h.Dist = math.Float32frombits(binary.LittleEndian.Uint32(b[8:12]))
 		h.ProductID = binary.LittleEndian.Uint64(b[12:20])
 		h.Sales = binary.LittleEndian.Uint32(b[20:24])

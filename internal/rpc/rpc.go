@@ -14,6 +14,14 @@
 // fan-out concurrency the three-level architecture needs without a
 // connection per in-flight query.
 //
+// A hop is kept cheap on both ends: every frame leaves in a single Write
+// (length word, header and payload assembled in one per-connection buffer),
+// both read loops read through a per-connection bufio.Reader, and the
+// server runs handlers on resident worker goroutines rather than a fresh
+// goroutine per request. Client.Go issues a request without blocking and
+// delivers its reply on a caller-owned channel, so one goroutine can keep
+// many requests in flight (the broker's fan-out); Call is Go plus a wait.
+//
 // Payloads larger than MaxFrame move through the chunked streaming
 // protocol (StreamSender / StreamServer, stream.go): a begin/chunk/commit
 // session of checksummed, sequence-numbered chunks with an idle-timeout
@@ -21,12 +29,14 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -40,6 +50,23 @@ const (
 
 	reqHeader  = 8 + 2
 	respHeader = 8 + 1
+
+	// frameStep is the most readFrame allocates before a frame's body
+	// arrives; a longer frame's buffer doubles as its bytes come in, so a
+	// length word alone cannot make a node allocate MaxFrame.
+	frameStep = 64 << 10
+
+	// maxKeptFrame caps the write buffer a connection keeps between frames:
+	// query traffic reuses it, a snapshot chunk's buffer is left to the GC.
+	maxKeptFrame = 64 << 10
+
+	// maxIdleWorkers is how many finished handler goroutines a Server keeps
+	// parked for the next request. A parked worker keeps its grown stack,
+	// so a request dispatched to it pays neither goroutine creation nor
+	// stack growth; past this many, a finished worker exits. It bounds
+	// what stays resident, not concurrency: a request that finds no idle
+	// worker gets a new one.
+	maxIdleWorkers = 3
 )
 
 var (
@@ -71,6 +98,12 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 	closed   bool
+
+	// work hands a request to a parked worker. It is unbuffered, so a
+	// non-blocking send succeeds exactly when a worker is parked on it.
+	work chan job
+	idle atomic.Int32  // workers parked, or about to park, on work
+	stop chan struct{} // closed by Close: parked workers exit
 }
 
 // NewServer returns an empty server.
@@ -78,6 +111,8 @@ func NewServer() *Server {
 	return &Server{
 		handlers: make(map[uint16]Handler),
 		conns:    make(map[net.Conn]struct{}),
+		work:     make(chan job),
+		stop:     make(chan struct{}),
 	}
 }
 
@@ -129,6 +164,22 @@ func (s *Server) acceptLoop(lis net.Listener) {
 	}
 }
 
+// serverConn is one accepted connection's response side: the writer its
+// handlers share and the count of its requests still being handled.
+type serverConn struct {
+	w        frameWriter
+	inflight sync.WaitGroup
+}
+
+// job is one request on its way to a worker.
+type job struct {
+	h       Handler // nil: unknown method
+	method  uint16
+	id      uint64
+	payload []byte
+	sc      *serverConn
+}
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -137,43 +188,79 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	var writeMu sync.Mutex
-	var handlerWG sync.WaitGroup
-	defer handlerWG.Wait()
+	sc := &serverConn{w: frameWriter{conn: conn}}
+	defer sc.inflight.Wait()
+	br := bufio.NewReader(conn)
 	for {
-		frame, err := readFrame(conn)
-		//jdvs:nostat read failure is connection teardown; in-flight handlers drain via handlerWG, nothing is dropped
+		frame, err := readFrame(br)
+		//jdvs:nostat read failure is connection teardown; in-flight handlers drain via inflight, nothing is dropped
 		if err != nil {
 			return
 		}
 		if len(frame) < reqHeader {
 			return // malformed: drop the connection
 		}
-		reqID := binary.LittleEndian.Uint64(frame[0:8])
 		method := binary.LittleEndian.Uint16(frame[8:10])
-		payload := frame[reqHeader:]
 		s.mu.Lock()
 		h := s.handlers[method]
 		s.mu.Unlock()
-		handlerWG.Add(1)
-		go func() {
-			defer handlerWG.Done()
-			var resp []byte
-			var herr error
-			if h == nil {
-				herr = fmt.Errorf("unknown method %d", method)
-			} else {
-				resp, herr = h(payload)
-			}
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			if herr != nil {
-				_ = writeResponse(conn, reqID, statusErr, []byte(herr.Error()))
-				return
-			}
-			_ = writeResponse(conn, reqID, statusOK, resp)
-		}()
+		sc.inflight.Add(1)
+		s.dispatch(job{
+			h:       h,
+			method:  method,
+			id:      binary.LittleEndian.Uint64(frame[0:8]),
+			payload: frame[reqHeader:],
+			sc:      sc,
+		})
 	}
+}
+
+// dispatch hands j to a parked worker if there is one, and otherwise
+// starts a worker for it; it never waits.
+func (s *Server) dispatch(j job) {
+	select {
+	case s.work <- j:
+	default:
+		s.wg.Add(1)
+		go s.worker(j)
+	}
+}
+
+// worker runs j, then parks for the next job unless maxIdleWorkers are
+// parked already.
+func (s *Server) worker(j job) {
+	defer s.wg.Done()
+	for {
+		j.run()
+		j = job{} // a parked worker must not pin the last request's payload
+		if s.idle.Add(1) > maxIdleWorkers {
+			s.idle.Add(-1)
+			return
+		}
+		select {
+		case j = <-s.work:
+			s.idle.Add(-1)
+		case <-s.stop:
+			s.idle.Add(-1)
+			return
+		}
+	}
+}
+
+func (j *job) run() {
+	defer j.sc.inflight.Done()
+	var resp []byte
+	var herr error
+	if j.h == nil {
+		herr = fmt.Errorf("unknown method %d", j.method)
+	} else {
+		resp, herr = j.h(j.payload)
+	}
+	if herr != nil {
+		_ = j.sc.w.writeFrame(j.id, []byte{statusErr}, []byte(herr.Error()))
+		return
+	}
+	_ = j.sc.w.writeFrame(j.id, []byte{statusOK}, resp)
 }
 
 // Addr returns the server's bound address ("" before Listen).
@@ -187,7 +274,7 @@ func (s *Server) Addr() string {
 }
 
 // Close stops accepting, closes all connections and waits for in-flight
-// handlers.
+// handlers and parked workers.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -202,56 +289,94 @@ func (s *Server) Close() {
 	for c := range s.conns {
 		_ = c.Close()
 	}
+	close(s.stop)
 	s.mu.Unlock()
 	s.wg.Wait()
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// readFrame reads one length-prefixed frame. The buffer grows toward the
+// declared length only as bytes arrive (by doubling past frameStep), so a
+// peer that announces a large frame and stalls or hangs up costs at most
+// about twice what it actually sent.
+func readFrame(br *bufio.Reader) ([]byte, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := int(binary.LittleEndian.Uint32(hdr))
+	_, _ = br.Discard(4) // cannot fail: Peek just buffered these bytes
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err
+	frame := make([]byte, 0, min(n, frameStep))
+	for len(frame) < n {
+		if len(frame) == cap(frame) {
+			frame = slices.Grow(frame, min(n-len(frame), len(frame)))
+		}
+		got, err := io.ReadFull(br, frame[len(frame):min(n, cap(frame))])
+		frame = frame[:len(frame)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the length word promised more
+			}
+			return nil, err
+		}
 	}
 	return frame, nil
 }
 
-func writeResponse(w io.Writer, reqID uint64, status byte, payload []byte) error {
-	hdr := make([]byte, 4+respHeader)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(respHeader+len(payload)))
-	binary.LittleEndian.PutUint64(hdr[4:12], reqID)
-	hdr[12] = status
-	if _, err := w.Write(hdr); err != nil {
-		return err
+// frameWriter puts whole frames on one connection: each frame is assembled
+// in a reused buffer and leaves in a single Write, so concurrent writers
+// never interleave and a frame costs one syscall.
+type frameWriter struct {
+	mu   sync.Mutex
+	conn net.Conn
+	buf  []byte
+}
+
+// writeFrame writes [4B frameLen][8B id][kind][payload], where kind is the
+// 2-byte method of a request or the 1-byte status of a response.
+func (w *frameWriter) writeFrame(id uint64, kind, payload []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf := binary.LittleEndian.AppendUint32(w.buf[:0], uint32(8+len(kind)+len(payload)))
+	buf = binary.LittleEndian.AppendUint64(buf, id)
+	buf = append(buf, kind...)
+	buf = append(buf, payload...)
+	//jdvs:blocking-ok the mutex exists only to keep frames whole on the socket; it guards no other state
+	_, err := w.conn.Write(buf)
+	if cap(buf) <= maxKeptFrame {
+		w.buf = buf
 	}
-	_, err := w.Write(payload)
 	return err
+}
+
+// Reply is the outcome of one request issued with Client.Go.
+type Reply struct {
+	Tag     int // the tag handed to Go
+	Payload []byte
+	Err     error
 }
 
 // Client is a multiplexed connection to one server. It is safe for
 // concurrent use.
 type Client struct {
-	conn    net.Conn
-	writeMu sync.Mutex
+	conn net.Conn
+	w    frameWriter
 
 	mu      sync.Mutex
-	pending map[uint64]chan result
+	pending map[uint64]pendingCall
 	closed  bool
-	err     error
+	err     error // what every call fails with once closed
 
 	nextID atomic.Uint64
-	done   chan struct{}
 }
 
-type result struct {
-	payload []byte
-	err     error
+// pendingCall is where a request's reply goes.
+type pendingCall struct {
+	done   chan<- Reply
+	tag    int
+	method uint16
 }
 
 // Dial connects to addr.
@@ -260,19 +385,24 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		pending: make(map[uint64]chan result),
-		done:    make(chan struct{}),
+		w:       frameWriter{conn: conn},
+		pending: make(map[uint64]pendingCall),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 func (c *Client) readLoop() {
 	var readErr error
+	br := bufio.NewReader(c.conn)
 	for {
-		frame, err := readFrame(c.conn)
+		frame, err := readFrame(br)
 		if err != nil {
 			readErr = err
 			break
@@ -282,22 +412,22 @@ func (c *Client) readLoop() {
 			break
 		}
 		reqID := binary.LittleEndian.Uint64(frame[0:8])
-		status := frame[8]
-		payload := frame[respHeader:]
 		c.mu.Lock()
-		ch, ok := c.pending[reqID]
+		pc, ok := c.pending[reqID]
 		if ok {
 			delete(c.pending, reqID)
 		}
 		c.mu.Unlock()
 		if !ok {
-			continue // caller gave up (context cancelled)
+			continue // forgotten: the caller gave up on it
 		}
-		if status == statusOK {
-			ch <- result{payload: payload}
+		r := Reply{Tag: pc.tag}
+		if payload := frame[respHeader:]; frame[8] == statusOK {
+			r.Payload = payload
 		} else {
-			ch <- result{err: &RemoteError{Msg: string(payload)}}
+			r.Err = &RemoteError{Method: pc.method, Msg: string(payload)}
 		}
+		pc.done <- r
 	}
 	c.failAll(readErr)
 }
@@ -312,66 +442,74 @@ func (c *Client) failAll(err error) {
 	if err == nil {
 		err = ErrClosed
 	}
-	c.err = err
-	for id, ch := range c.pending {
+	c.err = fmt.Errorf("%w (%v)", ErrClosed, err)
+	for id, pc := range c.pending {
 		delete(c.pending, id)
-		//jdvs:blocking-ok pending channels are buffered (cap 1) and get exactly one send, so this never blocks
-		ch <- result{err: fmt.Errorf("%w (%v)", ErrClosed, err)}
+		//jdvs:blocking-ok every done channel has room for each reply still owed on it (Client.Go's contract), so this never blocks
+		pc.done <- Reply{Tag: pc.tag, Err: c.err}
 	}
-	close(c.done)
 	_ = c.conn.Close()
 }
 
-// Call sends a request and waits for its response or ctx cancellation.
-func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
+// Go sends a request without waiting for the response and returns its
+// ID. Exactly one Reply carrying tag is delivered on done — the response,
+// the handler's RemoteError, or the transport failure — unless Forget(id)
+// withdraws the request first. The connection's reader delivers without
+// blocking, so done must have room for every reply still owed on it: a
+// full done channel stalls every call on this connection.
+func (c *Client) Go(method uint16, payload []byte, tag int, done chan<- Reply) uint64 {
 	id := c.nextID.Add(1)
-	ch := make(chan result, 1)
-
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return nil, err
+		done <- Reply{Tag: tag, Err: err}
+		return id
 	}
-	c.pending[id] = ch
+	c.pending[id] = pendingCall{done: done, tag: tag, method: method}
 	c.mu.Unlock()
 
-	frame := make([]byte, 4+reqHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(reqHeader+len(payload)))
-	binary.LittleEndian.PutUint64(frame[4:12], id)
-	binary.LittleEndian.PutUint16(frame[12:14], method)
-	copy(frame[4+reqHeader:], payload)
-
-	c.writeMu.Lock()
-	//jdvs:blocking-ok writeMu exists only to serialize frame writes on the socket; it guards no other state
-	_, werr := c.conn.Write(frame)
-	c.writeMu.Unlock()
-	if werr != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		c.failAll(werr)
-		return nil, fmt.Errorf("rpc: write: %w", werr)
+	var m [2]byte
+	binary.LittleEndian.PutUint16(m[:], method)
+	if err := c.w.writeFrame(id, m[:], payload); err != nil {
+		// Fails every pending call, this one included: its reply is the
+		// write error.
+		c.failAll(fmt.Errorf("rpc: write: %w", err))
 	}
+	return id
+}
 
+// Forget withdraws request id: a response that arrives for it later is
+// dropped. It reports whether the reply was still owed; false means it has
+// been, or is being, delivered on the request's done channel.
+func (c *Client) Forget(id uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, owed := c.pending[id]
+	delete(c.pending, id)
+	return owed
+}
+
+// replySlots recycles Call's one-reply channels. A slot goes back empty:
+// Call takes the single reply Go owes it, or forgets the request, and
+// when Forget reports the reply already on its way, takes that reply too.
+var replySlots = sync.Pool{New: func() any { return make(chan Reply, 1) }}
+
+// Call sends a request and waits for its response or ctx cancellation.
+func (c *Client) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
+	done := replySlots.Get().(chan Reply)
+	id := c.Go(method, payload, 0, done)
+	var r Reply
 	select {
-	case r := <-ch:
-		if r.err != nil {
-			if re, ok := r.err.(*RemoteError); ok {
-				re.Method = method
-			}
-			return nil, r.err
-		}
-		return r.payload, nil
+	case r = <-done:
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, ctx.Err()
+		if !c.Forget(id) {
+			<-done
+		}
+		r = Reply{Err: ctx.Err()}
 	}
+	replySlots.Put(done)
+	return r.Payload, r.Err
 }
 
 // Close tears the connection down; outstanding calls fail with ErrClosed.
@@ -404,13 +542,17 @@ func DialPool(addr string, n int) (*Pool, error) {
 	return p, nil
 }
 
-// Call issues the request on the next connection in round-robin order.
-func (p *Pool) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
+// Next returns the next connection in round-robin order.
+func (p *Pool) Next() *Client {
 	// The modulo is computed in uint64 before any narrowing: converting the
 	// counter to int first would go negative after 2³¹ calls on a 32-bit
 	// platform and panic the index expression.
-	c := p.clients[p.next.Add(1)%uint64(len(p.clients))]
-	return c.Call(ctx, method, payload)
+	return p.clients[p.next.Add(1)%uint64(len(p.clients))]
+}
+
+// Call issues the request on the next connection in round-robin order.
+func (p *Pool) Call(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
+	return p.Next().Call(ctx, method, payload)
 }
 
 // Close closes every connection in the pool.

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +154,90 @@ func TestContextCancellation(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)
 	if _, err := c.Call(context.Background(), methodEcho, []byte("ok")); err != nil {
 		t.Fatalf("connection unusable after cancellation: %v", err)
+	}
+}
+
+// TestCancelRacingReplyLeavesSlotEmpty: calls whose deadline expires
+// about when the response lands must hand their pooled reply slot back
+// empty. A slot returned still holding its reply would answer some later
+// Call with another request's payload.
+func TestCancelRacingReplyLeavesSlotEmpty(t *testing.T) {
+	_, addr := startEchoServer(t)
+	c, _ := Dial(addr)
+	defer c.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				want := fmt.Sprintf("w%d-%d", w, i)
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%40)*time.Microsecond)
+				resp, err := c.Call(ctx, methodEcho, []byte(want))
+				cancel()
+				if err == nil && string(resp) != want {
+					t.Errorf("call %s answered with %q", want, resp)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// workerGoroutines counts the server's handler workers, busy or parked.
+func workerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "rpc.(*Server).worker(")
+}
+
+// TestIdleWorkersBounded: a burst of concurrent requests gets a worker
+// each, and once it drains at most maxIdleWorkers stay parked; Close
+// reaps those.
+func TestIdleWorkersBounded(t *testing.T) {
+	const burst = 4 * maxIdleWorkers
+	s := NewServer()
+	entered := make(chan struct{}, burst)
+	release := make(chan struct{})
+	s.Handle(methodSlow, func(p []byte) ([]byte, error) {
+		entered <- struct{}{}
+		<-release
+		return p, nil
+	})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := Dial(addr)
+	defer c.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Call(context.Background(), methodSlow, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for i := 0; i < burst; i++ {
+		<-entered
+	}
+	if n := workerGoroutines(); n != burst {
+		t.Fatalf("%d workers for %d concurrent requests", n, burst)
+	}
+	close(release)
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for workerGoroutines() != maxIdleWorkers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers left after the burst, want %d parked", workerGoroutines(), maxIdleWorkers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Close()
+	if n := workerGoroutines(); n != 0 {
+		t.Fatalf("%d workers survived Close", n)
 	}
 }
 

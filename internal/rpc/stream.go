@@ -500,16 +500,18 @@ func (ss *StreamServer) arm(sess *streamSession) {
 }
 
 // abortOnce aborts the session's sink exactly once, waiting out any chunk
-// write in progress and releasing any parked buffered-chunk handlers.
+// write in progress, then releases any parked buffered-chunk handlers —
+// after the abort, so a released chunk's error reply means the sink is
+// already torn down.
 func (sess *streamSession) abortOnce() {
 	sess.mu.Lock()
 	already := sess.dead
 	sess.dead = true
-	sess.drained.Broadcast()
 	sess.mu.Unlock()
 	if !already {
 		sess.sink.Abort()
 	}
+	sess.drained.Broadcast()
 }
 
 // kill removes the session from the table (if still there) and aborts its
@@ -587,7 +589,7 @@ func (ss *StreamServer) take(id uint64) *streamSession {
 
 // HandleChunk verifies and applies one chunk. Chunks of one session may be
 // handled concurrently (the pipelined sender keeps a window in flight and
-// the server runs one goroutine per request): in-order chunks stream to
+// the server runs each request on its own worker): in-order chunks stream to
 // the sink immediately, chunks up to StreamReorderWindow ahead are
 // buffered and drained in sequence, anything else dooms the transfer.
 func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {

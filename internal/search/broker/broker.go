@@ -17,7 +17,7 @@
 // in flight longer than the group's observed Config.HedgeQuantile latency
 // (floored at Config.HedgeMinDelay), the same request is fired at the next
 // replica in round-robin order and the first successful response wins; the
-// loser is cancelled. Hedge volume is capped by a per-group token bucket
+// loser is forgotten. Hedge volume is capped by a per-group token bucket
 // that earns Config.HedgeMaxFraction of a hedge per query, so hedging adds
 // at most that fraction of extra replica load no matter how slow the tail
 // gets — past the budget, slow attempts fall back to plain sequential
@@ -32,12 +32,10 @@
 package broker
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -321,170 +319,293 @@ func (g *partitionGroup) hedgeDelay() (time.Duration, bool) {
 	return d, true
 }
 
-// attempt is one replica attempt's outcome.
-type attempt struct {
-	resp   *core.SearchResponse
-	err    error
-	hedged bool
+var (
+	errAttemptTimeout = errors.New("broker: searcher attempt timed out")
+	errQueryTimeout   = errors.New("broker: query deadline expired")
+)
+
+// fanout is one query's scatter-gather over every partition group, run as
+// a single loop in the handler's goroutine. Each partition tries its
+// replicas at most once each, starting from the group's round-robin
+// cursor. Every attempt goes out with rpc.Client.Go and its reply comes
+// back on the one done channel, tagged with the attempt's index; one timer
+// covers every deadline the loop keeps — each attempt's SearcherTimeout,
+// each partition's hedge delay, and the QueryTimeout — so the fan-out
+// starts no goroutine and makes no context or timer per partition.
+//
+// Per partition: when the group's hedge trigger is armed, an attempt that
+// outlives the hedge delay gets a concurrent attempt at the next replica
+// (budget permitting, at most once per query) and the first success wins;
+// a failed, timed-out or undecodable attempt fails over to the next
+// replica and restarts the hedge clock, so a replacement gets the full
+// delay before a token is spent hedging it. Attempts the loop stops
+// waiting for — hedge losers, timeouts, those cut off by the query
+// deadline — are forgotten on their connection, and a reply that still
+// arrives for one is ignored.
+//
+// Latency: every attempt that ends is recorded in its group's window —
+// successes, failures, timeouts (at SearcherTimeout) and attempts cut off
+// by the query deadline — except hedge losers, whose elapsed time is
+// censored at the winner's. Skipping them drains the slow mode from the
+// window once hedging engages, so under a persistently slow replica the
+// tracked quantile settles at the fast mode and HedgeMaxFraction's token
+// bucket, not the quantile, becomes the governing cap: the budget is the
+// load-safety invariant, the quantile only decides when hedging is worth
+// starting.
+type fanout struct {
+	b       *Broker
+	payload []byte
+	// done receives every attempt's reply. Its capacity is the total
+	// replica count — the most attempts one query can make — so a reply
+	// never blocks the connection reader, including replies to attempts
+	// this query has stopped waiting for (Client.Go's contract).
+	done     chan rpc.Reply
+	parts    []fanPart
+	atts     []fanAttempt
+	deadline time.Time // the QueryTimeout; zero when disabled
+	open     int       // partitions not yet settled
 }
 
-// doAttempt runs one replica attempt synchronously: per-attempt timeout,
-// response decode, and latency recording. A delivered-but-undecodable
-// response is an attempt failure (the caller fails over exactly like a
-// timeout), so one corrupt replica cannot kill its whole partition.
-//
-// Cancelled losers are not recorded: their elapsed time is censored at the
-// hedge delay, so feeding them (or skipping them — either way) drains the
-// slow mode from the window once hedging engages. Under a persistently
-// slow replica the tracked quantile therefore settles at the fast mode and
-// HedgeMaxFraction's token bucket, not the quantile, becomes the governing
-// cap — the budget is the load-safety invariant, the quantile only decides
-// when hedging is worth starting.
-func (g *partitionGroup) doAttempt(ctx context.Context, pool *rpc.Pool, payload []byte) (*core.SearchResponse, error) {
-	begin := time.Now()
-	attemptCtx, cancel := context.WithTimeout(ctx, g.timeout)
-	defer cancel()
-	raw, err := pool.Call(attemptCtx, search.MethodSearch, payload)
+// fanPart is one partition's progress through its replicas.
+type fanPart struct {
+	g        *partitionGroup
+	start    uint64 // round-robin cursor, kept in uint64 (see fire)
+	launched int    // replicas tried so far
+	inflight int
+	delay    time.Duration
+	hedgeAt  time.Time // when to hedge the current attempt; zero: no hedge pending
+	settled  bool
+	resp     *core.SearchResponse
+	err      error
+}
+
+// fanAttempt is one request to one replica.
+type fanAttempt struct {
+	part   int
+	c      *rpc.Client
+	id     uint64
+	begin  time.Time
+	hedged bool
+	live   bool // the loop still waits for its reply
+}
+
+// newFanout fires every partition's primary attempt.
+func (b *Broker) newFanout(payload []byte, now time.Time) *fanout {
+	replicas := 0
+	for _, g := range b.groups {
+		replicas += len(g.pools)
+	}
+	f := &fanout{
+		b:       b,
+		payload: payload,
+		done:    make(chan rpc.Reply, replicas),
+		parts:   make([]fanPart, len(b.groups)),
+		atts:    make([]fanAttempt, 0, replicas),
+		open:    len(b.groups),
+	}
+	if b.queryTimeout > 0 {
+		f.deadline = now.Add(b.queryTimeout)
+	}
+	for p, g := range b.groups {
+		fp := &f.parts[p]
+		fp.g = g
+		fp.start = g.next.Add(1)
+		g.budget.credit()
+		if delay, armed := g.hedgeDelay(); armed {
+			fp.delay = delay
+			fp.hedgeAt = now.Add(delay)
+		}
+		f.fire(p, false, now)
+	}
+	return f
+}
+
+// run waits the fan-out out and returns each partition's outcome.
+func (f *fanout) run() []fanPart {
+	timer := time.NewTimer(time.Until(f.next()))
+	defer timer.Stop()
+	for f.open > 0 {
+		select {
+		case r := <-f.done:
+			f.reply(r, time.Now())
+		case now := <-timer.C:
+			f.tick(now)
+			if f.open > 0 {
+				// Deadlines added since the timer was armed all lie past
+				// the one it was armed for, so re-arming when it fires is
+				// enough.
+				timer.Reset(time.Until(f.next()))
+			}
+		}
+	}
+	return f.parts
+}
+
+// fire sends partition p's request to its next untried replica.
+func (f *fanout) fire(p int, hedged bool, now time.Time) {
+	fp := &f.parts[p]
+	n := uint64(len(fp.g.pools))
+	// Converting the cursor to int before the modulo would go negative once
+	// it passes the int range (2³¹ queries on a 32-bit platform) and panic
+	// the index expression.
+	c := fp.g.pools[(fp.start+uint64(fp.launched))%n].Next()
+	fp.launched++
+	fp.inflight++
+	tag := len(f.atts)
+	f.atts = append(f.atts, fanAttempt{part: p, c: c, begin: now, hedged: hedged, live: true})
+	f.atts[tag].id = c.Go(search.MethodSearch, f.payload, tag, f.done)
+}
+
+// end stops waiting for attempt a and records its latency unless it lost
+// a hedge race.
+func (f *fanout) end(a *fanAttempt, now time.Time, record bool) {
+	a.live = false
+	f.parts[a.part].inflight--
+	if record {
+		f.parts[a.part].g.lat.Record(now.Sub(a.begin))
+	}
+}
+
+// reply handles one attempt's reply. A delivered-but-undecodable response
+// is an attempt failure, failed over exactly like a timeout, so one
+// corrupt replica cannot kill its whole partition.
+func (f *fanout) reply(r rpc.Reply, now time.Time) {
+	a := &f.atts[r.Tag]
+	if !a.live {
+		return // timed out, lost a hedge race, or cut off by the deadline
+	}
+	f.end(a, now, true)
+	err := r.Err
 	var resp *core.SearchResponse
 	if err == nil {
-		resp, err = core.DecodeSearchResponse(raw)
-		if err != nil {
+		if resp, err = core.DecodeSearchResponse(r.Payload); err != nil {
 			err = fmt.Errorf("broker: undecodable searcher response: %w", err)
 		}
 	}
-	if !errors.Is(err, context.Canceled) {
-		g.lat.Record(time.Since(begin))
+	if err != nil {
+		f.fail(a.part, err, now)
+		return
 	}
-	return resp, err
+	if a.hedged {
+		f.b.hedgeWins.Inc()
+	}
+	// Any other attempt still in flight for this partition lost.
+	fp := &f.parts[a.part]
+	if fp.inflight > 0 {
+		f.b.hedgeCancels.Add(int64(fp.inflight))
+		for i := range f.atts {
+			if o := &f.atts[i]; o.live && o.part == a.part {
+				o.c.Forget(o.id)
+				f.end(o, now, false)
+			}
+		}
+	}
+	f.settle(a.part, resp, nil)
 }
 
-// call queries one partition, trying each replica at most once starting
-// from the round-robin cursor. Each attempt gets its own timeout so a hung
-// replica costs one timeout, not the query. When the group's hedge trigger
-// is armed, an attempt that outlives the hedge delay runs concurrently
-// with the next replica and the first success wins; otherwise (hedging
-// disabled, single replica, warm-up, or no quantile yet) attempts run
-// sequentially with no extra goroutine or channel on the hot path.
-func (g *partitionGroup) call(ctx context.Context, payload []byte) (*core.SearchResponse, error) {
-	n := len(g.pools)
-	// The cursor arithmetic stays in uint64: converting the counter to int
-	// first goes negative once it passes the int range (2³¹ queries on a
-	// 32-bit platform), and a negative modulo panics the index expression.
-	start := g.next.Add(1)
-	g.budget.credit()
-
-	delay, armed := g.hedgeDelay()
-	if !armed {
-		// Sequential failover fast path.
-		var lastErr error
-		for i := 0; i < n; i++ {
-			resp, err := g.doAttempt(ctx, g.pools[(start+uint64(i))%uint64(n)], payload)
-			if err == nil {
-				return resp, nil
-			}
-			g.b.failures.Inc()
-			lastErr = err
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
+// fail books a failed attempt of partition p and fails over to the next
+// replica; the partition settles with err once every replica has failed.
+// Past the query deadline nothing new is fired: tick aborts the query.
+func (f *fanout) fail(p int, err error, now time.Time) {
+	f.b.failures.Inc()
+	fp := &f.parts[p]
+	switch {
+	case f.expired(now):
+	case fp.launched < len(fp.g.pools):
+		if !fp.hedgeAt.IsZero() {
+			fp.hedgeAt = now.Add(fp.delay)
 		}
-		return nil, lastErr
+		f.fire(p, false, now)
+	case fp.inflight == 0:
+		f.settle(p, nil, err)
 	}
+}
 
-	callCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
+func (f *fanout) settle(p int, resp *core.SearchResponse, err error) {
+	fp := &f.parts[p]
+	fp.settled, fp.resp, fp.err = true, resp, err
+	f.open--
+}
 
-	// Buffered to n so a loser's goroutine can always deliver and exit even
-	// after the winner returned — no leak, no blocked send.
-	results := make(chan attempt, n)
-	launched := 0
-	fire := func(hedged bool) {
-		pool := g.pools[(start+uint64(launched))%uint64(n)]
-		launched++
-		go func() {
-			resp, err := g.doAttempt(callCtx, pool, payload)
-			results <- attempt{resp: resp, err: err, hedged: hedged}
-		}()
+func (f *fanout) expired(now time.Time) bool {
+	return !f.deadline.IsZero() && !now.Before(f.deadline)
+}
+
+// tick handles every deadline that has passed by now.
+func (f *fanout) tick(now time.Time) {
+	if f.expired(now) {
+		f.abort(now)
+		return
 	}
-
-	// The hedge timer measures the CURRENT primary attempt's age: a
-	// sequential failover re-arms it, so a replacement attempt gets the
-	// full delay before a budget token is spent hedging it.
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	hedgeC := timer.C
-
-	fire(false)
-	outstanding := 1
-	// win books the stats for a winning attempt: any other in-flight
-	// attempt loses and is aborted by the deferred cancelAll.
-	win := func(r attempt) *core.SearchResponse {
-		if outstanding > 0 {
-			g.b.hedgeCancels.Add(int64(outstanding))
+	// Attempts appended by failovers below start now and cannot be due.
+	for i, n := 0, len(f.atts); i < n; i++ {
+		a := &f.atts[i]
+		if a.live && !now.Before(a.begin.Add(f.parts[a.part].g.timeout)) {
+			a.c.Forget(a.id)
+			f.end(a, now, true)
+			f.fail(a.part, errAttemptTimeout, now)
 		}
-		if r.hedged {
-			g.b.hedgeWins.Inc()
-		}
-		return r.resp
 	}
-	// abort handles query-deadline expiry: a success may already sit in
-	// the buffered results channel having raced the deadline — prefer it
-	// over returning an error. Whatever is still truly in flight is
-	// aborted by cancelAll and counted as failed attempts, since its
-	// result is never read.
-	abort := func() (*core.SearchResponse, error) {
-		for outstanding > 0 {
-			select {
-			case r := <-results:
-				outstanding--
-				if r.err == nil {
-					return win(r), nil
-				}
-				g.b.failures.Inc()
-			default:
-				g.b.failures.Add(int64(outstanding))
-				return nil, ctx.Err()
-			}
+	for p := range f.parts {
+		fp := &f.parts[p]
+		if fp.settled || fp.hedgeAt.IsZero() || now.Before(fp.hedgeAt) {
+			continue
 		}
-		return nil, ctx.Err()
+		fp.hedgeAt = time.Time{} // one hedge per partition per query
+		if fp.launched < len(fp.g.pools) && fp.g.budget.take() {
+			f.b.hedges.Inc()
+			f.fire(p, true, now)
+		}
 	}
-	var lastErr error
-	for {
+}
+
+// abort ends the query at its deadline. A success that raced the deadline
+// into done is preferred over giving up on its partition; every attempt
+// still in flight counts as failed, and the partitions it leaves
+// unanswered settle with errQueryTimeout.
+func (f *fanout) abort(now time.Time) {
+	for drained := false; !drained; {
 		select {
-		case r := <-results:
-			outstanding--
-			if r.err == nil {
-				return win(r), nil
-			}
-			g.b.failures.Inc()
-			lastErr = r.err
-			if ctx.Err() != nil {
-				return abort()
-			}
-			if launched < n {
-				if hedgeC != nil {
-					// Restart the hedge clock: the replacement attempt gets
-					// the full delay before a token is spent hedging it.
-					// (Go 1.23 timer semantics: Reset discards any pending
-					// fire, so the old deadline cannot leak through.)
-					timer.Reset(delay)
-				}
-				fire(false) // plain sequential failover
-				outstanding++
-			} else if outstanding == 0 {
-				return nil, lastErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < n && g.budget.take() {
-				g.b.hedges.Inc()
-				fire(true)
-				outstanding++
-			}
-		case <-ctx.Done():
-			return abort()
+		case r := <-f.done:
+			f.reply(r, now)
+		default:
+			drained = true
 		}
 	}
+	for i := range f.atts {
+		if a := &f.atts[i]; a.live {
+			a.c.Forget(a.id)
+			f.end(a, now, true)
+			f.b.failures.Inc()
+		}
+	}
+	for p := range f.parts {
+		if !f.parts[p].settled {
+			f.settle(p, nil, errQueryTimeout)
+		}
+	}
+}
+
+// next returns the earliest deadline the loop is waiting on. While a
+// partition is open some attempt is in flight, so there is one.
+func (f *fanout) next() time.Time {
+	next := f.deadline
+	earlier := func(t time.Time) {
+		if next.IsZero() || t.Before(next) {
+			next = t
+		}
+	}
+	for i := range f.atts {
+		if a := &f.atts[i]; a.live {
+			earlier(a.begin.Add(f.parts[a.part].g.timeout))
+		}
+	}
+	for p := range f.parts {
+		if fp := &f.parts[p]; !fp.settled && !fp.hedgeAt.IsZero() {
+			earlier(fp.hedgeAt)
+		}
+	}
+	return next
 }
 
 func (b *Broker) handleSearch(payload []byte) ([]byte, error) {
@@ -509,28 +630,7 @@ func (b *Broker) handleSearch(payload []byte) ([]byte, error) {
 	// One deadline over the whole fan-out: replica failover and hedging
 	// keep going only while the query as a whole still has budget, and an
 	// expired query returns whatever partitions already answered.
-	ctx := context.Background()
-	if b.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.queryTimeout)
-		defer cancel()
-	}
-
-	type partial struct {
-		resp *core.SearchResponse
-		err  error
-	}
-	results := make([]partial, len(b.groups))
-	var wg sync.WaitGroup
-	for i, g := range b.groups {
-		wg.Add(1)
-		go func(i int, g *partitionGroup) {
-			defer wg.Done()
-			resp, err := g.call(ctx, payload)
-			results[i] = partial{resp: resp, err: err}
-		}(i, g)
-	}
-	wg.Wait()
+	results := b.newFanout(payload, time.Now()).run()
 
 	merged := &core.SearchResponse{}
 	pages := make([][]core.Hit, 0, len(results))

@@ -313,7 +313,7 @@ func TestPartitionLossDegradation(t *testing.T) {
 
 // TestRoundRobinCursorNearWrap: the replica cursor modulo is computed in
 // uint64; a counter past the int range must keep rotating replicas instead
-// of producing a negative index and panicking the fan-out goroutine.
+// of producing a negative index and panicking the fan-out.
 func TestRoundRobinCursorNearWrap(t *testing.T) {
 	f := newTwoPartitions(t, 2)
 	b, err := New(Config{PartitionReplicas: f.groups()})
