@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -64,6 +65,45 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 		}
 		if again.TopK != got.TopK || again.NProbe != got.NProbe || again.Category != got.Category ||
 			again.MinPriceCents != got.MinPriceCents || again.MaxPriceCents != got.MaxPriceCents || again.MinSales != got.MinSales {
+			t.Fatalf("round trip: %+v, want %+v", *again, *got)
+		}
+	})
+}
+
+// FuzzDecodeQueryRequest: decoding arbitrary bytes never panics and
+// allocates in proportion to the input, and whatever decodes re-encodes
+// (always in the current layout) to a query that decodes to the same
+// value — to exactly the input bytes when the input was already current.
+func FuzzDecodeQueryRequest(f *testing.F) {
+	q := &QueryRequest{ImageBlob: []byte{1, 2, 3, 4, 5}, TopK: 6, NProbe: 3, CategoryScope: AllCategories, AutoCategory: true}
+	enc := EncodeQueryRequest(q)
+	f.Add(enc)
+	f.Add(EncodeQueryRequest(&QueryRequest{ImageBlob: []byte("blob"), TopK: 4, CategoryScope: 7, MinPriceCents: 1000, MaxPriceCents: 5000, MinSales: 12}))
+	v1 := []byte{queryCodecVersionV1, 1, 25, 0, 0, 0, 6, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 3, 0, 0, 0, 9, 8, 7}
+	f.Add(v1)
+	f.Add(enc[:10])
+	f.Add(append(append([]byte(nil), enc...), 0xff))
+	unknown := append([]byte(nil), enc...)
+	unknown[1] |= 0x02
+	f.Add(unknown)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var got *QueryRequest
+		var err error
+		if n := allocated(func() { got, err = DecodeQueryRequest(b) }); n > allocBound(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), n)
+		}
+		if err != nil {
+			return
+		}
+		re := EncodeQueryRequest(got)
+		if b[0] == queryCodecVersion && !bytes.Equal(re, b) {
+			t.Fatalf("re-encoding gives %x, not the input %x", re, b)
+		}
+		again, err := DecodeQueryRequest(re)
+		if err != nil {
+			t.Fatalf("re-encoded query does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, got) {
 			t.Fatalf("round trip: %+v, want %+v", *again, *got)
 		}
 	})

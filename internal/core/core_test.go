@@ -356,6 +356,11 @@ func TestQueryRequestCorruption(t *testing.T) {
 	if _, err := DecodeQueryRequest(append(enc, 0xff)); err == nil {
 		t.Error("over-long query accepted")
 	}
+	unknown := append([]byte(nil), enc...)
+	unknown[1] |= 0x02
+	if _, err := DecodeQueryRequest(unknown); err == nil {
+		t.Error("unknown flag bit accepted")
+	}
 }
 
 // Property: decoding arbitrary bytes never panics for any codec.

@@ -57,7 +57,7 @@ func EncodeQueryRequest(q *QueryRequest) []byte {
 	dst = append(dst, queryCodecVersion)
 	var flags byte
 	if q.AutoCategory {
-		flags |= 1
+		flags |= queryFlagAutoCategory
 	}
 	dst = append(dst, flags)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(q.TopK))
@@ -71,15 +71,23 @@ func EncodeQueryRequest(q *QueryRequest) []byte {
 	return dst
 }
 
+// queryFlagAutoCategory is the one defined bit of the query flags byte.
+const queryFlagAutoCategory = 1
+
 // DecodeQueryRequest deserialises a QueryRequest. Both the current (v2,
 // predicate-bearing) and the legacy v1 layout are accepted; v1 queries
-// decode with unbounded predicates.
+// decode with unbounded predicates. A flags byte with any bit but
+// AutoCategory's set is rejected: dropping unknown bits would decode two
+// different encodings to one value.
 func DecodeQueryRequest(b []byte) (*QueryRequest, error) {
 	if len(b) < 18 || (b[0] != queryCodecVersion && b[0] != queryCodecVersionV1) {
 		return nil, fmt.Errorf("%w: bad query header", ErrCodec)
 	}
+	if b[1]&^queryFlagAutoCategory != 0 {
+		return nil, fmt.Errorf("%w: unknown query flags %#x", ErrCodec, b[1])
+	}
 	q := &QueryRequest{
-		AutoCategory:  b[1]&1 != 0,
+		AutoCategory:  b[1]&queryFlagAutoCategory != 0,
 		TopK:          int(binary.LittleEndian.Uint32(b[2:6])),
 		NProbe:        int(binary.LittleEndian.Uint32(b[6:10])),
 		CategoryScope: int32(binary.LittleEndian.Uint32(b[10:14])),

@@ -106,11 +106,11 @@ func (s *Shard) SearchBatch(reqs []*core.SearchRequest) ([]*core.SearchResponse,
 	}
 	sort.Ints(lists)
 
-	// The id snapshot buffer is borrowed from the first member's scratch:
-	// the batch traversal is serial, so worker slot 0 is free.
+	// The id copy buffer is borrowed from the first member's scratch: the
+	// batch traversal is serial, so worker slot 0 is free.
 	host := members[0].sc
 	host.ensureIDBufs(1)
-	host.ids[0] = s.scanADC(ps, lists, 0, 1, nil, byList, host.ids[0])
+	s.scanADC(ps, lists, 0, 1, nil, byList, &host.ids[0])
 
 	for _, q := range members {
 		items := s.rerankExact(q.req, q.k, q.sel.Items(), q.sc, &q.adm)

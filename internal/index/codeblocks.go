@@ -72,13 +72,17 @@ func (cb *codeBlocks) block(b int) []byte {
 }
 
 // score writes the ADC distances of blk's first n slots — all of which the
-// caller observed as published — into out[:n]. Whichever kernel runs, each
-// distance is bit-identical to scoring that code alone (pq.ADCDist,
-// pq.ADCDist4), so block boundaries never change a search result.
-func (cb *codeBlocks) score(lut []float32, blk []byte, n int, out *[pq.BlockCodes]float32) {
+// caller observed as published — into out[:n]. Distances are exact at or
+// below bound: each is bit-identical to scoring that code alone
+// (pq.ADCDist, pq.ADCDist4), so block boundaries never change a search
+// result. A distance above bound may instead read as any value above it:
+// 8-bit codes go through pq.ADCScanBounded, which abandons a code after
+// its first four lookups once they exceed bound and writes +Inf. The
+// 4-bit kernels ignore the bound and score every code in full.
+func (cb *codeBlocks) score(lut []float32, blk []byte, n int, bound float32, out *[pq.BlockCodes]float32) {
 	switch {
 	case !cb.interleaved:
-		pq.ADCScan(lut, blk[:n*cb.mb], cb.mb, out[:0])
+		pq.ADCScanBounded(lut, blk[:n*cb.mb], cb.mb, bound, out[:0])
 	case n == pq.BlockCodes:
 		pq.ScanBlock4(lut, blk, cb.mb, out)
 	default:

@@ -1118,7 +1118,7 @@ type searchScratch struct {
 	sels      []*topk.Selector
 	final     *topk.Selector // rerankExact's top-k, apart from sels: it reads their items
 	counts    []int
-	ids       [][]uint32  // per-worker id snapshots of the ADC traversal
+	ids       [][]uint32  // per-worker id copies of lists mid-expansion (inverted.View)
 	missing   []topk.Item // re-rank candidates whose raw row was unavailable
 	adm       bitmapx.Words
 	admCat    bitmapx.Words
@@ -1282,7 +1282,7 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 			// the serial path), which also names its id buffer.
 			m := q
 			m.sel = sel
-			sc.ids[start] = s.scanADC(ps, lists, start, stride, []*query{&m}, nil, sc.ids[start])
+			s.scanADC(ps, lists, start, stride, []*query{&m}, nil, &sc.ids[start])
 			return m.scanned
 		})
 		items = s.rerankExact(req, q.k, sel.Items(), sc, &q.adm)
@@ -1487,30 +1487,32 @@ func (s *Shard) rerankExact(req *core.SearchRequest, k int, cands []topk.Item, s
 
 // scanADC is the ADC list traversal, shared by Search (one member,
 // optionally striped across workers) and SearchBatch (many members, one
-// pass): for every list in lists[start::stride] it snapshots the list's
+// pass): for every list in lists[start::stride] it views the list's
 // published ids (insertion order, which by the codeBlocks contract is slot
 // order), streams the list's code blocks, and scores each block — the
 // published prefix, for the tail block — once per member while its bytes
 // are resident. The members probing list l are byList[l], or solo for
-// every list when byList is nil. ids is the caller's snapshot buffer,
-// returned (possibly grown) for reuse.
+// every list when byList is nil. buf is the caller's buffer for the id
+// copy a list mid-expansion needs (inverted.View).
 //
 // Distances come first and admission second: a block scorer prices 32
 // candidates in one sweep for less than the cost of 32 admission reads,
 // and the member's current-worst threshold then discards most of them
-// before any admission word is touched. A member's scanned count is
-// therefore "codes scored" — every published code in the lists it probes —
-// not "candidates admitted".
-func (s *Shard) scanADC(ps *shardPQ, lists []int, start, stride int, solo []*query, byList map[int][]*query, ids []uint32) []uint32 {
+// before any admission word is touched. The same threshold, taken at block
+// start, bounds the scorer, which stops summing a code as soon as it is
+// sure to exceed it. A member's scanned count is therefore "codes scored
+// or abandoned" — every published code in the lists it probes — not
+// "candidates admitted".
+func (s *Shard) scanADC(ps *shardPQ, lists []int, start, stride int, solo []*query, byList map[int][]*query, buf *[]uint32) {
 	var dists [pq.BlockCodes]float32
+	inf := float32(math.Inf(1))
 	for i := start; i < len(lists); i += stride {
 		l := lists[i]
 		qs := solo
 		if byList != nil {
 			qs = byList[l]
 		}
-		ids = ids[:0]
-		s.inv.Scan(l, func(id uint32) bool { ids = append(ids, id); return true })
+		ids := s.inv.View(l, buf)
 		for _, q := range qs {
 			q.scanned += len(ids)
 		}
@@ -1519,8 +1521,14 @@ func (s *Shard) scanADC(ps *shardPQ, lists []int, start, stride int, solo []*que
 			n := min(pq.BlockCodes, len(ids)-base)
 			blk := blocks.block(base / pq.BlockCodes)
 			for _, q := range qs {
-				blocks.score(q.sc.lut, blk, n, &dists)
 				worst, bounded := q.sel.WorstDist()
+				bound := inf
+				if bounded {
+					bound = worst
+				}
+				// A code abandoned above bound reads +Inf and fails the
+				// d > worst test below, exactly as its full distance would.
+				blocks.score(q.sc.lut, blk, n, bound, &dists)
 				for sl, d := range dists[:n] {
 					// Skipping on d > worst never changes the result — the
 					// selector would reject the push — it only skips the
@@ -1540,7 +1548,6 @@ func (s *Shard) scanADC(ps *shardPQ, lists []int, start, stride int, solo []*que
 			}
 		}
 	}
-	return ids
 }
 
 // Stats returns a snapshot of shard counters.

@@ -97,6 +97,12 @@ func BenchmarkSearchWorkers(b *testing.B) {
 // for. Each batch variant pushes the same 8 queries per iteration —
 // batch=1 as 8 sequential Search calls, batch=8 as one SearchBatch — so
 // ns/op is directly comparable across batch sizes.
+//
+// shape=scan_uniform is one shard of the repo benchmark's scan_uniform
+// workload (bench/workloads.go: ≈30k rows per shard, 64 lists, 8-bit codes
+// with M=16, nprobe 48), bulk-loaded list-major as a full build leaves it,
+// one TopK-10 Search per op. Its long probed lists are where the bounded
+// 8-bit kernel abandons most codes once the over-fetch selector is full.
 func BenchmarkADCScan(b *testing.B) {
 	const n, dim, m = 100_000, 64, 16
 	rng := rand.New(rand.NewSource(41))
@@ -166,6 +172,27 @@ func BenchmarkADCScan(b *testing.B) {
 			})
 		}
 	}
+	b.Run("shape=scan_uniform/bits=8", func(b *testing.B) {
+		const rows, nprobe = 30_000, 48
+		cfg := Config{Dim: dim, NLists: 64, DefaultNProbe: nprobe, SearchWorkers: 1, PQSubvectors: m, PQBits: 8}
+		load := make([]Row, rows)
+		for i := range load {
+			load[i] = Row{Feature: feats[i], Attrs: core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://adc/%d.jpg", i)}}
+		}
+		s := loadShard(b, cfg, train, bulkLoader(b, load))
+		scanned := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req := &core.SearchRequest{Feature: feats[(i*37)%n], TopK: 10, NProbe: nprobe, Category: -1}
+			resp, err := s.Search(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			scanned += resp.Scanned
+		}
+		b.ReportMetric(float64(scanned)/float64(b.N), "scanned/query")
+	})
 }
 
 // filteredScanBaseline is the pre-pushdown admission strategy kept as the
@@ -433,7 +460,7 @@ func BenchmarkMixedRealtimeStages(b *testing.B) {
 						q.rerankK = s.rerankDepth(q.k, ps.cb.Bits)
 						q.sel = sc.selectors(1, q.rerankK)[0]
 						t1 := time.Now()
-						sc.ids[0] = s.scanADC(ps, sc.probe, 0, 1, []*query{&q}, nil, sc.ids[0])
+						s.scanADC(ps, sc.probe, 0, 1, []*query{&q}, nil, &sc.ids[0])
 						t2 := time.Now()
 						items = s.rerankExact(req, q.k, q.sel.Items(), sc, &q.adm)
 						rerank += time.Since(t2)

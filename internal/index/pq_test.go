@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"jdvs/internal/core"
+	"jdvs/internal/pq"
+	"jdvs/internal/topk"
 )
 
 // clusteredFeatures synthesises n feature rows around nc cluster centres —
@@ -152,6 +154,113 @@ func TestPQSerialParallelEquivalence(t *testing.T) {
 			if serial.Hits[i].Image != parallel.Hits[i].Image || serial.Hits[i].Dist != parallel.Hits[i].Dist {
 				t.Fatalf("query %d hit %d: serial %+v, parallel %+v", qi, i, serial.Hits[i], parallel.Hits[i])
 			}
+		}
+	}
+}
+
+// unboundedADCSearch answers req the way Search does — same plan, probe
+// set, lookup table, over-fetch depth, re-rank and assembly — but scores
+// every published code of every probed list with pq.ADCDist, read one slot
+// at a time through inverted.Scan: no block kernel, no bound, no View. It
+// is the reference the bounded 8-bit scan must reproduce exactly.
+func unboundedADCSearch(t *testing.T, s *Shard, req *core.SearchRequest) *core.SearchResponse {
+	t.Helper()
+	ps := s.pqState.Load()
+	sc := new(searchScratch)
+	q := query{sc: sc}
+	resp, err := s.prepare(&q, req, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp != nil {
+		return resp
+	}
+	sel := topk.New(q.rerankK)
+	code := make([]byte, ps.cb.CodeBytes())
+	scanned := 0
+	for _, l := range sc.probe {
+		slot := uint32(0)
+		s.inv.Scan(l, func(id uint32) bool {
+			ps.lists[l].extract(slot, code)
+			slot++
+			scanned++
+			if q.adm.admit(id) {
+				sel.Push(uint64(id), pq.ADCDist(sc.lut, code))
+			}
+			return true
+		})
+	}
+	items := s.rerankExact(req, q.k, sel.Items(), sc, &q.adm)
+	return s.assembleResponse(items, scanned, len(sc.probe))
+}
+
+// TestBoundedADCScanMatchesUnbounded: on an 8-bit, list-major shard whose
+// small lists keep expanding under a real-time writer, Search with one and
+// two scan workers and SearchBatch return the hits and Scanned count of
+// unboundedADCSearch. Each round inserts a burst of rows while queries of
+// all three shapes run (under -race this races the bounded kernel and
+// inverted.View against the writer), then compares all three with the
+// reference once the burst has landed. RerankK 1 clamps the over-fetch to
+// TopK, so the page is the re-ranked ADC top k itself and any candidate
+// the scan lost or mis-scored shows in the hits.
+func TestBoundedADCScanMatchesUnbounded(t *testing.T) {
+	const n, dim, rounds, burst = 3000, 32, 4, 150
+	rows, train := loadCorpus(n+rounds*burst, dim)
+	cfg := loadConfig(dim, 16, 8, 1)
+	cfg.ListInitialCap = 8
+	cfg.RerankK = 1
+	s := loadShard(t, cfg, train, bulkLoader(t, rows[:n]))
+	feats := make([][]float32, n)
+	for i := range feats {
+		feats[i] = rows[i].Feature
+	}
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < rounds; round++ {
+		fresh := rows[n+round*burst : n+(round+1)*burst]
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, r := range fresh {
+				if _, _, err := s.Insert(r.Attrs, r.Feature); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
+			}
+		}()
+		for writing := true; writing; {
+			select {
+			case <-done:
+				writing = false
+			default:
+			}
+			reqs := batchRequests(rng, feats, 3)
+			s.SetSearchWorkers(1 + round%2)
+			if _, err := s.Search(reqs[0]); err != nil {
+				t.Fatal(err)
+			}
+			if _, errs := s.SearchBatch(reqs); errs[1] != nil {
+				t.Fatal(errs[1])
+			}
+		}
+		reqs := batchRequests(rng, feats, 8)
+		for _, req := range reqs {
+			req.NProbe = 8
+		}
+		batched, errs := s.SearchBatch(reqs)
+		for i, req := range reqs {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			want := unboundedADCSearch(t, s, req)
+			for _, workers := range []int{1, 2} {
+				s.SetSearchWorkers(workers)
+				got, err := s.Search(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameResponse(t, fmt.Sprintf("round %d query %d workers=%d", round, i, workers), got, want)
+			}
+			requireSameResponse(t, fmt.Sprintf("round %d query %d batched", round, i), batched[i], want)
 		}
 	}
 }

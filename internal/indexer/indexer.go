@@ -78,17 +78,26 @@ const UpdatesTopic = "product-updates"
 // same placement rule the index uses (§2.4), so every event lands on the
 // searcher that owns the image. URLs are normalised here, at the mouth of
 // the pipeline, so every downstream identity — partition hash, forward
-// index, feature DB — sees one canonical spelling per image. It returns
-// the number of per-image messages produced.
+// index, feature DB — sees one canonical spelling per image. An update the
+// message codec cannot carry exactly (a normalised URL over
+// msg.MaxURLBytes) is rejected whole, before anything is produced. It
+// returns the number of per-image messages produced.
 func RouteUpdate(q *mq.Queue, u *msg.ProductUpdate) (int, error) {
 	if len(u.ImageURLs) == 0 {
 		return 0, errors.New("indexer: update carries no image URLs")
 	}
+	per := *u
+	urls := make([]string, len(u.ImageURLs))
+	for i, url := range u.ImageURLs {
+		urls[i] = core.NormalizeURL(url)
+		per.ImageURLs = urls[i : i+1]
+		if err := per.Check(); err != nil {
+			return 0, fmt.Errorf("indexer: route product %d: %w", u.ProductID, err)
+		}
+	}
 	n := 0
-	for _, url := range u.ImageURLs {
-		url = core.NormalizeURL(url)
-		per := *u
-		per.ImageURLs = []string{url}
+	for i, url := range urls {
+		per.ImageURLs = urls[i : i+1]
 		if _, _, err := q.ProduceKeyed(UpdatesTopic, url, per.Encode()); err != nil {
 			return n, fmt.Errorf("indexer: route %s: %w", url, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"jdvs/internal/catalog"
@@ -140,6 +141,25 @@ func TestRouteUpdateSplitsPerImage(t *testing.T) {
 	// No URLs: error.
 	if _, err := RouteUpdate(f.queue, &msg.ProductUpdate{Type: msg.TypeAddProduct}); err == nil {
 		t.Fatal("urlless update routed")
+	}
+}
+
+// TestRouteUpdateRejectsOversizedURL: a URL longer than the message codec's
+// uint16 length field fails the whole update, and none of its images —
+// not even the well-formed ones listed first — reaches the queue, where it
+// would have decoded as a truncated URL.
+func TestRouteUpdateRejectsOversizedURL(t *testing.T) {
+	f := newFixture(t, 1, 4)
+	u := f.addEvent(&f.cat.Products[0], 1)
+	u.ImageURLs = append(u.ImageURLs, "jfs://img/"+strings.Repeat("u", 70_000))
+	n, err := RouteUpdate(f.queue, u)
+	if err == nil || !errors.Is(err, msg.ErrCodec) {
+		t.Fatalf("routed %d messages, err %v; want a codec error", n, err)
+	}
+	for part := 0; part < 4; part++ {
+		if l, err := f.queue.Len(UpdatesTopic, part); err != nil || l != 0 {
+			t.Fatalf("partition %d holds %d messages (err %v), want none", part, l, err)
+		}
 	}
 }
 

@@ -51,6 +51,20 @@ func newList(capacity, base int) *list {
 	return l
 }
 
+// extent returns the segment's committed length and its successor, as one
+// consistent reading. A segment gains a successor only once it is full, so
+// when one is seen the length is the capacity: a counter read just before
+// could be stale, and a reader pairing it with the successor's tail would
+// skip the entries in between.
+func (l *list) extent() (int, *list) {
+	n := int(l.n.Load())
+	next := l.next.Load()
+	if next != nil {
+		n = len(l.data)
+	}
+	return n, next
+}
+
 // Index is a set of N inverted lists. The zero value is not usable; call
 // New.
 type Index struct {
@@ -91,11 +105,11 @@ func (ix *Index) Len() int { return int(ix.total.Load()) }
 // AuxLastPos returns the auxiliary last-element position of list c — the
 // number of committed entries, as maintained by the aux array of Fig. 5.
 func (ix *Index) AuxLastPos(c int) int {
-	l := ix.lists[c].Load()
-	n := int(l.n.Load())
-	for nx := l.next.Load(); nx != nil; nx = nx.next.Load() {
-		n += int(nx.n.Load()) - nx.base
-		l = nx
+	n, next := ix.lists[c].Load().extent()
+	for l := next; l != nil; l = next {
+		var ln int
+		ln, next = l.extent()
+		n += ln - l.base
 	}
 	return n
 }
@@ -182,7 +196,7 @@ func (ix *Index) Scan(c int, fn func(id uint32) bool) {
 	// mid-migration, in which case only [base:n) is valid; but a segment
 	// with base>0 only becomes the head after its prefix copy completed, so
 	// scanning [0:n) here is always safe.
-	n := int(l.n.Load())
+	n, next := l.extent()
 	for i := 0; i < n; i++ {
 		if !fn(l.data[i]) {
 			return
@@ -190,14 +204,42 @@ func (ix *Index) Scan(c int, fn func(id uint32) bool) {
 	}
 	// Follow the migration chain: each successor's committed tail holds IDs
 	// appended after the predecessor filled.
-	for nx := l.next.Load(); nx != nil; nx = nx.next.Load() {
-		n := int(nx.n.Load())
-		for i := nx.base; i < n; i++ {
-			if !fn(nx.data[i]) {
+	for l = next; l != nil; l = next {
+		n, next = l.extent()
+		for i := l.base; i < n; i++ {
+			if !fn(l.data[i]) {
 				return
 			}
 		}
 	}
+}
+
+// View returns the committed image IDs of list c, in Scan's order, as one
+// slice. When no expansion of the list is in flight that is the head
+// segment's own committed prefix, with cap == len: a read-only alias that
+// the caller must not write through (an append reallocates rather than
+// writing into the list). Otherwise the head's entries and each successor's
+// committed tail are copied into *buf, grown as needed and kept there for
+// the caller's next call. View is lock-free and safe concurrently with
+// Append and with background migration, like Scan.
+func (ix *Index) View(c int, buf *[]uint32) []uint32 {
+	if c < 0 || c >= len(ix.lists) {
+		return nil
+	}
+	l := ix.lists[c].Load()
+	// Committed entries of a segment are never rewritten: appends write past
+	// n, and migration fills a successor's reserved prefix, never l.
+	n, next := l.extent()
+	if next == nil {
+		return l.data[:n:n]
+	}
+	ids := append((*buf)[:0], l.data[:n]...)
+	for l = next; l != nil; l = next {
+		n, next = l.extent()
+		ids = append(ids, l.data[l.base:n]...)
+	}
+	*buf = ids
+	return ids
 }
 
 // ListLen returns the committed length of list c (including migration

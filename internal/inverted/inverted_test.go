@@ -217,6 +217,138 @@ func TestConcurrentAppendScan(t *testing.T) {
 	}
 }
 
+// TestViewAliasesHeadSegment: with no expansion in flight View returns the
+// head segment's committed prefix itself, clipped so that a caller's append
+// reallocates instead of writing into the list, and leaves buf alone.
+func TestViewAliasesHeadSegment(t *testing.T) {
+	ix := New(1, 8)
+	for i := uint32(0); i < 5; i++ {
+		if err := ix.Append(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []uint32
+	v := ix.View(0, &buf)
+	if len(v) != 5 || cap(v) != len(v) {
+		t.Fatalf("view len %d cap %d, want 5 and 5", len(v), cap(v))
+	}
+	if &v[0] != &ix.lists[0].Load().data[0] {
+		t.Fatal("view of a single-segment list is a copy, want the segment's array")
+	}
+	if buf != nil {
+		t.Fatal("aliasing view wrote into buf")
+	}
+	if w := append(v, 99); &w[0] == &v[0] {
+		t.Fatal("appending to a view wrote into the list's array")
+	}
+	if err := ix.Append(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ix.View(0, &buf) {
+		if id != uint32(i) {
+			t.Fatalf("entry %d reads %d after a caller's append to an earlier view", i, id)
+		}
+	}
+	if v := ix.View(3, &buf); v != nil {
+		t.Fatalf("out-of-range view = %v", v)
+	}
+}
+
+// TestViewCopiesDuringExpansion holds a list's migration chain open (the
+// background copy is marked as running, so none starts) across three
+// doublings: View must then copy into buf exactly Scan's sequence, and
+// reuse buf's array on the next call.
+func TestViewCopiesDuringExpansion(t *testing.T) {
+	ix := New(1, 4)
+	ix.migrating[0].Store(true)
+	for i := uint32(0); i < 40; i++ {
+		if err := ix.Append(0, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.lists[0].Load().next.Load() == nil {
+		t.Fatal("no expansion in flight")
+	}
+	var buf []uint32
+	v := ix.View(0, &buf)
+	want := collect(ix, 0)
+	if len(v) != len(want) || len(want) != 40 {
+		t.Fatalf("view %d ids, scan %d, want 40", len(v), len(want))
+	}
+	for i := range want {
+		if v[i] != want[i] {
+			t.Fatalf("entry %d: view %d, scan %d", i, v[i], want[i])
+		}
+	}
+	if &buf[0] != &v[0] {
+		t.Fatal("view during expansion did not keep its copy in buf")
+	}
+	if again := ix.View(0, &buf); &again[0] != &v[0] {
+		t.Fatal("second view reallocated a sufficient buf")
+	}
+}
+
+// TestViewConcurrentAppend: one writer appends 0, 1, 2, ... to a list
+// through many expansions while readers take views and scans; every view
+// and every scan must be a prefix of that sequence, and a view never
+// shorter than the one before. A reader that paired a segment's stale
+// length with its successor's tail would skip entries. Run with -race.
+func TestViewConcurrentAppend(t *testing.T) {
+	ix := New(1, 2)
+	const total = 20000
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := uint32(0); i < total; i++ {
+			if err := ix.Append(0, i); err != nil {
+				t.Errorf("append: %v", err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []uint32
+			prev := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v := ix.View(0, &buf)
+				if len(v) < prev {
+					t.Errorf("view shrank from %d to %d ids", prev, len(v))
+					return
+				}
+				for i, id := range v {
+					if id != uint32(i) {
+						t.Errorf("view entry %d reads %d", i, id)
+						return
+					}
+				}
+				prev = len(v)
+				for i, id := range collect(ix, 0) {
+					if id != uint32(i) {
+						t.Errorf("scan entry %d reads %d", i, id)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var buf []uint32
+	if n := len(ix.View(0, &buf)); n != total {
+		t.Fatalf("final view %d ids, want %d", n, total)
+	}
+}
+
 // TestMigrationChain forces a second expansion while the first copy may
 // still be running (append bursts far beyond one doubling).
 func TestMigrationChain(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Type enumerates update event kinds (Fig. 6). Values start at 1 so the
@@ -71,10 +72,30 @@ const codecVersion = 1
 // ErrCodec is wrapped by all decode failures.
 var ErrCodec = errors.New("msg: codec error")
 
-// maxURLs bounds decoded image lists as a corruption guard.
-const maxURLs = 1 << 16
+// MaxURLBytes is the longest image URL an event can carry: the codec
+// writes each URL's length as a uint16.
+const MaxURLBytes = math.MaxUint16
 
-// Encode serialises the event.
+// maxURLs is the most image URLs one event can carry: the codec writes the
+// count as a uint16.
+const maxURLs = math.MaxUint16
+
+// Check reports whether Encode represents u exactly: at most maxURLs image
+// URLs, none longer than MaxURLBytes. Encode truncates the length fields
+// of an event that fails it, so a producer must check first.
+func (u *ProductUpdate) Check() error {
+	if len(u.ImageURLs) > maxURLs {
+		return fmt.Errorf("%w: %d urls, at most %d encode", ErrCodec, len(u.ImageURLs), maxURLs)
+	}
+	for _, s := range u.ImageURLs {
+		if len(s) > MaxURLBytes {
+			return fmt.Errorf("%w: %d-byte url, at most %d encode", ErrCodec, len(s), MaxURLBytes)
+		}
+	}
+	return nil
+}
+
+// Encode serialises the event, which must pass Check.
 func (u *ProductUpdate) Encode() []byte {
 	size := 1 + 1 + 8 + 2 + 4 + 4 + 4 + 8 + 8 + 2
 	for _, s := range u.ImageURLs {
@@ -97,7 +118,9 @@ func (u *ProductUpdate) Encode() []byte {
 	return dst
 }
 
-// Decode deserialises an event produced by Encode.
+// Decode deserialises an event produced by Encode. The frame must be
+// exactly one event: trailing bytes are rejected, so every accepted frame
+// is the encoding of the event it decodes to.
 func Decode(b []byte) (*ProductUpdate, error) {
 	if len(b) < 42 {
 		return nil, fmt.Errorf("%w: frame too short (%d bytes)", ErrCodec, len(b))
@@ -119,10 +142,12 @@ func Decode(b []byte) (*ProductUpdate, error) {
 	u.EventTimeNanos = int64(binary.LittleEndian.Uint64(b[24:32]))
 	u.Seq = binary.LittleEndian.Uint64(b[32:40])
 	n := int(binary.LittleEndian.Uint16(b[40:42]))
-	if n > maxURLs {
-		return nil, fmt.Errorf("%w: %d urls", ErrCodec, n)
-	}
 	b = b[42:]
+	// Every URL takes at least its 2-byte length, so a count the rest of
+	// the frame cannot back fails before it sizes the slice.
+	if 2*n > len(b) {
+		return nil, fmt.Errorf("%w: %d urls in %d bytes", ErrCodec, n, len(b))
+	}
 	if n > 0 {
 		u.ImageURLs = make([]string, 0, n)
 		for i := 0; i < n; i++ {
@@ -137,6 +162,9 @@ func Decode(b []byte) (*ProductUpdate, error) {
 			u.ImageURLs = append(u.ImageURLs, string(b[:l]))
 			b = b[l:]
 		}
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(b))
 	}
 	return u, nil
 }

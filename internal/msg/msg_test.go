@@ -64,6 +64,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			return d
 		}()},
 		{"truncated urls", valid[:len(valid)-3]},
+		{"trailing byte", append(append([]byte(nil), valid...), 0)},
+		{"url count the frame cannot back", func() []byte {
+			d := append([]byte(nil), valid[:42]...)
+			d[40], d[41] = 0xff, 0xff
+			return d
+		}()},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -95,6 +101,24 @@ func TestLongURL(t *testing.T) {
 	}
 	if got.ImageURLs[0] != u.ImageURLs[0] {
 		t.Fatal("long URL corrupted")
+	}
+}
+
+// TestCheckBoundsLengthFields: Check accepts exactly what the uint16
+// length and count fields can carry.
+func TestCheckBoundsLengthFields(t *testing.T) {
+	u := sampleUpdate()
+	u.ImageURLs = []string{strings.Repeat("u", MaxURLBytes)}
+	if err := u.Check(); err != nil {
+		t.Fatalf("%d-byte url rejected: %v", MaxURLBytes, err)
+	}
+	u.ImageURLs[0] += "u"
+	if err := u.Check(); err == nil {
+		t.Fatalf("%d-byte url accepted", MaxURLBytes+1)
+	}
+	u.ImageURLs = make([]string, maxURLs+1)
+	if err := u.Check(); err == nil {
+		t.Fatalf("%d urls accepted", maxURLs+1)
 	}
 }
 

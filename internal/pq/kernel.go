@@ -3,7 +3,19 @@ package pq
 // This file defines the 4-bit fast-scan kernel and the blocked code layout
 // it consumes. The kernel is portable Go, one implementation on every
 // platform; the plain ten-line loop it was derived from lives in
-// kernel_test.go as the bit-equivalence reference.
+// kernel_test.go as the bit-equivalence reference. The 8-bit kernel is
+// ADCScanBounded (pq.go).
+//
+// # Bounded 8-bit scan
+//
+// ADCScanBounded takes the caller's current worst distance as a bound and
+// abandons a code whose first four lookups already sum above it, writing
+// +Inf. Distances are exact at or below the bound — bit-identical to
+// ADCDist — and above it they only promise to stay above it. This holds
+// because every LUT entry is a squared distance, never negative, so a
+// partial sum cannot exceed the full one; a LUT with negative entries
+// (inner product) must pass an infinite bound. ADCScan is the same loop
+// with an infinite bound. The 4-bit kernels below take no bound.
 //
 // # Blocked fast-scan layout
 //

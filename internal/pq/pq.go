@@ -61,6 +61,7 @@ package pq
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"jdvs/internal/kmeans"
 	"jdvs/internal/vecmath"
@@ -315,11 +316,17 @@ func (cb *Codebook) BuildLUT(q []float32, lut []float32) ([]float32, error) {
 }
 
 // ADCDist returns the asymmetric approximate squared distance of one code
-// against a query's lookup table: Σ_m lut[m*NCentroids+code[m]]. The inner
-// loop is unrolled by four like vecmath.L2Squared; four independent
-// accumulators keep the adds off one dependency chain.
+// against a query's lookup table: Σ_m lut[m*NCentroids+code[m]].
 func ADCDist(lut []float32, code []byte) float32 {
-	var s0, s1, s2, s3 float32
+	return adcSum(lut, code, 0, 0, 0, 0)
+}
+
+// adcSum folds code's lookups into four running accumulators and returns
+// their total; lut starts at the table row of code[0]'s subquantizer. The
+// inner loop is unrolled by four like vecmath.L2Squared; four independent
+// accumulators keep the adds off one dependency chain. ADCDist starts it
+// from zero, ADCScanBounded after the first four lookups.
+func adcSum(lut []float32, code []byte, s0, s1, s2, s3 float32) float32 {
 	i := 0
 	for ; i+4 <= len(code); i += 4 {
 		// Reslicing to a constant length lets the compiler prove every
@@ -360,11 +367,32 @@ func ADCDist4(lut []float32, code []byte) float32 {
 
 // ADCScan scores a contiguous block of n codes (codes holds n×m bytes,
 // code i at codes[i*m:(i+1)*m]) against lut, writing distances into out
-// and returning it. This is the shard's 8-bit block scorer: an inverted
-// list's codes are stored row-major in list order, so the scan scores each
-// block (and the published prefix of the tail block) with one call.
-// out[i] is bit-identical to ADCDist(lut, code i).
+// and returning it. out[i] is bit-identical to ADCDist(lut, code i). It is
+// ADCScanBounded with an infinite bound: the one 8-bit scoring loop, with
+// nothing abandoned.
 func ADCScan(lut []float32, codes []byte, m int, out []float32) []float32 {
+	return ADCScanBounded(lut, codes, m, float32(math.Inf(1)), out)
+}
+
+// ADCScanBounded is the shard's 8-bit block scorer: an inverted list's
+// codes are stored row-major in list order, so the scan scores each block
+// (and the published prefix of the tail block) with one call, passing the
+// selector's current worst distance as bound. Layout and output are
+// ADCScan's, with one difference: a code whose first four lookups already
+// sum above bound is abandoned and reads +Inf.
+//
+// Contract: every code whose ADCDist is at or below bound gets exactly
+// ADCDist's value, and every other code reads a value above bound. The
+// first group of four subquantizers is summed into ADCDist's four
+// accumulators in ADCDist's order, and a code that passes the test is
+// finished by adcSum, ADCDist's own loop, so its distance is ADCDist's bit
+// for bit. Abandoning is exact only because LUT
+// entries are squared distances (≥ 0): rounded addition of non-negative
+// terms never decreases, so the tested partial sum never exceeds the full
+// sum. A table that can hold negative entries (an inner-product LUT) must
+// be scanned with an infinite bound. With m < 4 there is no first group
+// and every code is scored in full.
+func ADCScanBounded(lut []float32, codes []byte, m int, bound float32, out []float32) []float32 {
 	if m <= 0 || len(codes)%m != 0 {
 		panic("pq: bad code block layout")
 	}
@@ -373,8 +401,24 @@ func ADCScan(lut []float32, codes []byte, m int, out []float32) []float32 {
 		out = make([]float32, n)
 	}
 	out = out[:n]
-	for i := 0; i < n; i++ {
-		out[i] = ADCDist(lut, codes[i*m:(i+1)*m])
+	inf := float32(math.Inf(1))
+	for i := range out {
+		code := codes[i*m : (i+1)*m]
+		if len(code) < 4 {
+			out[i] = adcSum(lut, code, 0, 0, 0, 0)
+			continue
+		}
+		g := lut[:4*NCentroids]
+		var s0, s1, s2, s3 float32
+		s0 += g[code[0]]
+		s1 += g[NCentroids+int(code[1])]
+		s2 += g[2*NCentroids+int(code[2])]
+		s3 += g[3*NCentroids+int(code[3])]
+		if s0+s1+s2+s3 > bound {
+			out[i] = inf
+			continue
+		}
+		out[i] = adcSum(lut[4*NCentroids:], code[4:], s0, s1, s2, s3)
 	}
 	return out
 }

@@ -2,7 +2,9 @@ package pq
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jdvs/internal/vecmath"
@@ -39,11 +41,20 @@ func benchSetup(b *testing.B, n, dim, m int) (lut []float32, codes []byte, rows 
 // n is sized so the float rows exceed cache — the production condition
 // the ADC path exists for — while the codes and LUT stay resident. This
 // is the raw memory-bandwidth trade the IVF-ADC scan path buys.
+//
+// path=adc is the unbounded 8-bit kernel (ADCScan). path=adc-bounded is
+// the same kernel given a bound at the 1st percentile of the block's
+// distances: the worst distance of a full selector that keeps one scanned
+// code in a hundred, as a list scan's over-fetch does. abandoned/code
+// reports the share of codes dropped after their first four lookups.
 func BenchmarkScanKernel(b *testing.B) {
 	const n = 65536
 	for _, shape := range []struct{ dim, m int }{{64, 16}, {128, 32}} {
 		lut, codes, rows, q := benchSetup(b, n, shape.dim, shape.m)
 		out := make([]float32, n)
+		sorted := slices.Clone(ADCScan(lut, codes, shape.m, nil))
+		slices.Sort(sorted)
+		bound := sorted[n/100]
 		b.Run(fmt.Sprintf("dim=%d/path=exact", shape.dim), func(b *testing.B) {
 			b.SetBytes(int64(n * shape.dim * 4))
 			for i := 0; i < b.N; i++ {
@@ -57,6 +68,20 @@ func BenchmarkScanKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ADCScan(lut, codes, shape.m, out)
 			}
+		})
+		b.Run(fmt.Sprintf("dim=%d/path=adc-bounded", shape.dim), func(b *testing.B) {
+			b.SetBytes(int64(n * shape.m))
+			for i := 0; i < b.N; i++ {
+				ADCScanBounded(lut, codes, shape.m, bound, out)
+			}
+			b.StopTimer()
+			abandoned := 0
+			for _, d := range out {
+				if math.IsInf(float64(d), 1) {
+					abandoned++
+				}
+			}
+			b.ReportMetric(float64(abandoned)/n, "abandoned/code")
 		})
 	}
 }

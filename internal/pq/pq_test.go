@@ -3,6 +3,7 @@ package pq
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jdvs/internal/vecmath"
@@ -190,6 +191,50 @@ func TestADCScanMatchesPerCode(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if want := ADCDist(lut, codes[i*m:(i+1)*m]); out[i] != want {
 			t.Fatalf("code %d: block scan %.6f, per-code %.6f", i, out[i], want)
+		}
+	}
+}
+
+// TestADCScanBoundedContract pins the bounded kernel's contract over
+// non-negative random tables (an eighth of the entries zero, so partial
+// and full sums tie): a code whose ADCDist is at or below the bound gets
+// ADCDist bit for bit, every other code reads above the bound, and an
+// infinite bound (ADCScan's) abandons nothing. The bounds include exact
+// ADCDist values, so codes sitting on the bound are covered; at M = 4 a
+// code's tested partial sum is its full sum.
+func TestADCScanBoundedContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 512
+	inf := float32(math.Inf(1))
+	for _, m := range []int{3, 4, 6, 8, 16, 32} {
+		lut := make([]float32, m*NCentroids)
+		for i := range lut {
+			if rng.Intn(8) != 0 {
+				lut[i] = float32(rng.ExpFloat64())
+			}
+		}
+		codes := make([]byte, n*m)
+		rng.Read(codes)
+		want := make([]float32, n)
+		for i := range want {
+			want[i] = ADCDist(lut, codes[i*m:(i+1)*m])
+		}
+		sorted := slices.Clone(want)
+		slices.Sort(sorted)
+		bounds := []float32{-1, inf}
+		for _, q := range []float64{0, 0.01, 0.1, 0.5, 0.9, 1} {
+			bounds = append(bounds, sorted[int(q*float64(n-1))])
+		}
+		for _, bound := range bounds {
+			got := ADCScanBounded(lut, codes, m, bound, nil)
+			for i, d := range got {
+				switch {
+				case want[i] <= bound && math.Float32bits(d) != math.Float32bits(want[i]):
+					t.Fatalf("M=%d bound=%v code %d: got %v, ADCDist %v", m, bound, i, d, want[i])
+				case want[i] > bound && !(d > bound):
+					t.Fatalf("M=%d bound=%v code %d: got %v, not above the bound (ADCDist %v)", m, bound, i, d, want[i])
+				}
+			}
 		}
 	}
 }
