@@ -2,7 +2,7 @@
 // the repo's A/B comparisons against the real system and prints
 // paper-style tables. It is a loop over the internal/experiments registry:
 //
-//	jdvs-bench -experiment table1|fig11|fig12|fig13|hedge|filtered|cached|batched|all
+//	jdvs-bench -experiment table1|fig11|fig12|fig13|hedge|filtered|cached|all
 //
 // Every experiment takes the same scale flags (-products, -partitions,
 // -events, -duration, -threads, -query-pool, -seed); a flag left at 0
@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&sc.Events, "events", 0, "table1/fig11: per-image update events (0 = experiment default)")
 	fs.DurationVar(&sc.Duration, "duration", 0, "measurement window per load point; fig11: real length of the simulated day (0 = experiment default)")
 	fs.IntVar(&sc.Threads, "threads", 0, "closed-loop client concurrency; fig12 sweeps T/4, T/2, T and fig13 1, 3, …, T (0 = experiment default)")
-	fs.IntVar(&sc.QueryPool, "query-pool", 0, "cached/batched: distinct query images in the zipf-weighted pool (0 = experiment default)")
+	fs.IntVar(&sc.QueryPool, "query-pool", 0, "cached: distinct query images in the zipf-weighted pool (0 = experiment default)")
 	fs.Int64Var(&sc.Seed, "seed", 42, "catalog, update-mix and query seed")
 	_ = fs.Parse(args) // ExitOnError: a bad flag or -h never returns
 

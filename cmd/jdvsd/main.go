@@ -58,8 +58,6 @@ func run() error {
 		pqM       = flag.Int("pq-subvectors", 0, "searcher: product-quantization code bytes per image (must divide -dim; 0 = exact float scan, -1 = dimension-derived default)")
 		pqRerank  = flag.Int("pq-rerank", 0, "searcher: ADC over-fetch depth re-ranked exactly per query (0 = bit-width default: 20×TopK at 8 bits, 30×TopK at 4)")
 		pqBits    = flag.Int("pq-bits", 0, "searcher: PQ code bit width: 8 (default) = one code byte per subvector, 4 = two 16-centroid subvectors packed per byte, scanned through the blocked fast-scan kernel at half the code memory")
-		batchWin  = flag.Duration("batch-window", 0, "searcher: collect concurrent searches arriving within this window into one batched index pass (0 = disabled; adds up to the window to a lone query's latency)")
-		batchMax  = flag.Int("batch-max-queries", 0, "searcher: cap on one search batch; a full window executes immediately (0 = default 16)")
 		pqSample  = flag.Int("pq-train-sample", 10000, "searcher: stored rows used to train PQ when the snapshot carries no codes")
 		featStore = flag.String("feature-store", "", "searcher: where raw feature rows live: ram (default, dim×4 heap bytes per image) or mmap (rows tiered onto a page-cache-served spill file — RAM holds only the PQ codes, so one shard fits several× more images)")
 		spillDir  = flag.String("spill-dir", "", "searcher: directory for feature-store spill files with -feature-store mmap (default: OS temp dir; files are unlinked at creation)")
@@ -112,8 +110,6 @@ func run() error {
 			Addr:            *addr,
 			SearchWorkers:   *workers,
 			LoadIdleTimeout: *loadIdle,
-			BatchWindow:     *batchWin,
-			BatchMaxQueries: *batchMax,
 		})
 		if err != nil {
 			return err

@@ -3,10 +3,11 @@
 // loop, or aliased into a second slot of a shared result slice — that
 // still retain mutable slice/map state reachable by the producer. The
 // type system cannot see the handoff; -race sees it only on an exercised
-// interleaving. This is the exact shape of the batch-dedup race fixed in
-// the single-flight search path: deduplicated queries aliased one
-// *SearchResponse into several response slots, and two waiters then
-// raced on the shared Hits backing. The blessed fix is the deep copy
+// interleaving. This is the shape of the batch-dedup race the (since
+// removed) single-flight batch search path once had, kept as the batchRace
+// fixture: deduplicated queries aliased one *SearchResponse into several
+// response slots, and two waiters then raced on the shared Hits backing.
+// The blessed fix, the batchFixed fixture, is the deep copy
 //
 //	cp := *r
 //	cp.Hits = append([]core.Hit(nil), r.Hits...)

@@ -1,6 +1,6 @@
 // Package a seeds the three aliasing handoff shapes. batchRace is the
-// single-flight batch-dedup race reproduced verbatim from the serving
-// path's pre-fix SearchBatch; batchFixed is the shipped deep-copy fix.
+// single-flight batch-dedup race reproduced verbatim from a since-removed
+// SearchBatch; batchFixed is the deep-copy fix it shipped with.
 package a
 
 import (
@@ -23,7 +23,7 @@ func batchRace(leaderOf []int, resps []*core.SearchResponse, errs []error) {
 	}
 }
 
-// batchFixed is the shipped fix: copy the struct, clone the Hits
+// batchFixed is the fix: copy the struct, clone the Hits
 // backing. The lattice tracks the per-field kill, so this is clean.
 func batchFixed(leaderOf []int, resps []*core.SearchResponse, errs []error) {
 	for i, j := range leaderOf {

@@ -10,7 +10,7 @@
 //
 //   - a defer containing a Put on the same pool object covers every
 //     exit (including a deferred closure that Puts members in a loop —
-//     the SearchBatch shape);
+//     the closureCovered fixture);
 //   - otherwise every path from the Get to the function exit must pass a
 //     Put on the same pool. Paths that die in a panic are exempt: a
 //     pool entry lost to an unwinding goroutine is harmless.

@@ -1,5 +1,5 @@
 // Package a seeds sync.Pool borrow/return shapes, mirroring the scratch
-// pools on the batch search path.
+// pools on the search path.
 package a
 
 import (
@@ -31,8 +31,8 @@ func deferCovered(fail bool) error {
 	return nil
 }
 
-// closureCovered is the SearchBatch shape: a deferred closure Puts the
-// members of every borrow in a loop.
+// closureCovered is the shape of a multi-query search that borrows one
+// scratch per member: a deferred closure Puts every borrow in a loop.
 func closureCovered(n int) {
 	members := make([]*scratch, 0, n)
 	defer func() {

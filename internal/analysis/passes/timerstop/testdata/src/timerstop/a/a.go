@@ -1,4 +1,4 @@
-// Package a seeds timer lifecycle shapes, mirroring the batcher's
+// Package a seeds timer lifecycle shapes, among them a query collector's
 // collection-window idiom.
 package a
 

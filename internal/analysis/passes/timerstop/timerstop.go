@@ -2,10 +2,10 @@
 //
 //   - time.After inside a loop allocates a fresh timer and channel every
 //     iteration; none is collectable until it fires. On a hot accept or
-//     batch-window loop that is unbounded timer churn — use one
-//     time.NewTimer and Reset it, or Stop it per iteration (the batcher
-//     idiom). A one-shot time.After outside a loop is idiomatic and not
-//     flagged.
+//     collection-window loop that is unbounded timer churn — use one
+//     time.NewTimer and Reset it, or Stop it per iteration (the
+//     batcherIdiom fixture). A one-shot time.After outside a loop is
+//     idiomatic and not flagged.
 //
 //   - a time.NewTimer must be stopped — or drained (<-t.C: a fired
 //     timer holds nothing) — on every non-panicking path; a

@@ -82,12 +82,6 @@ type Config struct {
 	// blocked fast-scan kernel — half the code memory per image at a
 	// deeper default re-rank. Only meaningful with PQSubvectors set.
 	PQBits int
-	// BatchWindow / BatchMaxQueries enable batched query execution on
-	// every searcher (searcher.Config fields of the same names):
-	// concurrent searches arriving within the window run as one
-	// SearchBatch pass over the shard. Zero window disables batching.
-	BatchWindow     time.Duration
-	BatchMaxQueries int
 	// FeatureStore selects where each searcher shard keeps its raw
 	// feature rows (index.Config.FeatureStore): "ram" (default) holds
 	// dim×4 bytes per image on the heap; "mmap" tiers the rows onto an
@@ -317,14 +311,12 @@ func (c *Cluster) startTiers(shards []*index.Shard) error {
 				onApplied = cfg.OnApplied
 			}
 			scfg := searcher.Config{
-				Partition:       core.PartitionID(p),
-				Shard:           shard,
-				Resolver:        c.resolver,
-				Queue:           queue,
-				StartOffset:     startOffset,
-				OnApplied:       onApplied,
-				BatchWindow:     cfg.BatchWindow,
-				BatchMaxQueries: cfg.BatchMaxQueries,
+				Partition:   core.PartitionID(p),
+				Shard:       shard,
+				Resolver:    c.resolver,
+				Queue:       queue,
+				StartOffset: startOffset,
+				OnApplied:   onApplied,
 			}
 			if r == cfg.Replicas-1 {
 				// Fault injection targets the last replica of each

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"jdvs/internal/cluster"
-	"jdvs/internal/core"
 	"jdvs/internal/workload"
 )
 
@@ -25,9 +24,6 @@ type ab struct {
 	pool      int                      // distinct query images
 	load      workload.QueryLoadConfig // skew and probe width only; runSide sets the rest
 	treatLoad func(lc *workload.QueryLoadConfig, blobCategories []int32)
-
-	// audit, when set, runs on each side's cluster before its load.
-	audit func(side int, c *cluster.Cluster, blobs [][]byte) error
 	// notes writes the closing lines from rep.Points (one per side).
 	notes func(rep *Report)
 }
@@ -63,11 +59,6 @@ func (e *ab) runSide(sc Scale, side int, rep *Report) error {
 	lc.Blobs, lc.Concurrency, lc.Duration, lc.Seed = blobs, sc.Threads, sc.Duration, sc.Seed
 	if side == 1 && e.treatLoad != nil {
 		e.treatLoad(&lc, cats)
-	}
-	if e.audit != nil {
-		if err := e.audit(side, c, blobs); err != nil {
-			return fmt.Errorf("%s audit: %w", label, err)
-		}
 	}
 	p, err := measure(c, label, lc)
 	if err != nil {
@@ -206,105 +197,4 @@ func cached(sc Scale) ab {
 			noteSpeedup(rep)
 		},
 	}
-}
-
-// batched: one zipf-skewed concurrent stream against 4-bit PQ searchers
-// answering every query alone, then collecting concurrent queries into
-// windows executed through index.SearchBatch. The searcher scan — the
-// subject — is made to dominate the closed loop the way it does at
-// production corpus sizes: extraction is cheap, the blender feature cache
-// holds the whole pool on both sides (warmed by the audit's replay pass),
-// one partition keeps the corpus under a single collector, and every
-// query probes half the lists. The skew models burst-hour hero-image
-// traffic (the hottest image draws about half the stream), the regime the
-// collector is for. The window closes early at ¾ of the clients: at any
-// instant some are in extraction or merge, so waiting for all of them
-// mostly waits out the timer.
-//
-// The audit replays every pool query once on each side (a lone
-// single-query batch on the batched side) and compares the pages hit for
-// hit: both clusters are built from one seed, so a correct batched path
-// answers identically.
-func batched(sc Scale) ab {
-	const (
-		zipfS  = 2.0
-		nprobe = 32
-		bits   = 4
-		window = time.Millisecond
-	)
-	maxQueries := sc.Threads * 3 / 4
-	if maxQueries < 2 {
-		maxQueries = 2
-	}
-	var pages [2][]*core.SearchResponse
-	return ab{
-		title: fmt.Sprintf("Batched query execution under zipf-skewed concurrency (s=%.2f, pool %d, %d clients, %d-bit PQ, window %s, max %d)",
-			zipfS, sc.QueryPool, sc.Threads, bits, window, maxQueries),
-		sides:      [2]string{"unbatched", "batched"},
-		columns:    []string{"mode", "QPS", "mean", "p50", "p99", "queries", "errors"},
-		categories: 8,
-		base: cluster.Config{
-			Brokers: 1, Blenders: 1, NLists: 64, PQSubvectors: 16, PQBits: bits,
-			ExtractWork: 1, FeatureCacheSize: sc.QueryPool,
-		},
-		treat: func(c *cluster.Config) {
-			c.BatchWindow, c.BatchMaxQueries = window, maxQueries
-		},
-		pool: sc.QueryPool,
-		load: workload.QueryLoadConfig{ZipfS: zipfS, NProbe: nprobe},
-		audit: func(side int, c *cluster.Cluster, blobs [][]byte) (err error) {
-			pages[side], err = replayPool(c, blobs, nprobe)
-			return err
-		},
-		notes: func(rep *Report) {
-			for i := range pages[0] {
-				if !samePage(pages[0][i], pages[1][i]) {
-					rep.Stats["mismatched"]++
-				}
-			}
-			rep.Stats["replayed"] = int64(len(pages[0]))
-			rep.notef("per-query results: %d replayed, %d mismatched", rep.Stats["replayed"], rep.Stats["mismatched"])
-			noteSpeedup(rep)
-		},
-	}
-}
-
-// replayPool asks every pool query once, sequentially.
-func replayPool(c *cluster.Cluster, blobs [][]byte, nprobe int) ([]*core.SearchResponse, error) {
-	cl, err := c.Client()
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	out := make([]*core.SearchResponse, len(blobs))
-	for i, blob := range blobs {
-		out[i], err = cl.Query(ctx, &core.QueryRequest{
-			ImageBlob:     blob,
-			TopK:          workload.QueryTopK,
-			NProbe:        nprobe,
-			CategoryScope: core.AllCategories,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("pool query %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// samePage reports whether two result pages agree hit for hit on identity,
-// distance and ranking score.
-func samePage(a, b *core.SearchResponse) bool {
-	if len(a.Hits) != len(b.Hits) {
-		return false
-	}
-	for i := range a.Hits {
-		ha, hb := &a.Hits[i], &b.Hits[i]
-		if ha.ProductID != hb.ProductID || ha.URL != hb.URL ||
-			ha.Dist != hb.Dist || ha.Score != hb.Score {
-			return false
-		}
-	}
-	return true
 }

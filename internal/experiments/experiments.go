@@ -47,7 +47,7 @@ type Scale struct {
 	// Threads is the closed-loop client concurrency; the sweeps derive
 	// their points from it (fig12: T/4, T/2, T; fig13: 1, 3, …, T).
 	Threads int
-	// QueryPool is the number of distinct query images (cached, batched).
+	// QueryPool is the number of distinct query images (cached).
 	QueryPool int
 	// Seed drives catalog, update-mix and query generation.
 	Seed int64
@@ -112,8 +112,6 @@ func All() []Experiment {
 			defaults: Scale{Products: 4_000, Partitions: 4, Duration: 2 * time.Second, Threads: 8}, run: abRunner(filtered)},
 		{Name: "cached", Doc: "zipf-skewed queries with both cache levels off vs on: hit rates and closed-loop speedup",
 			defaults: Scale{Products: 1_000, Partitions: 2, Duration: 2 * time.Second, Threads: 8, QueryPool: 512}, run: abRunner(cached)},
-		{Name: "batched", Doc: "searchers answering alone vs in SearchBatch windows: speedup plus a per-query equality audit",
-			defaults: Scale{Products: 40_000, Partitions: 1, Duration: 2 * time.Second, Threads: 16, QueryPool: 256}, run: abRunner(batched)},
 	}
 }
 

@@ -143,17 +143,6 @@ func TestRegistrySmallScale(t *testing.T) {
 				}
 			},
 		},
-		"batched": {
-			scale:   Scale{Products: 300, Duration: 400 * ms, Threads: 4, QueryPool: 32, Seed: 9},
-			headers: []string{"Batched query execution", "mode", "QPS", "mean", "p50", "p99", "queries", "errors", "unbatched", "replayed, 0 mismatched", "speedup"},
-			check: func(t *testing.T, sc Scale, rep *Report) {
-				// The equality audit is the experiment's correctness half:
-				// both sides must answer every pool query identically.
-				if rep.Stats["replayed"] != int64(sc.QueryPool) || rep.Stats["mismatched"] != 0 {
-					t.Fatalf("audit over the whole pool of %d: %v", sc.QueryPool, rep.Stats)
-				}
-			},
-		},
 	}
 	for _, e := range All() {
 		tc, ok := cases[e.Name]

@@ -41,6 +41,9 @@ func New() *DB {
 	return &DB{kv: kv.NewStore()}
 }
 
+// attrsLen is the fixed-size attribute block that ends every record.
+const attrsLen = 22
+
 // encodeEntry layout: feature | attrs (fixed numerics) | url-less.
 // The URL is the key, so it is not duplicated in the value.
 func encodeEntry(e *Entry) []byte {
@@ -51,7 +54,7 @@ func encodeEntry(e *Entry) []byte {
 }
 
 func appendAttrs(dst []byte, a core.Attrs) []byte {
-	var buf [22]byte
+	var buf [attrsLen]byte
 	putUint64(buf[0:8], a.ProductID)
 	putUint32(buf[8:12], a.Sales)
 	putUint32(buf[12:16], a.Praise)
@@ -94,8 +97,10 @@ func decodeEntry(b []byte, url string) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("featuredb: corrupt entry for %q: %w", url, err)
 	}
-	if len(rest) < 22 {
-		return nil, fmt.Errorf("featuredb: corrupt attrs for %q", url)
+	// Exactly the attribute block follows the feature: a longer record is
+	// corrupt, not a valid one with ignorable trailing bytes.
+	if len(rest) != attrsLen {
+		return nil, fmt.Errorf("featuredb: corrupt attrs for %q: %d bytes, want %d", url, len(rest), attrsLen)
 	}
 	return &Entry{
 		Feature: f,

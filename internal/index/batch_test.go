@@ -7,9 +7,8 @@ import (
 	"jdvs/internal/core"
 )
 
-// batchRequests synthesises a mixed batch: plain queries, category-scoped
-// queries, varying TopK and NProbe — the shapes the collector will feed
-// SearchBatch in production.
+// batchRequests synthesises a mixed request set: plain queries,
+// category-scoped queries, varying TopK and NProbe.
 func batchRequests(rng *rand.Rand, feats [][]float32, n int) []*core.SearchRequest {
 	reqs := make([]*core.SearchRequest, n)
 	for i := range reqs {
@@ -43,45 +42,8 @@ func requireSameResponse(t *testing.T, label string, got, want *core.SearchRespo
 	}
 }
 
-// runBatchMatches runs the same request set batched and unbatched against
-// one shard and requires identical responses — the batched path's core
-// correctness contract.
-func runBatchMatches(t *testing.T, s *Shard, feats [][]float32) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 4; trial++ {
-		reqs := batchRequests(rng, feats, 2+trial*5) // 2, 7, 12, 17 members
-		resps, errs := s.SearchBatch(reqs)
-		for i, req := range reqs {
-			if errs[i] != nil {
-				t.Fatalf("trial %d query %d: %v", trial, i, errs[i])
-			}
-			want, err := s.Search(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResponse(t, "batched", resps[i], want)
-		}
-	}
-}
-
-// TestSearchBatchMatchesSearch8Bit: batched execution on the 8-bit ADC
-// path must return exactly the per-query Search results.
-func TestSearchBatchMatchesSearch8Bit(t *testing.T) {
-	_, quant, feats := buildPQPair(t, 3000, 32, 16, 8)
-	runBatchMatches(t, quant, feats)
-}
-
-// TestSearchBatchMatchesSearch4Bit: same contract on the 4-bit fast-scan
-// path, where the batch reuses one id snapshot and one block load across
-// members.
-func TestSearchBatchMatchesSearch4Bit(t *testing.T) {
-	_, quant, feats := buildPQBitsPair(t, 3000, 32, 16, 8, 4)
-	runBatchMatches(t, quant, feats)
-}
-
-// TestSearchBatchExactFallback: shards without a quantizer serve batches
-// as per-query exact searches with identical results.
+// TestSearchBatchExactFallback: on a shard without a quantizer each
+// position of a batch holds its own exact Search result.
 func TestSearchBatchExactFallback(t *testing.T) {
 	exact, _, feats := buildPQPair(t, 1000, 32, 16, 8)
 	rng := rand.New(rand.NewSource(3))
@@ -145,42 +107,8 @@ func TestSearchBatchPerQueryErrors(t *testing.T) {
 	requireSameResponse(t, "singleton batch", one[0], want)
 }
 
-// TestSearchBatchDuplicateSingleFlight: identical requests inside a batch
-// are answered once and every duplicate still gets exactly the response an
-// unbatched Search returns, as a caller-owned copy.
-func TestSearchBatchDuplicateSingleFlight(t *testing.T) {
-	for _, bits := range []int{8, 4} {
-		_, quant, feats := buildPQBitsPair(t, 1500, 32, 16, 8, bits)
-		hot := &core.SearchRequest{Feature: feats[3], TopK: 7, NProbe: 5, Category: -1}
-		other := &core.SearchRequest{Feature: feats[9], TopK: 7, NProbe: 5, Category: -1}
-		// Same feature but different parameters must NOT be deduplicated.
-		narrow := &core.SearchRequest{Feature: feats[3], TopK: 3, NProbe: 2, Category: -1}
-		reqs := []*core.SearchRequest{hot, other, hot, narrow, hot, hot}
-		resps, errs := quant.SearchBatch(reqs)
-		for i, req := range reqs {
-			if errs[i] != nil {
-				t.Fatalf("bits=%d query %d: %v", bits, i, errs[i])
-			}
-			want, err := quant.Search(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResponse(t, "deduped batch", resps[i], want)
-		}
-		if resps[0] == resps[2] || resps[2] == resps[4] {
-			t.Fatalf("bits=%d: duplicates share a response struct", bits)
-		}
-		// Hit slices must not alias either: batch members belong to
-		// concurrent RPC handlers that stamp partition ids into their
-		// hits after the batch returns.
-		if len(resps[0].Hits) > 0 && &resps[0].Hits[0] == &resps[2].Hits[0] {
-			t.Fatalf("bits=%d: duplicates share a hit backing array", bits)
-		}
-	}
-}
-
-// TestSearchBatchFiltered: predicate-filtered members inside a batch keep
-// the plan and exact filtering of the unbatched path.
+// TestSearchBatchFiltered: predicate-filtered members of a batch keep the
+// plan and exact filtering of a lone Search.
 func TestSearchBatchFiltered(t *testing.T) {
 	_, quant, feats := buildPQBitsPair(t, 2000, 32, 16, 8, 4)
 	reqs := []*core.SearchRequest{

@@ -161,8 +161,8 @@ func pageOf(resp *core.SearchResponse) []string {
 // TestBulkLoadMatchesInsert: the same corpus bulk-loaded and inserted row
 // by row in URL order answers every query with the same (URL, dist) page —
 // IDs differ, results do not — on the exact, 8-bit and 4-bit paths, serial
-// and striped, through Search and SearchBatch, across the selectivity and
-// predicate sweep of TestFilteredExactMatchesOracle.
+// and striped, across the selectivity and predicate sweep of
+// TestFilteredExactMatchesOracle.
 func TestBulkLoadMatchesInsert(t *testing.T) {
 	const n, dim, nlists = 3000, 32, 16
 	rows, train := loadCorpus(n, dim)
@@ -192,8 +192,6 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 					req.TopK = 10
 					reqs = append(reqs, &req)
 				}
-				bulkBatch, bulkErrs := bulk.SearchBatch(reqs)
-				serialBatch, serialErrs := serial.SearchBatch(reqs)
 				for i, req := range reqs {
 					got, err := bulk.Search(req)
 					if err != nil {
@@ -203,19 +201,12 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if bulkErrs[i] != nil || serialErrs[i] != nil {
-						t.Fatalf("query %d: batch errors %v / %v", i, bulkErrs[i], serialErrs[i])
-					}
 					wantPage := fmt.Sprint(pageOf(want))
 					if len(want.Hits) == 0 {
 						t.Fatalf("query %d: empty reference page", i)
 					}
-					for label, resp := range map[string]*core.SearchResponse{
-						"bulk Search": got, "bulk SearchBatch": bulkBatch[i], "insert SearchBatch": serialBatch[i],
-					} {
-						if page := fmt.Sprint(pageOf(resp)); page != wantPage {
-							t.Fatalf("query %d (%+v): %s page\n%s\nwant\n%s", i, predicates[i%len(predicates)], label, page, wantPage)
-						}
+					if page := fmt.Sprint(pageOf(got)); page != wantPage {
+						t.Fatalf("query %d (%+v): bulk page\n%s\nwant\n%s", i, predicates[i%len(predicates)], page, wantPage)
 					}
 				}
 			})

@@ -299,13 +299,13 @@ func TestConfigPQBitsValidation(t *testing.T) {
 	}
 }
 
-// TestConcurrentADCSearchDuringInserts: the blocked ADC scan — single and
-// batched, at both code widths — is lock-free against the real-time
-// writer. Full blocks go through the block kernel; the partially filled
-// tail block is read only up to the published slot (the row prefix at 8
-// bits, the published slots' lane bytes at 4), byte-disjoint from the
-// writer's unpublished-slot writes, which is exactly what the race
-// detector checks here.
+// TestConcurrentADCSearchDuringInserts: the blocked ADC scan, at both code
+// widths and over plain and filtered request shapes, is lock-free against
+// the real-time writer. Full blocks go through the block kernel; the
+// partially filled tail block is read only up to the published slot (the
+// row prefix at 8 bits, the published slots' lane bytes at 4),
+// byte-disjoint from the writer's unpublished-slot writes, which is
+// exactly what the race detector checks here.
 func TestConcurrentADCSearchDuringInserts(t *testing.T) {
 	for _, bits := range []int{8, 4} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
@@ -355,11 +355,9 @@ func TestConcurrentADCSearchDuringInserts(t *testing.T) {
 								return
 							}
 						} else {
-							reqs := batchRequests(qrng, feats, 4)
-							_, errs := quant.SearchBatch(reqs)
-							for _, err := range errs {
-								if err != nil {
-									t.Errorf("batched search during inserts: %v", err)
+							for _, req := range batchRequests(qrng, feats, 4) {
+								if _, err := quant.Search(req); err != nil {
+									t.Errorf("mixed-shape search during inserts: %v", err)
 									return
 								}
 							}

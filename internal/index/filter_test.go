@@ -439,8 +439,8 @@ func TestExactPlanBoundary(t *testing.T) {
 }
 
 // TestSearchBatchMixedPlans: one batch holding exact-plan members and list
-// scan members answers each exactly as a lone Search does. Unquantised
-// shards are left out: their SearchBatch is per-query Search.
+// scan members answers each position exactly as a lone Search does, and
+// the two selective members take the exact plan.
 func TestSearchBatchMixedPlans(t *testing.T) {
 	const n, dim, nlists = 4000, 32, 16
 	for _, w := range planWidths[1:] {

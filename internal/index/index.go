@@ -1109,8 +1109,7 @@ func (s *Shard) Feature(id core.ImageID) []float32 { return s.feats.Row(id) }
 // searchScratch is the pooled per-query scratch: probe-selection buffers,
 // the ADC lookup table, one top-k selector per scan worker, and the
 // re-rank's final selector. Pooling keeps the hot path free of per-query
-// allocations across serial, parallel and batched scans (a batch takes one
-// scratch per member).
+// allocations across serial and parallel scans.
 type searchScratch struct {
 	probe     []int
 	probeDist []float32
@@ -1160,25 +1159,20 @@ func (sc *searchScratch) workerCounts(n int) []int {
 }
 
 // query is one search in flight: the state prepare derives from a request
-// and the list traversals score against. SearchBatch holds one per member;
-// Search holds one, copied per scan worker with that worker's selector.
+// and the list traversals score against, read-only once prepared, so the
+// scan workers of one Search share it.
 type query struct {
 	req     *core.SearchRequest
-	idx     int            // position in SearchBatch's request slice
 	k       int            // clamped TopK
 	rerankK int            // ADC over-fetch depth (quantized shards only)
 	sc      *searchScratch // probe set in sc.probe, lookup table in sc.lut
 	adm     admission
-	sel     *topk.Selector // where scanADC pushes this query's candidates
-	scanned int            // codes scanADC scored on this query's behalf
 }
 
 // prepare validates req and derives everything a scan needs from it into q,
 // whose scratch the caller supplies: the clamped k, the admission filter,
 // the probe set in q.sc.probe and, on a quantized shard (ps != nil), the
-// ADC lookup table and over-fetch depth. It is the one query-prep path of
-// Search and SearchBatch, so a batched query is planned, probed and
-// re-ranked exactly as an unbatched one. A non-nil response answers the
+// ADC lookup table and over-fetch depth. A non-nil response answers the
 // query without a list scan: no committed row can pass its filter (e.g. a
 // never-seen category), or the filter admits no more rows than the probe
 // would score (exactPlanLimit) and scoreAdmitted scored them all.
@@ -1239,10 +1233,10 @@ func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.S
 //
 // When a product quantizer is installed (TrainPQ / SetPQCodebook / a
 // PQ-bearing snapshot) the scan scores ADC codes instead of float rows —
-// the SearchBatch traversal with one member: a per-query lookup table
-// turns each candidate into M byte-indexed table adds, the scan over-fetches
-// RerankK candidates, and that short list is re-ranked exactly against the
-// raw feature rows before the final top-k. Shards without a quantizer take
+// a per-query lookup table turns each candidate into M byte-indexed table
+// adds (scanADC), the scan over-fetches RerankK candidates, and that short
+// list is re-ranked exactly against the raw feature rows before the final
+// top-k. Shards without a quantizer take
 // the exact float path. A filtered query that admits no more rows than the
 // probe would score skips the lists and scores those rows exactly
 // (scoreAdmitted), reporting Probed 0.
@@ -1280,10 +1274,7 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 		sel, scanned = s.scanStriped(workers, q.rerankK, sc, func(start, stride int, sel *topk.Selector) int {
 			// scanStriped hands worker w the stripe starting at w (0 on
 			// the serial path), which also names its id buffer.
-			m := q
-			m.sel = sel
-			s.scanADC(ps, lists, start, stride, []*query{&m}, nil, &sc.ids[start])
-			return m.scanned
+			return s.scanADC(ps, &q, sel, start, stride, &sc.ids[start])
 		})
 		items = s.rerankExact(req, q.k, sel.Items(), sc, &q.adm)
 	} else {
@@ -1296,9 +1287,21 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 	return s.assembleResponse(items, scanned, len(lists)), nil
 }
 
+// SearchBatch answers reqs[i] with Search into position i of the returned
+// slices. It is kept only because the benchmark's per-layer harness
+// (bench/layers.go) calls it.
+func (s *Shard) SearchBatch(reqs []*core.SearchRequest) ([]*core.SearchResponse, []error) {
+	resps := make([]*core.SearchResponse, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, req := range reqs {
+		resps[i], errs[i] = s.Search(req)
+	}
+	return resps, errs
+}
+
 // assembleResponse joins the final ranked items with their forward-index
-// attributes — the shared last step of Search and SearchBatch, so batched
-// responses match unbatched ones field for field.
+// attributes — the shared last step of both plans and of the exact and ADC
+// scans.
 func (s *Shard) assembleResponse(items []topk.Item, scanned, probed int) *core.SearchResponse {
 	resp := &core.SearchResponse{
 		Hits:    make([]core.Hit, 0, len(items)),
@@ -1430,8 +1433,8 @@ func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, 
 }
 
 // rerankExact scores the ADC-selected candidates exactly against the raw
-// feature rows and returns the final top k — the shared last stage of the
-// single-query and batched ADC paths. cands may come in any order (it is
+// feature rows and returns the final top k — the last stage of the ADC
+// path, serial or striped. cands may come in any order (it is
 // the over-fetch selector's heap, read in place): every candidate is
 // scored, and the final selector orders by (dist, id) whatever the push
 // order, so sorting them by the ADC distance the re-rank replaces would
@@ -1485,69 +1488,61 @@ func (s *Shard) rerankExact(req *core.SearchRequest, k int, cands []topk.Item, s
 	return sel.Sorted()
 }
 
-// scanADC is the ADC list traversal, shared by Search (one member,
-// optionally striped across workers) and SearchBatch (many members, one
-// pass): for every list in lists[start::stride] it views the list's
-// published ids (insertion order, which by the codeBlocks contract is slot
-// order), streams the list's code blocks, and scores each block — the
-// published prefix, for the tail block — once per member while its bytes
-// are resident. The members probing list l are byList[l], or solo for
-// every list when byList is nil. buf is the caller's buffer for the id
-// copy a list mid-expansion needs (inverted.View).
+// scanADC is the ADC list traversal of one query: for every probed list in
+// q.sc.probe[start::stride] it views the list's published ids (insertion
+// order, which by the codeBlocks contract is slot order), streams the
+// list's code blocks through the block scorer, pushes the admitted
+// candidates into sel, and returns how many codes it scanned. buf is the
+// caller's buffer for the id copy a list mid-expansion needs
+// (inverted.View).
 //
 // Distances come first and admission second: a block scorer prices 32
 // candidates in one sweep for less than the cost of 32 admission reads,
-// and the member's current-worst threshold then discards most of them
+// and the selector's current-worst threshold then discards most of them
 // before any admission word is touched. The same threshold, taken at block
 // start, bounds the scorer, which stops summing a code as soon as it is
-// sure to exceed it. A member's scanned count is therefore "codes scored
-// or abandoned" — every published code in the lists it probes — not
+// sure to exceed it. The scanned count is therefore "codes scored or
+// abandoned" — every published code in the lists scanned — not
 // "candidates admitted".
-func (s *Shard) scanADC(ps *shardPQ, lists []int, start, stride int, solo []*query, byList map[int][]*query, buf *[]uint32) {
+func (s *Shard) scanADC(ps *shardPQ, q *query, sel *topk.Selector, start, stride int, buf *[]uint32) int {
 	var dists [pq.BlockCodes]float32
 	inf := float32(math.Inf(1))
+	lists := q.sc.probe
+	scanned := 0
 	for i := start; i < len(lists); i += stride {
 		l := lists[i]
-		qs := solo
-		if byList != nil {
-			qs = byList[l]
-		}
 		ids := s.inv.View(l, buf)
-		for _, q := range qs {
-			q.scanned += len(ids)
-		}
+		scanned += len(ids)
 		blocks := ps.lists[l]
 		for base := 0; base < len(ids); base += pq.BlockCodes {
 			n := min(pq.BlockCodes, len(ids)-base)
-			blk := blocks.block(base / pq.BlockCodes)
-			for _, q := range qs {
-				worst, bounded := q.sel.WorstDist()
-				bound := inf
-				if bounded {
-					bound = worst
+			worst, bounded := sel.WorstDist()
+			bound := inf
+			if bounded {
+				bound = worst
+			}
+			// A code abandoned above bound reads +Inf and fails the
+			// d > worst test below, exactly as its full distance would.
+			blocks.score(q.sc.lut, blocks.block(base/pq.BlockCodes), n, bound, &dists)
+			for sl, d := range dists[:n] {
+				// Skipping on d > worst never changes the result — the
+				// selector would reject the push — it only skips the
+				// admission read, so serial and striped scans still
+				// select identical candidates.
+				if bounded && d > worst {
+					continue
 				}
-				// A code abandoned above bound reads +Inf and fails the
-				// d > worst test below, exactly as its full distance would.
-				blocks.score(q.sc.lut, blk, n, bound, &dists)
-				for sl, d := range dists[:n] {
-					// Skipping on d > worst never changes the result — the
-					// selector would reject the push — it only skips the
-					// admission read, so batched/unbatched/serial/parallel
-					// scans still select identical candidates.
-					if bounded && d > worst {
-						continue
-					}
-					id := ids[base+sl]
-					if !q.adm.admit(id) {
-						continue // off-market or filtered out (§2.2 validity, scope, predicates)
-					}
-					if q.sel.Push(uint64(id), d) {
-						worst, bounded = q.sel.WorstDist()
-					}
+				id := ids[base+sl]
+				if !q.adm.admit(id) {
+					continue // off-market or filtered out (§2.2 validity, scope, predicates)
+				}
+				if sel.Push(uint64(id), d) {
+					worst, bounded = sel.WorstDist()
 				}
 			}
 		}
 	}
+	return scanned
 }
 
 // Stats returns a snapshot of shard counters.

@@ -94,9 +94,7 @@ func BenchmarkSearchWorkers(b *testing.B) {
 // through the fast-scan kernel at M/2 bytes per code. Every quantized
 // variant exactly re-ranks its top RerankK. The corpus is sized so
 // feature rows spill out of cache — the condition the ADC path exists
-// for. Each batch variant pushes the same 8 queries per iteration —
-// batch=1 as 8 sequential Search calls, batch=8 as one SearchBatch — so
-// ns/op is directly comparable across batch sizes.
+// for. Every row is one TopK-10 Search per op.
 //
 // shape=scan_uniform is one shard of the repo benchmark's scan_uniform
 // workload (bench/workloads.go: ≈30k rows per shard, 64 lists, 8-bit codes
@@ -145,32 +143,16 @@ func BenchmarkADCScan(b *testing.B) {
 	})
 	for _, bits := range []int{8, 4} {
 		s := build(m, bits)
-		for _, batch := range []int{1, 8} {
-			b.Run(fmt.Sprintf("path=adc/bits=%d/batch=%d", bits, batch), func(b *testing.B) {
-				reqs := make([]*core.SearchRequest, 8)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for q := range reqs {
-						reqs[q] = &core.SearchRequest{Feature: feats[((i*8+q)*37)%n], TopK: 10, NProbe: 8, Category: -1}
-					}
-					if batch == 1 {
-						for _, req := range reqs {
-							if _, err := s.Search(req); err != nil {
-								b.Fatal(err)
-							}
-						}
-					} else {
-						_, errs := s.SearchBatch(reqs)
-						for _, err := range errs {
-							if err != nil {
-								b.Fatal(err)
-							}
-						}
-					}
+		b.Run(fmt.Sprintf("path=adc/bits=%d", bits), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := &core.SearchRequest{Feature: feats[(i*37)%n], TopK: 10, NProbe: 8, Category: -1}
+				if _, err := s.Search(req); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 	b.Run("shape=scan_uniform/bits=8", func(b *testing.B) {
 		const rows, nprobe = 30_000, 48
@@ -458,11 +440,11 @@ func BenchmarkMixedRealtimeStages(b *testing.B) {
 							sc.probe, sc.probeDist, req.Feature, s.codebook.Centroids, dim, nprobe)
 						sc.lut, _ = ps.cb.BuildLUT(req.Feature, sc.lut)
 						q.rerankK = s.rerankDepth(q.k, ps.cb.Bits)
-						q.sel = sc.selectors(1, q.rerankK)[0]
+						sel := sc.selectors(1, q.rerankK)[0]
 						t1 := time.Now()
-						s.scanADC(ps, sc.probe, 0, 1, []*query{&q}, nil, &sc.ids[0])
+						s.scanADC(ps, &q, sel, 0, 1, &sc.ids[0])
 						t2 := time.Now()
-						items = s.rerankExact(req, q.k, q.sel.Items(), sc, &q.adm)
+						items = s.rerankExact(req, q.k, sel.Items(), sc, &q.adm)
 						rerank += time.Since(t2)
 						scan += t2.Sub(t1)
 						listHits += len(items)

@@ -219,9 +219,7 @@ func runShardModelTrial(t *testing.T, seed int64, bits int) {
 	}
 
 	// Every valid image is findable by self-query at full probe width;
-	// every invalid one is not — asked one query at a time through Search
-	// and all at once through SearchBatch, which must agree field for
-	// field.
+	// every invalid one is not.
 	var reqs []*core.SearchRequest
 	var asked []*modelImage
 	for url, m := range model {
@@ -235,16 +233,11 @@ func runShardModelTrial(t *testing.T, seed int64, bits int) {
 		reqs = append(reqs, &core.SearchRequest{Feature: f, TopK: len(model), NProbe: 8, Category: -1})
 		asked = append(asked, m)
 	}
-	batched, errs := s.SearchBatch(reqs)
 	for i, req := range reqs {
 		resp, err := s.Search(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		requireSameResponse(t, "batched model query", batched[i], resp)
 		m := asked[i]
 		found := false
 		for _, h := range resp.Hits {

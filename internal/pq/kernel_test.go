@@ -89,8 +89,8 @@ func TestScanBlock4MatchesGeneric(t *testing.T) {
 // TestScanBlock4MatchesScalarPaths: the full-block kernel, the
 // partial-block slot path and the per-code ADCDist4 must agree
 // bit-for-bit — the index mixes all three within one query (full blocks
-// via the kernel, the tail block via ADCDistBlockSlot) and batched vs
-// unbatched execution must return exactly equal results.
+// via the kernel, the tail block via ADCDistBlockSlot) and serial vs
+// striped execution must return exactly equal results.
 func TestScanBlock4MatchesScalarPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, mb := range []int{1, 2, 4, 8, 16} {

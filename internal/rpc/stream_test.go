@@ -125,6 +125,42 @@ func TestStreamCommitCodec(t *testing.T) {
 	}
 }
 
+// FuzzStreamPayloads: the session, chunk and commit decoders never panic
+// on arbitrary bytes; whatever one accepts re-encodes to exactly its
+// input; and an accepted chunk's data is the input's tail itself, returned
+// without allocating.
+func FuzzStreamPayloads(f *testing.F) {
+	chunk := EncodeStreamChunk(7, 42, []byte("the quick brown fox")) // TestStreamChunkCodec's chunk
+	f.Add(chunk)
+	f.Add(chunk[:len(chunk)-1])
+	f.Add(EncodeStreamChunk(1, 0, nil))
+	f.Add(EncodeStreamCommit(1, 2, 3, 4)) // TestStreamCommitCodec's commit
+	f.Add(EncodeStreamSession(99))
+	f.Add([]byte("short"))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if id, err := DecodeStreamSession(p); err == nil && !bytes.Equal(EncodeStreamSession(id), p) {
+			t.Fatalf("session %d re-encodes differently from %x", id, p)
+		}
+		if session, chunks, total, sum, err := DecodeStreamCommit(p); err == nil &&
+			!bytes.Equal(EncodeStreamCommit(session, chunks, total, sum), p) {
+			t.Fatalf("commit re-encodes differently from %x", p)
+		}
+		session, seq, data, err := DecodeStreamChunk(p)
+		if err != nil {
+			return
+		}
+		if len(data) != len(p)-chunkHeaderLen || len(data) > 0 && &data[0] != &p[chunkHeaderLen] {
+			t.Fatal("chunk data does not alias the payload's tail")
+		}
+		if !bytes.Equal(EncodeStreamChunk(session, seq, data), p) {
+			t.Fatalf("chunk re-encodes differently from %x", p)
+		}
+		if n := testing.AllocsPerRun(1, func() { _, _, _, _ = DecodeStreamChunk(p) }); n != 0 {
+			t.Fatalf("decoding an accepted chunk allocated %.0f times", n)
+		}
+	})
+}
+
 // TestStreamSenderSingleChunk: a stream that fits in one chunk is a
 // one-chunk session, and an empty stream a zero-chunk one — both commit.
 func TestStreamSenderSingleChunk(t *testing.T) {

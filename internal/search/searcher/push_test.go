@@ -432,6 +432,37 @@ func TestPushSnapshotPQMultiChunk(t *testing.T) {
 	}
 }
 
+// pqShard builds a PQ-enabled shard over the fixture's corpus at the
+// requested bit width.
+func pqShard(t *testing.T, f *fixture, bits int) *index.Shard {
+	t.Helper()
+	s, err := index.New(index.Config{
+		Dim: testDim, NLists: 8, DefaultNProbe: 8, PQSubvectors: 4, PQBits: bits,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCodebook(f.shard.Codebook()); err != nil {
+		t.Fatal(err)
+	}
+	var train []float32
+	for _, feat := range f.feats {
+		train = append(train, feat...)
+	}
+	if err := s.TrainPQ(train, 3); err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.cat.Products {
+		p := &f.cat.Products[i]
+		for _, url := range p.ImageURLs {
+			if _, _, err := s.Insert(p.Attrs(url), f.feats[url]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
 // TestPushSnapshot4BitMultiChunk: a 4-bit fast-scan snapshot (packed
 // per-list code blocks) must round-trip through the chunked
 // streaming push and serve the blocked ADC scan on the receiver.

@@ -72,19 +72,6 @@ type Config struct {
 	// sender stalls between chunks (default rpc.DefaultStreamIdleTimeout).
 	// A reaped session never disturbs the serving shard.
 	LoadIdleTimeout time.Duration
-	// BatchWindow, when > 0, enables batched query execution: concurrent
-	// searches arriving within the window are collected and executed in
-	// one index.SearchBatch pass over the shard, amortising the inverted-
-	// list traversal and (on the 4-bit fast-scan path) scoring each code
-	// block for every batched query while it is cache-resident. A lone
-	// query still waits out the window, so this trades up to BatchWindow
-	// of added latency for closed-loop throughput under concurrency.
-	// Per-query results are identical to unbatched execution. Zero
-	// disables batching (the default).
-	BatchWindow time.Duration
-	// BatchMaxQueries caps one batch (default 16); a window that fills up
-	// executes immediately instead of waiting out BatchWindow.
-	BatchMaxQueries int
 	// SearchDelay and SearchDelayFraction inject artificial latency into
 	// this replica's search handler — the fault injector behind broker
 	// hedging demos and benchmarks (jdvs-bench -experiment hedge). When
@@ -107,10 +94,6 @@ type Searcher struct {
 	searchWorkers int
 
 	loads *rpc.StreamServer
-
-	// batch collects concurrent searches into SearchBatch windows when
-	// Config.BatchWindow is set; nil means every search runs immediately.
-	batch *batcher
 
 	// Fault injection: every delayEvery-th search sleeps delay.
 	delay      time.Duration
@@ -186,9 +169,6 @@ func New(cfg Config) (*Searcher, error) {
 	}
 	if s.searchWorkers > 0 {
 		cfg.Shard.SetSearchWorkers(s.searchWorkers)
-	}
-	if cfg.BatchWindow > 0 {
-		s.batch = newBatcher(s, cfg.BatchWindow, cfg.BatchMaxQueries)
 	}
 	s.shard.Store(cfg.Shard)
 
@@ -277,12 +257,7 @@ func (s *Searcher) handleSearch(payload []byte) ([]byte, error) {
 	if s.delayEvery > 0 && s.delaySeq.Add(1)%s.delayEvery == 0 {
 		time.Sleep(s.delay) // injected fault: this replica is slow for this request
 	}
-	var resp *core.SearchResponse
-	if s.batch != nil {
-		resp, err = s.batch.do(req)
-	} else {
-		resp, err = s.shard.Load().Search(req)
-	}
+	resp, err := s.shard.Load().Search(req)
 	if err != nil {
 		return nil, err
 	}
@@ -322,9 +297,8 @@ type Stats struct {
 	RTAvgMicros   int64 `json:"rt_avg_micros"`
 	RTP99Micros   int64 `json:"rt_p99_micros"`
 	// SearchAvgMicros and SearchP99Micros summarise the latency of every
-	// search answered — request decode through encoded page, batch-window
-	// wait and injected delay included — next to the real-time update
-	// latency above.
+	// search answered — request decode through encoded page, injected
+	// delay included — next to the real-time update latency above.
 	SearchAvgMicros int64 `json:"search_avg_micros"`
 	SearchP99Micros int64 `json:"search_p99_micros"`
 	QueueConsumed   bool  `json:"queue_consumed"`
