@@ -1,15 +1,14 @@
 // Command jdvs-vet is the project's invariant checker: a multichecker
 // over the analyzers in internal/analysis/passes that encode the
 // contracts the type system cannot — the lock-free publish protocol
-// (atomicmix, publishorder), the mmap finalizer pin (mmappin), no
-// blocking ops under serving-path mutexes (lockhold), end-to-end knob
-// threading (knobthread), counted error paths (statcount), conventional
-// package comments on every package (pkgdoc), no producer-reachable
-// mutable state shared through caches or fan-out (aliasshare), balanced
-// sync.Pool borrows (poolreturn), settled timers and tickers
-// (timerstop) — plus stdlib-only stand-ins for the stock nilness and
-// unusedwrite passes, which the offline build environment cannot fetch
-// from x/tools. The directiverot audit runs last and checks the
+// (atomicmix, publishorder), no blocking ops under serving-path mutexes
+// (lockhold), end-to-end knob threading (knobthread), counted error
+// paths (statcount), conventional package comments on every package
+// (pkgdoc), no producer-reachable mutable state shared through caches or
+// fan-out (aliasshare), balanced sync.Pool borrows (poolreturn), settled
+// timers and tickers (timerstop) — plus stdlib-only stand-ins for the
+// stock nilness and unusedwrite passes, which the offline build
+// environment cannot fetch from x/tools. The directiverot audit runs last and checks the
 // `//jdvs:` escape hatches themselves: unknown names, missing
 // justifications, and suppressions whose finding no longer exists.
 //
@@ -41,7 +40,6 @@ import (
 	"jdvs/internal/analysis/passes/directiverot"
 	"jdvs/internal/analysis/passes/knobthread"
 	"jdvs/internal/analysis/passes/lockhold"
-	"jdvs/internal/analysis/passes/mmappin"
 	"jdvs/internal/analysis/passes/nilness"
 	"jdvs/internal/analysis/passes/pkgdoc"
 	"jdvs/internal/analysis/passes/poolreturn"
@@ -56,7 +54,6 @@ import (
 // analyzers record into the per-package index as they run.
 var all = []*analysis.Analyzer{
 	atomicmix.Analyzer,
-	mmappin.Analyzer,
 	lockhold.Analyzer,
 	knobthread.Analyzer,
 	statcount.Analyzer,

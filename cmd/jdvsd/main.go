@@ -59,8 +59,6 @@ func run() error {
 		pqRerank  = flag.Int("pq-rerank", 0, "searcher: ADC over-fetch depth re-ranked exactly per query (0 = bit-width default: 20×TopK at 8 bits, 30×TopK at 4)")
 		pqBits    = flag.Int("pq-bits", 0, "searcher: PQ code bit width: 8 (default) = one code byte per subvector, 4 = two 16-centroid subvectors packed per byte, scanned through the blocked fast-scan kernel at half the code memory")
 		pqSample  = flag.Int("pq-train-sample", 10000, "searcher: stored rows used to train PQ when the snapshot carries no codes")
-		featStore = flag.String("feature-store", "", "searcher: where raw feature rows live: ram (default, dim×4 heap bytes per image) or mmap (rows tiered onto a page-cache-served spill file — RAM holds only the PQ codes, so one shard fits several× more images)")
-		spillDir  = flag.String("spill-dir", "", "searcher: directory for feature-store spill files with -feature-store mmap (default: OS temp dir; files are unlinked at creation)")
 		hedgeQ    = flag.Float64("hedge-quantile", 0, "broker: latency percentile that triggers a hedged replica request (0 = default 95, negative disables)")
 		hedgeMin  = flag.Duration("hedge-min-delay", 0, "broker: floor on the hedge delay (0 = default 1ms)")
 		hedgeFrac = flag.Float64("hedge-max-fraction", 0, "broker: hedge budget as a fraction of query volume (0 = default 0.1)")
@@ -82,7 +80,6 @@ func run() error {
 		shard, err := index.New(index.Config{
 			Dim: *dim, NLists: *nlists, ListInitialCap: *listCap, DefaultNProbe: *nprobe,
 			PQSubvectors: *pqM, PQBits: *pqBits, RerankK: *pqRerank,
-			FeatureStore: *featStore, SpillDir: *spillDir,
 		})
 		if err != nil {
 			return err
@@ -121,8 +118,8 @@ func run() error {
 			cb := shard.PQCodebook()
 			scanPath = fmt.Sprintf("ADC scan, %d-bit PQ, %d-byte codes", st.PQBits, cb.CodeBytes())
 		}
-		fmt.Printf("searcher partition %d serving %d images (%d valid, %s, %s feature store, %.1f MiB feature heap) on %s\n",
-			*partition, st.Images, st.ValidImages, scanPath, shard.Config().FeatureStore,
+		fmt.Printf("searcher partition %d serving %d images (%d valid, %s, %.1f MiB feature heap) on %s\n",
+			*partition, st.Images, st.ValidImages, scanPath,
 			float64(st.FeatureHeapBytes)/(1<<20), boundAddr)
 
 	case "broker":

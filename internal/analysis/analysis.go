@@ -3,8 +3,8 @@
 // standard library (the build environment is offline, so x/tools itself
 // cannot be vendored). It exists to machine-check the concurrency and
 // configuration contracts the jdvs codebase otherwise maintains by
-// convention — the atomic-length lock-free publish, mmap finalizer
-// pinning, no-blocking-under-lock, knob threading across layers, and
+// convention — the atomic-length lock-free publish,
+// no-blocking-under-lock, knob threading across layers, and
 // counted error paths — via the analyzers under passes/ and the
 // cmd/jdvs-vet multichecker.
 //

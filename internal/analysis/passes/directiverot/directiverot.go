@@ -38,7 +38,6 @@ var Analyzer = &analysis.Analyzer{
 // suppresses. New analyzers with escape hatches register here.
 var owners = map[string]string{
 	"nolock":      "atomicmix",
-	"pinned":      "mmappin",
 	"blocking-ok": "lockhold",
 	"noknob":      "knobthread",
 	"nostat":      "statcount",

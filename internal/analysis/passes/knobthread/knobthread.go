@@ -3,9 +3,9 @@
 // exported field of index.Config must (1) have a same-named field in
 // cluster.Config — the in-process cluster harness that experiments and
 // jdvs-bench drive — and (2) be referenced in cmd/jdvsd, the per-node
-// daemon, where a knob becomes a flag. PRs 1–5 each threaded knobs by
-// hand (SearchWorkers, PQSubvectors, RerankK, FeatureStore, SpillDir);
-// this pass is what notices the one that gets forgotten.
+// daemon, where a knob becomes a flag. Knobs used to be threaded by
+// hand (SearchWorkers, PQSubvectors, RerankK); this pass is what
+// notices the one that gets forgotten.
 //
 // Fields that are deliberately not runtime knobs carry `//jdvs:noknob
 // <reason>` on their declaration.

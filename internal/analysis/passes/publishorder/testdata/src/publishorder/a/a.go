@@ -45,7 +45,7 @@ func (m *mat) growGood(next []*chunk) {
 }
 
 // loadSnapshot unpublishes (Store 0), rewrites the region, republishes —
-// the snapshot-load idiom from mmapMat.readFrom.
+// the snapshot-load idiom of a store that rewrites its rows in place.
 func (m *mat) loadSnapshot(rows []float32) {
 	m.length.Store(0)
 	chunks := *m.dir.Load()

@@ -27,6 +27,10 @@ const (
 	wordsPer  = chunkBits / 64
 )
 
+// ChunkWords is the number of 64-bit words in one chunk. Snapshot always
+// returns a whole number of chunks.
+const ChunkWords = wordsPer
+
 type chunk struct {
 	words [wordsPer]atomic.Uint64
 }

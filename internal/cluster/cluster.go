@@ -82,15 +82,6 @@ type Config struct {
 	// blocked fast-scan kernel — half the code memory per image at a
 	// deeper default re-rank. Only meaningful with PQSubvectors set.
 	PQBits int
-	// FeatureStore selects where each searcher shard keeps its raw
-	// feature rows (index.Config.FeatureStore): "ram" (default) holds
-	// dim×4 bytes per image on the heap; "mmap" tiers the rows onto an
-	// unlinked spill file read through the page cache, so a shard's RAM
-	// budget is spent on the M-byte ADC codes instead of floats —
-	// several× more images per searcher at the same RAM. SpillDir is
-	// where the spill files go (default the OS temp dir).
-	FeatureStore string
-	SpillDir     string
 	// SnapshotChunkSize bounds each chunk when Reindex streams the fresh
 	// shards to the searcher fleet over RPC (default rpc.DefaultChunkSize;
 	// see searcher.PushSnapshot). Tests use small values to force
@@ -197,8 +188,6 @@ func (c *Config) shardConfig() index.Config {
 		PQSubvectors:   c.PQSubvectors,
 		PQBits:         c.PQBits,
 		RerankK:        c.RerankK,
-		FeatureStore:   c.FeatureStore,
-		SpillDir:       c.SpillDir,
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -475,77 +474,4 @@ func TestQueryThroughFullStackPQ(t *testing.T) {
 	if hits < trials*8/10 {
 		t.Fatalf("recall %d/%d through full stack with PQ", hits, trials)
 	}
-}
-
-// TestQueryThroughFullStackMmapTiering runs the PQ full-stack test with
-// every searcher shard's raw feature rows tiered onto mmap spill files:
-// full indexing, snapshot distribution and queries must work unchanged,
-// with the shards' feature heap spent on codes instead of floats, and a
-// Reindex must materialise the receivers' fresh shards on the same store.
-func TestQueryThroughFullStackMmapTiering(t *testing.T) {
-	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
-		t.Skip("mmap feature store needs a mmap platform")
-	}
-	cfg := smallConfig()
-	cfg.PQSubvectors = -1
-	cfg.FeatureStore = "mmap"
-	cfg.SpillDir = t.TempDir()
-	c := startTestCluster(t, cfg)
-	for p := 0; p < c.Partitions(); p++ {
-		shard := c.Searcher(p, 0).Shard()
-		if !shard.PQEnabled() {
-			t.Fatalf("partition %d serving without PQ", p)
-		}
-		st := shard.Stats()
-		if ramBytes := int64(st.Images) * int64(shard.Config().Dim) * 4; st.FeatureHeapBytes > ramBytes/2 {
-			t.Fatalf("partition %d: feature heap %d bytes with mmap tiering (ram store would hold >= %d)",
-				p, st.FeatureHeapBytes, ramBytes)
-		}
-	}
-	cl, err := c.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-
-	query := func(tag string) {
-		t.Helper()
-		hits := 0
-		const trials = 20
-		for i := 0; i < trials; i++ {
-			target := &c.Catalog.Products[i*7%len(c.Catalog.Products)]
-			resp, err := cl.Query(ctx, &core.QueryRequest{
-				ImageBlob:     c.Catalog.QueryImage(target).Encode(),
-				TopK:          10,
-				CategoryScope: core.AllCategories,
-			})
-			if err != nil {
-				t.Fatalf("%s query %d: %v", tag, i, err)
-			}
-			for _, h := range resp.Hits {
-				if h.ProductID == target.ID {
-					hits++
-					break
-				}
-			}
-		}
-		if hits < trials*8/10 {
-			t.Fatalf("%s: recall %d/%d through full stack with mmap tiering", tag, hits, trials)
-		}
-	}
-	query("bootstrap")
-
-	// The streamed snapshot push must land on mmap-backed shards too.
-	if err := c.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < c.Partitions(); p++ {
-		shard := c.Searcher(p, 0).Shard()
-		if got := shard.Config().FeatureStore; got != "mmap" {
-			t.Fatalf("partition %d: reindexed shard on store %q", p, got)
-		}
-	}
-	query("post-reindex")
 }

@@ -380,7 +380,7 @@ func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 			return read, err
 		}
 		urlLen := binary.LittleEndian.Uint32(buf[22:26])
-		if urlLen > urlLenMask {
+		if urlLen > MaxURLLen {
 			return read, fmt.Errorf("forward: corrupt snapshot: url length %d", urlLen)
 		}
 		if cap(urlBuf) < int(urlLen) {

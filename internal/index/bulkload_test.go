@@ -214,18 +214,17 @@ func TestBulkLoadMatchesInsert(t *testing.T) {
 	}
 }
 
-// gapStore is a feature store some of whose rows cannot be produced — the
-// store-level gap rerankExact back-fills around.
-type gapStore struct {
-	rowStore
-	hidden func(id uint32) bool
-}
-
-func (g gapStore) Row(id uint32) []float32 {
-	if g.hidden(id) {
-		return nil
+// rowPrefix returns a feature store holding only rows [0, n) of m — the
+// store-level gap rerankExact back-fills around: every later row reads as
+// unavailable.
+func rowPrefix(m *featMat, n uint32) *featMat {
+	p := newFeatMat(m.dim)
+	for id := uint32(0); id < n; id++ {
+		if _, err := p.Append(m.Row(id)); err != nil {
+			panic(err)
+		}
 	}
-	return g.rowStore.Row(id)
+	return p
 }
 
 // TestRerankBackfillsInADCOrder: candidates reach rerankExact in selector
@@ -240,11 +239,13 @@ func TestRerankBackfillsInADCOrder(t *testing.T) {
 	adm := admission{live: s.valid}
 
 	// An over-fetch of 40 candidates with distinct ADC distances, handed
-	// over as a selector leaves them: heap order.
+	// over as a selector leaves them: heap order. The estimate falls as the
+	// id grows, so the ADC-worst candidates are the lowest ids — the ones
+	// a row prefix can keep while hiding every other candidate's row.
 	over := topk.New(40)
 	rng := rand.New(rand.NewSource(3))
 	for _, id := range rng.Perm(n)[:40] {
-		over.Push(uint64(id), 100+float32(id))
+		over.Push(uint64(id), 100+float32(n-id))
 	}
 	cands := append([]topk.Item(nil), over.Items()...)
 	byADC := append([]topk.Item(nil), cands...)
@@ -256,7 +257,7 @@ func TestRerankBackfillsInADCOrder(t *testing.T) {
 
 	// No row available: the page is the k best ADC estimates, in order.
 	all := s.feats
-	s.feats = gapStore{rowStore: all, hidden: func(uint32) bool { return true }}
+	s.feats = rowPrefix(all, 0)
 	got := s.rerankExact(req, k, cands, sc, &adm)
 	if fmt.Sprint(got) != fmt.Sprint(byADC[:k]) {
 		t.Fatalf("all rows missing: page %v, want the ADC-best %v", got, byADC[:k])
@@ -264,11 +265,11 @@ func TestRerankBackfillsInADCOrder(t *testing.T) {
 
 	// Only the two ADC-worst candidates have rows: both are served with
 	// their exact distance, and the k-2 ADC-best of the rest fill the page.
-	exact := map[uint64]bool{byADC[38].ID: true, byADC[39].ID: true}
-	s.feats = gapStore{rowStore: all, hidden: func(id uint32) bool { return !exact[uint64(id)] }}
+	exact := []uint64{byADC[38].ID, byADC[39].ID}
+	s.feats = rowPrefix(all, uint32(max(exact[0], exact[1]))+1)
 	got = s.rerankExact(req, k, cands, sc, &adm)
 	want := topk.New(k)
-	for id := range exact {
+	for _, id := range exact {
 		want.Push(id, vecmath.L2Squared(req.Feature, all.Row(uint32(id))))
 	}
 	for _, it := range byADC[:k-2] {
@@ -279,7 +280,7 @@ func TestRerankBackfillsInADCOrder(t *testing.T) {
 	}
 
 	// A delisted candidate is not back-filled, however good its estimate.
-	s.feats = gapStore{rowStore: all, hidden: func(uint32) bool { return true }}
+	s.feats = rowPrefix(all, 0)
 	s.valid.Clear(uint32(byADC[0].ID))
 	got = s.rerankExact(req, k, cands, sc, &adm)
 	if fmt.Sprint(got) != fmt.Sprint(byADC[1:k+1]) {

@@ -56,7 +56,6 @@ func buildPQBitsPair(t testing.TB, n, dim, nlists, m, bits int) (exact, quantize
 func TestPQRecallGuardrail4Bit(t *testing.T) {
 	const n, dim, queries = 6000, 64, 60
 	exact, quant, feats := buildPQBitsPair(t, n, dim, 32, 16, 4)
-	defer quant.Close()
 	if !quant.PQEnabled() {
 		t.Fatal("quantized shard did not enable PQ")
 	}

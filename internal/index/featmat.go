@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 )
 
-// featMat is the RAM feature-row store: row i holds the feature vector of
-// image ID i, aligned with the forward index. (PQ codes are not ID-keyed:
+// featMat is the shard's raw feature-row store: row i holds the feature
+// vector of image ID i, aligned with the forward index. Rows are read by the
+// exact re-rank, the exact scan and plan, and PQ training; the scan path
+// itself reads PQ codes. (PQ codes are not ID-keyed:
 // they live per inverted list in codeBlocks, which follows the same
 // publish protocol.) Rows live in fixed-size chunks behind an atomically
 // published directory, so the search path reads rows lock-free while the
@@ -73,10 +75,31 @@ func (m *featMat) Row(id uint32) []float32 {
 	return chunks[int(id)/featRowsPerChunk][off : off+m.dim]
 }
 
-// writeTo serialises the matrix: [4B dim][4B rows][rows×dim float32] —
-// the shared rowStore codec, byte-identical to the mmap store's.
+// writeTo serialises the matrix — the snapshot feature section:
+// [4B dim][4B rows][rows×dim little-endian float32].
 func (m *featMat) writeTo(w io.Writer) (int64, error) {
-	return writeFloatRows(w, m.dim, m.length.Load(), m.Row)
+	n := m.length.Load()
+	var written int64
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(m.dim))
+	binary.LittleEndian.PutUint32(hdr[4:8], n)
+	k, err := w.Write(hdr[:])
+	written += int64(k)
+	if err != nil {
+		return written, err
+	}
+	buf := make([]byte, 4*m.dim)
+	for id := uint32(0); id < n; id++ {
+		for i, v := range m.Row(id) {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		k, err = w.Write(buf)
+		written += int64(k)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
 }
 
 // heapBytes reports the chunk storage held on the Go heap: every
@@ -86,9 +109,6 @@ func (m *featMat) heapBytes() int64 {
 	chunks := len(*m.dir.Load())
 	return int64(chunks) * featRowsPerChunk * int64(m.dim) * 4
 }
-
-// Close is a no-op: chunk storage is plain heap memory, reclaimed by GC.
-func (m *featMat) Close() error { return nil }
 
 // readFrom replaces the matrix contents (snapshot load). Not
 // concurrent-safe with readers or the writer.

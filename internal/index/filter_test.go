@@ -211,7 +211,6 @@ func TestFilteredEmptyCategory(t *testing.T) {
 func TestFilteredRecallGuardrail(t *testing.T) {
 	const n, dim, queries = 6000, 64, 60
 	s, feats := buildFilterShard(t, n, dim, 32, 16, nil)
-	defer s.Close()
 	rng := rand.New(rand.NewSource(77))
 	var hit, want int
 	for qi := 0; qi < queries; qi++ {

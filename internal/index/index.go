@@ -83,20 +83,6 @@ type Config struct {
 	// on the 100k sweep corpus, guarded by TestPQRecallGuardrail).
 	// Clamped to [TopK, MaxTopK].
 	RerankK int
-	// FeatureStore selects where raw feature rows live: FeatureStoreRAM
-	// ("ram", the default — heap chunks) or FeatureStoreMmap ("mmap" — an
-	// unlinked spill file served through the page cache). With the ADC
-	// scan path on M-byte codes, rows are touched only for re-rank,
-	// exact-path fallback and PQ training, so tiering them to mmap drops
-	// the per-image RAM cost from Dim×4 + M bytes to M bytes plus
-	// whatever spill pages the kernel keeps resident — several× more
-	// images per shard at the same RAM budget. Snapshots are
-	// format-compatible across both stores.
-	FeatureStore string
-	// SpillDir is the directory FeatureStoreMmap creates spill files in
-	// (default os.TempDir()). Files are unlinked at creation, so nothing
-	// is left behind even on crash.
-	SpillDir string
 }
 
 // MaxTopK caps a single query's result size. SearchRequest.TopK arrives
@@ -163,14 +149,6 @@ func (c *Config) validate() error {
 	if c.RerankK < 0 {
 		c.RerankK = 0
 	}
-	switch c.FeatureStore {
-	case "":
-		c.FeatureStore = FeatureStoreRAM
-	case FeatureStoreRAM, FeatureStoreMmap:
-	default:
-		return fmt.Errorf("index: unknown FeatureStore %q (want %q or %q)",
-			c.FeatureStore, FeatureStoreRAM, FeatureStoreMmap)
-	}
 	return nil
 }
 
@@ -200,9 +178,8 @@ type Stats struct {
 	// exactly instead of scanning inverted lists.
 	FilteredSearches  int64
 	ExactPlanSearches int64
-	// FeatureHeapBytes is the Go-heap memory held by raw feature-row
-	// storage — Dim×4 per image (rounded up to chunks) for the RAM store,
-	// near zero for the mmap store, whose rows live in the page cache.
+	// FeatureHeapBytes is the memory held by raw feature-row storage:
+	// Dim×4 per image, rounded up to whole chunks.
 	FeatureHeapBytes int64
 }
 
@@ -215,7 +192,7 @@ type Shard struct {
 	fwd      *forward.Index
 	inv      *inverted.Index
 	valid    *bitmapx.Bitmap
-	feats    rowStore
+	feats    *featMat
 
 	// cats is the atomically published per-category bitmap directory,
 	// indexed by category value: cats[c] holds a set bit for every image
@@ -281,16 +258,12 @@ func New(cfg Config) (*Shard, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	feats, err := newFeatStore(cfg)
-	if err != nil {
-		return nil, err
-	}
 	s := &Shard{
 		cfg:       cfg,
 		fwd:       forward.New(),
 		inv:       inverted.New(cfg.NLists, cfg.ListInitialCap),
 		valid:     bitmapx.New(0),
-		feats:     feats,
+		feats:     newFeatMat(cfg.Dim),
 		byURL:     make(map[string]core.ImageID),
 		byProduct: make(map[uint64][]core.ImageID),
 	}
@@ -298,11 +271,10 @@ func New(cfg Config) (*Shard, error) {
 	return s, nil
 }
 
-// Close releases feature-store resources — the mmap store's spill file
-// and mappings; a no-op for the RAM store. Searches and the writer must
-// be quiesced. Shards dropped without Close (e.g. hot-swapped out by a
-// snapshot push) are backstopped by a finalizer on the store.
-func (s *Shard) Close() error { return s.feats.Close() }
+// Close does nothing and returns nil: a shard holds only heap memory, which
+// the garbage collector reclaims. It is kept only because the benchmark's
+// per-layer harness (bench/layers.go) calls it.
+func (s *Shard) Close() error { return nil }
 
 // ErrNotTrained is returned by operations requiring a codebook.
 var ErrNotTrained = errors.New("index: codebook not trained")
@@ -393,8 +365,6 @@ func (s *Shard) TrainPQ(features []float32, seed int64) error {
 // time-clustered), and a prefix sample would fit the quantizer to one
 // slice of the feature distribution.
 func (s *Shard) TrainPQStored(sample int, seed int64) error {
-	// Keep the mmap mapping alive across the Row reads (see Search).
-	defer runtime.KeepAlive(s)
 	n := s.feats.Len()
 	if n == 0 {
 		return errors.New("index: no stored features to train PQ on")
@@ -430,8 +400,6 @@ func (s *Shard) SetPQCodebook(cb *pq.Codebook) error {
 // (codeBlocks contract). Writer-context only — the list walk below assumes
 // no concurrent appends.
 func (s *Shard) installPQ(cb *pq.Codebook) error {
-	// Keep the mmap mapping alive across the Row reads (see Search).
-	defer runtime.KeepAlive(s)
 	lists := make([]*codeBlocks, s.cfg.NLists)
 	code := make([]byte, cb.CodeBytes())
 	var encErr error
@@ -586,9 +554,6 @@ func (s *Shard) BulkLoad(rows []Row) error {
 // insert is Insert with the feature's inverted list supplied when the
 // caller already knows it (BulkLoad), or unassigned.
 func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.ImageID, bool, error) {
-	// The reuse path below compares against a stored row; keep the mmap
-	// mapping alive across that read (see Search).
-	defer runtime.KeepAlive(s)
 	if s.codebook == nil {
 		return 0, false, ErrNotTrained
 	}
@@ -665,13 +630,8 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.I
 // appendRow commits a new image generation — feature row, forward record,
 // PQ code (when a quantizer is installed) and inverted-list entry — and
 // returns its ID. The caller publishes it by setting the validity bit.
-// The feature row goes first: with a disk-backed store it is the one step
-// that can genuinely fail at runtime (spill-file growth hitting ENOSPC),
-// and appending it before anything else means such a failure commits
-// nothing — the shard keeps ingesting once space frees, instead of being
-// wedged behind a forward record with no row (permanent id skew). The
-// remaining appends only fail on invariant violations. cluster is the
-// feature's inverted list, or unassigned to have it found here.
+// The appends only fail on invariant violations. cluster is the feature's
+// inverted list, or unassigned to have it found here.
 func (s *Shard) appendRow(attrs core.Attrs, feature []float32, cluster int) (core.ImageID, error) {
 	fid, err := s.feats.Append(feature)
 	if err != nil {
@@ -1099,11 +1059,7 @@ func (s *Shard) Valid(id core.ImageID) bool { return s.valid.Get(id) }
 func (s *Shard) Attrs(id core.ImageID) (core.Attrs, bool) { return s.fwd.Get(id) }
 
 // Feature returns image id's feature row (nil if unknown). Callers must
-// not modify it, and must keep the shard reachable while using it: with
-// FeatureStoreMmap the slice points into a mapping that is unmapped when
-// the shard is finalized or Closed.
-//
-//jdvs:pinned accessor returns the raw row; the doc contract above moves the pin to the caller
+// not modify it.
 func (s *Shard) Feature(id core.ImageID) []float32 { return s.feats.Row(id) }
 
 // searchScratch is the pooled per-query scratch: probe-selection buffers,
@@ -1258,14 +1214,6 @@ func (s *Shard) Search(req *core.SearchRequest) (*core.SearchResponse, error) {
 		workers = 1
 	}
 
-	// Pin the shard for the whole query: row slices handed out by a
-	// disk-backed feature store point into mmap'd memory that the store's
-	// finalizer unmaps once the shard is unreachable (e.g. hot-swapped out
-	// mid-query). The receiver alone does not guarantee liveness across
-	// the last row read under precise stack maps; the KeepAlive below
-	// does.
-	defer runtime.KeepAlive(s)
-
 	var sel *topk.Selector
 	var items []topk.Item
 	scanned := 0
@@ -1336,10 +1284,6 @@ func (s *Shard) assembleResponse(items []topk.Item, scanned, probed int) *core.S
 // on the pre-intersected bitmap for filtered queries, a validity-bit read
 // otherwise.
 func (s *Shard) scanLists(req *core.SearchRequest, lists []int, start, stride int, sel *topk.Selector, adm *admission) int {
-	// Search pins the shard for the whole query, but workers run this on
-	// their own goroutines; pin here too so the row reads stay covered no
-	// matter who calls.
-	defer runtime.KeepAlive(s)
 	scanned := 0
 	scan := func(id uint32) bool {
 		if !adm.admit(id) {
@@ -1440,8 +1384,6 @@ func (s *Shard) scanStriped(workers, k int, sc *searchScratch, scan func(start, 
 // order, so sorting them by the ADC distance the re-rank replaces would
 // buy nothing.
 func (s *Shard) rerankExact(req *core.SearchRequest, k int, cands []topk.Item, sc *searchScratch, adm *admission) []topk.Item {
-	// Raw row reads below; keep the mmap mapping alive (see Search).
-	defer runtime.KeepAlive(s)
 	if sc.final == nil {
 		sc.final = topk.New(k)
 	}
@@ -1644,6 +1586,29 @@ func (s *Shard) WriteSnapshot(w io.Writer) error {
 	return nil
 }
 
+// checkRowsListed verifies what appendRow guarantees of a loaded shard:
+// one feature row per forward record, and every row in exactly one inverted
+// list. A snapshot that breaks it would serve searches but fail every later
+// insert on an id skew, or return an image twice.
+func (s *Shard) checkRowsListed() error {
+	rows := s.fwd.Len()
+	if s.feats.Len() != rows || s.inv.Len() != rows {
+		return fmt.Errorf("index: snapshot has %d records, %d feature rows, %d list entries",
+			rows, s.feats.Len(), s.inv.Len())
+	}
+	seen := make(bitmapx.Words, (rows+63)/64)
+	var buf []uint32
+	for l := 0; l < s.inv.Lists(); l++ {
+		for _, id := range s.inv.View(l, &buf) {
+			if int(id) >= rows || seen.Get(id) {
+				return fmt.Errorf("index: snapshot list %d holds id %d twice or past %d rows", l, id, rows)
+			}
+			seen[id/64] |= 1 << (id % 64)
+		}
+	}
+	return nil
+}
+
 // LoadSnapshot replaces the shard contents from a WriteSnapshot stream and
 // rebuilds the lookup tables from the forward index. Readers and the
 // writer must be quiesced. A stream of another snapshot version is refused
@@ -1668,7 +1633,7 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 	if covered < 0 {
 		return fmt.Errorf("index: corrupt snapshot covered offset %d", covered)
 	}
-	cb, err := readCodebook(r)
+	cb, err := readCodebook(r, s.cfg.NLists, s.cfg.Dim)
 	if err != nil {
 		return fmt.Errorf("index: snapshot codebook: %w", err)
 	}
@@ -1681,11 +1646,14 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 	if _, err := s.inv.ReadFrom(r); err != nil {
 		return fmt.Errorf("index: snapshot inverted: %w", err)
 	}
-	if err := readBitmap(r, s.valid); err != nil {
+	if err := readBitmap(r, s.valid, s.fwd.Len()); err != nil {
 		return fmt.Errorf("index: snapshot bitmap: %w", err)
 	}
 	if _, err := s.feats.readFrom(r); err != nil {
 		return fmt.Errorf("index: snapshot features: %w", err)
+	}
+	if err := s.checkRowsListed(); err != nil {
+		return err
 	}
 	var fresh *shardPQ
 	var flag [1]byte
@@ -1700,32 +1668,23 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 		if bb[0] != 4 && bb[0] != 8 {
 			return fmt.Errorf("index: corrupt snapshot pq bits %d", bb[0])
 		}
-		pcb, err := readPQCodebook(r, int(bb[0]))
+		pcb, err := readPQCodebook(r, int(bb[0]), s.cfg.Dim)
 		if err != nil {
 			return fmt.Errorf("index: snapshot pq codebook: %w", err)
-		}
-		if pcb.Dim != s.cfg.Dim {
-			return fmt.Errorf("index: snapshot pq dim %d, shard dim %d", pcb.Dim, s.cfg.Dim)
 		}
 		lists, err := readCodeBlockLists(r, s.cfg.NLists, pcb)
 		if err != nil {
 			return fmt.Errorf("index: snapshot pq code lists: %w", err)
 		}
 		// Slot alignment is the ADC scan's correctness condition: every
-		// list's code count must match its inverted length, and (with each
-		// row in exactly one list) the total must match the feature rows.
-		// A truncated or mismatched code section fails the load here
-		// instead of serving shifted codes.
-		total := 0
+		// list's code count must match its inverted length. A truncated or
+		// mismatched code section fails the load here instead of serving
+		// shifted codes.
 		for l, cb := range lists {
 			if int(cb.published()) != s.inv.ListLen(l) {
 				return fmt.Errorf("index: snapshot pq list %d has %d codes, inverted %d entries",
 					l, cb.published(), s.inv.ListLen(l))
 			}
-			total += int(cb.published())
-		}
-		if total != s.feats.Len() {
-			return fmt.Errorf("index: snapshot pq codes %d, features %d", total, s.feats.Len())
 		}
 		fresh = &shardPQ{cb: pcb, lists: lists}
 	} else if flag[0] != 0 {

@@ -351,6 +351,11 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	if got := dup.ProductImages(attrsFor(0).ProductID); len(got) != 2 {
 		t.Fatalf("byProduct table not rebuilt: %v", got)
 	}
+	// Feature-row accounting: Dim×4 bytes per image, chunk-rounded, the
+	// same on both sides of the load.
+	if got, want := dup.Stats().FeatureHeapBytes, s.Stats().FeatureHeapBytes; got != want || got < 60*testDim*4 {
+		t.Fatalf("feature heap %d bytes after load, %d before, want >= %d", got, want, 60*testDim*4)
+	}
 	resp, err := dup.Search(&core.SearchRequest{Feature: feats[10], TopK: 1, NProbe: 8, Category: -1})
 	if err != nil || len(resp.Hits) == 0 || resp.Hits[0].Image.Local != 10 {
 		t.Fatalf("snapshot search broken: %+v, %v", resp, err)
@@ -394,48 +399,13 @@ func TestLoadSnapshotCorrupt(t *testing.T) {
 func TestLoadSnapshotCorruptCodeSection(t *testing.T) {
 	for _, bits := range []int{8, 4} {
 		_, quant, _ := buildPQBitsPair(t, 400, 32, 4, 8, bits)
-		var buf, section bytes.Buffer
-		if err := quant.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		ps := quant.pqState.Load()
-		if err := writeCodeBlockLists(&section, ps.lists); err != nil {
-			t.Fatal(err)
-		}
-		// The code section is the snapshot's tail.
-		head := buf.Bytes()[:buf.Len()-section.Len()]
-
-		// List 0's last code moves to the end of list 1: every byte still
-		// parses and the total still matches the feature rows.
-		n0 := ps.lists[0].published()
-		if n0 == 0 {
-			t.Fatalf("bits=%d: corpus left list 0 empty", bits)
-		}
-		moved := append([]*codeBlocks(nil), ps.lists...)
-		moved[0], moved[1] = newCodeBlocks(ps.cb), newCodeBlocks(ps.cb)
-		code := make([]byte, ps.cb.CodeBytes())
-		for i := uint32(0); i < n0-1; i++ {
-			ps.lists[0].extract(i, code)
-			moved[0].append(code)
-		}
-		for i := uint32(0); i < ps.lists[1].published(); i++ {
-			ps.lists[1].extract(i, code)
-			moved[1].append(code)
-		}
-		ps.lists[0].extract(n0-1, code)
-		moved[1].append(code)
-		shifted := bytes.NewBuffer(append([]byte(nil), head...))
-		if err := writeCodeBlockLists(shifted, moved); err != nil {
-			t.Fatal(err)
-		}
+		moved, truncated := corruptCodeSections(t, quant)
 		dup, _ := New(quant.Config())
-		if err := dup.LoadSnapshot(shifted); err == nil {
+		if err := dup.LoadSnapshot(bytes.NewReader(moved)); err == nil {
 			t.Errorf("bits=%d: code section with a code moved between lists accepted", bits)
 		}
-
-		// Truncated inside the code section.
 		dup, _ = New(quant.Config())
-		if err := dup.LoadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()-len(code)-1])); err == nil {
+		if err := dup.LoadSnapshot(bytes.NewReader(truncated)); err == nil {
 			t.Errorf("bits=%d: truncated code section accepted", bits)
 		}
 	}

@@ -1,8 +1,6 @@
 package index
 
 import (
-	"runtime"
-
 	"jdvs/internal/topk"
 	"jdvs/internal/vecmath"
 )
@@ -42,8 +40,6 @@ func (s *Shard) exactPlanLimit(nprobe, k int) int {
 // category bit, code and list entry all commit before its validity bit
 // publishes it.
 func (s *Shard) scoreAdmitted(q *query) ([]topk.Item, int) {
-	// Raw row reads below; keep the mmap mapping alive (see Search).
-	defer runtime.KeepAlive(s)
 	sel := q.sc.selectors(1, q.k)[0]
 	scanned := 0
 	score := func(id uint32) {

@@ -34,12 +34,6 @@ func clusteredFeatures(rng *rand.Rand, n, dim, nc int, spread float64) [][]float
 // buildPQPair builds two shards over the identical corpus: one exact, one
 // with a trained product quantizer.
 func buildPQPair(t testing.TB, n, dim, nlists, m int) (exact, quantized *Shard, feats [][]float32) {
-	return buildPQPairStore(t, n, dim, nlists, m, FeatureStoreRAM)
-}
-
-// buildPQPairStore is buildPQPair with the quantized shard's feature rows
-// in the chosen store (the exact shard stays on RAM as the reference).
-func buildPQPairStore(t testing.TB, n, dim, nlists, m int, store string) (exact, quantized *Shard, feats [][]float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	feats = clusteredFeatures(rng, n, dim, 24, 0.25)
@@ -48,12 +42,7 @@ func buildPQPairStore(t testing.TB, n, dim, nlists, m int, store string) (exact,
 		train = append(train, feats[i]...)
 	}
 	mk := func(pqM int) *Shard {
-		cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: pqM}
-		if pqM > 0 && store != FeatureStoreRAM {
-			cfg.FeatureStore = store
-			cfg.SpillDir = t.TempDir()
-		}
-		s, err := New(cfg)
+		s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: pqM})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,17 +67,10 @@ func buildPQPairStore(t testing.TB, n, dim, nlists, m int, store string) (exact,
 
 // TestPQRecallGuardrail is the accuracy gate on the ADC path: over a set
 // of queries, recall@10 of the ADC scan + exact re-rank against the exact
-// scan at the same probe count must stay at least 0.95. The mmap-store
-// variant (TestPQRecallGuardrailMmap) runs the identical gate with the
-// rows tiered onto disk.
+// scan at the same probe count must stay at least 0.95.
 func TestPQRecallGuardrail(t *testing.T) {
-	runPQRecallGuardrail(t, FeatureStoreRAM)
-}
-
-func runPQRecallGuardrail(t *testing.T, store string) {
 	const n, dim, queries = 6000, 64, 60
-	exact, quant, feats := buildPQPairStore(t, n, dim, 32, 16, store)
-	defer quant.Close()
+	exact, quant, feats := buildPQPair(t, n, dim, 32, 16)
 	if !quant.PQEnabled() {
 		t.Fatal("quantized shard did not enable PQ")
 	}

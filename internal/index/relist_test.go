@@ -254,10 +254,10 @@ func TestADCRerankBackfill(t *testing.T) {
 	s, feats := relistShard(t, 8)
 	n := s.feats.Len()
 	// Simulate a store-level gap: all but the first 20 rows' raw features
-	// vanish while their codes remain scannable (the condition disk-backed
-	// rows make reachable) — re-rank then has fewer than k exact rows.
+	// vanish while their codes remain scannable — re-rank then has fewer
+	// than k exact rows.
 	const kept = 20
-	s.feats.(*featMat).length.Store(kept)
+	s.feats.length.Store(kept)
 
 	const k = 10
 	missingHits := 0

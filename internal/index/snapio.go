@@ -27,15 +27,17 @@ func writeCodebook(w io.Writer, cb *kmeans.Codebook) error {
 	return err
 }
 
-func readCodebook(r io.Reader) (*kmeans.Codebook, error) {
+// readCodebook deserialises a codebook, which must have wantK centroids of
+// wantDim floats — checked before the header's claim sizes anything.
+func readCodebook(r io.Reader, wantK, wantDim int) (*kmeans.Codebook, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	k := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	dim := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if k <= 0 || dim <= 0 || k > 1<<20 || dim > 1<<14 {
-		return nil, fmt.Errorf("index: corrupt codebook header (K=%d Dim=%d)", k, dim)
+	if k != wantK || dim != wantDim {
+		return nil, fmt.Errorf("index: codebook K=%d Dim=%d, shard NLists %d Dim %d", k, dim, wantK, wantDim)
 	}
 	buf := make([]byte, 4*k*dim)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -67,14 +69,18 @@ func writePQCodebook(w io.Writer, cb *pq.Codebook) error {
 	return err
 }
 
-func readPQCodebook(r io.Reader, bits int) (*pq.Codebook, error) {
+// readPQCodebook deserialises a product quantizer over wantDim floats.
+func readPQCodebook(r io.Reader, bits, wantDim int) (*pq.Codebook, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	m := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	dim := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if m <= 0 || dim <= 0 || dim > 1<<14 || m > dim || dim%m != 0 {
+	if dim != wantDim {
+		return nil, fmt.Errorf("index: pq codebook dim %d, shard dim %d", dim, wantDim)
+	}
+	if m <= 0 || m > dim || dim%m != 0 {
 		return nil, fmt.Errorf("index: corrupt pq codebook header (M=%d Dim=%d)", m, dim)
 	}
 	kPerSub := pq.NCentroids
@@ -117,14 +123,17 @@ func writeBitmap(w io.Writer, b *bitmapx.Bitmap) error {
 	return err
 }
 
-func readBitmap(r io.Reader, b *bitmapx.Bitmap) error {
+// readBitmap deserialises a bitmap over rows bits: whole chunks, as
+// Snapshot writes them, with no chunk and no set bit past the last row.
+func readBitmap(r io.Reader, b *bitmapx.Bitmap, rows int) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
-	if n > 1<<26 { // 512 MiB of bitmap words: corruption guard
-		return fmt.Errorf("index: corrupt bitmap header (%d words)", n)
+	const chunkBits = 64 * bitmapx.ChunkWords
+	if n%bitmapx.ChunkWords != 0 || n > (rows+chunkBits-1)/chunkBits*bitmapx.ChunkWords {
+		return fmt.Errorf("index: corrupt bitmap header (%d words for %d rows)", n, rows)
 	}
 	buf := make([]byte, 8*n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -133,6 +142,11 @@ func readBitmap(r io.Reader, b *bitmapx.Bitmap) error {
 	words := make([]uint64, n)
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(buf[8*i:])
+	}
+	for id := rows; id < 64*n; id++ {
+		if bitmapx.Words(words).Get(uint32(id)) {
+			return fmt.Errorf("index: bitmap bit %d set past %d rows", id, rows)
+		}
 	}
 	b.Restore(words)
 	return nil

@@ -24,9 +24,9 @@ package inverted
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -295,8 +295,13 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadFrom replaces the index contents from a WriteTo stream. It must not
-// run concurrently with readers or writers.
+// readStep is how many ids ReadFrom decodes per read.
+const readStep = 1024
+
+// ReadFrom replaces the index contents from a WriteTo stream, which must
+// carry as many lists as the index has. It must not run concurrently with
+// readers or writers. Counts in the stream are claims until the bytes
+// behind them arrive, so each list grows as its ids are read.
 func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 	var read int64
 	var hdr [8]byte
@@ -306,37 +311,42 @@ func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 		return read, err
 	}
 	nLists := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	if nLists <= 0 {
-		return read, errors.New("inverted: corrupt snapshot: zero lists")
+	if nLists != len(ix.lists) {
+		return read, fmt.Errorf("inverted: snapshot has %d lists, index %d", nLists, len(ix.lists))
 	}
 	lists := make([]atomic.Pointer[list], nLists)
 	migrating := make([]atomic.Bool, nLists)
 	var total int64
-	var lenBuf [4]byte
+	var raw [4 * readStep]byte
 	for c := 0; c < nLists; c++ {
-		k, err = io.ReadFull(r, lenBuf[:])
+		k, err = io.ReadFull(r, raw[:4])
 		read += int64(k)
 		if err != nil {
 			return read, err
 		}
-		n := int(binary.LittleEndian.Uint32(lenBuf[:]))
-		capacity := DefaultInitialCap
-		for capacity < n {
-			capacity *= 2
+		n := int(binary.LittleEndian.Uint32(raw[:4]))
+		data := make([]uint32, 0, DefaultInitialCap)
+		for len(data) < n {
+			if len(data) == cap(data) {
+				data = slices.Grow(data, min(n-len(data), len(data)))
+			}
+			step := min(n-len(data), cap(data)-len(data), readStep)
+			k, err = io.ReadFull(r, raw[:4*step])
+			read += int64(k)
+			if err != nil {
+				return read, err
+			}
+			for i := 0; i < step; i++ {
+				data = append(data, binary.LittleEndian.Uint32(raw[4*i:]))
+			}
 		}
-		l := newList(capacity, 0)
-		raw := make([]byte, 4*n)
-		k, err = io.ReadFull(r, raw)
-		read += int64(k)
-		if err != nil {
-			return read, err
-		}
-		for i := 0; i < n; i++ {
-			l.data[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
+		l := &list{data: data[:cap(data)]}
 		l.n.Store(int64(n))
 		total += int64(n)
 		lists[c].Store(l)
+	}
+	if want := int64(binary.LittleEndian.Uint32(hdr[4:8])); total != want {
+		return read, fmt.Errorf("inverted: snapshot lists hold %d ids, header says %d", total, want)
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

@@ -2,6 +2,7 @@ package inverted
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -427,6 +428,29 @@ func TestReadFromTruncated(t *testing.T) {
 		if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Errorf("truncated snapshot (%d bytes) accepted", cut)
 		}
+	}
+}
+
+// TestReadFromRejectsMismatch: a stream written for another list count, or
+// whose header total disagrees with its lists, is refused.
+func TestReadFromRejectsMismatch(t *testing.T) {
+	ix := New(4, 4)
+	for i := uint32(0); i < 10; i++ {
+		if err := ix.Append(int(i%4), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(8, 4).ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("4-list stream loaded into an 8-list index")
+	}
+	bad := append([]byte(nil), buf.Bytes()...)
+	binary.LittleEndian.PutUint32(bad[4:8], 11)
+	if _, err := New(4, 4).ReadFrom(bytes.NewReader(bad)); err == nil {
+		t.Error("header total of 11 accepted for 10 ids")
 	}
 }
 

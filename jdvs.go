@@ -22,11 +22,7 @@
 //     codes (internal/pq): candidates cost M table lookups instead of a
 //     Dim×4-byte feature-row read, and the over-fetched top RerankK are
 //     re-ranked exactly before the final top-k — several times the scan
-//     throughput at recall@10 ≳ 0.97. Config.FeatureStore = "mmap" then
-//     tiers the raw float rows (touched only for re-rank and training)
-//     onto page-cache-served spill files, so a shard's RAM budget buys
-//     M bytes per image instead of Dim×4 — several× more images per
-//     searcher at the same RAM.
+//     throughput at recall@10 ≳ 0.97.
 //
 // Quick start (an in-process cluster over a synthetic catalog):
 //
