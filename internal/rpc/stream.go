@@ -16,13 +16,13 @@ package rpc
 // Chunks carry a sequential sequence number and a CRC-32C over their data;
 // commit re-states the chunk count, total byte count and the running
 // CRC-32C of the whole stream, so a duplicated, torn or corrupted transfer
-// can never be installed. The sender pipelines a small window of chunk
-// requests over the multiplexed connection to hide per-chunk round trips;
-// the receiver buffers chunks up to StreamReorderWindow ahead of the next
-// expected sequence number and feeds the sink strictly in order (anything
-// further out of sequence kills the transfer). The receiver also enforces
-// an idle timeout between chunks: a sender that vanishes mid-stream leaves
-// nothing behind once the timeout reaps its session.
+// can never be installed. The transfer is stop-and-wait: the sender keeps
+// one chunk in flight and ships the next only once the previous one is
+// acknowledged, so its peak memory is one chunk; the receiver writes each
+// chunk to the sink as it arrives and accepts only the next expected
+// sequence number — any other kills the transfer. The receiver also
+// enforces an idle timeout between chunks: a sender that vanishes
+// mid-stream leaves nothing behind once the timeout reaps its session.
 
 import (
 	"context"
@@ -49,24 +49,6 @@ const (
 	// MaxChunkData bounds one chunk's data so its request frame stays under
 	// MaxFrame.
 	MaxChunkData = MaxFrame - reqHeader - chunkHeaderLen
-
-	// DefaultStreamWindow is the number of chunk requests a StreamSender
-	// keeps in flight by default. One chunk per round trip makes WAN
-	// throughput chunkSize/RTT; a small pipeline window hides the round
-	// trips without materially raising peak memory (window × chunk size).
-	DefaultStreamWindow = 4
-
-	// StreamReorderWindow bounds how far ahead of the next expected
-	// sequence number the receiver accepts a chunk. Pipelined chunks are
-	// dispatched concurrently over one multiplexed connection, so the
-	// server may process them slightly out of order; chunks within the
-	// window are buffered and written in sequence, chunks beyond it kill
-	// the session. A chunk is acknowledged only once it has reached the
-	// sink in order (buffered chunks park their handler until the gap
-	// fills), so a well-behaved sender — whose in-flight window is capped
-	// to this — can never legitimately run past it: an acknowledged
-	// sequence number implies every earlier one was written.
-	StreamReorderWindow = 16
 )
 
 var (
@@ -106,11 +88,17 @@ func DecodeStreamSession(p []byte) (uint64, error) {
 // EncodeStreamChunk builds a chunk payload for data with its CRC-32C.
 func EncodeStreamChunk(session, seq uint64, data []byte) []byte {
 	b := make([]byte, chunkHeaderLen+len(data))
+	copy(b[chunkHeaderLen:], data)
+	putChunkHeader(b, session, seq)
+	return b
+}
+
+// putChunkHeader fills the header of chunk payload b, whose data follows
+// the header.
+func putChunkHeader(b []byte, session, seq uint64) {
 	binary.LittleEndian.PutUint64(b[0:8], session)
 	binary.LittleEndian.PutUint64(b[8:16], seq)
-	binary.LittleEndian.PutUint32(b[16:20], crc32.Checksum(data, crcTable))
-	copy(b[chunkHeaderLen:], data)
-	return b
+	binary.LittleEndian.PutUint32(b[16:20], crc32.Checksum(b[chunkHeaderLen:], crcTable))
 }
 
 // DecodeStreamChunk splits a chunk payload and verifies its checksum. The
@@ -153,45 +141,30 @@ func DecodeStreamCommit(p []byte) (session, chunks, bytes uint64, sum uint32, er
 
 // StreamSender uploads a byte stream to a server as a chunked session. It
 // is an io.Writer: producers serialise straight into it and it ships a
-// chunk each time its buffer fills, so peak sender memory is
-// O(window × chunk), not O(stream). The session begins with the first
-// chunk shipped (or at Finish): a stream that fits in a single chunk is a
-// one-chunk session.
-//
-// Chunk requests are pipelined: up to the configured window (default
-// DefaultStreamWindow) are in flight concurrently over the multiplexed
-// connection, so sustained throughput is window×chunkSize per round trip
-// instead of one. The receiver reorders within StreamReorderWindow, which
-// the window is capped to.
+// chunk each time its buffer fills. It is stop-and-wait — one chunk in
+// flight, the next shipped only once that one is acknowledged — so peak
+// sender memory is one chunk, not O(stream), and a receiver that sees any
+// sequence number but the next one kills the session. The session begins
+// with the first chunk shipped (or at Finish): a stream that fits in a
+// single chunk is a one-chunk session.
 //
 // Not safe for concurrent use.
 type StreamSender struct {
-	ctx       context.Context
-	c         *Client
-	m         StreamMethods
-	chunkSize int
-	window    int
+	ctx context.Context
+	c   *Client
+	m   StreamMethods
 
 	begun   bool
 	session uint64
-	buf     []byte
+	buf     []byte // the chunk payload being filled: header, then up to cap(buf) data
 	seq     uint64
 	total   uint64
 	sum     uint32
 	err     error // sticky
-
-	// In-flight chunk machinery, created on first flush.
-	sem  chan struct{} // window slots
-	free chan []byte   // recycled chunk buffers
-	wg   sync.WaitGroup
-
-	asyncMu  sync.Mutex
-	asyncErr error // first failure from an in-flight chunk call
 }
 
 // NewStreamSender prepares a sender over c. chunkSize <= 0 takes
-// DefaultChunkSize; values above MaxChunkData are capped. The pipeline
-// window defaults to DefaultStreamWindow; see SetWindow.
+// DefaultChunkSize; values above MaxChunkData are capped.
 func NewStreamSender(ctx context.Context, c *Client, m StreamMethods, chunkSize int) *StreamSender {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
@@ -199,64 +172,27 @@ func NewStreamSender(ctx context.Context, c *Client, m StreamMethods, chunkSize 
 	if chunkSize > MaxChunkData {
 		chunkSize = MaxChunkData
 	}
-	return &StreamSender{ctx: ctx, c: c, m: m, chunkSize: chunkSize, window: DefaultStreamWindow}
-}
-
-// SetWindow adjusts how many chunk requests may be in flight at once
-// (1 restores strict one-chunk-per-round-trip sending). Values are
-// clamped to [1, StreamReorderWindow]. Must be called before the first
-// Write.
-func (s *StreamSender) SetWindow(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > StreamReorderWindow {
-		n = StreamReorderWindow
-	}
-	s.window = n
+	return &StreamSender{ctx: ctx, c: c, m: m, buf: make([]byte, chunkHeaderLen, chunkHeaderLen+chunkSize)}
 }
 
 // Write implements io.Writer, shipping a chunk whenever the buffer fills.
 func (s *StreamSender) Write(p []byte) (int, error) {
-	if s.err == nil {
-		s.err = s.takeAsyncErr()
-	}
 	if s.err != nil {
 		return 0, s.err
 	}
 	written := 0
 	for len(p) > 0 {
-		space := s.chunkSize - len(s.buf)
-		if space == 0 {
+		if len(s.buf) == cap(s.buf) {
 			if err := s.flush(); err != nil {
 				return written, err
 			}
-			space = s.chunkSize
 		}
-		if space > len(p) {
-			space = len(p)
-		}
-		s.buf = append(s.buf, p[:space]...)
-		p = p[space:]
-		written += space
+		n := copy(s.buf[len(s.buf):cap(s.buf)], p)
+		s.buf = s.buf[:len(s.buf)+n]
+		p = p[n:]
+		written += n
 	}
 	return written, nil
-}
-
-// takeAsyncErr promotes the first in-flight chunk failure to the sticky
-// error.
-func (s *StreamSender) takeAsyncErr() error {
-	s.asyncMu.Lock()
-	defer s.asyncMu.Unlock()
-	return s.asyncErr
-}
-
-func (s *StreamSender) setAsyncErr(err error) {
-	s.asyncMu.Lock()
-	if s.asyncErr == nil {
-		s.asyncErr = err
-	}
-	s.asyncMu.Unlock()
 }
 
 // begin opens the session if it is not open yet.
@@ -276,60 +212,31 @@ func (s *StreamSender) begin() error {
 	}
 	s.session = id
 	s.begun = true
-	s.sem = make(chan struct{}, s.window)
-	s.free = make(chan []byte, s.window)
 	return nil
 }
 
-// flush dispatches the buffered chunk, beginning the session first if
-// needed. The chunk request goes out asynchronously; flush only blocks
-// when the pipeline window is full.
+// flush ships the buffered chunk, beginning the session first if needed,
+// and waits for its acknowledgement. Client.Call has written the frame by
+// the time it returns, so the buffer is free for the next chunk.
 func (s *StreamSender) flush() error {
 	if err := s.begin(); err != nil {
 		return err
 	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-s.ctx.Done():
-		s.err = s.ctx.Err()
-		return s.err
-	}
-	if err := s.takeAsyncErr(); err != nil {
-		<-s.sem
+	putChunkHeader(s.buf, s.session, s.seq)
+	if _, err := s.c.Call(s.ctx, s.m.Chunk, s.buf); err != nil {
 		s.err = err
 		return err
 	}
-	// Hand the filled buffer to the in-flight call and keep accounting in
-	// dispatch (= sequence) order; flush itself is never concurrent.
-	data := s.buf
-	payload := EncodeStreamChunk(s.session, s.seq, data)
+	data := s.buf[chunkHeaderLen:]
 	s.sum = crc32.Update(s.sum, crcTable, data)
 	s.seq++
 	s.total += uint64(len(data))
-	select {
-	case b := <-s.free:
-		s.buf = b[:0]
-	default:
-		s.buf = make([]byte, 0, s.chunkSize)
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if _, err := s.c.Call(s.ctx, s.m.Chunk, payload); err != nil {
-			s.setAsyncErr(err)
-		}
-		select {
-		case s.free <- data:
-		default:
-		}
-		<-s.sem
-	}()
+	s.buf = s.buf[:chunkHeaderLen]
 	return nil
 }
 
-// Finish completes the transfer: it flushes the tail chunk, drains the
-// pipeline, and commits the session, which installs the stream
-// server-side.
+// Finish completes the transfer: it flushes the tail chunk and commits the
+// session, which installs the stream server-side.
 func (s *StreamSender) Finish() error {
 	if s.err != nil {
 		return s.err
@@ -337,16 +244,10 @@ func (s *StreamSender) Finish() error {
 	if err := s.begin(); err != nil {
 		return err
 	}
-	if len(s.buf) > 0 {
+	if len(s.buf) > chunkHeaderLen {
 		if err := s.flush(); err != nil {
-			s.wg.Wait()
 			return err
 		}
-	}
-	s.wg.Wait()
-	if err := s.takeAsyncErr(); err != nil {
-		s.err = err
-		return err
 	}
 	if _, err := s.c.Call(s.ctx, s.m.Commit, EncodeStreamCommit(s.session, s.seq, s.total, s.sum)); err != nil {
 		s.err = err
@@ -362,7 +263,6 @@ func (s *StreamSender) Abort() {
 	if !s.begun {
 		return
 	}
-	s.wg.Wait() // let in-flight chunks settle before reaping the session
 	// Use a fresh context: Abort is typically called on the failure path
 	// where s.ctx may already be cancelled, and the reap must still go out.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -402,43 +302,14 @@ type streamSession struct {
 	timer *time.Timer
 	epoch uint64 // invalidates in-flight timer fires; guarded by StreamServer.mu
 
-	// mu serialises all sink access and ordering state: pipelined senders
-	// dispatch chunks concurrently, so several chunk handlers (and the
-	// idle reaper) can address one session at once.
+	// mu serialises all sink access and sequence state: the idle reaper,
+	// HandleAbort, Close and a misbehaving client's concurrent chunk calls
+	// can all reach one session at once.
 	mu      sync.Mutex
 	dead    bool // sink already committed or aborted; reject further use
 	nextSeq uint64
 	bytes   uint64
 	sum     uint32
-	// pending buffers chunks that arrived ahead of nextSeq (at most
-	// StreamReorderWindow of them); they drain to the sink in sequence as
-	// the gap fills. drained (a cond on mu) wakes the parked handlers of
-	// buffered chunks when nextSeq advances or the session dies — a chunk
-	// is only acknowledged once written, which is what keeps a pipelined
-	// sender from ever outrunning the reorder window.
-	pending map[uint64][]byte
-	drained *sync.Cond
-}
-
-// writeOrdered writes data, then drains any buffered chunks that have
-// become consecutive and wakes their parked handlers. Caller holds
-// sess.mu.
-func (sess *streamSession) writeOrdered(data []byte) error {
-	for {
-		if _, err := sess.sink.Write(data); err != nil {
-			return err
-		}
-		sess.nextSeq++
-		sess.bytes += uint64(len(data))
-		sess.sum = crc32.Update(sess.sum, crcTable, data)
-		next, ok := sess.pending[sess.nextSeq]
-		if !ok {
-			sess.drained.Broadcast()
-			return nil
-		}
-		delete(sess.pending, sess.nextSeq)
-		data = next
-	}
 }
 
 const (
@@ -500,9 +371,7 @@ func (ss *StreamServer) arm(sess *streamSession) {
 }
 
 // abortOnce aborts the session's sink exactly once, waiting out any chunk
-// write in progress, then releases any parked buffered-chunk handlers —
-// after the abort, so a released chunk's error reply means the sink is
-// already torn down.
+// write in progress.
 func (sess *streamSession) abortOnce() {
 	sess.mu.Lock()
 	already := sess.dead
@@ -511,7 +380,6 @@ func (sess *streamSession) abortOnce() {
 	if !already {
 		sess.sink.Abort()
 	}
-	sess.drained.Broadcast()
 }
 
 // kill removes the session from the table (if still there) and aborts its
@@ -566,7 +434,6 @@ func (ss *StreamServer) HandleBegin([]byte) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	sess := &streamSession{id: id, sink: sink}
-	sess.drained = sync.NewCond(&sess.mu)
 	ss.sessions[id] = sess
 	ss.arm(sess)
 	ss.mu.Unlock()
@@ -587,11 +454,9 @@ func (ss *StreamServer) take(id uint64) *streamSession {
 	return sess
 }
 
-// HandleChunk verifies and applies one chunk. Chunks of one session may be
-// handled concurrently (the pipelined sender keeps a window in flight and
-// the server runs each request on its own worker): in-order chunks stream to
-// the sink immediately, chunks up to StreamReorderWindow ahead are
-// buffered and drained in sequence, anything else dooms the transfer.
+// HandleChunk verifies one chunk and writes it to the sink. Only the next
+// expected sequence number is accepted; a duplicate, a gap or a corrupt
+// chunk dooms the transfer.
 func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {
 	if len(payload) < chunkHeaderLen {
 		// Too short to even name a session; if the sender is gone the idle
@@ -613,9 +478,9 @@ func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {
 	if !ok {
 		return nil, ErrUnknownSession
 	}
-	// The header parsed, so the session is identifiable: a corrupt,
-	// duplicated or out-of-window chunk dooms the transfer and the session
-	// is torn down now rather than lingering until the idle timeout.
+	// The header parsed, so the session is identifiable: a corrupt or
+	// out-of-sequence chunk dooms the transfer and the session is torn
+	// down now rather than lingering until the idle timeout.
 	if got := crc32.Checksum(data, crcTable); got != sum {
 		ss.kill(sess)
 		return nil, fmt.Errorf("rpc: stream session %d chunk %d checksum mismatch (got %08x, want %08x)", id, seq, got, sum)
@@ -626,32 +491,22 @@ func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {
 		sess.mu.Unlock()
 		return nil, ErrUnknownSession
 	}
-	var ferr error
-	buffered := false
-	switch {
-	case seq < sess.nextSeq:
-		ferr = fmt.Errorf("rpc: stream session %d chunk %d duplicated (next seq %d)", id, seq, sess.nextSeq)
-	case seq > sess.nextSeq+StreamReorderWindow:
-		ferr = fmt.Errorf("rpc: stream session %d chunk %d beyond reorder window (next seq %d)", id, seq, sess.nextSeq)
-	case seq > sess.nextSeq:
-		if sess.pending == nil {
-			sess.pending = make(map[uint64][]byte)
-		}
-		if _, dup := sess.pending[seq]; dup {
-			ferr = fmt.Errorf("rpc: stream session %d chunk %d duplicated in reorder buffer", id, seq)
-		} else {
-			// data aliases this request's private frame; buffering it
-			// needs no copy.
-			sess.pending[seq] = data
-			buffered = true
-		}
-	default:
-		ferr = sess.writeOrdered(data)
+	var err error
+	if seq != sess.nextSeq {
+		err = fmt.Errorf("rpc: stream session %d chunk %d out of sequence (next seq %d)", id, seq, sess.nextSeq)
+	} else {
+		//jdvs:blocking-ok sess.mu exists to serialise sink access, and the searcher's snapshotSink.Write returns once its decoder consumes the bytes or closes the pipe with an error
+		_, err = sess.sink.Write(data)
+	}
+	if err == nil {
+		sess.nextSeq++
+		sess.bytes += uint64(len(data))
+		sess.sum = crc32.Update(sess.sum, crcTable, data)
 	}
 	sess.mu.Unlock()
-	if ferr != nil {
+	if err != nil {
 		ss.kill(sess)
-		return nil, ferr
+		return nil, err
 	}
 
 	ss.mu.Lock()
@@ -664,23 +519,6 @@ func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {
 		ss.arm(sess)
 	}
 	ss.mu.Unlock()
-
-	if buffered {
-		// Park until the gap fills and this chunk reaches the sink (or the
-		// session dies — idle reaper, abort, or a doomed earlier chunk).
-		// Responding only once written means an acknowledged chunk implies
-		// all earlier ones were written, so a pipelined sender's window
-		// bounds how far past nextSeq it can ever dispatch.
-		sess.mu.Lock()
-		for !sess.dead && sess.nextSeq <= seq {
-			sess.drained.Wait()
-		}
-		delivered := sess.nextSeq > seq
-		sess.mu.Unlock()
-		if !delivered {
-			return nil, fmt.Errorf("rpc: stream session %d aborted while chunk %d awaited its gap", id, seq)
-		}
-	}
 	return nil, nil
 }
 
@@ -700,18 +538,16 @@ func (ss *StreamServer) HandleCommit(payload []byte) ([]byte, error) {
 		sess.mu.Unlock()
 		return nil, ErrUnknownSession
 	}
-	if len(sess.pending) != 0 || chunks != sess.nextSeq || total != sess.bytes || sum != sess.sum {
+	if chunks != sess.nextSeq || total != sess.bytes || sum != sess.sum {
 		sess.dead = true
-		sess.drained.Broadcast()
-		mismatch := fmt.Errorf("rpc: stream session %d commit mismatch (got %d chunks/%d bytes/%08x, have %d/%d/%08x, %d unsequenced)",
-			id, chunks, total, sum, sess.nextSeq, sess.bytes, sess.sum, len(sess.pending))
+		mismatch := fmt.Errorf("rpc: stream session %d commit mismatch (got %d chunks/%d bytes/%08x, have %d/%d/%08x)",
+			id, chunks, total, sum, sess.nextSeq, sess.bytes, sess.sum)
 		sess.mu.Unlock()
 		sess.sink.Abort()
 		return nil, mismatch
 	}
 	// Terminal: reject any stray chunk that races the commit.
 	sess.dead = true
-	sess.drained.Broadcast()
 	cerr := sess.sink.Commit()
 	sess.mu.Unlock()
 	return nil, cerr

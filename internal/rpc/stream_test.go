@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -21,11 +22,13 @@ type testSink struct {
 	buf       bytes.Buffer
 	committed int
 	aborted   int
+	delay     time.Duration // per Write, to make concurrent handlers overlap
 }
 
 func (k *testSink) Write(p []byte) (int, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
+	time.Sleep(k.delay)
 	return k.buf.Write(p)
 }
 
@@ -94,6 +97,11 @@ func (f *streamFixture) sink(t *testing.T, i int) *testSink {
 func TestStreamChunkCodec(t *testing.T) {
 	data := []byte("the quick brown fox")
 	p := EncodeStreamChunk(7, 42, data)
+	// The wire bytes are pinned: session, seq, CRC-32C (little-endian), data.
+	const golden = "0700000000000000" + "2a00000000000000" + "d3ef5533" + "74686520717569636b2062726f776e20666f78"
+	if got := hex.EncodeToString(p); got != golden {
+		t.Fatalf("chunk encodes as %s, want %s", got, golden)
+	}
 	session, seq, got, err := DecodeStreamChunk(p)
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +121,10 @@ func TestStreamChunkCodec(t *testing.T) {
 
 func TestStreamCommitCodec(t *testing.T) {
 	p := EncodeStreamCommit(1, 2, 3, 4)
+	const golden = "0100000000000000" + "0200000000000000" + "0300000000000000" + "04000000"
+	if got := hex.EncodeToString(p); got != golden {
+		t.Fatalf("commit encodes as %s, want %s", got, golden)
+	}
 	session, chunks, total, sum, err := DecodeStreamCommit(p)
 	if err != nil {
 		t.Fatal(err)
@@ -243,34 +255,56 @@ func beginSession(t *testing.T, c *Client) uint64 {
 	return id
 }
 
+// TestStreamSequenceViolationKillsSession: the receiver accepts only the
+// next sequence number; a gap or a duplicate dooms the transfer — the call
+// fails, the session is gone (a following correct chunk is rejected too)
+// and its sink is aborted exactly once.
 func TestStreamSequenceViolationKillsSession(t *testing.T) {
-	f := newStreamFixture(t, 0, 0)
-	c, err := Dial(f.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	id := beginSession(t, c)
-
-	// Chunks within the reorder window are buffered, but a sequence number
-	// beyond it can never come from a well-behaved sender.
-	far := uint64(StreamReorderWindow + 1)
-	if _, err := c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, far, []byte("x"))); err == nil {
-		t.Fatal("chunk beyond the reorder window accepted")
-	}
-	// The session is gone: even a correct chunk is now rejected.
-	if _, err := c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, 0, []byte("x"))); err == nil {
-		t.Fatal("chunk accepted on a killed session")
-	}
-	if _, committed, aborted := f.sink(t, 0).state(); committed != 0 || aborted != 1 {
-		t.Fatalf("committed=%d aborted=%d, want 0/1", committed, aborted)
+	for _, tc := range []struct {
+		name    string
+		written int    // in-order chunks written before the violation
+		seq     uint64 // the violating sequence number
+	}{
+		{"gap", 0, 1},
+		{"farAhead", 1, 1 << 40},
+		{"duplicate", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newStreamFixture(t, 0, 0)
+			c, err := Dial(f.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			id := beginSession(t, c)
+			ctx := context.Background()
+			for seq := 0; seq < tc.written; seq++ {
+				if _, err := c.Call(ctx, testMethods.Chunk, EncodeStreamChunk(id, uint64(seq), []byte("x"))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.Call(ctx, testMethods.Chunk, EncodeStreamChunk(id, tc.seq, []byte("y"))); err == nil {
+				t.Fatalf("chunk %d accepted with %d written", tc.seq, tc.written)
+			}
+			next := uint64(tc.written)
+			if _, err := c.Call(ctx, testMethods.Chunk, EncodeStreamChunk(id, next, []byte("z"))); err == nil {
+				t.Fatal("chunk accepted on a killed session")
+			}
+			if _, committed, aborted := f.sink(t, 0).state(); committed != 0 || aborted != 1 {
+				t.Fatalf("committed=%d aborted=%d, want 0/1", committed, aborted)
+			}
+			if n := f.ss.Sessions(); n != 0 {
+				t.Fatalf("%d sessions left after a sequence violation", n)
+			}
+		})
 	}
 }
 
-// TestStreamReorderWithinWindow: chunks arriving out of order — as a
-// pipelined sender's concurrent requests may — are buffered and fed to
-// the sink strictly in sequence.
-func TestStreamReorderWithinWindow(t *testing.T) {
+// TestStreamConcurrentChunks: a misbehaving client fires every chunk of a
+// session at once. sess.mu must still serialise the handlers: the sink only
+// ever holds an in-order prefix of the stream, and the session either
+// commits the exact payload or is aborted exactly once.
+func TestStreamConcurrentChunks(t *testing.T) {
 	f := newStreamFixture(t, 0, 0)
 	c, err := Dial(f.addr)
 	if err != nil {
@@ -278,162 +312,49 @@ func TestStreamReorderWithinWindow(t *testing.T) {
 	}
 	defer c.Close()
 	id := beginSession(t, c)
+	k := f.sink(t, 0)
+	k.mu.Lock()
+	k.delay = time.Millisecond
+	k.mu.Unlock()
 
-	parts := [][]byte{[]byte("alpha-"), []byte("beta-"), []byte("gamma-"), []byte("delta")}
-	var sum uint32
-	var total uint64
-	for _, p := range parts {
-		sum = crc32.Update(sum, crcTable, p)
-		total += uint64(len(p))
-	}
-	// Deliver 2, 0, 3, 1 concurrently (a chunk ahead of the gap is only
-	// acknowledged once written, so out-of-order delivery must overlap,
-	// exactly as a pipelined sender's in-flight window does); every chunk
-	// stays within the reorder window of the lowest undelivered sequence
-	// number.
+	const chunks = 8
+	var payload []byte
 	var wg sync.WaitGroup
-	errs := make([]error, len(parts))
-	for i, seq := range []uint64{2, 0, 3, 1} {
+	errs := make([]error, chunks)
+	for seq := 0; seq < chunks; seq++ {
+		part := bytes.Repeat([]byte{byte('a' + seq)}, 100+seq)
+		payload = append(payload, part...)
 		wg.Add(1)
-		go func(i int, seq uint64) {
+		go func(seq int, part []byte) {
 			defer wg.Done()
-			// Stagger so the buffered chunks park before the gap fills.
-			time.Sleep(time.Duration(i) * 10 * time.Millisecond)
-			_, errs[i] = c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, seq, parts[seq]))
-		}(i, seq)
+			_, errs[seq] = c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, uint64(seq), part))
+		}(seq, part)
 	}
 	wg.Wait()
-	for i, err := range errs {
+	failed := 0
+	for _, err := range errs {
 		if err != nil {
-			t.Fatalf("chunk call %d: %v", i, err)
+			failed++
 		}
 	}
-	if _, err := c.Call(context.Background(), testMethods.Commit, EncodeStreamCommit(id, uint64(len(parts)), total, sum)); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	data, committed, aborted := f.sink(t, 0).state()
-	if string(data) != "alpha-beta-gamma-delta" {
-		t.Fatalf("sink reassembled %q", data)
-	}
-	if committed != 1 || aborted != 0 {
-		t.Fatalf("committed=%d aborted=%d", committed, aborted)
-	}
-}
-
-// TestStreamDuplicateChunkKillsSession: a sequence number delivered twice
-// (already written, or already buffered) dooms the transfer.
-func TestStreamDuplicateChunkKillsSession(t *testing.T) {
-	f := newStreamFixture(t, 0, 0)
-	c, err := Dial(f.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	id := beginSession(t, c)
-	if _, err := c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, 0, []byte("x"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, 0, []byte("x"))); err == nil {
-		t.Fatal("duplicate chunk accepted")
-	}
-	if _, committed, aborted := f.sink(t, 0).state(); committed != 0 || aborted != 1 {
-		t.Fatalf("committed=%d aborted=%d, want 0/1", committed, aborted)
-	}
-}
-
-// TestStreamCommitWithGapAborts: a commit while a buffered chunk still
-// waits on a missing sequence number must not install the stream, and
-// must release the parked chunk handler with an error rather than leaving
-// it waiting forever.
-func TestStreamCommitWithGapAborts(t *testing.T) {
-	f := newStreamFixture(t, 0, 0)
-	c, err := Dial(f.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	id := beginSession(t, c)
-	// seq 1 parks awaiting seq 0, which is never sent.
-	chunkErr := make(chan error, 1)
-	go func() {
-		_, err := c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, 1, []byte("b")))
-		chunkErr <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the chunk buffer and park
-	sum := crc32.Checksum([]byte("b"), crcTable)
-	if _, err := c.Call(context.Background(), testMethods.Commit, EncodeStreamCommit(id, 2, 1, sum)); err == nil {
-		t.Fatal("commit over a sequence gap accepted")
-	}
-	select {
-	case err := <-chunkErr:
-		if err == nil {
-			t.Fatal("parked chunk acknowledged despite the gap never filling")
+	if failed == 0 {
+		sum := crc32.Checksum(payload, crcTable)
+		if _, err := c.Call(context.Background(), testMethods.Commit, EncodeStreamCommit(id, chunks, uint64(len(payload)), sum)); err != nil {
+			t.Fatalf("commit after every chunk was acknowledged: %v", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked chunk handler leaked past the aborted session")
 	}
-	if _, committed, aborted := f.sink(t, 0).state(); committed != 0 || aborted != 1 {
-		t.Fatalf("committed=%d aborted=%d, want 0/1", committed, aborted)
+	data, committed, aborted := k.state()
+	if !bytes.HasPrefix(payload, data) {
+		t.Fatalf("sink holds %d bytes that are not a prefix of the stream", len(data))
 	}
-}
-
-// TestStreamParkedChunkReapedByIdleTimeout: a buffered chunk whose gap
-// never fills (its sender died mid-window) must be released by the idle
-// reaper, not parked forever.
-func TestStreamParkedChunkReapedByIdleTimeout(t *testing.T) {
-	f := newStreamFixture(t, 40*time.Millisecond, 0)
-	c, err := Dial(f.addr)
-	if err != nil {
-		t.Fatal(err)
+	switch {
+	case failed == 0 && (!bytes.Equal(data, payload) || committed != 1 || aborted != 0):
+		t.Fatalf("all chunks acknowledged: sink has %d of %d bytes, committed=%d aborted=%d", len(data), len(payload), committed, aborted)
+	case failed > 0 && (committed != 0 || aborted != 1):
+		t.Fatalf("%d chunks rejected: committed=%d aborted=%d, want 0/1", failed, committed, aborted)
 	}
-	defer c.Close()
-	id := beginSession(t, c)
-	if _, err := c.Call(context.Background(), testMethods.Chunk, EncodeStreamChunk(id, 1, []byte("b"))); err == nil {
-		t.Fatal("chunk parked on a never-filled gap was acknowledged")
-	}
-	if _, committed, aborted := f.sink(t, 0).state(); committed != 0 || aborted != 1 {
-		t.Fatalf("committed=%d aborted=%d, want 0/1", committed, aborted)
-	}
-}
-
-// TestStreamPipelinedRoundTrip pushes a payload through many tiny chunks
-// at several pipeline windows and checks byte-identical reassembly; the
-// concurrent dispatch exercises the receiver's reorder path under real
-// goroutine scheduling.
-func TestStreamPipelinedRoundTrip(t *testing.T) {
-	for _, window := range []int{1, 4, StreamReorderWindow} {
-		f := newStreamFixture(t, 0, 0)
-		c, err := Dial(f.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(window)))
-		payload := make([]byte, 40000)
-		rng.Read(payload)
-
-		s := NewStreamSender(context.Background(), c, testMethods, 128)
-		s.SetWindow(window)
-		for off := 0; off < len(payload); {
-			n := 1 + rng.Intn(500)
-			if off+n > len(payload) {
-				n = len(payload) - off
-			}
-			if _, err := s.Write(payload[off : off+n]); err != nil {
-				t.Fatalf("window=%d: %v", window, err)
-			}
-			off += n
-		}
-		if err := s.Finish(); err != nil {
-			t.Fatalf("window=%d: %v", window, err)
-		}
-		data, committed, aborted := f.sink(t, 0).state()
-		if !bytes.Equal(data, payload) {
-			t.Fatalf("window=%d: sink got %d bytes, want %d", window, len(data), len(payload))
-		}
-		if committed != 1 || aborted != 0 {
-			t.Fatalf("window=%d: committed=%d aborted=%d", window, committed, aborted)
-		}
-		c.Close()
+	if n := f.ss.Sessions(); n != 0 {
+		t.Fatalf("%d sessions left", n)
 	}
 }
 

@@ -62,6 +62,7 @@ func BenchmarkPushSnapshot(b *testing.B) {
 	}{
 		{"chunk64KB", 64 << 10},
 		{"chunk1MB", 1 << 20},
+		{"chunk4MB", 4 << 20}, // rpc.DefaultChunkSize, Cluster.Reindex's default
 	} {
 		b.Run(cs.name, func(b *testing.B) {
 			ctx := context.Background()

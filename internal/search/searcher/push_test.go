@@ -281,10 +281,8 @@ func TestPushDisconnectReapedByIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestPushChunkSequenceViolation: a sequence number beyond the pipeline
-// reorder window kills the session and never touches the serving shard.
-// (Sequence numbers within the window are buffered for in-order delivery,
-// so only an out-of-window chunk is a violation now.)
+// TestPushChunkSequenceViolation: a chunk that is not the next in sequence
+// kills the session and never touches the serving shard.
 func TestPushChunkSequenceViolation(t *testing.T) {
 	f := newFixture(t, 5)
 	s, err := New(Config{Shard: f.shard})
@@ -308,7 +306,7 @@ func TestPushChunkSequenceViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.Call(ctx, search.MethodLoadIndexChunk,
-		rpc.EncodeStreamChunk(id, rpc.StreamReorderWindow+1, []byte("out of order"))); err == nil {
+		rpc.EncodeStreamChunk(id, 1, []byte("out of order"))); err == nil {
 		t.Fatal("out-of-order chunk accepted")
 	}
 	if got := s.LoadSessions(); got != 0 {
@@ -398,8 +396,7 @@ func TestPushSnapshotPQMultiChunk(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	// A 4 KiB chunk forces a long multi-chunk session through the
-	// pipelined sender.
+	// A 4 KiB chunk forces a long multi-chunk session.
 	if err := PushSnapshot(ctx, s.Addr(), next, 4<<10); err != nil {
 		t.Fatalf("PushSnapshot: %v", err)
 	}
