@@ -145,7 +145,7 @@ func run() error {
 		}
 		st := s.Stats()
 		totalImages += st.Images
-		fmt.Printf("partition %d: %6d images, %4d products -> %s\n", p, st.Images, st.Products, path)
+		fmt.Printf("partition %d: %6d images, %6d valid -> %s\n", p, st.Images, st.ValidImages, path)
 	}
 	fmt.Printf("\nfull index built in %s: %d images across %d partitions, codebook %dx%d\n",
 		time.Since(start).Round(time.Millisecond), totalImages, *partitions, cb.K, cb.Dim)

@@ -25,7 +25,6 @@ import (
 	"jdvs/internal/cnn"
 	"jdvs/internal/core"
 	"jdvs/internal/index"
-	"jdvs/internal/ranking"
 	"jdvs/internal/search/blender"
 	"jdvs/internal/search/broker"
 	"jdvs/internal/search/frontend"
@@ -160,7 +159,6 @@ func run() error {
 		node, err := blender.New(blender.Config{
 			Brokers:          splitAddrs(*brokers),
 			Extractor:        cnn.New(cnn.Config{Dim: *dim, Seed: *fseed}),
-			Ranker:           ranking.New(ranking.DefaultWeights()),
 			Addr:             *addr,
 			FeatureCacheSize: *featCache,
 		})

@@ -30,13 +30,17 @@ import (
 	"jdvs/internal/indexer"
 	"jdvs/internal/mq"
 	"jdvs/internal/msg"
-	"jdvs/internal/ranking"
 	"jdvs/internal/search/blender"
 	"jdvs/internal/search/broker"
 	"jdvs/internal/search/client"
 	"jdvs/internal/search/frontend"
 	"jdvs/internal/search/searcher"
 )
+
+// pushTimeout bounds the whole snapshot distribution fan-out of one
+// Reindex. The chunked sender pays one round trip per chunk, so it must
+// cover shard bytes / link throughput.
+const pushTimeout = 5 * time.Minute
 
 // Config sizes a cluster. Zero values take the defaults noted.
 type Config struct {
@@ -73,7 +77,7 @@ type Config struct {
 	// of code bytes per image, which must divide Dim. 0 keeps the exact
 	// float scan; negative derives a dimension-based default. RerankK is
 	// the ADC over-fetch depth re-ranked exactly per query (0 derives
-	// 10×TopK).
+	// 20×TopK for 8-bit codes and 30×TopK for 4-bit ones).
 	PQSubvectors int
 	RerankK      int
 	// PQBits selects the searchers' PQ code bit width
@@ -87,10 +91,6 @@ type Config struct {
 	// see searcher.PushSnapshot). Tests use small values to force
 	// multi-chunk transfers.
 	SnapshotChunkSize int
-	// PushTimeout bounds the whole snapshot distribution fan-out of one
-	// Reindex (default 5m). Size it to shard bytes / link throughput: the
-	// chunked sender pays one round trip per chunk.
-	PushTimeout time.Duration
 
 	// HedgeQuantile, HedgeMinDelay and HedgeMaxFraction tune the brokers'
 	// hedged replica requests (broker.Config): once a partition group's
@@ -138,11 +138,6 @@ type Config struct {
 
 	// Catalog configures the synthetic corpus indexed at bootstrap.
 	Catalog catalog.Config
-
-	// RealTime enables the searchers' real-time indexing loops
-	// (default true; set DisableRealTime to turn off — the "W/O Real Time
-	// Index" baseline of Fig. 12).
-	DisableRealTime bool
 
 	// OnApplied observes applied real-time updates on the primary replica
 	// of every partition (harnesses build Table 1 / Fig. 11 from it).
@@ -291,10 +286,6 @@ func (c *Cluster) startTiers(shards []*index.Shard) error {
 					return fmt.Errorf("cluster: clone partition %d: %w", p, err)
 				}
 			}
-			var queue *mq.Queue
-			if !cfg.DisableRealTime {
-				queue = c.Queue
-			}
 			var onApplied searcher.AppliedFunc
 			if r == 0 {
 				onApplied = cfg.OnApplied
@@ -303,7 +294,7 @@ func (c *Cluster) startTiers(shards []*index.Shard) error {
 				Partition:   core.PartitionID(p),
 				Shard:       shard,
 				Resolver:    c.resolver,
-				Queue:       queue,
+				Queue:       c.Queue,
 				StartOffset: startOffset,
 				OnApplied:   onApplied,
 			}
@@ -361,7 +352,6 @@ func (c *Cluster) startTiers(shards []*index.Shard) error {
 			Brokers:          brokerAddrs,
 			Extractor:        c.Extractor,
 			Classifier:       classifier,
-			Ranker:           ranking.New(ranking.DefaultWeights()),
 			FeatureCacheSize: cfg.FeatureCacheSize,
 		})
 		if err != nil {
@@ -538,10 +528,6 @@ func (c *Cluster) Reindex() error {
 	// Push every partition to every replica concurrently. Serialising a
 	// shard is read-only, so one built shard can feed all its replicas'
 	// streams at once.
-	pushTimeout := c.cfg.PushTimeout
-	if pushTimeout <= 0 {
-		pushTimeout = 5 * time.Minute
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
 	defer cancel()
 	var wg sync.WaitGroup

@@ -194,25 +194,6 @@ func TestOnAppliedObserver(t *testing.T) {
 	}
 }
 
-func TestDisableRealTime(t *testing.T) {
-	cfg := smallConfig()
-	cfg.DisableRealTime = true
-	c := startTestCluster(t, cfg)
-	target := &c.Catalog.Products[0]
-	if err := c.Publish(c.RemoveProductEvent(target)); err != nil {
-		t.Fatal(err)
-	}
-	// Without real-time indexing nothing drains.
-	if c.WaitForDrain(300 * time.Millisecond) {
-		t.Fatal("drain succeeded with real-time indexing disabled")
-	}
-	// And the searcher still serves the stale (pre-removal) state.
-	part := c.Searcher(0, 0)
-	if part.Applied() != 0 {
-		t.Fatalf("searcher applied %d updates with RT disabled", part.Applied())
-	}
-}
-
 // TestWaitForDrainUnderFreshAdditions: the update mix lists brand-new
 // products into Catalog.Products, so the bootstrap message count has to be
 // the one recorded at Start — recomputed from the grown catalog it cancels

@@ -233,16 +233,6 @@ func (ix *Index) Get(id ImageID) (Attrs, bool) {
 	}, true
 }
 
-// ProductID returns just the product ID of image id (hot path for result
-// assembly; avoids materialising the URL).
-func (ix *Index) ProductID(id ImageID) (uint64, bool) {
-	r := ix.rec(id)
-	if r == nil {
-		return 0, false
-	}
-	return r.productID.Load(), true
-}
-
 // Numeric returns the ranking attributes without touching the URL buffer.
 func (ix *Index) Numeric(id ImageID) (sales, praise, price uint32, category uint16, ok bool) {
 	r := ix.rec(id)

@@ -564,16 +564,16 @@ func TestFilteredSnapshotRoundtrip(t *testing.T) {
 		}
 	}
 	check("loaded")
-	// Move a product between categories on the replica: bitmap maintenance
+	// Move an image between categories on the replica: bitmap maintenance
 	// must hold on rebuilt directories too.
-	if _, err := replica.UpdateAttrs(uint64(n/2+1), 5, 5, 777, 2); err != nil {
+	if err := replica.UpdateAttrsURL(filterAttrs(n/2, n).URL, 5, 5, 777, 2); err != nil {
 		t.Fatal(err)
 	}
 	check("after category move")
 }
 
 // TestFilteredConcurrentCategoryMoves runs filtered scans against a writer
-// relocating products between the scanned categories — the -race stress
+// relocating images between the scanned categories — the -race stress
 // for the category-bitmap publish protocol. Results during a move are
 // advisory (the §2.3 visibility window), so the assertions are bounds and
 // liveness, not exact sets.
@@ -592,10 +592,10 @@ func TestFilteredConcurrentCategoryMoves(t *testing.T) {
 				return
 			default:
 			}
-			pid := uint64(rng.Intn(n) + 1)
+			url := filterAttrs(rng.Intn(n), n).URL
 			cat := uint16(2 + i%2)
-			if _, err := s.UpdateAttrs(pid, uint32(i%100), 5, uint32(100+i%9000), cat); err != nil {
-				t.Errorf("UpdateAttrs: %v", err)
+			if err := s.UpdateAttrsURL(url, uint32(i%100), 5, uint32(100+i%9000), cat); err != nil {
+				t.Errorf("UpdateAttrsURL: %v", err)
 				return
 			}
 		}

@@ -8,8 +8,8 @@
 //   - the validity bitmap (deletion and re-listing without structural
 //     mutation);
 //   - the in-shard feature matrix (distance computation on the scan path);
-//   - URL → image and product → images lookup tables driving feature reuse
-//     and product-level operations.
+//   - the URL → image lookup table that keys every real-time update (§2.3:
+//     one image per operation) and drives feature reuse.
 //
 // Concurrency contract, straight from the paper: one real-time indexing
 // writer per shard (the searcher's queue consumer, Fig. 4) mutates the
@@ -156,7 +156,6 @@ func (c *Config) validate() error {
 type Stats struct {
 	Images      int // total records ever appended
 	ValidImages int // images whose validity bit is set
-	Products    int // distinct product IDs seen
 	Lists       int
 	PQCodes     int // PQ-encoded rows (0 when the shard scans exact floats)
 	// PQBits is the installed quantizer's centroid index width (8 or 4;
@@ -237,12 +236,11 @@ type Shard struct {
 	// far it can skip.
 	coveredOffset atomic.Int64
 
-	// Lookup tables for the real-time indexing writer. Guarded by tabMu:
-	// written only by the single writer, read by Stats/tests and the
+	// URL table for the real-time indexing writer. Guarded by tabMu:
+	// written only by the single writer, read by HasURL, tests and the
 	// writer itself.
-	tabMu     sync.RWMutex
-	byURL     map[string]core.ImageID
-	byProduct map[uint64][]core.ImageID
+	tabMu sync.RWMutex
+	byURL map[string]core.ImageID
 
 	// searchWorkers is the live intra-query scan parallelism, initialised
 	// from cfg.SearchWorkers and adjustable at runtime (SetSearchWorkers)
@@ -259,13 +257,12 @@ func New(cfg Config) (*Shard, error) {
 		return nil, err
 	}
 	s := &Shard{
-		cfg:       cfg,
-		fwd:       forward.New(),
-		inv:       inverted.New(cfg.NLists, cfg.ListInitialCap),
-		valid:     bitmapx.New(0),
-		feats:     newFeatMat(cfg.Dim),
-		byURL:     make(map[string]core.ImageID),
-		byProduct: make(map[uint64][]core.ImageID),
+		cfg:   cfg,
+		fwd:   forward.New(),
+		inv:   inverted.New(cfg.NLists, cfg.ListInitialCap),
+		valid: bitmapx.New(0),
+		feats: newFeatMat(cfg.Dim),
+		byURL: make(map[string]core.ImageID),
 	}
 	s.searchWorkers.Store(int32(cfg.SearchWorkers))
 	return s, nil
@@ -279,9 +276,9 @@ func (s *Shard) Close() error { return nil }
 // ErrNotTrained is returned by operations requiring a codebook.
 var ErrNotTrained = errors.New("index: codebook not trained")
 
-// ErrUnknownProduct is returned by product-level operations on products the
-// shard has never seen.
-var ErrUnknownProduct = errors.New("index: unknown product")
+// ErrUnknownURL is returned by the per-image update operations for a URL
+// the shard has never indexed.
+var ErrUnknownURL = errors.New("index: unknown image URL")
 
 // Train fits the IVF codebook on the given training features (flat row-major
 // n×Dim) — §2.2's "k-mean algorithm on a set of training data set".
@@ -309,9 +306,6 @@ func (s *Shard) SetCodebook(cb *kmeans.Codebook) error {
 
 // Codebook returns the installed codebook (nil if untrained).
 func (s *Shard) Codebook() *kmeans.Codebook { return s.codebook }
-
-// Trained reports whether a codebook is installed.
-func (s *Shard) Trained() bool { return s.codebook != nil }
 
 // shardPQ is the published state of the ADC scan path: the product
 // quantizer and the codes it produced, one block store per inverted list
@@ -594,16 +588,8 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.I
 		s.moveCategory(id, attrs.Category)
 		s.attrEpoch.Add(1)
 		// A re-listing may also attach the image to a different product:
-		// move it so product-level removals and updates address it under
-		// its current owner (full indexing rebuilds this mapping from the
-		// event log; the real-time path must agree).
-		if old, ok := s.fwd.ProductID(id); ok && old != attrs.ProductID {
-			s.fwd.SetProductID(id, attrs.ProductID)
-			s.tabMu.Lock()
-			s.dropProductImageLocked(old, id)
-			s.byProduct[attrs.ProductID] = append(s.byProduct[attrs.ProductID], id)
-			s.tabMu.Unlock()
-		}
+		// hits must carry its current owner.
+		s.fwd.SetProductID(id, attrs.ProductID)
 		s.valid.Set(id)
 		s.bump(func(st *Stats) { st.Inserts++; st.ReusedInserts++ })
 		return id, true, nil
@@ -620,7 +606,6 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.I
 
 	s.tabMu.Lock()
 	s.byURL[attrs.URL] = id
-	s.byProduct[attrs.ProductID] = append(s.byProduct[attrs.ProductID], id)
 	s.tabMu.Unlock()
 
 	s.bump(func(st *Stats) { st.Inserts++ })
@@ -692,7 +677,6 @@ func (s *Shard) appendRow(attrs core.Attrs, feature []float32, cluster int) (cor
 // single-writer visibility window every non-atomic §2.3 update has, gone
 // by the next query.
 func (s *Shard) refreshFeature(stale core.ImageID, attrs core.Attrs, feature []float32, cluster int) (core.ImageID, bool, error) {
-	oldProduct, hadProduct := s.fwd.ProductID(stale)
 	id, err := s.appendRow(attrs, feature, cluster)
 	if err != nil {
 		return 0, false, err
@@ -702,31 +686,10 @@ func (s *Shard) refreshFeature(stale core.ImageID, attrs core.Attrs, feature []f
 
 	s.tabMu.Lock()
 	s.byURL[attrs.URL] = id
-	if hadProduct {
-		s.dropProductImageLocked(oldProduct, stale)
-	}
-	s.byProduct[attrs.ProductID] = append(s.byProduct[attrs.ProductID], id)
 	s.tabMu.Unlock()
 
 	s.bump(func(st *Stats) { st.Inserts++; st.FeatureRefreshes++ })
 	return id, false, nil
-}
-
-// dropProductImageLocked removes id from byProduct[product], deleting the
-// entry when it empties. Caller holds tabMu.
-func (s *Shard) dropProductImageLocked(product uint64, id core.ImageID) {
-	olds := s.byProduct[product]
-	kept := make([]core.ImageID, 0, max(len(olds)-1, 0))
-	for _, v := range olds {
-		if v != id {
-			kept = append(kept, v)
-		}
-	}
-	if len(kept) == 0 {
-		delete(s.byProduct, product)
-	} else {
-		s.byProduct[product] = kept
-	}
 }
 
 // rowsEqual compares a stored row against an incoming vector bitwise —
@@ -965,35 +928,17 @@ func (s *Shard) HasURL(url string) bool {
 	return ok
 }
 
-// RemoveProduct flips the validity bit of every image of the product to 0
+// RemoveImageURL flips the validity bit of one image addressed by URL
 // (§2.3 "Deletion: ... as simple as changing the corresponding validity
-// flag in the bitmap from 1 (valid) to 0 (invalid)").
-func (s *Shard) RemoveProduct(productID uint64) (int, error) {
-	s.tabMu.RLock()
-	ids := s.byProduct[productID]
-	s.tabMu.RUnlock()
-	if len(ids) == 0 {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownProduct, productID)
-	}
-	n := 0
-	for _, id := range ids {
-		if s.valid.Clear(id) {
-			n++
-		}
-	}
-	s.bump(func(st *Stats) { st.Deletions += int64(n) })
-	return n, nil
-}
-
-// RemoveImageURL flips the validity bit of one image addressed by URL —
-// the per-image deletion path used when update events are routed by
-// hash(URL) to the owning partition. It reports whether the bit changed.
+// flag in the bitmap from 1 (valid) to 0 (invalid)"); update events are
+// routed by hash(URL) to the owning partition. It reports whether the bit
+// changed.
 func (s *Shard) RemoveImageURL(url string) (bool, error) {
 	s.tabMu.RLock()
 	id, ok := s.byURL[url]
 	s.tabMu.RUnlock()
 	if !ok {
-		return false, fmt.Errorf("%w: url %q", ErrUnknownProduct, url)
+		return false, fmt.Errorf("%w: url %q", ErrUnknownURL, url)
 	}
 	changed := s.valid.Clear(id)
 	if changed {
@@ -1009,7 +954,7 @@ func (s *Shard) UpdateAttrsURL(url string, sales, praise, price uint32, category
 	id, ok := s.byURL[url]
 	s.tabMu.RUnlock()
 	if !ok {
-		return fmt.Errorf("%w: url %q", ErrUnknownProduct, url)
+		return fmt.Errorf("%w: url %q", ErrUnknownURL, url)
 	}
 	s.fwd.SetSales(id, sales)
 	s.fwd.SetPraise(id, praise)
@@ -1018,38 +963,6 @@ func (s *Shard) UpdateAttrsURL(url string, sales, praise, price uint32, category
 	s.attrEpoch.Add(1)
 	s.bump(func(st *Stats) { st.AttrUpdates++ })
 	return nil
-}
-
-// UpdateAttrs atomically updates the numeric attributes — sales, praise,
-// price and category — of every image of the product (Fig. 7). Unknown
-// products return ErrUnknownProduct so the caller can decide whether the
-// update was misrouted.
-func (s *Shard) UpdateAttrs(productID uint64, sales, praise, price uint32, category uint16) (int, error) {
-	s.tabMu.RLock()
-	ids := s.byProduct[productID]
-	s.tabMu.RUnlock()
-	if len(ids) == 0 {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownProduct, productID)
-	}
-	for _, id := range ids {
-		s.fwd.SetSales(id, sales)
-		s.fwd.SetPraise(id, praise)
-		s.fwd.SetPrice(id, price)
-		s.moveCategory(id, category)
-	}
-	s.attrEpoch.Add(1)
-	s.bump(func(st *Stats) { st.AttrUpdates++ })
-	return len(ids), nil
-}
-
-// ProductImages returns the image IDs of a product (empty if unknown).
-func (s *Shard) ProductImages(productID uint64) []core.ImageID {
-	s.tabMu.RLock()
-	defer s.tabMu.RUnlock()
-	ids := s.byProduct[productID]
-	out := make([]core.ImageID, len(ids))
-	copy(out, ids)
-	return out
 }
 
 // Valid reports whether image id is currently searchable.
@@ -1506,9 +1419,6 @@ func (s *Shard) Stats() Stats {
 		}
 		st.PQCodeBytes = ps.codeHeapBytes()
 	}
-	s.tabMu.RLock()
-	st.Products = len(s.byProduct)
-	s.tabMu.RUnlock()
 	return st
 }
 
@@ -1610,7 +1520,7 @@ func (s *Shard) checkRowsListed() error {
 }
 
 // LoadSnapshot replaces the shard contents from a WriteSnapshot stream and
-// rebuilds the lookup tables from the forward index. Readers and the
+// rebuilds the URL table from the forward index. Readers and the
 // writer must be quiesced. A stream of another snapshot version is refused
 // before anything is replaced.
 func (s *Shard) LoadSnapshot(r io.Reader) error {
@@ -1714,16 +1624,10 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 	s.cats.Store(&catsDir)
 	s.attrEpoch.Add(1)
 	s.predCache.Store(nil)
-	// Rebuild lookup tables from the forward index. Two passes: byURL
-	// first (ascending scan, so the newest generation of a re-listed URL
-	// wins), then byProduct from only the records byURL still points at —
-	// a stale generation tombstoned by a feature refresh must not
-	// resurface as a product member on a snapshot-loaded replica, or
-	// ProductImages/UpdateAttrs would diverge from the shard that wrote
-	// the snapshot. (Images merely delisted keep their byProduct entries:
-	// their URL still maps to them, and they can be re-listed.)
+	// Rebuild the URL table from the forward index. The scan ascends, so
+	// the newest generation of a re-listed URL wins, as it does on the
+	// writer after a feature refresh.
 	byURL := make(map[string]core.ImageID, s.fwd.Len())
-	byProduct := make(map[uint64][]core.ImageID)
 	for id := uint32(0); id < uint32(s.fwd.Len()); id++ {
 		a, ok := s.fwd.Get(id)
 		if !ok || a.URL == "" {
@@ -1731,19 +1635,8 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 		}
 		byURL[a.URL] = id
 	}
-	for id := uint32(0); id < uint32(s.fwd.Len()); id++ {
-		a, ok := s.fwd.Get(id)
-		if !ok {
-			continue
-		}
-		if a.URL != "" && byURL[a.URL] != id {
-			continue // superseded by a feature-refresh generation
-		}
-		byProduct[a.ProductID] = append(byProduct[a.ProductID], id)
-	}
 	s.tabMu.Lock()
 	s.byURL = byURL
-	s.byProduct = byProduct
 	s.tabMu.Unlock()
 	// The watermark goes last: it claims the shard covers the queue up to
 	// `covered`, so every structure backing that claim must already be

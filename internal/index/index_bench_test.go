@@ -45,6 +45,15 @@ func benchShard(b *testing.B, n int) (*Shard, [][]float32) {
 	return s, feats
 }
 
+// benchURLs returns the URLs benchShard gives its first n images.
+func benchURLs(n int) []string {
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("jfs://bench/p%d.jpg", i)
+	}
+	return urls
+}
+
 // BenchmarkSearch measures the full per-partition query path: probe
 // selection, list scans, distance computation, top-k and result assembly.
 func BenchmarkSearch(b *testing.B) {
@@ -318,28 +327,33 @@ func BenchmarkInsertReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkRemoveProduct measures deletion: one bitmap flip per image.
-func BenchmarkRemoveProduct(b *testing.B) {
+// BenchmarkRemoveImageURL measures deletion as indexer.Apply issues it: one
+// URL lookup and one bitmap flip. Odd iterations re-list the image so every
+// removal flips a set bit.
+func BenchmarkRemoveImageURL(b *testing.B) {
 	s, _ := benchShard(b, 10_000)
+	urls := benchURLs(10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := uint64(i%10_000 + 1)
+		j := i % 10_000
 		if i%2 == 0 {
-			_, _ = s.RemoveProduct(id)
+			_, _ = s.RemoveImageURL(urls[j])
 		} else {
-			_, _, _ = s.Insert(core.Attrs{ProductID: id, URL: fmt.Sprintf("jfs://bench/p%d.jpg", i%10_000)}, nil)
+			_, _, _ = s.Insert(core.Attrs{ProductID: uint64(j + 1), URL: urls[j]}, nil)
 		}
 	}
 }
 
-// BenchmarkUpdateAttrs measures the Fig. 7 product-level numeric update.
-func BenchmarkUpdateAttrs(b *testing.B) {
+// BenchmarkUpdateAttrsURL measures the Fig. 7 numeric update of one image
+// as indexer.Apply issues it.
+func BenchmarkUpdateAttrsURL(b *testing.B) {
 	s, _ := benchShard(b, 10_000)
+	urls := benchURLs(10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.UpdateAttrs(uint64(i%10_000+1), uint32(i), 50, 999, uint16(i%8)); err != nil {
+		if err := s.UpdateAttrsURL(urls[i%10_000], uint32(i), 50, 999, uint16(i%8)); err != nil {
 			b.Fatal(err)
 		}
 	}

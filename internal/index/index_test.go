@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -149,9 +150,9 @@ func TestRemoveAndRevalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.RemoveProduct(a.ProductID)
-	if err != nil || n != 1 {
-		t.Fatalf("RemoveProduct = %d, %v", n, err)
+	changed, err := s.RemoveImageURL(a.URL)
+	if err != nil || !changed {
+		t.Fatalf("RemoveImageURL = %v, %v", changed, err)
 	}
 	if s.Valid(id) {
 		t.Fatal("image still valid after removal")
@@ -180,18 +181,14 @@ func TestRemoveAndRevalidate(t *testing.T) {
 	}
 }
 
+// TestRemoveUnknownProduct pins that an update for an image of a product
+// the shard never indexed reports ErrUnknownURL.
 func TestRemoveUnknownProduct(t *testing.T) {
 	s, _ := testShard(t, 8)
-	if _, err := s.RemoveProduct(12345); !errors.Is(err, ErrUnknownProduct) {
+	if _, err := s.RemoveImageURL("nope"); !errors.Is(err, ErrUnknownURL) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := s.UpdateAttrs(12345, 1, 2, 3, 0); !errors.Is(err, ErrUnknownProduct) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := s.RemoveImageURL("nope"); !errors.Is(err, ErrUnknownProduct) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := s.UpdateAttrsURL("nope", 1, 2, 3, 0); !errors.Is(err, ErrUnknownProduct) {
+	if err := s.UpdateAttrsURL("nope", 1, 2, 3, 0); !errors.Is(err, ErrUnknownURL) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -205,9 +202,10 @@ func TestUpdateAttrs(t *testing.T) {
 	if _, _, err := s.Insert(a1, randFeature(rng)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.UpdateAttrs(a0.ProductID, 500, 60, 700, 9)
-	if err != nil || n != 2 {
-		t.Fatalf("UpdateAttrs = %d, %v", n, err)
+	for _, a := range []core.Attrs{a0, a1} {
+		if err := s.UpdateAttrsURL(a.URL, 500, 60, 700, 9); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for id := uint32(0); id < 2; id++ {
 		got, _ := s.Attrs(id)
@@ -215,7 +213,7 @@ func TestUpdateAttrs(t *testing.T) {
 			t.Fatalf("image %d attrs = %+v", id, got)
 		}
 	}
-	// URL-level update touches only one image.
+	// An update touches only the image its URL names.
 	if err := s.UpdateAttrsURL(a0.URL, 1, 2, 3, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +320,11 @@ func TestSnapshotRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.RemoveProduct(attrsFor(4).ProductID) // some invalid bits
+	for _, i := range []int{4, 5} { // some invalid bits
+		if _, err := s.RemoveImageURL(attrsFor(i).URL); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -345,11 +347,8 @@ func TestSnapshotRoundtrip(t *testing.T) {
 			t.Fatalf("validity %d differs", i)
 		}
 	}
-	if !dup.HasURL(attrsFor(3).URL) {
+	if !maps.Equal(dup.byURL, s.byURL) {
 		t.Fatal("byURL table not rebuilt")
-	}
-	if got := dup.ProductImages(attrsFor(0).ProductID); len(got) != 2 {
-		t.Fatalf("byProduct table not rebuilt: %v", got)
 	}
 	// Feature-row accounting: Dim×4 bytes per image, chunk-rounded, the
 	// same on both sides of the load.
@@ -444,7 +443,7 @@ func TestConcurrentSearchDuringRealtimeOps(t *testing.T) {
 					return
 				}
 			case 1:
-				_, _ = s.RemoveProduct(uint64(wrng.Intn(initial/2) + 1))
+				_, _ = s.RemoveImageURL(attrsFor(wrng.Intn(initial)).URL)
 			case 2:
 				a := attrsFor(wrng.Intn(initial))
 				if _, _, err := s.Insert(a, nil); err != nil {
@@ -452,7 +451,7 @@ func TestConcurrentSearchDuringRealtimeOps(t *testing.T) {
 					return
 				}
 			case 3:
-				_, _ = s.UpdateAttrs(uint64(wrng.Intn(initial/2)+1), uint32(i), 1, 2, uint16(i%4))
+				_ = s.UpdateAttrsURL(attrsFor(wrng.Intn(initial)).URL, uint32(i), 1, 2, uint16(i%4))
 			}
 		}
 	}()
@@ -502,9 +501,9 @@ func TestSearchSerialParallelEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Delete a slice of products so validity filtering is exercised too.
-	for pid := uint64(1); pid <= 100; pid += 3 {
-		if _, err := s.RemoveProduct(pid); err != nil {
+	// Delete a slice of images so validity filtering is exercised too.
+	for i := 0; i < 200; i += 3 {
+		if _, err := s.RemoveImageURL(attrsFor(i).URL); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -613,14 +612,14 @@ func TestParallelSearchDuringRealtimeOps(t *testing.T) {
 					return
 				}
 			case 1:
-				_, _ = s.RemoveProduct(uint64(wrng.Intn(initial/2) + 1))
+				_, _ = s.RemoveImageURL(attrsFor(wrng.Intn(initial)).URL)
 			case 2:
 				if _, _, err := s.Insert(attrsFor(wrng.Intn(initial)), nil); err != nil {
 					t.Errorf("rt re-add: %v", err)
 					return
 				}
 			case 3:
-				_, _ = s.UpdateAttrs(uint64(wrng.Intn(initial/2)+1), uint32(i), 1, 2, uint16(i%4))
+				_ = s.UpdateAttrsURL(attrsFor(wrng.Intn(initial)).URL, uint32(i), 1, 2, uint16(i%4))
 			}
 		}
 	}()
@@ -669,7 +668,7 @@ func TestReListingRefreshesCategory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RemoveProduct(a.ProductID); err != nil {
+	if _, err := s.RemoveImageURL(a.URL); err != nil {
 		t.Fatal(err)
 	}
 	// Re-listed under category 3.
@@ -703,16 +702,17 @@ func TestReListingRefreshesCategory(t *testing.T) {
 }
 
 // TestReListingMovesProduct pins the companion fix: a URL re-listed under
-// a different product must be addressable — for product-level removal and
-// attribute updates — under its new owner, not its old one.
+// a different product carries its new owner in the forward record and in
+// search hits, and stays addressable by URL.
 func TestReListingMovesProduct(t *testing.T) {
 	s, rng := testShard(t, 8)
 	a := core.Attrs{ProductID: 7, Category: 1, URL: "jfs://move/0.jpg"}
-	id, _, err := s.Insert(a, randFeature(rng))
+	f := randFeature(rng)
+	id, _, err := s.Insert(a, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RemoveProduct(7); err != nil {
+	if _, err := s.RemoveImageURL(a.URL); err != nil {
 		t.Fatal(err)
 	}
 	a.ProductID = 9
@@ -723,21 +723,15 @@ func TestReListingMovesProduct(t *testing.T) {
 	if got.ProductID != 9 {
 		t.Fatalf("ProductID after re-listing = %d, want 9", got.ProductID)
 	}
-	if imgs := s.ProductImages(9); len(imgs) != 1 || imgs[0] != id {
-		t.Fatalf("ProductImages(9) = %v", imgs)
+	resp, err := s.Search(&core.SearchRequest{Feature: f, TopK: 1, NProbe: 8, Category: -1})
+	if err != nil || len(resp.Hits) != 1 || resp.Hits[0].ProductID != 9 {
+		t.Fatalf("hit after re-listing = %+v, %v; want product 9", resp, err)
 	}
-	if imgs := s.ProductImages(7); len(imgs) != 0 {
-		t.Fatalf("image still mapped to old product: %v", imgs)
+	if err := s.UpdateAttrsURL(a.URL, 5, 6, 7, 2); err != nil {
+		t.Fatal(err)
 	}
-	// Product-level ops address the new owner; the old one is gone.
-	if n, err := s.UpdateAttrs(9, 5, 6, 7, 2); err != nil || n != 1 {
-		t.Fatalf("UpdateAttrs(9) = %d, %v", n, err)
-	}
-	if _, err := s.UpdateAttrs(7, 1, 1, 1, 1); !errors.Is(err, ErrUnknownProduct) {
-		t.Fatalf("UpdateAttrs(7) err = %v, want ErrUnknownProduct", err)
-	}
-	if n, err := s.RemoveProduct(9); err != nil || n != 1 {
-		t.Fatalf("RemoveProduct(9) = %d, %v", n, err)
+	if changed, err := s.RemoveImageURL(a.URL); err != nil || !changed {
+		t.Fatalf("RemoveImageURL = %v, %v", changed, err)
 	}
 	if s.Valid(id) {
 		t.Fatal("image still valid after removal under new product")

@@ -17,9 +17,11 @@ type modelImage struct {
 }
 
 // TestShardMatchesModel drives a shard through long random operation
-// sequences (insert fresh, re-insert, remove by URL and by product, update
-// attrs by URL and by product) and checks it against a plain-map reference
-// model after every operation batch. This is the invariant the whole
+// sequences (insert fresh, re-insert, remove and update attrs for one image
+// or for every image of a product) and checks it against a plain-map
+// reference model after every operation batch. A product-level event
+// reaches the shard as one per-URL operation per image, the way
+// indexer.RouteUpdate splits it. This is the invariant the whole
 // real-time indexing path rests on: the shard is a faithful, queryable
 // materialisation of the event stream. Trials rotate through the three
 // scan paths — exact, 8-bit ADC, 4-bit ADC — so the per-list code stores
@@ -146,10 +148,10 @@ func runShardModelTrial(t *testing.T, seed int64, bits int) {
 		case k < 8: // remove a whole product
 			url := urls[rng.Intn(len(urls))]
 			pid := model[url].attrs.ProductID
-			if _, err := s.RemoveProduct(pid); err != nil {
-				t.Fatalf("op %d remove product: %v", op, err)
-			}
 			for _, u := range products[pid] {
+				if _, err := s.RemoveImageURL(u); err != nil {
+					t.Fatalf("op %d remove product image: %v", op, err)
+				}
 				model[u].valid = false
 			}
 
@@ -169,10 +171,10 @@ func runShardModelTrial(t *testing.T, seed int64, bits int) {
 			pid := model[url].attrs.ProductID
 			sales, praise, price := uint32(rng.Intn(1000)), uint32(rng.Intn(101)), uint32(rng.Intn(10000))
 			category := uint16(rng.Intn(5))
-			if _, err := s.UpdateAttrs(pid, sales, praise, price, category); err != nil {
-				t.Fatalf("op %d update product: %v", op, err)
-			}
 			for _, u := range products[pid] {
+				if err := s.UpdateAttrsURL(u, sales, praise, price, category); err != nil {
+					t.Fatalf("op %d update product image: %v", op, err)
+				}
 				m := model[u]
 				m.attrs.Sales, m.attrs.Praise, m.attrs.PriceCents = sales, praise, price
 				m.attrs.Category = category

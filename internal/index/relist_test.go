@@ -3,7 +3,9 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -187,8 +189,8 @@ func runRelistChangedFeature(t *testing.T, bits int) {
 }
 
 // TestRelistChangedFeatureMovesProduct: a changed-vector re-listing that
-// also changes owners must move the image between byProduct entries, like
-// the plain reuse path does.
+// also changes owners carries the new owner on the fresh generation, like
+// the plain reuse path does, and the URL addresses that generation.
 func TestRelistChangedFeatureMovesProduct(t *testing.T) {
 	s, feats := relistShard(t, 8)
 	const victim = 3
@@ -199,12 +201,15 @@ func TestRelistChangedFeatureMovesProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if imgs := s.ProductImages(uint64(victim + 1)); len(imgs) != 0 {
-		t.Fatalf("old product still owns %v", imgs)
+	if a, _ := s.Attrs(id); a.ProductID != 9_999 {
+		t.Fatalf("fresh generation owned by %d, want 9999", a.ProductID)
 	}
-	imgs := s.ProductImages(9_999)
-	if len(imgs) != 1 || imgs[0] != id {
-		t.Fatalf("new product owns %v, want [%d]", imgs, id)
+	resp, err := s.Search(&core.SearchRequest{Feature: newFeat, TopK: 1, NProbe: 8, Category: -1})
+	if err != nil || len(resp.Hits) != 1 || resp.Hits[0].Image.Local != id || resp.Hits[0].ProductID != 9_999 {
+		t.Fatalf("top hit = %+v, %v; want image %d of product 9999", resp, err, id)
+	}
+	if changed, err := s.RemoveImageURL(url); err != nil || !changed || s.Valid(id) {
+		t.Fatalf("RemoveImageURL = %v, %v; fresh generation valid=%v", changed, err, s.Valid(id))
 	}
 }
 
@@ -285,10 +290,11 @@ func TestADCRerankBackfill(t *testing.T) {
 	}
 }
 
-// TestRelistSnapshotRoundTrip: a snapshot written after a changed-vector
-// re-listing must rebuild the same lookup state on load — the tombstoned
-// stale generation stays out of byProduct, so replicas loaded from the
-// stream agree with the shard that wrote it.
+// TestRelistSnapshotRoundTrip: a replica loaded from a snapshot written
+// after a changed-vector re-listing must apply per-URL updates the way the
+// writer does. Both map every URL to the same image ID — the refreshed
+// generation, never the tombstoned one — so the same RemoveImageURL and
+// UpdateAttrsURL leave both with identical search pages.
 func TestRelistSnapshotRoundTrip(t *testing.T) {
 	s, feats := relistShard(t, 8)
 	const victim = 5
@@ -312,38 +318,54 @@ func TestRelistSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := s.ProductImages(uint64(victim + 1))
-	got := dup.ProductImages(uint64(victim + 1))
-	if len(want) != 1 || want[0] != id {
-		t.Fatalf("source byProduct = %v, want [%d]", want, id)
+	if s.byURL[url] != id {
+		t.Fatalf("writer maps %s to %d, want %d", url, s.byURL[url], id)
 	}
-	if len(got) != len(want) || got[0] != want[0] {
-		t.Fatalf("loaded byProduct = %v, source has %v (stale generation resurfaced?)", got, want)
+	if !maps.Equal(dup.byURL, s.byURL) {
+		t.Fatal("loaded replica maps URLs to different image IDs than the writer")
 	}
-	// A delisted-but-not-superseded image keeps its byProduct entry so it
-	// can be re-listed (validity is the only tombstone for plain removal).
-	if _, err := s.RemoveImageURL("jfs://relist/9.jpg"); err != nil {
-		t.Fatal(err)
+	queries := [][]float32{newFeat, feats[victim], feats[9], feats[100]}
+	samePages := func(stage string) {
+		t.Helper()
+		for qi, q := range queries {
+			for _, category := range []int32{-1, 3} {
+				req := &core.SearchRequest{Feature: q, TopK: 10, NProbe: 8, Category: category}
+				want, err := s.Search(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dup.Search(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Hits, want.Hits) {
+					t.Fatalf("%s: query %d category %d: replica page %+v, writer page %+v", stage, qi, category, got.Hits, want.Hits)
+				}
+			}
+		}
 	}
-	buf.Reset()
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	samePages("loaded")
+	for _, sh := range []*Shard{s, dup} {
+		if err := sh.UpdateAttrsURL(url, 55, 6, 700, 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sh.RemoveImageURL("jfs://relist/9.jpg"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	dup2, err := New(s.Config())
-	if err != nil {
-		t.Fatal(err)
+	samePages("after update")
+	// And the re-listed URL still searches at its new location, under its
+	// updated attributes, on the loaded replica.
+	resp, err := dup.Search(&core.SearchRequest{Feature: newFeat, TopK: 1, NProbe: 8, Category: 3})
+	if err != nil || len(resp.Hits) != 1 || resp.Hits[0].URL != url || resp.Hits[0].Dist != 0 || resp.Hits[0].Sales != 55 {
+		t.Fatalf("loaded replica top(new) = %+v, %v; want %q dist 0 sales 55", resp, err, url)
 	}
-	if err := dup2.LoadSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	for _, sh := range []*Shard{s, dup} {
+		if changed, err := sh.RemoveImageURL(url); err != nil || !changed {
+			t.Fatalf("RemoveImageURL = %v, %v", changed, err)
+		}
 	}
-	if imgs := dup2.ProductImages(10); len(imgs) != 1 {
-		t.Fatalf("delisted image lost its product membership on load: %v", imgs)
-	}
-	// And the re-listed URL still searches at its new location on the
-	// loaded replica.
-	if got, dist := topURL(t, dup, newFeat); got != url || dist != 0 {
-		t.Fatalf("loaded replica top(new) = %q dist %v, want %q dist 0", got, dist, url)
-	}
+	samePages("after removal")
 }
 
 // TestInsertRejectsOversizedURL: a URL the forward index would refuse is

@@ -52,8 +52,10 @@ func goldenShard(t testing.TB, pqBits int) *Shard {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.RemoveProduct(101); err != nil {
-		t.Fatal(err)
+	for _, i := range []int{2, 3} { // product 101's images
+		if _, err := s.RemoveImageURL(fmt.Sprintf("jfs://golden/%d.jpg", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if pqBits != 0 {
 		k := pq.NCentroids

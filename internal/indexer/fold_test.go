@@ -122,21 +122,13 @@ func runFoldTrial(t *testing.T, seed int64) {
 			built := builtShards[part]
 
 			liveValid := false
-			if ids := live.ProductImages(p.ID); len(ids) > 0 {
-				for _, id := range ids {
-					if a, ok := live.Attrs(id); ok && a.URL == url {
-						liveValid = live.Valid(id)
-						// Attribute agreement when the full index holds it.
-						if built.HasURL(url) {
-							bids := built.ProductImages(p.ID)
-							for _, bid := range bids {
-								if ba, ok := built.Attrs(bid); ok && ba.URL == url {
-									if ba != a {
-										t.Fatalf("url %s: built attrs %+v != live %+v", url, ba, a)
-									}
-								}
-							}
-						}
+			if id, ok := imageOf(live, url); ok {
+				liveValid = live.Valid(id)
+				// Attribute agreement when the full index holds it.
+				if bid, ok := imageOf(built, url); ok {
+					a, _ := live.Attrs(id)
+					if ba, _ := built.Attrs(bid); ba != a {
+						t.Fatalf("url %s: built attrs %+v != live %+v", url, ba, a)
 					}
 				}
 			}

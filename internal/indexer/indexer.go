@@ -147,7 +147,7 @@ func Apply(s *index.Shard, r *Resolver, u *msg.ProductUpdate) (kind string, reus
 			return "", false, fmt.Errorf("indexer: deletion carries %d urls, want 1", len(u.ImageURLs))
 		}
 		_, err := s.RemoveImageURL(u.ImageURLs[0])
-		if err != nil && errors.Is(err, index.ErrUnknownProduct) {
+		if err != nil && errors.Is(err, index.ErrUnknownURL) {
 			// Deleting an image this shard never indexed: tolerated (the
 			// product may have been listed before the index epoch).
 			return "deletion", false, nil
@@ -159,7 +159,7 @@ func Apply(s *index.Shard, r *Resolver, u *msg.ProductUpdate) (kind string, reus
 			return "", false, fmt.Errorf("indexer: attr update carries %d urls, want 1", len(u.ImageURLs))
 		}
 		err := s.UpdateAttrsURL(u.ImageURLs[0], u.Sales, u.Praise, u.PriceCents, u.Category)
-		if err != nil && errors.Is(err, index.ErrUnknownProduct) {
+		if err != nil && errors.Is(err, index.ErrUnknownURL) {
 			return "update", false, nil
 		}
 		return "update", false, err

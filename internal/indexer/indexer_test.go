@@ -185,6 +185,17 @@ func newShard(t *testing.T, f *fixture) *index.Shard {
 	return s
 }
 
+// imageOf returns the image ID the shard's URL table holds for url: the
+// newest generation carrying that URL, since a feature refresh appends.
+func imageOf(s *index.Shard, url string) (core.ImageID, bool) {
+	for id := s.Stats().Images - 1; id >= 0; id-- {
+		if a, ok := s.Attrs(core.ImageID(id)); ok && a.URL == url {
+			return core.ImageID(id), true
+		}
+	}
+	return 0, false
+}
+
 func TestApplyLifecycle(t *testing.T) {
 	f := newFixture(t, 10, 1)
 	s := newShard(t, f)
@@ -218,8 +229,8 @@ func TestApplyLifecycle(t *testing.T) {
 	if err != nil || kind != "update" {
 		t.Fatalf("update: kind=%q err=%v", kind, err)
 	}
-	ids := s.ProductImages(p.ID)
-	a, _ := s.Attrs(ids[0])
+	id, _ := imageOf(s, url)
+	a, _ := s.Attrs(id)
 	if a.Sales != 31337 {
 		t.Fatalf("sales = %d", a.Sales)
 	}
@@ -229,7 +240,7 @@ func TestApplyLifecycle(t *testing.T) {
 	if err != nil || kind != "deletion" {
 		t.Fatalf("delete: kind=%q err=%v", kind, err)
 	}
-	if s.Valid(ids[0]) {
+	if s.Valid(id) {
 		t.Fatal("image valid after deletion")
 	}
 
@@ -238,7 +249,7 @@ func TestApplyLifecycle(t *testing.T) {
 	if err != nil || kind != "addition" || !reused {
 		t.Fatalf("re-add: kind=%q reused=%v err=%v", kind, reused, err)
 	}
-	if !s.Valid(ids[0]) {
+	if !s.Valid(id) {
 		t.Fatal("image invalid after re-add")
 	}
 }
@@ -360,11 +371,11 @@ func TestFullBuildFromLog(t *testing.T) {
 	// The attribute update is folded in.
 	updated := &f.cat.Products[6]
 	part, _ := find(updated.ImageURLs[0])
-	ids := shards[part].ProductImages(updated.ID)
-	if len(ids) == 0 {
+	id, ok := imageOf(shards[part], updated.ImageURLs[0])
+	if !ok {
 		t.Fatal("updated product has no images on its partition")
 	}
-	a, _ := shards[part].Attrs(ids[0])
+	a, _ := shards[part].Attrs(id)
 	if a.Sales != 424242 {
 		t.Fatalf("full index lost the attr update: sales=%d", a.Sales)
 	}
@@ -545,11 +556,10 @@ func TestApplyRelistChangedFeature(t *testing.T) {
 	if _, _, err := Apply(s, f.res, add); err != nil {
 		t.Fatal(err)
 	}
-	ids := s.ProductImages(p.ID)
-	if len(ids) != 1 {
-		t.Fatalf("indexed %v", ids)
+	oldID, ok := imageOf(s, url)
+	if !ok {
+		t.Fatalf("%s not indexed", url)
 	}
-	oldID := ids[0]
 
 	// Delist, then change the URL's stored features (re-extraction after a
 	// model refresh, or the image content changed under the same URL).
@@ -579,11 +589,7 @@ func TestApplyRelistChangedFeature(t *testing.T) {
 	if h2, m2 := f.res.DB.Stats(); m2 != misses || h2 != hits+1 {
 		t.Fatalf("re-listing extracted features: hits %d->%d misses %d->%d", hits, h2, misses, m2)
 	}
-	ids = s.ProductImages(p.ID)
-	if len(ids) != 1 {
-		t.Fatalf("product owns %v after re-listing", ids)
-	}
-	newID := ids[0]
+	newID, _ := imageOf(s, url)
 	if newID == oldID {
 		t.Fatal("changed-vector re-listing kept the stale generation")
 	}

@@ -5,8 +5,8 @@
 //
 // The store is a 256-way sharded concurrent map with copy-at-boundary
 // semantics ([]byte values are copied on Put and Get, so callers can never
-// alias internal state). A TCP service and client (service.go) expose the
-// same operations across processes through the shared RPC framework.
+// alias internal state). Its users, featuredb and imagestore, embed it in
+// process.
 package kv
 
 import (
@@ -76,34 +76,6 @@ func (s *Store) Put(key string, value []byte) {
 	sh.mu.Unlock()
 }
 
-// PutIfAbsent stores value only if key does not exist. It reports whether
-// the value was stored — the atomic variant of the dedup check used when
-// multiple indexers race on the same image.
-func (s *Store) PutIfAbsent(key string, value []byte) bool {
-	dup := make([]byte, len(value))
-	copy(dup, value)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[key]; ok {
-		return false
-	}
-	sh.m[key] = dup
-	return true
-}
-
-// Delete removes key. It reports whether the key existed.
-func (s *Store) Delete(key string) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[key]; !ok {
-		return false
-	}
-	delete(sh.m, key)
-	return true
-}
-
 // Len returns the total number of keys.
 func (s *Store) Len() int {
 	n := 0
@@ -113,30 +85,4 @@ func (s *Store) Len() int {
 		s.shards[i].mu.RUnlock()
 	}
 	return n
-}
-
-// ForEach invokes fn for every key/value pair. Values passed to fn are
-// copies. Iteration takes each shard's read lock in turn, so it observes a
-// per-shard-consistent snapshot. fn returning false stops iteration.
-func (s *Store) ForEach(fn func(key string, value []byte) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		type pair struct {
-			k string
-			v []byte
-		}
-		pairs := make([]pair, 0, len(sh.m))
-		for k, v := range sh.m {
-			dup := make([]byte, len(v))
-			copy(dup, v)
-			pairs = append(pairs, pair{k, dup})
-		}
-		sh.mu.RUnlock()
-		for _, p := range pairs {
-			if !fn(p.k, p.v) {
-				return
-			}
-		}
-	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestPutGetDelete(t *testing.T) {
+func TestPutGet(t *testing.T) {
 	s := NewStore()
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("empty store returned a value")
@@ -25,13 +25,10 @@ func TestPutGetDelete(t *testing.T) {
 	if string(got) != "v2" {
 		t.Fatalf("overwrite failed: %q", got)
 	}
-	if !s.Delete("k") {
-		t.Fatal("Delete reported missing")
+	if !s.Has("k") {
+		t.Fatal("stored key missing")
 	}
-	if s.Delete("k") {
-		t.Fatal("double Delete reported present")
-	}
-	if s.Len() != 0 {
+	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}
 }
@@ -52,52 +49,6 @@ func TestCopyAtBoundaries(t *testing.T) {
 	}
 }
 
-func TestPutIfAbsent(t *testing.T) {
-	s := NewStore()
-	if !s.PutIfAbsent("k", []byte("first")) {
-		t.Fatal("first PutIfAbsent failed")
-	}
-	if s.PutIfAbsent("k", []byte("second")) {
-		t.Fatal("second PutIfAbsent succeeded")
-	}
-	got, _ := s.Get("k")
-	if string(got) != "first" {
-		t.Fatalf("value = %q, want first", got)
-	}
-}
-
-func TestForEach(t *testing.T) {
-	s := NewStore()
-	want := map[string]string{}
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		want[k] = fmt.Sprintf("val-%d", i)
-		s.Put(k, []byte(want[k]))
-	}
-	got := map[string]string{}
-	s.ForEach(func(k string, v []byte) bool {
-		got[k] = string(v)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %q: got %q want %q", k, got[k], v)
-		}
-	}
-	// Early stop.
-	n := 0
-	s.ForEach(func(string, []byte) bool {
-		n++
-		return n < 10
-	})
-	if n != 10 {
-		t.Fatalf("early stop visited %d", n)
-	}
-}
-
 // Property: the store agrees with a map model under arbitrary op sequences.
 func TestStoreMatchesModel(t *testing.T) {
 	type op struct {
@@ -115,8 +66,10 @@ func TestStoreMatchesModel(t *testing.T) {
 				s.Put(k, o.Value)
 				model[k] = append([]byte(nil), o.Value...)
 			case 1:
-				s.Delete(k)
-				delete(model, k)
+				_, want := model[k]
+				if s.Has(k) != want {
+					return false
+				}
 			case 2:
 				got, ok := s.Get(k)
 				want, wok := model[k]
@@ -147,12 +100,12 @@ func TestConcurrentMixedOps(t *testing.T) {
 					t.Errorf("lost own write %q", k)
 					return
 				}
-				if i%3 == 0 {
-					s.Delete(k)
-				}
 				s.Has(fmt.Sprintf("w%d-k%d", (w+1)%workers, i%50))
 			}
 		}(w)
 	}
 	wg.Wait()
+	if got, want := s.Len(), workers*50; got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
+	}
 }

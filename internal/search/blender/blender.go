@@ -38,16 +38,9 @@ type Config struct {
 	// Classifier identifies the query item's category for scoped search.
 	// Optional; required only for AutoCategory queries.
 	Classifier *cnn.Classifier
-	// Ranker orders final results (default ranking.DefaultWeights).
-	Ranker *ranking.Ranker
-	// ConnsPerBroker sizes each broker pool (default 2).
-	ConnsPerBroker int
 	// Oversample multiplies TopK when querying brokers so product-level
 	// dedup still fills the final page (default 3).
 	Oversample int
-	// BrokerTimeout bounds the whole broker fan-out (default 10s) — a
-	// stalled broker degrades coverage instead of hanging the query.
-	BrokerTimeout time.Duration
 	// FeatureCacheSize, when > 0, enables the query-side feature cache: up
 	// to this many extracted feature vectors keyed by the content hash of
 	// the query image bytes, so a re-submitted hot image (the skew
@@ -58,6 +51,13 @@ type Config struct {
 	Addr string
 }
 
+// connsPerBroker sizes each broker connection pool.
+const connsPerBroker = 2
+
+// brokerTimeout bounds the whole broker fan-out: a stalled broker degrades
+// coverage instead of hanging the query.
+const brokerTimeout = 10 * time.Second
+
 // Blender is a running blender node.
 type Blender struct {
 	srv        *rpc.Server
@@ -66,7 +66,6 @@ type Blender struct {
 	classifier *cnn.Classifier
 	ranker     *ranking.Ranker
 	oversample int
-	timeout    time.Duration
 	addr       string
 
 	// features caches (content hash → extracted feature); nil = disabled.
@@ -84,17 +83,8 @@ func New(cfg Config) (*Blender, error) {
 	if cfg.Extractor == nil {
 		return nil, errors.New("blender: Extractor is required")
 	}
-	if cfg.ConnsPerBroker <= 0 {
-		cfg.ConnsPerBroker = 2
-	}
 	if cfg.Oversample <= 0 {
 		cfg.Oversample = 3
-	}
-	if cfg.Ranker == nil {
-		cfg.Ranker = ranking.New(ranking.DefaultWeights())
-	}
-	if cfg.BrokerTimeout <= 0 {
-		cfg.BrokerTimeout = 10 * time.Second
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
@@ -102,13 +92,12 @@ func New(cfg Config) (*Blender, error) {
 	b := &Blender{
 		extractor:  cfg.Extractor,
 		classifier: cfg.Classifier,
-		ranker:     cfg.Ranker,
+		ranker:     ranking.New(ranking.DefaultWeights()),
 		oversample: cfg.Oversample,
-		timeout:    cfg.BrokerTimeout,
 		features:   cache.New[[]float32](cfg.FeatureCacheSize),
 	}
 	for _, addr := range cfg.Brokers {
-		pool, err := rpc.DialPool(addr, cfg.ConnsPerBroker)
+		pool, err := rpc.DialPool(addr, connsPerBroker)
 		if err != nil {
 			b.closePools()
 			return nil, fmt.Errorf("blender: dial broker %s: %w", addr, err)
@@ -244,7 +233,7 @@ func (b *Blender) handleSearch(payload []byte) ([]byte, error) {
 // query; total failure errors out.
 func (b *Blender) fanout(req *core.SearchRequest) (*core.SearchResponse, error) {
 	payload := core.EncodeSearchRequest(req)
-	ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), brokerTimeout)
 	defer cancel()
 
 	type partial struct {

@@ -46,14 +46,15 @@ import (
 	"jdvs/internal/topk"
 )
 
+// connsPerSearcher sizes each searcher connection pool.
+const connsPerSearcher = 2
+
 // Config assembles a broker.
 type Config struct {
 	// PartitionReplicas maps each assigned partition to its replicas'
 	// searcher addresses: PartitionReplicas[i] is the replica set of the
 	// i-th partition this broker serves. Required, non-empty.
 	PartitionReplicas [][]string
-	// ConnsPerSearcher sizes each searcher connection pool (default 2).
-	ConnsPerSearcher int
 	// SearcherTimeout bounds each searcher attempt (default 5s); on
 	// timeout the broker fails over to the partition's next replica, so a
 	// hung searcher degrades one replica, not the query.
@@ -186,9 +187,6 @@ func New(cfg Config) (*Broker, error) {
 	if len(cfg.PartitionReplicas) == 0 {
 		return nil, errors.New("broker: no partitions assigned")
 	}
-	if cfg.ConnsPerSearcher <= 0 {
-		cfg.ConnsPerSearcher = 2
-	}
 	if cfg.SearcherTimeout <= 0 {
 		cfg.SearcherTimeout = 5 * time.Second
 	}
@@ -250,7 +248,7 @@ func New(cfg Config) (*Broker, error) {
 		}
 		g.budget.perQuery = perQuery
 		for _, addr := range replicas {
-			pool, err := rpc.DialPool(addr, cfg.ConnsPerSearcher)
+			pool, err := rpc.DialPool(addr, connsPerSearcher)
 			if err != nil {
 				b.closePools()
 				return nil, fmt.Errorf("broker: dial searcher %s: %w", addr, err)

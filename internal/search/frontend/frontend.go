@@ -21,11 +21,12 @@ import (
 type Config struct {
 	// Blenders lists every blender's address. Required.
 	Blenders []string
-	// ConnsPerBlender sizes each blender pool (default 2).
-	ConnsPerBlender int
 	// Addr is the listen address (":0" for ephemeral).
 	Addr string
 }
+
+// connsPerBlender sizes each blender connection pool.
+const connsPerBlender = 2
 
 // Frontend is a running front-end node.
 type Frontend struct {
@@ -44,15 +45,12 @@ func New(cfg Config) (*Frontend, error) {
 	if len(cfg.Blenders) == 0 {
 		return nil, errors.New("frontend: no blenders configured")
 	}
-	if cfg.ConnsPerBlender <= 0 {
-		cfg.ConnsPerBlender = 2
-	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
 	f := &Frontend{}
 	for _, addr := range cfg.Blenders {
-		pool, err := rpc.DialPool(addr, cfg.ConnsPerBlender)
+		pool, err := rpc.DialPool(addr, connsPerBlender)
 		if err != nil {
 			f.closePools()
 			return nil, fmt.Errorf("frontend: dial blender %s: %w", addr, err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"jdvs/internal/core"
 	"jdvs/internal/index"
 	"jdvs/internal/indexer"
 	"jdvs/internal/mq"
@@ -22,6 +23,17 @@ func waitApplied(t *testing.T, s *Searcher, n int64) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// salesOf returns the sales value the shard serves for url, read from the
+// newest generation carrying that URL (the one its URL table points at).
+func salesOf(shard *index.Shard, url string) (uint32, bool) {
+	for id := shard.Stats().Images - 1; id >= 0; id-- {
+		if a, ok := shard.Attrs(core.ImageID(id)); ok && a.URL == url {
+			return a.Sales, true
+		}
+	}
+	return 0, false
 }
 
 // TestPushSnapshotSkipsCoveredOffsets: a pushed snapshot that embeds the
@@ -96,15 +108,8 @@ func TestPushSnapshotSkipsCoveredOffsets(t *testing.T) {
 		t.Fatalf("Applied = %d, want 6 (covered events re-applied?)", got)
 	}
 	// The live event landed: the shard serves its attribute update.
-	shard := s.Shard()
-	found := false
-	for _, id := range shard.ProductImages(p.ID) {
-		if a, ok := shard.Attrs(id); ok && a.URL == url && a.Sales == 999 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("post-covered live event not applied to the pushed shard")
+	if sales, ok := salesOf(s.Shard(), url); !ok || sales != 999 {
+		t.Fatalf("post-covered live event not applied to the pushed shard: sales %d, indexed=%v", sales, ok)
 	}
 }
 
@@ -211,15 +216,8 @@ func TestPushSnapshotRewindsOutrunConsumer(t *testing.T) {
 	if got := s.OffsetSkips(); got != 0 {
 		t.Fatalf("OffsetSkips = %d during a rewind, want 0", got)
 	}
-	shard := s.Shard()
-	found := false
-	for _, id := range shard.ProductImages(p.ID) {
-		if a, ok := shard.Attrs(id); ok && a.URL == url && a.Sales == 304 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("rewound replay did not restore the gap updates on the fresh shard")
+	if sales, ok := salesOf(s.Shard(), url); !ok || sales != 304 {
+		t.Fatalf("rewound replay did not restore the gap updates on the fresh shard: sales %d, indexed=%v", sales, ok)
 	}
 }
 
@@ -296,15 +294,8 @@ func TestResyncAndWatermarkSameBatch(t *testing.T) {
 		t.Fatalf("Applied = %d, want 3 (uncovered tail applied exactly once)", got)
 	}
 	// The tail landed in order: the last event's sales value serves.
-	shard := s.Shard()
-	found := false
-	for _, id := range shard.ProductImages(p.ID) {
-		if a, ok := shard.Attrs(id); ok && a.URL == url && a.Sales == 109 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("tail updates not applied to the swapped shard")
+	if sales, ok := salesOf(s.Shard(), url); !ok || sales != 109 {
+		t.Fatalf("tail updates not applied to the swapped shard: sales %d, indexed=%v", sales, ok)
 	}
 }
 
