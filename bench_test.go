@@ -74,7 +74,11 @@ func BenchmarkAblation_FeatureReuse(b *testing.B) {
 	b.Run("extract", func(b *testing.B) {
 		s, _ := benchShard(b, 10_000)
 		extractor := cnn.New(cnn.Config{Dim: 64, Seed: 3, WorkFactor: 20})
-		images := imagestore.New()
+		images, err := imagestore.New()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer images.Close()
 		cat, err := catalog.Generate(catalog.Config{Products: 1, Seed: 4}, images)
 		if err != nil {
 			b.Fatal(err)

@@ -57,7 +57,11 @@ func run() error {
 	}
 
 	// The synthetic world: catalog + image store + feature pipeline.
-	images := imagestore.New()
+	images, err := imagestore.New()
+	if err != nil {
+		return err
+	}
+	defer images.Close()
 	cat, err := catalog.Generate(catalog.Config{
 		Products: *products, Categories: *categories, Seed: *seed,
 	}, images)

@@ -4,13 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"jdvs/internal/imagestore"
+	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/imaging"
 	"jdvs/internal/vecmath"
 )
 
 func TestGenerateBasics(t *testing.T) {
-	store := imagestore.New()
+	store := imagestoretest.New(t)
 	cat, err := Generate(Config{Products: 50, Categories: 5, Seed: 1}, store)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestCategoryStructure(t *testing.T) {
 }
 
 func TestImagesShareProductLatent(t *testing.T) {
-	store := imagestore.New()
+	store := imagestoretest.New(t)
 	cat, err := Generate(Config{Products: 10, Seed: 4, ImageNoise: 0.05}, store)
 	if err != nil {
 		t.Fatal(err)

@@ -207,12 +207,16 @@ type Cluster struct {
 
 // Start builds the corpus, runs the initial full indexing, and brings the
 // whole topology up. Callers must Close the cluster.
-func Start(cfg Config) (*Cluster, error) {
+func Start(cfg Config) (_ *Cluster, err error) {
 	cfg.fill()
+	images, err := imagestore.New()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	c := &Cluster{
 		cfg:      cfg,
 		Queue:    mq.New(),
-		Images:   imagestore.New(),
+		Images:   images,
 		Features: featuredb.New(),
 		Extractor: cnn.New(cnn.Config{
 			Dim:        cfg.Dim,
@@ -226,6 +230,11 @@ func Start(cfg Config) (*Cluster, error) {
 		Extractor: c.Extractor,
 		Features:  cache.New[[]float32](cfg.FeatureCacheSize),
 	}
+	defer func() {
+		if err != nil {
+			c.Close()
+		}
+	}()
 
 	if err := c.Queue.CreateTopic(indexer.UpdatesTopic, cfg.Partitions); err != nil {
 		return nil, err
@@ -259,7 +268,6 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 
 	if err := c.startTiers(shards); err != nil {
-		c.Close()
 		return nil, err
 	}
 	return c, nil
@@ -607,4 +615,5 @@ func (c *Cluster) Close() {
 			s.Close()
 		}
 	}
+	c.Images.Close()
 }

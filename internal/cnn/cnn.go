@@ -98,13 +98,17 @@ func (e *Extractor) Extract(im *imaging.Image) ([]float32, error) {
 		return nil, ErrNilImage
 	}
 	e.nCalls.Add(1)
-	out := e.forward(im.Latent[:])
+	out := make([]float32, e.dim)
+	e.forward(out, im.Latent[:])
 	// Simulated inference cost: extra forward passes whose results feed a
 	// checksum that is folded into nothing — the work cannot be elided.
 	var sink float32
-	for w := 0; w < e.work; w++ {
-		tmp := e.forward(im.Latent[:])
-		sink += tmp[w%e.dim]
+	if e.work > 0 {
+		tmp := make([]float32, e.dim)
+		for w := 0; w < e.work; w++ {
+			e.forward(tmp, im.Latent[:])
+			sink += tmp[w%e.dim]
+		}
 	}
 	if math.IsNaN(float64(sink)) {
 		// Unreachable: tanh output is always finite. The check exists so
@@ -123,14 +127,13 @@ func (e *Extractor) ExtractBytes(blob []byte) ([]float32, error) {
 	return e.Extract(im)
 }
 
-func (e *Extractor) forward(latent []float32) []float32 {
-	out := make([]float32, e.dim)
+// forward runs one network pass over latent into out (len e.dim).
+func (e *Extractor) forward(out, latent []float32) {
 	for i := 0; i < e.dim; i++ {
 		row := e.proj[i*imaging.LatentDim : (i+1)*imaging.LatentDim]
 		out[i] = tanh32(vecmath.Dot(row, latent) + e.bias[i])
 	}
 	vecmath.Normalize(out)
-	return out
 }
 
 func tanh32(x float32) float32 {

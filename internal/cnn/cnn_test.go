@@ -3,6 +3,7 @@ package cnn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"jdvs/internal/imaging"
@@ -35,6 +36,42 @@ func TestExtractUnitNorm(t *testing.T) {
 		if n := vecmath.Norm(f); math.Abs(float64(n)-1) > 1e-5 {
 			t.Fatalf("norm = %v, want 1", n)
 		}
+	}
+}
+
+// TestExtractGolden pins Extract's output bits for a fixed seed and image,
+// so a change to how the passes are computed cannot change the features.
+func TestExtractGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits recorded on amd64; other architectures may fuse multiply-adds")
+	}
+	golden := []uint32{
+		0xbeb19b7d, 0x3d98e4ed, 0xbc0531f4, 0xbbeab15e,
+		0xbee1c0d9, 0xbe3e6b65, 0x3eda4d79, 0x3e8abfd5,
+		0xbea59bec, 0xbc872144, 0xbe5bdf53, 0xbe22541a,
+		0xbecbcf23, 0x3e029afe, 0xbe19a4de, 0x3e031432,
+	}
+	rng := rand.New(rand.NewSource(11))
+	img := genImage(rng, randLatent(rng), 0.1)
+	f, err := New(Config{Dim: 16, Seed: 5, WorkFactor: 128}).Extract(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range f {
+		if math.Float32bits(v) != golden[i] {
+			t.Fatalf("feature[%d] = %#08x, golden %#08x", i, math.Float32bits(v), golden[i])
+		}
+	}
+}
+
+// TestExtractAllocs bounds Extract to the returned feature plus one
+// scratch buffer shared by all of its WorkFactor passes.
+func TestExtractAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	img := genImage(rng, randLatent(rng), 0.1)
+	e := New(Config{Dim: 64, Seed: 5, WorkFactor: 128})
+	if n := testing.AllocsPerRun(20, func() { _, _ = e.Extract(img) }); n > 2 {
+		t.Fatalf("Extract makes %.0f allocations at WorkFactor 128, want <= 2", n)
 	}
 }
 

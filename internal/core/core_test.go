@@ -279,6 +279,25 @@ func TestSearchResponseRoundtripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeQueryRequestAliasesBlob checks that the decoded blob is the
+// tail of the frame, not a copy, and that appending to it cannot write
+// into the frame's spare capacity (rpc frames often have some).
+func TestDecodeQueryRequestAliasesBlob(t *testing.T) {
+	blob := []byte{1, 2, 3, 4, 5}
+	enc := EncodeQueryRequest(&QueryRequest{ImageBlob: blob, TopK: 6})
+	frame := append(make([]byte, 0, len(enc)+16), enc...)
+	got, err := DecodeQueryRequest(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.ImageBlob[0] != &frame[len(frame)-len(blob)] {
+		t.Fatal("ImageBlob is a copy of the frame's tail")
+	}
+	if cap(got.ImageBlob) != len(blob) {
+		t.Fatalf("ImageBlob cap %d reaches past the blob (len %d)", cap(got.ImageBlob), len(blob))
+	}
+}
+
 func TestQueryRequestRoundtrip(t *testing.T) {
 	q := &QueryRequest{
 		ImageBlob:     []byte{1, 2, 3, 4, 5},

@@ -78,7 +78,8 @@ const queryFlagAutoCategory = 1
 // predicate-bearing) and the legacy v1 layout are accepted; v1 queries
 // decode with unbounded predicates. A flags byte with any bit but
 // AutoCategory's set is rejected: dropping unknown bits would decode two
-// different encodings to one value.
+// different encodings to one value. The decoded ImageBlob aliases b, so
+// b must not be modified while the request is in use.
 func DecodeQueryRequest(b []byte) (*QueryRequest, error) {
 	if len(b) < 18 || (b[0] != queryCodecVersion && b[0] != queryCodecVersionV1) {
 		return nil, fmt.Errorf("%w: bad query header", ErrCodec)
@@ -109,7 +110,6 @@ func DecodeQueryRequest(b []byte) (*QueryRequest, error) {
 	if len(rest[4:]) != n {
 		return nil, fmt.Errorf("%w: query blob length mismatch", ErrCodec)
 	}
-	q.ImageBlob = make([]byte, n)
-	copy(q.ImageBlob, rest[4:])
+	q.ImageBlob = rest[4 : 4+n : 4+n]
 	return q, nil
 }

@@ -23,6 +23,8 @@ import (
 // Query strings are preserved verbatim: on image CDNs they select variants
 // (resize, crop) and are part of the content identity. Input that does not
 // parse as a URL is returned unchanged — opaque store keys stay usable.
+// So is input already in canonical form: the result is then the argument
+// itself, not a copy, so maps keyed by it share the caller's string.
 func NormalizeURL(raw string) string {
 	u, err := url.Parse(raw)
 	if err != nil || u.Scheme == "" {
@@ -45,5 +47,8 @@ func NormalizeURL(raw string) string {
 		u.Path = strings.TrimSuffix(p, "/")
 		u.RawPath = strings.TrimSuffix(u.RawPath, "/")
 	}
-	return u.String()
+	if canon := u.String(); canon != raw {
+		return canon
+	}
+	return raw
 }

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestNormalizeURL(t *testing.T) {
 	tests := []struct {
@@ -25,8 +28,13 @@ func TestNormalizeURL(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := NormalizeURL(tc.in); got != tc.want {
+			got := NormalizeURL(tc.in)
+			if got != tc.want {
 				t.Errorf("NormalizeURL(%q) = %q; want %q", tc.in, got, tc.want)
+			}
+			// A canonical input comes back as itself, not a copy.
+			if tc.in == tc.want && tc.in != "" && unsafe.StringData(got) != unsafe.StringData(tc.in) {
+				t.Errorf("NormalizeURL(%q) copied a canonical input", tc.in)
 			}
 		})
 	}

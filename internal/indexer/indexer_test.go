@@ -12,6 +12,7 @@ import (
 	"jdvs/internal/core"
 	"jdvs/internal/featuredb"
 	"jdvs/internal/imagestore"
+	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/index"
 	"jdvs/internal/mq"
 	"jdvs/internal/msg"
@@ -30,7 +31,7 @@ func newFixture(t *testing.T, products, partitions int) *fixture {
 	t.Helper()
 	f := &fixture{
 		queue:  mq.New(),
-		images: imagestore.New(),
+		images: imagestoretest.New(t),
 	}
 	t.Cleanup(f.queue.Close)
 	if err := f.queue.CreateTopic(UpdatesTopic, partitions); err != nil {

@@ -5,8 +5,8 @@
 //
 // The store is a 256-way sharded concurrent map with copy-at-boundary
 // semantics ([]byte values are copied on Put and Get, so callers can never
-// alias internal state). Its users, featuredb and imagestore, embed it in
-// process.
+// alias internal state). Its one user, featuredb, embeds it in process;
+// the image store keeps its blobs in a file instead (package imagestore).
 package kv
 
 import (

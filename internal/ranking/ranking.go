@@ -85,24 +85,27 @@ func (r *Ranker) Rank(hits []core.Hit, k int) []core.Hit {
 	}
 	// Dedup by product: a product with five near-identical photos should
 	// occupy one result slot, not five (Fig. 14 shows distinct products).
-	best := make(map[uint64]core.Hit, len(hits))
-	for _, h := range hits {
-		cur, ok := best[h.ProductID]
-		if !ok || h.Dist < cur.Dist {
-			best[h.ProductID] = h
-		}
+	// Sorting a copy by (product, distance, input position) puts each
+	// product's first-seen closest hit at the head of its run, and
+	// compaction keeps only the heads. Score holds the input position
+	// until scoring overwrites it: with that tiebreak the unstable sort,
+	// faster here than a stable one, keeps equal hits in input order.
+	out := slices.Clone(hits)
+	for i := range out {
+		out[i].Score = float64(i)
 	}
-	out := make([]core.Hit, 0, len(best))
+	slices.SortFunc(out, func(a, b core.Hit) int {
+		if a.ProductID != b.ProductID {
+			return cmp.Compare(a.ProductID, b.ProductID)
+		}
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Score, b.Score))
+	})
+	out = slices.CompactFunc(out, func(a, b core.Hit) bool { return a.ProductID == b.ProductID })
 	var maxSales uint32
 	var maxPrice uint32
-	for _, h := range best {
-		if h.Sales > maxSales {
-			maxSales = h.Sales
-		}
-		if h.PriceCents > maxPrice {
-			maxPrice = h.PriceCents
-		}
-		out = append(out, h)
+	for i := range out {
+		maxSales = max(maxSales, out[i].Sales)
+		maxPrice = max(maxPrice, out[i].PriceCents)
 	}
 	w := r.weights()
 	if w.SimScale <= 0 {

@@ -1,6 +1,11 @@
 package ranking
 
 import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"jdvs/internal/core"
@@ -159,5 +164,99 @@ func TestFilter(t *testing.T) {
 	}
 	if out := Filter(got, func(*core.Hit) bool { return false }); len(out) != 0 {
 		t.Fatalf("Filter(none pass) = %+v", out)
+	}
+}
+
+// mapRank is Rank with the product dedup done through a map, kept as the
+// oracle: per product it keeps the first-seen hit among those at the
+// smallest distance.
+func mapRank(r *Ranker, hits []core.Hit, k int) []core.Hit {
+	if len(hits) == 0 || k <= 0 {
+		return nil
+	}
+	best := make(map[uint64]core.Hit, len(hits))
+	for _, h := range hits {
+		cur, ok := best[h.ProductID]
+		if !ok || h.Dist < cur.Dist {
+			best[h.ProductID] = h
+		}
+	}
+	out := make([]core.Hit, 0, len(best))
+	var maxSales, maxPrice uint32
+	for _, h := range best {
+		maxSales = max(maxSales, h.Sales)
+		maxPrice = max(maxPrice, h.PriceCents)
+		out = append(out, h)
+	}
+	w := r.weights()
+	if w.SimScale <= 0 {
+		w.SimScale = DefaultWeights().SimScale
+	}
+	logMaxSales := math.Log1p(float64(maxSales))
+	logMaxPrice := math.Log1p(float64(maxPrice))
+	for i := range out {
+		h := &out[i]
+		nd := float64(h.Dist) / w.SimScale
+		score := w.Similarity / (1 + nd*nd)
+		if logMaxSales > 0 {
+			score += w.Sales * math.Log1p(float64(h.Sales)) / logMaxSales
+		}
+		score += w.Praise * float64(h.Praise) / 100
+		if logMaxPrice > 0 {
+			score -= w.Price * math.Log1p(float64(h.PriceCents)) / logMaxPrice
+		}
+		h.Score = score
+	}
+	slices.SortFunc(out, func(a, b core.Hit) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ProductID, b.ProductID))
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestRankMatchesMapOracle compares Rank with the map-based oracle on
+// random hit lists with repeated products and tied finite distances. Hits
+// of one product carry distinct URLs and business attributes, so keeping
+// any hit but the oracle's shows up in the output.
+func TestRankMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rankers := []*Ranker{New(DefaultWeights()), New(Weights{Similarity: 1, Sales: 0.5, Praise: 0.3, Price: 0.4}), {}}
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(120)
+		products := 1 + rng.Intn(n)
+		hits := make([]core.Hit, n)
+		for i := range hits {
+			hits[i] = core.Hit{
+				ProductID:  uint64(1 + rng.Intn(products)),
+				Dist:       float32(rng.Intn(6)) * 0.125,
+				Sales:      uint32(rng.Intn(1000)),
+				Praise:     uint32(rng.Intn(101)),
+				PriceCents: uint32(100 + rng.Intn(10_000)),
+				URL:        fmt.Sprintf("jfs://t%d/%d", trial, i),
+			}
+		}
+		in := slices.Clone(hits)
+		r := rankers[trial%len(rankers)]
+		k := 1 + rng.Intn(n+5)
+		got, want := r.Rank(hits, k), mapRank(r, hits, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, k=%d): Rank\n%+v\noracle\n%+v", trial, n, k, got, want)
+		}
+		if !slices.Equal(hits, in) {
+			t.Fatalf("trial %d: Rank modified its input", trial)
+		}
+	}
+}
+
+func TestRankAllocs(t *testing.T) {
+	r := New(DefaultWeights())
+	hits := make([]core.Hit, 200)
+	for i := range hits {
+		hits[i] = hit(uint64(i%70), float32(i%9)*0.1, uint32(i), uint32(i%101), uint32(100+i))
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Rank(hits, 10) }); n > 1 {
+		t.Fatalf("Rank makes %.0f allocations per call, want <= 1", n)
 	}
 }

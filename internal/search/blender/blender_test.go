@@ -9,7 +9,7 @@ import (
 	"jdvs/internal/cnn"
 	"jdvs/internal/core"
 	"jdvs/internal/featuredb"
-	"jdvs/internal/imagestore"
+	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/imaging"
 	"jdvs/internal/index"
 	"jdvs/internal/indexer"
@@ -32,7 +32,7 @@ type stack struct {
 func newStack(t *testing.T, nBrokers int) *stack {
 	t.Helper()
 	st := &stack{extractor: cnn.New(cnn.Config{Dim: testDim, Seed: 13})}
-	images := imagestore.New()
+	images := imagestoretest.New(t)
 	cat, err := catalog.Generate(catalog.Config{Products: 60, Categories: 5, Seed: 29}, images)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 	"jdvs/internal/cnn"
 	"jdvs/internal/core"
 	"jdvs/internal/featuredb"
-	"jdvs/internal/imagestore"
+	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/index"
 	"jdvs/internal/indexer"
 	"jdvs/internal/rpc"
@@ -36,7 +36,7 @@ type twoPartitionFixture struct {
 func newTwoPartitions(t *testing.T, replicas int) *twoPartitionFixture {
 	t.Helper()
 	f := &twoPartitionFixture{feats: make(map[string][]float32)}
-	images := imagestore.New()
+	images := imagestoretest.New(t)
 	cat, err := catalog.Generate(catalog.Config{Products: 40, Categories: 4, Seed: 23}, images)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"jdvs/internal/core"
 	"jdvs/internal/featuredb"
 	"jdvs/internal/imagestore"
+	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/index"
 	"jdvs/internal/indexer"
 	"jdvs/internal/mq"
@@ -36,7 +37,7 @@ func newFixture(t *testing.T, products int) *fixture {
 	t.Helper()
 	f := &fixture{
 		queue:  mq.New(),
-		images: imagestore.New(),
+		images: imagestoretest.New(t),
 		feats:  make(map[string][]float32),
 	}
 	t.Cleanup(f.queue.Close)

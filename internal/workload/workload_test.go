@@ -6,12 +6,12 @@ import (
 
 	"jdvs/internal/catalog"
 	"jdvs/internal/cluster"
-	"jdvs/internal/imagestore"
+	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/msg"
 )
 
 func TestMixProportionsMatchTable1(t *testing.T) {
-	images := imagestore.New()
+	images := imagestoretest.New(t)
 	cat, err := catalog.Generate(catalog.Config{Products: 2000, Categories: 8, Seed: 41}, images)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestMixProportionsMatchTable1(t *testing.T) {
 }
 
 func TestMixEventConsistency(t *testing.T) {
-	images := imagestore.New()
+	images := imagestoretest.New(t)
 	cat, err := catalog.Generate(catalog.Config{Products: 100, Seed: 43}, images)
 	if err != nil {
 		t.Fatal(err)
