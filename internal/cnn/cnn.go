@@ -118,13 +118,15 @@ func (e *Extractor) Extract(im *imaging.Image) ([]float32, error) {
 	return out, nil
 }
 
-// ExtractBytes decodes an encoded image blob and embeds it.
+// ExtractBytes decodes an encoded image blob and embeds it. The decoded
+// image lives on the stack and its filler payload is never copied: the
+// network reads only the latent. blob is not retained.
 func (e *Extractor) ExtractBytes(blob []byte) ([]float32, error) {
-	im, err := imaging.Decode(blob)
-	if err != nil {
+	var im imaging.Image
+	if err := imaging.DecodeInto(&im, blob); err != nil {
 		return nil, fmt.Errorf("cnn: decode before extract: %w", err)
 	}
-	return e.Extract(im)
+	return e.Extract(&im)
 }
 
 // forward runs one network pass over latent into out (len e.dim).

@@ -75,6 +75,40 @@ func TestExtractAllocs(t *testing.T) {
 	}
 }
 
+// TestExtractBytesAllocs: extracting from an encoded blob allocates the
+// feature and nothing else — the decoded image stays on the stack and its
+// payload is never copied.
+func TestExtractBytesAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	blob := imaging.Generate(rng, randLatent(rng), 0, imaging.GenConfig{PayloadBytes: 2048}).Encode()
+	e := New(Config{Dim: 64, Seed: 5})
+	want, err := e.Extract(mustDecode(t, blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.ExtractBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("ExtractBytes feature %d = %v, Extract %v", i, got[i], want[i])
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = e.ExtractBytes(blob) }); n > 1 {
+		t.Fatalf("ExtractBytes makes %.0f allocations, want 1", n)
+	}
+}
+
+func mustDecode(t *testing.T, blob []byte) *imaging.Image {
+	t.Helper()
+	im, err := imaging.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
 func TestExtractNil(t *testing.T) {
 	e := New(Config{Seed: 1})
 	if _, err := e.Extract(nil); err == nil {

@@ -84,6 +84,14 @@ func (s *Store) Put(url string, blob []byte) error {
 // Get returns the blob for url (normalised before lookup) in a fresh
 // buffer the caller owns.
 func (s *Store) Get(url string) ([]byte, error) {
+	return s.ReadInto(nil, url)
+}
+
+// ReadInto is Get reading into buf, which it grows only when too small,
+// and returns the blob as a prefix of the (possibly regrown) buffer. A
+// caller that reads many blobs one after another, like a full-build
+// worker, reuses one buffer for all of them.
+func (s *Store) ReadInto(buf []byte, url string) ([]byte, error) {
 	key := core.NormalizeURL(url)
 	s.mu.RLock()
 	r, ok := s.refs[key]
@@ -98,11 +106,14 @@ func (s *Store) Get(url string) ([]byte, error) {
 	// A published ref points at bytes Put wrote before publishing it, and
 	// later appends land past it, so the read needs no lock. A concurrent
 	// Close makes it fail with os.ErrClosed.
-	b := make([]byte, r.len)
-	if _, err := s.f.ReadAt(b, r.off); err != nil {
+	if cap(buf) < r.len {
+		buf = make([]byte, r.len)
+	}
+	buf = buf[:r.len]
+	if _, err := s.f.ReadAt(buf, r.off); err != nil {
 		return nil, fmt.Errorf("imagestore: get %q: %w", url, err)
 	}
-	return b, nil
+	return buf, nil
 }
 
 // Has reports whether a blob exists for url (normalised before lookup).

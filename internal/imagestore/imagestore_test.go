@@ -49,6 +49,39 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
+// TestReadIntoReusesBuffer: ReadInto returns the blob as a prefix of the
+// caller's buffer while it is large enough, grows it only when it is not,
+// and reports a miss like Get.
+func TestReadIntoReusesBuffer(t *testing.T) {
+	s := newStore(t)
+	small, large := []byte("small"), bytes.Repeat([]byte("L"), 300)
+	if err := s.Put("jfs://small", small); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("jfs://large", large); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	got, err := s.ReadInto(buf, "jfs://small")
+	if err != nil || !bytes.Equal(got, small) {
+		t.Fatalf("ReadInto = %q, %v", got, err)
+	}
+	if &got[:1][0] != &buf[:1][0] {
+		t.Fatal("a large enough buffer was not reused")
+	}
+	got, err = s.ReadInto(got, "jfs://large")
+	if err != nil || !bytes.Equal(got, large) {
+		t.Fatalf("ReadInto grown = %d bytes, %v", len(got), err)
+	}
+	again, err := s.ReadInto(got, "jfs://small")
+	if err != nil || !bytes.Equal(again, small) || &again[0] != &got[0] {
+		t.Fatalf("ReadInto after growth = %q, %v (reused %v)", again, err, &again[0] == &got[0])
+	}
+	if _, err := s.ReadInto(got, "jfs://missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+}
+
 func TestEmptyURLRejected(t *testing.T) {
 	s := newStore(t)
 	if err := s.Put("", []byte("x")); err == nil {

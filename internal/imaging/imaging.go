@@ -71,15 +71,26 @@ func (im *Image) Encode() []byte {
 	return dst
 }
 
-// Decode parses an image blob.
+// Decode parses an image blob into an Image that owns its payload.
 func Decode(b []byte) (*Image, error) {
+	im := &Image{}
+	if err := DecodeInto(im, b); err != nil {
+		return nil, err
+	}
+	im.Payload = append([]byte(nil), im.Payload...)
+	return im, nil
+}
+
+// DecodeInto parses an image blob into im without copying: im.Payload
+// aliases b, so im must not outlive a reuse of b. It is for readers that
+// only need the header and latent, like feature extraction.
+func DecodeInto(im *Image, b []byte) error {
 	if len(b) < headerSize+4*LatentDim {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(b))
+		return fmt.Errorf("%w: %d bytes", ErrCorrupt, len(b))
 	}
 	if b[0] != formatVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrCorrupt, b[0])
+		return fmt.Errorf("%w: version %d", ErrCorrupt, b[0])
 	}
-	im := &Image{}
 	geo := []*uint16{&im.Width, &im.Height, &im.ObjX, &im.ObjY, &im.ObjW, &im.ObjH}
 	off := 1
 	for _, p := range geo {
@@ -91,18 +102,17 @@ func Decode(b []byte) (*Image, error) {
 	payloadLen := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if payloadLen > maxPayload {
-		return nil, fmt.Errorf("%w: payload %d bytes", ErrCorrupt, payloadLen)
+		return fmt.Errorf("%w: payload %d bytes", ErrCorrupt, payloadLen)
 	}
 	for i := 0; i < LatentDim; i++ {
 		im.Latent[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 	}
 	if len(b)-off != payloadLen {
-		return nil, fmt.Errorf("%w: payload length mismatch (%d declared, %d present)", ErrCorrupt, payloadLen, len(b)-off)
+		return fmt.Errorf("%w: payload length mismatch (%d declared, %d present)", ErrCorrupt, payloadLen, len(b)-off)
 	}
-	im.Payload = make([]byte, payloadLen)
-	copy(im.Payload, b[off:])
-	return im, nil
+	im.Payload = b[off:]
+	return nil
 }
 
 // GenConfig controls synthetic image generation.

@@ -102,6 +102,37 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoAliasesPayload: DecodeInto reads the same image as Decode
+// and rejects the same corrupt blobs, but leaves the payload in the input
+// bytes, where Decode copies it out.
+func TestDecodeIntoAliasesPayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	b := Generate(rng, testLatent(10), 5, GenConfig{PayloadBytes: 256}).Encode()
+	owned, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view Image
+	if err := DecodeInto(&view, b); err != nil {
+		t.Fatal(err)
+	}
+	if view.Width != owned.Width || view.ObjH != owned.ObjH || view.Category != owned.Category || view.Latent != owned.Latent {
+		t.Fatalf("DecodeInto %+v, Decode %+v", view, owned)
+	}
+	if string(view.Payload) != string(owned.Payload) {
+		t.Fatal("payloads differ")
+	}
+	if &view.Payload[0] != &b[len(b)-len(view.Payload)] {
+		t.Fatal("DecodeInto copied the payload")
+	}
+	if &owned.Payload[0] == &b[len(b)-len(owned.Payload)] {
+		t.Fatal("Decode aliased the payload")
+	}
+	if err := DecodeInto(&view, b[:len(b)-1]); err == nil {
+		t.Fatal("DecodeInto accepted a truncated blob")
+	}
+}
+
 // Property: decoding arbitrary bytes never panics.
 func TestDecodeNeverPanics(t *testing.T) {
 	f := func(b []byte) bool {

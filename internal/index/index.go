@@ -33,6 +33,7 @@ import (
 	"jdvs/internal/forward"
 	"jdvs/internal/inverted"
 	"jdvs/internal/kmeans"
+	"jdvs/internal/parallel"
 	"jdvs/internal/pq"
 	"jdvs/internal/topk"
 	"jdvs/internal/vecmath"
@@ -226,9 +227,6 @@ type Shard struct {
 	// in lockstep with the inverted lists; thereafter the single real-time
 	// writer appends to both.
 	pqState atomic.Pointer[shardPQ]
-	// codeScratch is the writer's per-insert encode buffer (single-writer
-	// contract: Insert is never concurrent with itself).
-	codeScratch []byte
 
 	// coveredOffset is the message-queue offset this shard's contents
 	// cover (the next offset a real-time consumer should read). Carried in
@@ -481,11 +479,11 @@ func (s *Shard) SetSearchWorkers(n int) {
 // returns the image's (possibly new) ID and whether an existing record
 // was reused.
 func (s *Shard) Insert(attrs core.Attrs, feature []float32) (core.ImageID, bool, error) {
-	return s.insert(attrs, feature, unassigned)
+	return s.insert(attrs, feature, unassigned, nil)
 }
 
-// unassigned is insert's cluster argument when the caller has not already
-// found the feature's nearest IVF centroid.
+// unassigned is insert's list argument when the caller has not already
+// placed the feature (found its inverted list and PQ code).
 const unassigned = -1
 
 // Row is one image handed to BulkLoad: its forward-index attributes and
@@ -497,15 +495,17 @@ type Row struct {
 
 // BulkLoad inserts rows list-major — the entry point of full indexing
 // (§2.2), which rebuilds a shard from scratch and so gets to choose where
-// every row lives. Each row is assigned to its inverted list once; rows are
-// then inserted list by list, in the caller's order inside a list, through
-// the same path as Insert. On a fresh shard every inverted list's image IDs
-// therefore form one consecutive run, so a list's raw feature rows, forward
-// records and validity/admission bits sit next to each other, and the exact
-// re-rank of a query's candidates — all members of its few probed lists —
-// walks a few contiguous regions of the row store instead of all of it.
-// Real-time Inserts afterwards append at the tail as always; the next full
-// index restores the layout.
+// every row lives. Each row is placed once — assigned to its inverted list
+// and, when a quantizer is installed, encoded into one flat code buffer —
+// across the cores; rows are then inserted list by list, in the caller's
+// order inside a list, through the same serial path as Insert. On a fresh
+// shard every inverted list's image IDs therefore form one consecutive
+// run, so a list's raw feature rows, forward records and
+// validity/admission bits sit next to each other, and the exact re-rank of
+// a query's candidates — all members of its few probed lists — walks a few
+// contiguous regions of the row store instead of all of it. Real-time
+// Inserts afterwards append at the tail as always; the next full index
+// restores the layout.
 //
 // rows is only read, through an index permutation (no copy of it is made).
 // Search results do not depend on the order, except which of two
@@ -515,17 +515,39 @@ func (s *Shard) BulkLoad(rows []Row) error {
 	if s.codebook == nil {
 		return ErrNotTrained
 	}
+	var pcb *pq.Codebook
+	mb := 0
+	if ps := s.pqState.Load(); ps != nil {
+		pcb, mb = ps.cb, ps.cb.CodeBytes()
+	}
+	// Placement is per row and independent: workers write row i's list
+	// and code at index i, and the first failing row in input order is
+	// reported, as a serial pass would.
+	assign := make([]int32, len(rows))
+	codes := make([]byte, len(rows)*mb)
+	errs := make([]error, len(rows))
+	parallel.For(len(rows), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f := rows[i].Feature
+			if len(f) != s.cfg.Dim {
+				errs[i] = fmt.Errorf("feature dim %d, shard dim %d", len(f), s.cfg.Dim)
+				continue
+			}
+			assign[i] = int32(s.codebook.Assign(f))
+			if pcb != nil {
+				errs[i] = pcb.Encode(f, codes[i*mb:(i+1)*mb])
+			}
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("index: bulk load %s: %w", rows[i].Attrs.URL, err)
+		}
+	}
 	// Counting sort by list: stable, so equal-list rows keep the caller's
 	// order and the load is a pure function of (codebook, rows).
-	assign := make([]int32, len(rows))
 	next := make([]int32, s.cfg.NLists+1)
-	for i := range rows {
-		if len(rows[i].Feature) != s.cfg.Dim {
-			return fmt.Errorf("index: bulk load %s: feature dim %d, shard dim %d",
-				rows[i].Attrs.URL, len(rows[i].Feature), s.cfg.Dim)
-		}
-		l := s.codebook.Assign(rows[i].Feature)
-		assign[i] = int32(l)
+	for _, l := range assign {
 		next[l+1]++
 	}
 	for l := 1; l < len(next); l++ {
@@ -538,16 +560,31 @@ func (s *Shard) BulkLoad(rows []Row) error {
 	}
 	for _, i := range order {
 		r := &rows[i]
-		if _, _, err := s.insert(r.Attrs, r.Feature, int(assign[i])); err != nil {
+		if _, _, err := s.insert(r.Attrs, r.Feature, int(assign[i]), codes[int(i)*mb:int(i+1)*mb]); err != nil {
 			return fmt.Errorf("index: bulk load %s: %w", r.Attrs.URL, err)
 		}
 	}
 	return nil
 }
 
-// insert is Insert with the feature's inverted list supplied when the
-// caller already knows it (BulkLoad), or unassigned.
-func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.ImageID, bool, error) {
+// place finds a new generation's inverted list and, when a quantizer is
+// installed, its PQ code: what BulkLoad computes for all rows up front,
+// for one feature.
+func (s *Shard) place(feature []float32) (list int, code []byte, err error) {
+	list = s.codebook.Assign(feature)
+	if ps := s.pqState.Load(); ps != nil {
+		code = make([]byte, ps.cb.CodeBytes())
+		if err := ps.cb.Encode(feature, code); err != nil {
+			return 0, nil, fmt.Errorf("index: pq encode: %w", err)
+		}
+	}
+	return list, code, nil
+}
+
+// insert is Insert with the feature already placed when the caller has
+// placed it (BulkLoad: its list and PQ code), or list unassigned to have
+// it placed here, once a new generation is known to be needed.
+func (s *Shard) insert(attrs core.Attrs, feature []float32, list int, code []byte) (core.ImageID, bool, error) {
 	if s.codebook == nil {
 		return 0, false, ErrNotTrained
 	}
@@ -565,17 +602,7 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.I
 	s.tabMu.RLock()
 	id, exists := s.byURL[attrs.URL]
 	s.tabMu.RUnlock()
-	if exists {
-		if feature != nil {
-			// The reuse path historically skipped this validation, so a
-			// wrong-dim re-listing silently succeeded.
-			if len(feature) != s.cfg.Dim {
-				return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
-			}
-			if !rowsEqual(s.feats.Row(id), feature) {
-				return s.refreshFeature(id, attrs, feature, cluster)
-			}
-		}
+	if exists && (feature == nil || rowsEqual(s.feats.Row(id), feature)) {
 		// Reuse path: refresh numeric attributes — including the category,
 		// or a product re-listed under a new category keeps serving its old
 		// one to category-scoped searches — then revalidate. The validity
@@ -595,10 +622,22 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.I
 		return id, true, nil
 	}
 
+	// A new generation: a fresh URL, or a re-listing whose vector changed
+	// (a wrong-dim vector never matches the stored row, so it is refused
+	// here, not reused).
 	if len(feature) != s.cfg.Dim {
 		return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
 	}
-	id, err := s.appendRow(attrs, feature, cluster)
+	if list == unassigned {
+		var err error
+		if list, code, err = s.place(feature); err != nil {
+			return 0, false, err
+		}
+	}
+	if exists {
+		return s.refreshFeature(id, attrs, feature, list, code)
+	}
+	id, err := s.appendRow(attrs, feature, list, code)
 	if err != nil {
 		return 0, false, err
 	}
@@ -615,9 +654,15 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, cluster int) (core.I
 // appendRow commits a new image generation — feature row, forward record,
 // PQ code (when a quantizer is installed) and inverted-list entry — and
 // returns its ID. The caller publishes it by setting the validity bit.
-// The appends only fail on invariant violations. cluster is the feature's
-// inverted list, or unassigned to have it found here.
-func (s *Shard) appendRow(attrs core.Attrs, feature []float32, cluster int) (core.ImageID, error) {
+// list and code are the feature's placement (BulkLoad or place); the
+// appends only fail on invariant violations.
+func (s *Shard) appendRow(attrs core.Attrs, feature []float32, list int, code []byte) (core.ImageID, error) {
+	ps := s.pqState.Load()
+	if ps != nil && len(code) != ps.cb.CodeBytes() {
+		// Checked before anything is appended: a half-committed
+		// generation would leave the matrices permanently skewed.
+		return 0, fmt.Errorf("index: pq code of %d bytes, codebook writes %d", len(code), ps.cb.CodeBytes())
+	}
 	fid, err := s.feats.Append(feature)
 	if err != nil {
 		return 0, fmt.Errorf("index: feature append: %w", err)
@@ -633,30 +678,19 @@ func (s *Shard) appendRow(attrs core.Attrs, feature []float32, cluster int) (cor
 	// caller's publish step), so a scoped scan that sees the image as
 	// valid also finds it in its category's bitmap.
 	s.ensureCat(attrs.Category).Set(id)
-	if cluster == unassigned {
-		cluster = s.codebook.Assign(feature)
-	}
-	if ps := s.pqState.Load(); ps != nil {
+	if ps != nil {
 		// Keep code storage in lockstep: the code must be committed before
 		// the inverted entry and validity bit make the id scannable. Codes
 		// are keyed by list position, so the append targets the id's
 		// inverted list and must slot in exactly where inv.Append is about
 		// to place the id.
-		mb := ps.cb.CodeBytes()
-		if cap(s.codeScratch) < mb {
-			s.codeScratch = make([]byte, mb)
-		}
-		code := s.codeScratch[:mb]
-		if err := ps.cb.Encode(feature, code); err != nil {
-			return 0, fmt.Errorf("index: pq encode: %w", err)
-		}
-		blocks := ps.lists[cluster]
-		if slot, have := int(blocks.published()), s.inv.ListLen(cluster); slot != have {
-			return 0, fmt.Errorf("index: list %d slot skew: codes %d, inverted %d", cluster, slot, have)
+		blocks := ps.lists[list]
+		if slot, have := int(blocks.published()), s.inv.ListLen(list); slot != have {
+			return 0, fmt.Errorf("index: list %d slot skew: codes %d, inverted %d", list, slot, have)
 		}
 		blocks.append(code)
 	}
-	if err := s.inv.Append(cluster, id); err != nil {
+	if err := s.inv.Append(list, id); err != nil {
 		return 0, fmt.Errorf("index: inverted append: %w", err)
 	}
 	return id, nil
@@ -676,8 +710,8 @@ func (s *Shard) appendRow(attrs core.Attrs, feature []float32, cluster int) (cor
 // score both generations and return the URL twice — the same
 // single-writer visibility window every non-atomic §2.3 update has, gone
 // by the next query.
-func (s *Shard) refreshFeature(stale core.ImageID, attrs core.Attrs, feature []float32, cluster int) (core.ImageID, bool, error) {
-	id, err := s.appendRow(attrs, feature, cluster)
+func (s *Shard) refreshFeature(stale core.ImageID, attrs core.Attrs, feature []float32, list int, code []byte) (core.ImageID, bool, error) {
+	id, err := s.appendRow(attrs, feature, list, code)
 	if err != nil {
 		return 0, false, err
 	}

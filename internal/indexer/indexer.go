@@ -20,6 +20,7 @@ import (
 	"jdvs/internal/kmeans"
 	"jdvs/internal/mq"
 	"jdvs/internal/msg"
+	"jdvs/internal/parallel"
 	"jdvs/internal/pq"
 )
 
@@ -42,24 +43,34 @@ type Resolver struct {
 // first sight. reused reports whether extraction was avoided. The URL is
 // normalised first so equivalent re-shared spellings share one entry.
 func (r *Resolver) Resolve(url string, attrs core.Attrs) (entry *featuredb.Entry, reused bool, err error) {
+	var blob []byte
+	return r.resolve(url, attrs, &blob)
+}
+
+// resolve is Resolve reading a missing image's blob into *blob, which it
+// grows when too small and leaves for the caller's next call: a full-build
+// worker reads every blob it extracts into one buffer. Neither the
+// extractor nor the caches keep the blob.
+func (r *Resolver) resolve(url string, attrs core.Attrs, blob *[]byte) (entry *featuredb.Entry, reused bool, err error) {
 	url = core.NormalizeURL(url)
 	if attrs.URL != "" {
 		attrs.URL = core.NormalizeURL(attrs.URL)
 	}
 	return r.DB.GetOrCompute(url, attrs, func() ([]float32, error) {
-		blob, err := r.Images.Get(url)
+		b, err := r.Images.ReadInto(*blob, url)
 		if err != nil {
 			return nil, err
 		}
+		*blob = b
 		var key string
 		if r.Features != nil {
-			sum := sha256.Sum256(blob)
+			sum := sha256.Sum256(b)
 			key = string(sum[:])
 			if f, ok := r.Features.Get(key); ok {
 				return f, nil
 			}
 		}
-		f, err := r.Extractor.ExtractBytes(blob)
+		f, err := r.Extractor.ExtractBytes(b)
 		if err != nil {
 			return nil, err
 		}
@@ -240,12 +251,6 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 		return nil, nil, err
 	}
 
-	// Resolve features for valid images (check-before-extract: almost all
-	// of these hit the feature DB because the real-time path already
-	// extracted them).
-	perPartition := make([][]index.Row, fi.cfg.Partitions)
-	train := make([]float32, 0, fi.cfg.TrainSample*fi.cfg.Shard.Dim)
-	trained := 0
 	// Iterate the replayed states in sorted URL order: map order would make
 	// the training sample, and the order of images inside an inverted list,
 	// differ run to run, and a full build must be a pure function of the
@@ -260,16 +265,38 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 		}
 	}
 	sort.Strings(urls)
-	for _, url := range urls {
-		st := states[url]
-		entry, _, err := fi.res.Resolve(url, st.attrs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("indexer: full build resolve %s: %w", url, err)
+
+	// Resolve features for valid images (check-before-extract: almost all
+	// of these hit the feature DB because the real-time path already
+	// extracted them). Each URL resolves on its own, so they resolve
+	// across the cores into slots indexed by sorted-URL position, each
+	// worker reading blobs into one reused buffer; the first failing URL
+	// in sorted order is reported.
+	entries := make([]*featuredb.Entry, len(urls))
+	errs := make([]error, len(urls))
+	parallel.For(len(urls), func(lo, hi int) {
+		var blob []byte
+		for i := lo; i < hi; i++ {
+			entries[i], _, errs[i] = fi.res.resolve(urls[i], states[urls[i]].attrs, &blob)
 		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("indexer: full build resolve %s: %w", urls[i], err)
+		}
+	}
+
+	// The training sample is the first TrainSample features in sorted-URL
+	// order, picked serially.
+	perPartition := make([][]index.Row, fi.cfg.Partitions)
+	train := make([]float32, 0, fi.cfg.TrainSample*fi.cfg.Shard.Dim)
+	trained := 0
+	for i, url := range urls {
+		st := states[url]
 		p := int(mq.PartitionFor(url, fi.cfg.Partitions))
-		perPartition[p] = append(perPartition[p], index.Row{Attrs: st.attrs, Feature: entry.Feature})
+		perPartition[p] = append(perPartition[p], index.Row{Attrs: st.attrs, Feature: entries[i].Feature})
 		if trained < fi.cfg.TrainSample {
-			train = append(train, entry.Feature...)
+			train = append(train, entries[i].Feature...)
 			trained++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -491,7 +492,8 @@ func requireListMajor(t *testing.T, label string, s *index.Shard) {
 // TestFullBuildListMajorAndDeterministic: a full build hands out image IDs
 // list by list, a replica loaded from its snapshot keeps that layout, and
 // the build stays a pure function of the log — two builds of one log write
-// byte-identical snapshots.
+// byte-identical snapshots, one built serially (GOMAXPROCS 1) and one with
+// every stage fanned out over four workers.
 func TestFullBuildListMajorAndDeterministic(t *testing.T) {
 	const partitions = 2
 	f := newFixture(t, 60, partitions)
@@ -500,7 +502,8 @@ func TestFullBuildListMajorAndDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	build := func() [][]byte {
+	build := func(procs int) [][]byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		fi, err := NewFull(FullConfig{
 			Partitions: partitions,
 			Shard:      index.Config{Dim: testDim, NLists: 8, PQSubvectors: 4, PQBits: 4},
@@ -532,10 +535,10 @@ func TestFullBuildListMajorAndDeterministic(t *testing.T) {
 		}
 		return snaps
 	}
-	first, second := build(), build()
-	for p := range first {
-		if !bytes.Equal(first[p], second[p]) {
-			t.Fatalf("partition %d: two builds of the same log wrote different snapshots", p)
+	serial, fanned := build(1), build(4)
+	for p := range serial {
+		if !bytes.Equal(serial[p], fanned[p]) {
+			t.Fatalf("partition %d: the builds at GOMAXPROCS 1 and 4 wrote different snapshots", p)
 		}
 	}
 }

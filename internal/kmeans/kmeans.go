@@ -4,7 +4,10 @@
 // running "the k-mean algorithm on a set of training data set (i.e., image
 // features)" and assigning each image to its nearest centroid. This package
 // implements k-means++ seeding followed by Lloyd iterations, fully
-// deterministic for a given seed so that index builds are reproducible.
+// deterministic for a given seed so that index builds are reproducible:
+// the per-row distance work runs on every core, but every floating-point
+// sum is taken serially in row order, so the centroids are bitwise the
+// same at any GOMAXPROCS.
 package kmeans
 
 import (
@@ -12,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"jdvs/internal/parallel"
 	"jdvs/internal/vecmath"
 )
 
@@ -99,12 +103,15 @@ func Train(cfg Config, data []float32) (*Codebook, error) {
 	iters := 0
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		iters = iter + 1
-		// Assignment step.
-		for i := 0; i < n; i++ {
-			idx, _ := vecmath.NearestCentroid(row(i), centroids, cfg.Dim)
-			assign[i] = idx
-		}
-		// Update step.
+		// Assignment step, across the cores: each row's result lands at
+		// its own index.
+		parallel.For(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				assign[i], _ = vecmath.NearestCentroid(row(i), centroids, cfg.Dim)
+			}
+		})
+		// Update step, serial: the centroid sums are float reductions, and
+		// their order fixes their rounding.
 		for i := range sums {
 			sums[i] = 0
 		}
@@ -183,13 +190,26 @@ func seedPlusPlus(cfg Config, data []float32, n int, rng *rand.Rand) []float32 {
 			}
 		}
 		copy(dst, row(pick))
-		total = 0
-		for i := 0; i < n; i++ {
-			if d := float64(vecmath.L2Squared(row(i), dst)); d < minDist[i] {
-				minDist[i] = d
-			}
-			total += minDist[i]
-		}
+		total = lowerMinDist(data, cfg.Dim, dst, minDist)
 	}
 	return centroids
+}
+
+// lowerMinDist lowers each row's minDist to its squared distance from c and
+// returns the new total. The per-row work runs across the cores; the total
+// is summed after it, serially in row order, so it rounds the same at any
+// GOMAXPROCS.
+func lowerMinDist(data []float32, dim int, c []float32, minDist []float64) float64 {
+	parallel.For(len(minDist), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if d := float64(vecmath.L2Squared(data[i*dim:(i+1)*dim], c)); d < minDist[i] {
+				minDist[i] = d
+			}
+		}
+	})
+	var total float64
+	for _, d := range minDist {
+		total += d
+	}
+	return total
 }

@@ -1,7 +1,9 @@
 package kmeans
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"jdvs/internal/vecmath"
@@ -135,6 +137,86 @@ func TestTrainDeterministic(t *testing.T) {
 	for i := range a.Centroids {
 		if a.Centroids[i] != b.Centroids[i] {
 			t.Fatalf("same seed produced different centroids at %d", i)
+		}
+	}
+}
+
+// atProcs runs f with GOMAXPROCS set to procs, then restores it.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestTrainSameAtAnyGOMAXPROCS: the assignment step and the k-means++
+// distance update run across the cores, yet the centroids are bitwise
+// those of a serial run.
+func TestTrainSameAtAnyGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	data, _, _ := gaussianBlobs(rng, 16, 4000, 8, 3, 1)
+	train := func(procs int) (cb *Codebook) {
+		atProcs(procs, func() {
+			var err error
+			if cb, err = Train(Config{K: 64, Dim: 8, Seed: 5}, data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return cb
+	}
+	want := train(1)
+	for _, procs := range []int{2, 4} {
+		got := train(procs)
+		if got.Iters != want.Iters {
+			t.Fatalf("GOMAXPROCS %d: %d iterations, serial %d", procs, got.Iters, want.Iters)
+		}
+		for i := range want.Centroids {
+			if math.Float32bits(got.Centroids[i]) != math.Float32bits(want.Centroids[i]) {
+				t.Fatalf("GOMAXPROCS %d: centroid float %d is %v, serial %v", procs, i, got.Centroids[i], want.Centroids[i])
+			}
+		}
+	}
+}
+
+// TestLowerMinDistSameAtAnyGOMAXPROCS: the k-means++ total is summed in
+// row order after the parallel update, so its bits are the serial sum's at
+// any GOMAXPROCS. Summing it per worker chunk would reassociate the adds
+// and change the rounding, which the centroid check above would rarely
+// see: the total only scales the sampling target, so an ulp of it seldom
+// moves a pick. The rows span a wide range of magnitudes, so a
+// reassociated float64 sum rounds differently.
+func TestLowerMinDistSameAtAnyGOMAXPROCS(t *testing.T) {
+	const n, dim, rounds = 20000, 4, 8
+	rng := rand.New(rand.NewSource(12))
+	data := make([]float32, n*dim)
+	for i := 0; i < n; i++ {
+		scale := math.Exp(rng.NormFloat64() * 4)
+		for d := 0; d < dim; d++ {
+			data[i*dim+d] = float32(rng.NormFloat64() * scale)
+		}
+	}
+	run := func(procs int) (totals []float64, minDist []float64) {
+		minDist = make([]float64, n)
+		for i := range minDist {
+			minDist[i] = math.Inf(1)
+		}
+		atProcs(procs, func() {
+			for c := 0; c < rounds; c++ {
+				totals = append(totals, lowerMinDist(data, dim, data[c*dim:(c+1)*dim], minDist))
+			}
+		})
+		return totals, minDist
+	}
+	wantTotals, wantMin := run(1)
+	for _, procs := range []int{2, 3, 4} {
+		totals, minDist := run(procs)
+		for c := range wantTotals {
+			if math.Float64bits(totals[c]) != math.Float64bits(wantTotals[c]) {
+				t.Fatalf("GOMAXPROCS %d round %d: total %v, serial %v", procs, c, totals[c], wantTotals[c])
+			}
+		}
+		for i := range wantMin {
+			if math.Float64bits(minDist[i]) != math.Float64bits(wantMin[i]) {
+				t.Fatalf("GOMAXPROCS %d: row %d distance %v, serial %v", procs, i, minDist[i], wantMin[i])
+			}
 		}
 	}
 }

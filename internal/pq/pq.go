@@ -64,6 +64,7 @@ import (
 	"math"
 
 	"jdvs/internal/kmeans"
+	"jdvs/internal/parallel"
 	"jdvs/internal/vecmath"
 )
 
@@ -207,23 +208,34 @@ func Train(cfg Config, data []float32) (*Codebook, error) {
 	}
 	cb.Centroids = make([]float32, cfg.M*cb.KPerSub()*subDim)
 	// Train each subspace independently over the m-th subvector column
-	// block, gathered contiguously for the kmeans kernel.
-	sub := make([]float32, n*subDim)
-	for m := 0; m < cfg.M; m++ {
-		off := m * subDim
-		for i := 0; i < n; i++ {
-			copy(sub[i*subDim:(i+1)*subDim], data[i*cfg.Dim+off:i*cfg.Dim+off+subDim])
+	// block, gathered contiguously for the kmeans kernel. The subspaces
+	// share nothing (subquantizer m seeds with Seed+m), so they train
+	// across the cores, each worker gathering into its own buffer.
+	errs := make([]error, cfg.M)
+	parallel.For(cfg.M, func(lo, hi int) {
+		sub := make([]float32, n*subDim)
+		for m := lo; m < hi; m++ {
+			off := m * subDim
+			for i := 0; i < n; i++ {
+				copy(sub[i*subDim:(i+1)*subDim], data[i*cfg.Dim+off:i*cfg.Dim+off+subDim])
+			}
+			kcb, err := kmeans.Train(kmeans.Config{
+				K:        cb.KPerSub(),
+				Dim:      subDim,
+				MaxIters: cfg.MaxIters,
+				Seed:     cfg.Seed + int64(m),
+			}, sub)
+			if err != nil {
+				errs[m] = fmt.Errorf("pq: train subquantizer %d: %w", m, err)
+				return
+			}
+			copy(cb.subCentroids(m), kcb.Centroids)
 		}
-		kcb, err := kmeans.Train(kmeans.Config{
-			K:        cb.KPerSub(),
-			Dim:      subDim,
-			MaxIters: cfg.MaxIters,
-			Seed:     cfg.Seed + int64(m),
-		}, sub)
+	})
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("pq: train subquantizer %d: %w", m, err)
+			return nil, err
 		}
-		copy(cb.subCentroids(m), kcb.Centroids)
 	}
 	return cb, nil
 }

@@ -1,8 +1,10 @@
 package pq
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -66,6 +68,35 @@ func TestTrainShapeAndDeterminism(t *testing.T) {
 		if cb.Centroids[i] != cb2.Centroids[i] {
 			t.Fatalf("training is not deterministic (centroid float %d differs)", i)
 		}
+	}
+}
+
+// TestTrainSameAtAnyGOMAXPROCS: subquantizers train one per worker, and
+// each one's k-means fans out again, yet the codebook is bitwise a serial
+// run's at both code widths.
+func TestTrainSameAtAnyGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	data := clusteredData(rng, 2000, 32, 16, 0.5)
+	for _, bits := range []int{8, 4} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			train := func(procs int) *Codebook {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				cb, err := Train(Config{Dim: 32, M: 8, Bits: bits, Seed: 3}, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cb
+			}
+			want := train(1)
+			for _, procs := range []int{2, 4} {
+				got := train(procs)
+				for i := range want.Centroids {
+					if math.Float32bits(got.Centroids[i]) != math.Float32bits(want.Centroids[i]) {
+						t.Fatalf("GOMAXPROCS %d: centroid float %d is %v, serial %v", procs, i, got.Centroids[i], want.Centroids[i])
+					}
+				}
+			}
+		})
 	}
 }
 

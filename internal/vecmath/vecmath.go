@@ -98,22 +98,75 @@ func Scale(v []float32, f float32) {
 // v, along with that squared distance. centroids is a flat row-major matrix
 // of k rows of dim columns. It panics if the layout is inconsistent or k is
 // zero.
+//
+// The result is bit-identical to calling L2Squared on every row and keeping
+// the first strict minimum: each row's distance is summed in L2Squared's
+// order (one squared difference per accumulator, then s0+s1+s2+s3), ties go
+// to the lowest index, and a NaN first distance is never displaced. But the
+// rows are scored in one loop, with no call and no length check per
+// centroid, and dim 4 — every PQ subspace at the default M = Dim/4 — has a
+// loop of its own. That per-centroid overhead, not the arithmetic, was the
+// cost of a 4-component distance.
 func NearestCentroid(v []float32, centroids []float32, dim int) (best int, bestDist float32) {
 	if dim <= 0 || len(centroids)%dim != 0 {
 		panic("vecmath: bad centroid layout")
 	}
-	k := len(centroids) / dim
-	if k == 0 {
+	if len(centroids) == 0 {
 		panic("vecmath: no centroids")
 	}
 	if len(v) != dim {
 		panic("vecmath: dimension mismatch")
 	}
-	best = 0
-	bestDist = L2Squared(v, centroids[:dim])
-	for c := 1; c < k; c++ {
-		d := L2Squared(v, centroids[c*dim:(c+1)*dim])
-		if d < bestDist {
+	if dim == 4 {
+		return nearest4(v, centroids)
+	}
+	return nearestN(v, centroids)
+}
+
+// nearest4 is NearestCentroid for dim 4. The explicit float32 conversions
+// pin the rounding of each square: the language lets a compiler fuse a
+// multiply into the add that consumes it, which would change the sum on
+// platforms with fused multiply-add.
+func nearest4(v, centroids []float32) (best int, bestDist float32) {
+	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+	for c := 0; len(centroids) >= 4; c++ {
+		x := centroids[:4:4]
+		centroids = centroids[4:]
+		d0 := v0 - x[0]
+		d1 := v1 - x[1]
+		d2 := v2 - x[2]
+		d3 := v3 - x[3]
+		d := float32(d0*d0) + float32(d1*d1) + float32(d2*d2) + float32(d3*d3)
+		if c == 0 || d < bestDist {
+			best, bestDist = c, d
+		}
+	}
+	return best, bestDist
+}
+
+// nearestN is NearestCentroid for any dim: L2Squared's loop, inlined over
+// consecutive rows of len(v) floats.
+func nearestN(v, centroids []float32) (best int, bestDist float32) {
+	for c := 0; len(centroids) >= len(v); c++ {
+		x := centroids[:len(v):len(v)]
+		centroids = centroids[len(v):]
+		var s0, s1, s2, s3 float32
+		i := 0
+		for ; i+4 <= len(x); i += 4 {
+			d0 := v[i] - x[i]
+			d1 := v[i+1] - x[i+1]
+			d2 := v[i+2] - x[i+2]
+			d3 := v[i+3] - x[i+3]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		for ; i < len(x); i++ {
+			d := v[i] - x[i]
+			s0 += d * d
+		}
+		if d := s0 + s1 + s2 + s3; c == 0 || d < bestDist {
 			best, bestDist = c, d
 		}
 	}

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -45,15 +46,26 @@ func BenchmarkDot(b *testing.B) {
 	}
 }
 
+// nearestSink keeps BenchmarkNearestCentroid's call from being optimised
+// away.
+var nearestSink int
+
+// BenchmarkNearestCentroid scores one vector against 256 centroids: dim 64
+// is an IVF list assignment, dim 4 one PQ subspace of an encode or a
+// k-means step over it.
 func BenchmarkNearestCentroid(b *testing.B) {
-	const dim, k = 64, 256
-	rng := rand.New(rand.NewSource(3))
-	cents := randVec(rng, dim*k)
-	q := randVec(rng, dim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NearestCentroid(q, cents, dim)
+	for _, dim := range []int{64, 4} {
+		b.Run(fmt.Sprintf("dim=%d/k=256", dim), func(b *testing.B) {
+			const k = 256
+			rng := rand.New(rand.NewSource(3))
+			cents := randVec(rng, dim*k)
+			q := randVec(rng, dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nearestSink, _ = NearestCentroid(q, cents, dim)
+			}
+		})
 	}
 }
 

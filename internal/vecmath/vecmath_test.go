@@ -174,6 +174,74 @@ func TestNearestCentroid(t *testing.T) {
 	}
 }
 
+// nearestByCalls is NearestCentroid's reference: one L2Squared call per
+// centroid, keeping the first strict minimum.
+func nearestByCalls(v, centroids []float32, dim int) (int, float32) {
+	best, bestDist := 0, L2Squared(v, centroids[:dim])
+	for c := 1; c < len(centroids)/dim; c++ {
+		if d := L2Squared(v, centroids[c*dim:(c+1)*dim]); d < bestDist {
+			best, bestDist = c, d
+		}
+	}
+	return best, bestDist
+}
+
+// TestNearestCentroidMatchesCalls: the one-loop kernel returns the index
+// and the distance bits of the L2Squared reference, at every dim the build
+// uses (4 is the PQ subspace path) and every k up to 300, on random rows,
+// on rows with exact ties (the lowest index wins) and on NaN inputs.
+func TestNearestCentroidMatchesCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nan := float32(math.NaN())
+	check := func(label string, v, cents []float32, dim int) {
+		t.Helper()
+		gi, gd := NearestCentroid(v, cents, dim)
+		wi, wd := nearestByCalls(v, cents, dim)
+		if gi != wi || math.Float32bits(gd) != math.Float32bits(wd) {
+			t.Fatalf("%s dim %d k %d: kernel (%d, %#x), calls (%d, %#x)",
+				label, dim, len(cents)/dim, gi, math.Float32bits(gd), wi, math.Float32bits(wd))
+		}
+	}
+	for _, dim := range []int{1, 3, 4, 8, 64} {
+		for k := 1; k <= 300; k++ {
+			cents := randVec(rng, k*dim)
+			v := randVec(rng, dim)
+			check("random", v, cents, dim)
+
+			// Ties: the nearest row repeated at a later index, and a
+			// query equidistant from two rows.
+			if k > 1 {
+				dup := append([]float32(nil), cents...)
+				n, _ := nearestByCalls(v, dup, dim)
+				copy(dup[(k-1)*dim:], dup[n*dim:(n+1)*dim])
+				check("duplicate row", v, dup, dim)
+				mirror := append([]float32(nil), cents...)
+				for i := 0; i < dim; i++ {
+					mirror[(k-1)*dim+i] = 2*v[i] - mirror[i]
+				}
+				check("mirrored row", v, mirror, dim)
+			}
+			// Every row the query itself: all distances zero.
+			same := make([]float32, 0, k*dim)
+			for c := 0; c < k; c++ {
+				same = append(same, v...)
+			}
+			check("all equal", v, same, dim)
+
+			// NaN in the query, in the first row, and in a later row.
+			nv := append([]float32(nil), v...)
+			nv[rng.Intn(dim)] = nan
+			check("NaN query", nv, cents, dim)
+			nc := append([]float32(nil), cents...)
+			nc[rng.Intn(dim)] = nan
+			check("NaN first row", v, nc, dim)
+			nc = append(nc[:0], cents...)
+			nc[rng.Intn(k*dim)] = nan
+			check("NaN row", v, nc, dim)
+		}
+	}
+}
+
 func TestTopCentroidsOrderingAndClamp(t *testing.T) {
 	centroids := []float32{
 		0, 0,
