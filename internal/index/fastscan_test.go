@@ -170,6 +170,32 @@ func TestPQInsertLockstep(t *testing.T) {
 	}
 }
 
+// TestPQInsertEncodesWithoutAllocating: a real-time insert encodes its PQ
+// code into a stack buffer, so a fresh insert into a quantized shard
+// allocates no more than one into an exact shard. Chunk growth is
+// amortised over the runs and rounds away.
+func TestPQInsertEncodesWithoutAllocating(t *testing.T) {
+	const n, dim = 1000, 32
+	exact, quant, _ := buildPQBitsPair(t, n, dim, 16, 8, 8)
+	fresh := clusteredFeatures(rand.New(rand.NewSource(11)), 201, dim, 3, 0.1)
+	urls := make([]string, len(fresh))
+	for i := range urls {
+		urls[i] = fmt.Sprintf("jfs://pq-alloc/%d.jpg", i)
+	}
+	allocs := func(s *Shard) float64 {
+		i := 0
+		return testing.AllocsPerRun(len(fresh)-1, func() {
+			if _, _, err := s.Insert(core.Attrs{ProductID: uint64(9000 + i), URL: urls[i]}, fresh[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	if e, q := allocs(exact), allocs(quant); q > e {
+		t.Fatalf("fresh insert allocates %v times with PQ, %v without", q, e)
+	}
+}
+
 // TestPQ4CodeMemoryHalved: the point of 4-bit codes is half the code
 // memory per image. Chunk rounding costs a little, so gate at 0.6× the
 // 8-bit heap rather than exactly 0.5×.

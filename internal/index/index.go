@@ -25,6 +25,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -567,13 +568,19 @@ func (s *Shard) BulkLoad(rows []Row) error {
 	return nil
 }
 
+// maxStackCode is the PQ code width insert encodes into a stack buffer:
+// 256 subquantizers at 8 bits, the default M = Dim/4 up to Dim 1024. A
+// wider codebook still works; its codes are encoded on the heap.
+const maxStackCode = 256
+
 // place finds a new generation's inverted list and, when a quantizer is
 // installed, its PQ code: what BulkLoad computes for all rows up front,
-// for one feature.
-func (s *Shard) place(feature []float32) (list int, code []byte, err error) {
+// for one feature. The code is encoded into buf, grown if it is too short.
+func (s *Shard) place(feature []float32, buf []byte) (list int, code []byte, err error) {
 	list = s.codebook.Assign(feature)
 	if ps := s.pqState.Load(); ps != nil {
-		code = make([]byte, ps.cb.CodeBytes())
+		mb := ps.cb.CodeBytes()
+		code = slices.Grow(buf[:0], mb)[:mb]
 		if err := ps.cb.Encode(feature, code); err != nil {
 			return 0, nil, fmt.Errorf("index: pq encode: %w", err)
 		}
@@ -629,8 +636,10 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, list int, code []byt
 		return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
 	}
 	if list == unassigned {
+		// The code only has to outlive appendRow, which copies it.
+		var buf [maxStackCode]byte
 		var err error
-		if list, code, err = s.place(feature); err != nil {
+		if list, code, err = s.place(feature, buf[:]); err != nil {
 			return 0, false, err
 		}
 	}

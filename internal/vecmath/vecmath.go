@@ -127,6 +127,11 @@ func NearestCentroid(v []float32, centroids []float32, dim int) (best int, bestD
 // pin the rounding of each square: the language lets a compiler fuse a
 // multiply into the add that consumes it, which would change the sum on
 // platforms with fused multiply-add.
+//
+// It is kept beside nearestN because it is measured faster on a 2-core
+// Xeon, 6 alternating rounds: BenchmarkNearestCentroid/dim=4/k=256 takes
+// 0.94–1.61 µs here against 1.81–2.50 µs through nearestN, and a whole
+// BenchmarkFullBuild 2.05–2.23 s against 2.27–2.62 s (5 rounds, 5/5).
 func nearest4(v, centroids []float32) (best int, bestDist float32) {
 	v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
 	for c := 0; len(centroids) >= 4; c++ {
