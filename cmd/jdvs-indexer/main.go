@@ -68,8 +68,13 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("generate catalog: %w", err)
 	}
+	features, err := featuredb.New()
+	if err != nil {
+		return err
+	}
+	defer features.Close()
 	res := &indexer.Resolver{
-		DB:        featuredb.New(),
+		DB:        features,
 		Images:    images,
 		Extractor: cnn.New(cnn.Config{Dim: *dim, Seed: *featureSeed}),
 	}

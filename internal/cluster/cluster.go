@@ -213,11 +213,16 @@ func Start(cfg Config) (_ *Cluster, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	features, err := featuredb.New()
+	if err != nil {
+		images.Close()
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	c := &Cluster{
 		cfg:      cfg,
 		Queue:    mq.New(),
 		Images:   images,
-		Features: featuredb.New(),
+		Features: features,
 		Extractor: cnn.New(cnn.Config{
 			Dim:        cfg.Dim,
 			Seed:       cfg.FeatureSeed,
@@ -616,4 +621,5 @@ func (c *Cluster) Close() {
 		}
 	}
 	c.Images.Close()
+	c.Features.Close()
 }

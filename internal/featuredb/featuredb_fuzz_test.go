@@ -7,26 +7,26 @@ import (
 	"jdvs/internal/core"
 )
 
-// FuzzDecodeEntry: decoding arbitrary stored bytes never panics, and an
-// accepted record re-encodes to exactly the bytes it was decoded from — a
-// record with bytes past the attribute block is rejected, not truncated.
+// FuzzDecodeEntry: decoding arbitrary stored bytes never panics, an
+// accepted record re-encodes to exactly the bytes it was decoded from, and
+// the same record with one byte more is rejected, not truncated.
 func FuzzDecodeEntry(f *testing.F) {
-	valid := encodeEntry(sampleEntry())
+	valid := core.AppendFeature(nil, sampleFeature)
 	f.Add(valid)
-	f.Add(encodeEntry(&Entry{Attrs: core.Attrs{ProductID: 9}})) // TestEmptyFeature's record
-	f.Add([]byte{1, 2})                                         // TestCorruptEntry's garbage
+	f.Add(core.AppendFeature(nil, nil)) // TestEmptyFeature's record
+	f.Add([]byte{1, 2})                 // TestCorruptEntry's garbage
 	f.Add(valid[:len(valid)-1])
 	f.Add(append(append([]byte(nil), valid...), 0)) // one trailing byte
 	f.Fuzz(func(t *testing.T, b []byte) {
-		e, err := decodeEntry(b, "u")
+		feature, err := decodeEntry(b, "u")
 		if err != nil {
 			return
 		}
-		if e.Attrs.URL != "u" {
-			t.Fatalf("URL %q, want the key", e.Attrs.URL)
-		}
-		if re := encodeEntry(e); !bytes.Equal(re, b) {
+		if re := core.AppendFeature(nil, feature); !bytes.Equal(re, b) {
 			t.Fatalf("re-encoding gives %x, not the input %x", re, b)
+		}
+		if _, err := decodeEntry(append(b[:len(b):len(b)], 0), "u"); err == nil {
+			t.Fatal("a trailing byte was accepted")
 		}
 	})
 }

@@ -3,126 +3,137 @@ package featuredb
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"jdvs/internal/blobfile"
 	"jdvs/internal/core"
 )
 
-func sampleEntry() *Entry {
-	return &Entry{
-		Feature: []float32{0.5, -0.25, 1.0},
-		Attrs: core.Attrs{
-			ProductID:  42,
-			Sales:      100,
-			Praise:     95,
-			PriceCents: 1999,
-			Category:   3,
-		},
+var sampleFeature = []float32{0.5, -0.25, 1.0}
+
+func newDB(t *testing.T) *DB {
+	t.Helper()
+	db, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// noExtract is an extractor for lookups that must hit.
+func noExtract(t *testing.T) func() ([]float32, error) {
+	return func() ([]float32, error) {
+		t.Error("extract called on a stored URL")
+		return nil, errors.New("unexpected extraction")
 	}
 }
 
 func TestPutGetRoundtrip(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	const url = "jfs://img/p42/0.jpg"
-	db.Put(url, sampleEntry())
-	got, err := db.Get(url)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
+	if err := db.Put(url, sampleFeature); err != nil {
+		t.Fatal(err)
 	}
-	want := sampleEntry()
-	if len(got.Feature) != len(want.Feature) {
-		t.Fatalf("feature dim %d", len(got.Feature))
+	got, reused, err := db.GetOrCompute(url, noExtract(t))
+	if err != nil || !reused || !slices.Equal(got, sampleFeature) {
+		t.Fatalf("GetOrCompute = %v, reused %v, %v", got, reused, err)
 	}
-	for i := range want.Feature {
-		if got.Feature[i] != want.Feature[i] {
-			t.Fatal("feature corrupted")
-		}
+	// Put overwrites: the next lookup reads the new vector.
+	if err := db.Put(url, []float32{7}); err != nil {
+		t.Fatal(err)
 	}
-	// The URL is reconstructed from the key.
-	want.Attrs.URL = url
-	if got.Attrs != want.Attrs {
-		t.Fatalf("attrs = %+v, want %+v", got.Attrs, want.Attrs)
+	if got, _, err := db.GetOrCompute(url, noExtract(t)); err != nil || !slices.Equal(got, []float32{7}) {
+		t.Fatalf("after overwrite: %v, %v", got, err)
 	}
 }
 
+// TestGetMissing: a URL never stored reaches the extractor, and keys are
+// not normalised here — a variant spelling of a stored URL is another key.
 func TestGetMissing(t *testing.T) {
-	db := New()
-	_, err := db.Get("nope")
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	db := newDB(t)
+	if err := db.Put("jfs://img/a.jpg", sampleFeature); err != nil {
+		t.Fatal(err)
 	}
-	if db.Has("nope") {
-		t.Fatal("Has on empty db")
+	for _, url := range []string{"nope", "JFS://img/a.jpg"} {
+		calls := 0
+		_, reused, err := db.GetOrCompute(url, func() ([]float32, error) {
+			calls++
+			return []float32{1}, nil
+		})
+		if err != nil || reused || calls != 1 {
+			t.Fatalf("%q: reused %v, %d extractions, %v", url, reused, calls, err)
+		}
+	}
+	if hits, misses := db.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("stats = %d,%d, want 0,2", hits, misses)
 	}
 }
 
 func TestGetOrComputeCachesAndCounts(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	const url = "jfs://img/p1/0.jpg"
 	calls := 0
 	extract := func() ([]float32, error) {
 		calls++
 		return []float32{1, 2, 3}, nil
 	}
-	e, reused, err := db.GetOrCompute(url, core.Attrs{ProductID: 1}, extract)
+	f, reused, err := db.GetOrCompute(url, extract)
 	if err != nil || reused {
 		t.Fatalf("first compute: reused=%v err=%v", reused, err)
 	}
-	if calls != 1 || len(e.Feature) != 3 {
+	if calls != 1 || len(f) != 3 {
 		t.Fatalf("extract calls = %d", calls)
 	}
 	// Second call: cache hit, no extraction.
-	e2, reused, err := db.GetOrCompute(url, core.Attrs{ProductID: 1}, extract)
+	f2, reused, err := db.GetOrCompute(url, extract)
 	if err != nil || !reused {
 		t.Fatalf("second compute: reused=%v err=%v", reused, err)
 	}
 	if calls != 1 {
 		t.Fatalf("extract re-ran: %d calls", calls)
 	}
-	if e2.Feature[0] != 1 {
-		t.Fatal("cached feature wrong")
+	if !slices.Equal(f2, []float32{1, 2, 3}) {
+		t.Fatalf("cached feature = %v", f2)
 	}
 	hits, misses := db.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats = %d,%d, want 1,1", hits, misses)
 	}
-	db.ResetStats()
-	if h, m := db.Stats(); h != 0 || m != 0 {
-		t.Fatal("ResetStats failed")
-	}
 }
 
 func TestGetOrComputeExtractError(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	boom := errors.New("gpu on fire")
-	_, _, err := db.GetOrCompute("u", core.Attrs{}, func() ([]float32, error) { return nil, boom })
+	_, _, err := db.GetOrCompute("u", func() ([]float32, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	// Nothing cached on failure.
-	if db.Has("u") {
-		t.Fatal("failed extraction cached")
+	if hits, misses := db.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("a failed extraction was counted: %d,%d", hits, misses)
 	}
-	if db.Len() != 0 {
-		t.Fatal("db grew on failure")
+	// Nothing cached on failure: the next lookup extracts.
+	if _, reused, err := db.GetOrCompute("u", func() ([]float32, error) { return []float32{1}, nil }); err != nil || reused {
+		t.Fatalf("after a failure: reused %v, %v", reused, err)
 	}
 }
 
 func TestEmptyFeature(t *testing.T) {
-	db := New()
-	db.Put("u", &Entry{Feature: nil, Attrs: core.Attrs{ProductID: 9}})
-	got, err := db.Get("u")
-	if err != nil {
+	db := newDB(t)
+	if err := db.Put("u", nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Feature) != 0 || got.Attrs.ProductID != 9 {
-		t.Fatalf("roundtrip = %+v", got)
+	got, reused, err := db.GetOrCompute("u", noExtract(t))
+	if err != nil || !reused || len(got) != 0 {
+		t.Fatalf("roundtrip = %v, reused %v, %v", got, reused, err)
 	}
 }
 
 func TestConcurrentGetOrCompute(t *testing.T) {
-	db := New()
+	db := newDB(t)
 	const workers = 16
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -131,24 +142,21 @@ func TestConcurrentGetOrCompute(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				url := fmt.Sprintf("jfs://img/p%d/0.jpg", i%20)
-				e, _, err := db.GetOrCompute(url, core.Attrs{ProductID: uint64(i % 20)}, func() ([]float32, error) {
+				f, _, err := db.GetOrCompute(url, func() ([]float32, error) {
 					return []float32{float32(i % 20)}, nil
 				})
 				if err != nil {
 					t.Errorf("GetOrCompute: %v", err)
 					return
 				}
-				if len(e.Feature) != 1 {
-					t.Errorf("bad feature %v", e.Feature)
+				if len(f) != 1 || f[0] != float32(i%20) {
+					t.Errorf("bad feature %v", f)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if db.Len() != 20 {
-		t.Fatalf("db has %d entries, want 20", db.Len())
-	}
 	hits, misses := db.Stats()
 	if hits+misses != workers*200 {
 		t.Fatalf("stats don't add up: %d+%d != %d", hits, misses, workers*200)
@@ -156,12 +164,73 @@ func TestConcurrentGetOrCompute(t *testing.T) {
 	if misses < 20 {
 		t.Fatalf("misses = %d, want >= 20", misses)
 	}
+	for i := 0; i < 20; i++ {
+		url := fmt.Sprintf("jfs://img/p%d/0.jpg", i)
+		if f, reused, err := db.GetOrCompute(url, noExtract(t)); err != nil || !reused || f[0] != float32(i) {
+			t.Fatalf("%s: %v, reused %v, %v", url, f, reused, err)
+		}
+	}
 }
 
+// TestCorruptEntry: a stored record that does not decode to exactly one
+// feature is an error, not a hit and not a reason to extract again.
 func TestCorruptEntry(t *testing.T) {
-	db := New()
-	db.kv.Put("bad", []byte{1, 2}) // garbage value
-	if _, err := db.Get("bad"); err == nil {
-		t.Fatal("corrupt entry accepted")
+	db := newDB(t)
+	long := append(core.AppendFeature(nil, sampleFeature), 0)
+	for url, rec := range map[string][]byte{"garbage": {1, 2}, "trailing": long} {
+		if err := db.blobs.Put(url, rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := db.GetOrCompute(url, noExtract(t)); err == nil {
+			t.Fatalf("%s record accepted", url)
+		}
+	}
+}
+
+func TestGetOrComputeAfterClose(t *testing.T) {
+	db, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put("u", sampleFeature); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{"u", "never-stored"} {
+		if _, _, err := db.GetOrCompute(url, noExtract(t)); !errors.Is(err, blobfile.ErrClosed) {
+			t.Fatalf("%s after Close: err = %v, want blobfile.ErrClosed", url, err)
+		}
+	}
+}
+
+// TestFeaturesStayOffHeap bounds what 4,000 dim-512 features (8 MiB raw)
+// cost the Go heap: only the URL → ref map may stay resident.
+func TestFeaturesStayOffHeap(t *testing.T) {
+	db := newDB(t)
+	urls := make([]string, 4000)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("jfs://img.jd.local/p%d/img0.jpg", i)
+	}
+	feature := make([]float32, 512)
+	extract := func() ([]float32, error) { return feature, nil }
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, u := range urls {
+		feature[0] = float32(i)
+		if _, _, err := db.GetOrCompute(u, extract); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(db)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("4000 dim-512 features grew the heap by %d bytes, want < 1 MiB", grew)
+	}
+	if got, _, err := db.GetOrCompute(urls[3999], noExtract(t)); err != nil || len(got) != 512 || got[0] != 3999 {
+		t.Fatal("last feature did not read back")
 	}
 }

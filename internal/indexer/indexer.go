@@ -39,24 +39,24 @@ type Resolver struct {
 	Features *cache.Cache[[]float32]
 }
 
-// Resolve returns the feature entry for url, extracting and caching it on
-// first sight. reused reports whether extraction was avoided. The URL is
+// Resolve returns the feature for url, extracting and storing it on first
+// sight. reused reports whether extraction was avoided. The URL is
 // normalised first so equivalent re-shared spellings share one entry.
-func (r *Resolver) Resolve(url string, attrs core.Attrs) (entry *featuredb.Entry, reused bool, err error) {
+// attrs is not read: the feature DB holds features only, and the shard
+// takes attributes from the event. The parameter stays because
+// bench/layers.go calls Resolve with it.
+func (r *Resolver) Resolve(url string, attrs core.Attrs) (feature []float32, reused bool, err error) {
 	var blob []byte
-	return r.resolve(url, attrs, &blob)
+	return r.resolve(url, &blob)
 }
 
 // resolve is Resolve reading a missing image's blob into *blob, which it
 // grows when too small and leaves for the caller's next call: a full-build
 // worker reads every blob it extracts into one buffer. Neither the
 // extractor nor the caches keep the blob.
-func (r *Resolver) resolve(url string, attrs core.Attrs, blob *[]byte) (entry *featuredb.Entry, reused bool, err error) {
+func (r *Resolver) resolve(url string, blob *[]byte) (feature []float32, reused bool, err error) {
 	url = core.NormalizeURL(url)
-	if attrs.URL != "" {
-		attrs.URL = core.NormalizeURL(attrs.URL)
-	}
-	return r.DB.GetOrCompute(url, attrs, func() ([]float32, error) {
+	return r.DB.GetOrCompute(url, func() ([]float32, error) {
 		b, err := r.Images.ReadInto(*blob, url)
 		if err != nil {
 			return nil, err
@@ -146,11 +146,11 @@ func Apply(s *index.Shard, r *Resolver, u *msg.ProductUpdate) (kind string, reus
 		// since the URL was last indexed. The old fast path passed nil
 		// here, which kept the §2.3 bitmap flip but meant a changed vector
 		// never took effect until the next full rebuild.
-		entry, hadFeatures, err := r.Resolve(url, attrs)
+		feature, hadFeatures, err := r.Resolve(url, attrs)
 		if err != nil {
 			return "", false, fmt.Errorf("indexer: resolve %s: %w", url, err)
 		}
-		_, _, err = s.Insert(attrs, entry.Feature)
+		_, _, err = s.Insert(attrs, feature)
 		return "addition", hadFeatures, err
 
 	case msg.TypeRemoveProduct:
@@ -272,12 +272,12 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 	// across the cores into slots indexed by sorted-URL position, each
 	// worker reading blobs into one reused buffer; the first failing URL
 	// in sorted order is reported.
-	entries := make([]*featuredb.Entry, len(urls))
+	feats := make([][]float32, len(urls))
 	errs := make([]error, len(urls))
 	parallel.For(len(urls), func(lo, hi int) {
 		var blob []byte
 		for i := lo; i < hi; i++ {
-			entries[i], _, errs[i] = fi.res.resolve(urls[i], states[urls[i]].attrs, &blob)
+			feats[i], _, errs[i] = fi.res.resolve(urls[i], &blob)
 		}
 	})
 	for i, err := range errs {
@@ -294,9 +294,9 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 	for i, url := range urls {
 		st := states[url]
 		p := int(mq.PartitionFor(url, fi.cfg.Partitions))
-		perPartition[p] = append(perPartition[p], index.Row{Attrs: st.attrs, Feature: entries[i].Feature})
+		perPartition[p] = append(perPartition[p], index.Row{Attrs: st.attrs, Feature: feats[i]})
 		if trained < fi.cfg.TrainSample {
-			train = append(train, entries[i].Feature...)
+			train = append(train, feats[i]...)
 			trained++
 		}
 	}

@@ -52,19 +52,29 @@ func BenchmarkFullBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		res := &Resolver{DB: featuredb.New(), Images: images, Extractor: extractor}
-		fi, err := NewFull(FullConfig{
-			Partitions: partitions,
-			Shard:      index.Config{Dim: cnn.DefaultDim, NLists: 64, PQSubvectors: 16, PQBits: 8},
-			Seed:       7,
-		}, res)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, _, err := fi.Build(q); err != nil {
-			b.Fatal(err)
-		}
+		// One closure per iteration, so each build's feature DB is closed
+		// before the next one opens.
+		func() {
+			b.StopTimer()
+			db, err := featuredb.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			res := &Resolver{DB: db, Images: images, Extractor: extractor}
+			fi, err := NewFull(FullConfig{
+				Partitions: partitions,
+				Shard:      index.Config{Dim: cnn.DefaultDim, NLists: 64, PQSubvectors: 16, PQBits: 8},
+				Seed:       7,
+			}, res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, _, err := fi.Build(q); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+		}()
 	}
 }

@@ -43,8 +43,13 @@ func newFixture(t *testing.T, products, partitions int) *fixture {
 		t.Fatal(err)
 	}
 	f.cat = cat
+	db, err := featuredb.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	f.res = &Resolver{
-		DB:        featuredb.New(),
+		DB:        db,
 		Images:    f.images,
 		Extractor: cnn.New(cnn.Config{Dim: testDim, Seed: 5}),
 	}
@@ -69,15 +74,15 @@ func TestResolverChecksBeforeExtract(t *testing.T) {
 	p := &f.cat.Products[0]
 	url := p.ImageURLs[0]
 
-	entry, reused, err := f.res.Resolve(url, p.Attrs(url))
+	feat, reused, err := f.res.Resolve(url, p.Attrs(url))
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
 	if reused {
 		t.Fatal("first resolve reported reuse")
 	}
-	if len(entry.Feature) != testDim {
-		t.Fatalf("feature dim %d", len(entry.Feature))
+	if len(feat) != testDim {
+		t.Fatalf("feature dim %d", len(feat))
 	}
 	calls := f.res.Extractor.Calls()
 
@@ -175,11 +180,11 @@ func newShard(t *testing.T, f *fixture) *index.Shard {
 	train := make([]float32, 0, 64*testDim)
 	for i := range f.cat.Products {
 		p := &f.cat.Products[i]
-		entry, _, err := f.res.Resolve(p.ImageURLs[0], p.Attrs(p.ImageURLs[0]))
+		feat, _, err := f.res.Resolve(p.ImageURLs[0], p.Attrs(p.ImageURLs[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		train = append(train, entry.Feature...)
+		train = append(train, feat...)
 	}
 	if err := s.Train(train, 1); err != nil {
 		t.Fatal(err)
@@ -573,13 +578,17 @@ func TestApplyRelistChangedFeature(t *testing.T) {
 	if _, _, err := Apply(s, f.res, del); err != nil {
 		t.Fatal(err)
 	}
-	entry, err := f.res.DB.Get(url)
+	stored, _, err := f.res.DB.GetOrCompute(url, func() ([]float32, error) {
+		return nil, errors.New("not stored")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	newFeat := append([]float32(nil), entry.Feature...)
+	newFeat := append([]float32(nil), stored...)
 	newFeat[0] += 2.5
-	f.res.DB.Put(url, &featuredb.Entry{Feature: newFeat, Attrs: entry.Attrs})
+	if err := f.res.DB.Put(url, newFeat); err != nil {
+		t.Fatal(err)
+	}
 
 	// Re-listing through the production path: no extraction (DB hit), but
 	// the image serves the new vector.

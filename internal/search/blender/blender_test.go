@@ -38,7 +38,12 @@ func newStack(t *testing.T, nBrokers int) *stack {
 		t.Fatal(err)
 	}
 	st.cat = cat
-	res := &indexer.Resolver{DB: featuredb.New(), Images: images, Extractor: st.extractor}
+	db, err := featuredb.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	res := &indexer.Resolver{DB: db, Images: images, Extractor: st.extractor}
 
 	var train []float32
 	type row struct {
@@ -49,13 +54,13 @@ func newStack(t *testing.T, nBrokers int) *stack {
 	for i := range cat.Products {
 		p := &cat.Products[i]
 		for _, url := range p.ImageURLs {
-			e, _, err := res.Resolve(url, p.Attrs(url))
+			feat, _, err := res.Resolve(url, p.Attrs(url))
 			if err != nil {
 				t.Fatal(err)
 			}
-			train = append(train, e.Feature...)
+			train = append(train, feat...)
 			part := int(p.ID) % nBrokers
-			perPartition[part] = append(perPartition[part], row{p.Attrs(url), e.Feature})
+			perPartition[part] = append(perPartition[part], row{p.Attrs(url), feat})
 		}
 	}
 	for part := 0; part < nBrokers; part++ {

@@ -42,8 +42,13 @@ func newTwoPartitions(t *testing.T, replicas int) *twoPartitionFixture {
 		t.Fatal(err)
 	}
 	f.cat = cat
+	db, err := featuredb.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	res := &indexer.Resolver{
-		DB:        featuredb.New(),
+		DB:        db,
 		Images:    images,
 		Extractor: cnn.New(cnn.Config{Dim: testDim, Seed: 9}),
 	}
@@ -51,12 +56,12 @@ func newTwoPartitions(t *testing.T, replicas int) *twoPartitionFixture {
 	for i := range cat.Products {
 		p := &cat.Products[i]
 		for _, url := range p.ImageURLs {
-			e, _, err := res.Resolve(url, p.Attrs(url))
+			feat, _, err := res.Resolve(url, p.Attrs(url))
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.feats[url] = e.Feature
-			train = append(train, e.Feature...)
+			f.feats[url] = feat
+			train = append(train, feat...)
 		}
 	}
 	newShard := func(part int) *index.Shard {

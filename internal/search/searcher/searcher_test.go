@@ -49,8 +49,13 @@ func newFixture(t *testing.T, products int) *fixture {
 		t.Fatal(err)
 	}
 	f.cat = cat
+	db, err := featuredb.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	f.res = &indexer.Resolver{
-		DB:        featuredb.New(),
+		DB:        db,
 		Images:    f.images,
 		Extractor: cnn.New(cnn.Config{Dim: testDim, Seed: 7}),
 	}
@@ -62,12 +67,12 @@ func newFixture(t *testing.T, products int) *fixture {
 	for i := range cat.Products {
 		p := &cat.Products[i]
 		for _, url := range p.ImageURLs {
-			e, _, err := f.res.Resolve(url, p.Attrs(url))
+			feat, _, err := f.res.Resolve(url, p.Attrs(url))
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.feats[url] = e.Feature
-			train = append(train, e.Feature...)
+			f.feats[url] = feat
+			train = append(train, feat...)
 		}
 	}
 	if err := shard.Train(train, 1); err != nil {
