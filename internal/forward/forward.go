@@ -7,14 +7,20 @@
 // — exactly as §2.3 puts it — "this operation is atomic and there is no
 // conflict between search and update processes for maximum concurrency".
 // Variable-length attributes (the image URL) are appended to a side buffer
-// and published by atomically storing one packed reference word (chunk,
-// offset, length) in the record; readers therefore always observe either
-// the old URL or the new URL, never a torn mix.
+// by Append, its only writer, and referenced from the record by one packed
+// word (chunk, offset, length) written before the record is published. A
+// URL is the image's identity upstream, so it never changes in place: a new
+// URL arrives as a new image.
 //
-// Storage is an append-only sequence of fixed-size record chunks behind an
-// atomically published chunk directory: readers never take a lock, appends
-// are serialised (each index partition has a single real-time indexing
-// writer, per Fig. 4).
+// Storage is an append-only sequence of small fixed-size chunks — 1024
+// records (32 KiB) and 64 KiB of URL bytes — behind atomically published
+// chunk directories, so an index holds at most one partly filled chunk of
+// each beyond what its records use. Readers never take a lock; appends are
+// serialised (each index partition has a single real-time indexing writer,
+// per Fig. 4). A directory grows geometrically: a new chunk is appended
+// into spare capacity past every published header's length, then the
+// longer header is published before the record count that admits readers
+// to it.
 package forward
 
 import (
@@ -33,27 +39,29 @@ type ImageID = uint32
 
 const (
 	// recordsPerChunk is the number of records per storage chunk.
-	recordsPerChunk = 1 << 13 // 8192
+	recordsPerChunk = 1 << 10 // 1024 records, 32 KiB
 
 	// urlChunkSize is the byte size of each var-length buffer chunk. URLs
-	// never span chunks, so this is also the maximum URL length.
-	urlChunkSize = 1 << 20 // 1 MiB
+	// never span chunks, so it bounds MaxURLLen.
+	urlChunkSize = 1 << 16 // 64 KiB
 
-	// Packed URL reference layout: 16-bit chunk | 24-bit offset | 24-bit len.
-	urlOffBits = 24
-	urlLenBits = 24
+	// Packed URL reference layout: 32-bit chunk | 16-bit offset | 16-bit len.
+	urlOffBits = 16
+	urlLenBits = 16
 	urlLenMask = 1<<urlLenBits - 1
 	urlOffMask = 1<<urlOffBits - 1
 )
 
-// ErrURLTooLong is returned when a variable-length attribute exceeds the
-// buffer chunk size.
+// ErrURLTooLong is returned when a variable-length attribute exceeds
+// MaxURLLen.
 var ErrURLTooLong = errors.New("forward: url exceeds maximum attribute length")
 
-// MaxURLLen is the longest URL Append accepts (one var-length buffer
-// chunk). Exported so callers composing multi-structure inserts can
-// reject an oversized URL before committing anything elsewhere.
-const MaxURLLen = urlChunkSize
+// MaxURLLen is the longest URL Append accepts: the widest length the
+// packed reference holds, which is also msg.MaxURLBytes, the longest URL an
+// update event can carry. Exported so callers composing multi-structure
+// inserts can reject an oversized URL before committing anything
+// elsewhere.
+const MaxURLLen = urlLenMask
 
 // Attrs is the set of product attributes carried by one image record. It
 // mirrors the paper's example attributes: "product ID, sales, prices and
@@ -73,15 +81,18 @@ type record struct {
 	urlRef    atomic.Uint64 // packed chunk/offset/len, 0 = no URL
 }
 
+// recordChunk is one fixed-size segment of the record array, allocated
+// zeroed when the first record of its range is appended.
 type recordChunk struct {
 	recs [recordsPerChunk]record
 }
 
 // urlChunk is one fixed-size segment of the var-length attribute buffer.
-// buf is allocated at full size once and never reallocated; committed
-// tracks how many bytes are published. Writers copy into the region past
-// committed and then advance it with an atomic store, so lock-free readers
-// never observe a mutating slice header or an unpublished byte.
+// buf is urlChunkSize bytes from allocation and never reallocated;
+// committed tracks how many bytes are published. Writers copy into the
+// region past committed and then advance it with an atomic store, so
+// lock-free readers never observe a mutating slice header or an
+// unpublished byte.
 type urlChunk struct {
 	buf       []byte
 	committed atomic.Int64
@@ -147,11 +158,8 @@ func (ix *Index) ensureLocked(id ImageID) (*record, error) {
 	chunks := *ix.dir.Load()
 	ci := int(id / recordsPerChunk)
 	if ci >= len(chunks) {
-		next := make([]*recordChunk, ci+1)
-		copy(next, chunks)
-		for i := len(chunks); i <= ci; i++ {
-			next[i] = new(recordChunk)
-		}
+		// Records are appended in id order, so ci == len(chunks) here.
+		next := append(chunks, new(recordChunk))
 		ix.dir.Store(&next)
 		chunks = next
 	}
@@ -171,7 +179,7 @@ func (ix *Index) rec(id ImageID) *record {
 // storage beyond the committed watermark and then published by advancing
 // it atomically — concurrent readers never see a torn write.
 func (ix *Index) appendURLLocked(s string) (uint64, error) {
-	if len(s) > urlLenMask || len(s) > urlChunkSize {
+	if len(s) > MaxURLLen {
 		return 0, ErrURLTooLong
 	}
 	chunks := *ix.urlDir.Load()
@@ -179,9 +187,7 @@ func (ix *Index) appendURLLocked(s string) (uint64, error) {
 	off := int(cur.committed.Load())
 	if off+len(s) > urlChunkSize {
 		nc := &urlChunk{buf: make([]byte, urlChunkSize)}
-		next := make([]*urlChunk, len(chunks)+1)
-		copy(next, chunks)
-		next[len(chunks)] = nc
+		next := append(chunks, nc)
 		ix.urlDir.Store(&next)
 		ix.urlChunkN = len(chunks)
 		cur = nc
@@ -293,25 +299,6 @@ func (ix *Index) SetCategory(id ImageID, v uint16) bool {
 	}
 	r.category.Store(uint32(v))
 	return true
-}
-
-// SetURL updates the variable-length URL attribute of image id: the new
-// value is appended to the buffer and the packed reference word is stored
-// atomically (§2.3: "the value is added at the end of the buffer and the
-// offset value is updated in the forward index").
-func (ix *Index) SetURL(id ImageID, s string) error {
-	r := ix.rec(id)
-	if r == nil {
-		return fmt.Errorf("forward: image %d out of range", id)
-	}
-	ix.mu.Lock()
-	ref, err := ix.appendURLLocked(s)
-	ix.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	r.urlRef.Store(ref)
-	return nil
 }
 
 // WriteTo serialises the index (record fields and URL strings) in a compact

@@ -64,16 +64,3 @@ func BenchmarkSetSales(b *testing.B) {
 		ix.SetSales(uint32(i%100_000), uint32(i))
 	}
 }
-
-// BenchmarkSetURL measures the var-length update (buffer append + packed
-// reference store).
-func BenchmarkSetURL(b *testing.B) {
-	ix := benchIndex(b, 10_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ix.SetURL(uint32(i%10_000), "jfs://img/updated/0.jpg"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

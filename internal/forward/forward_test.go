@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jdvs/internal/core"
 )
@@ -96,34 +97,18 @@ func TestNumericUpdates(t *testing.T) {
 	}
 }
 
-func TestSetURLAppendsToBuffer(t *testing.T) {
-	ix := New()
-	id, err := ix.Append(sampleAttrs(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldURL := sampleAttrs(0).URL
-	newURL := "jfs://img/relocated/0.jpg"
-	if err := ix.SetURL(id, newURL); err != nil {
-		t.Fatalf("SetURL: %v", err)
-	}
-	a, _ := ix.Get(id)
-	if a.URL != newURL {
-		t.Fatalf("URL = %q, want %q", a.URL, newURL)
-	}
-	if a.URL == oldURL {
-		t.Fatal("URL not updated")
-	}
-	if err := ix.SetURL(999, "x"); err == nil {
-		t.Fatal("SetURL out of range succeeded")
-	}
-}
-
 func TestURLTooLong(t *testing.T) {
 	ix := New()
-	_, err := ix.Append(Attrs{ProductID: 1, URL: strings.Repeat("x", urlChunkSize+1)})
-	if err == nil {
+	if _, err := ix.Append(Attrs{ProductID: 1, URL: strings.Repeat("x", MaxURLLen+1)}); err == nil {
 		t.Fatal("oversized URL accepted")
+	}
+	long := strings.Repeat("y", MaxURLLen)
+	id, err := ix.Append(Attrs{ProductID: 2, URL: long})
+	if err != nil {
+		t.Fatalf("%d-byte URL rejected: %v", MaxURLLen, err)
+	}
+	if a, _ := ix.Get(id); a.URL != long {
+		t.Fatalf("%d-byte URL read back as %d bytes", MaxURLLen, len(a.URL))
 	}
 }
 
@@ -141,20 +126,53 @@ func TestEmptyURL(t *testing.T) {
 
 func TestURLBufferChunkRollover(t *testing.T) {
 	ix := New()
-	// Each URL ~64 KiB: 1 MiB chunks roll over after ~16 appends.
-	long := strings.Repeat("u", 64<<10)
-	const n = 40
+	// Each URL is just over a quarter chunk, so three fit per chunk and
+	// every fourth rolls over to a fresh one.
+	long := strings.Repeat("u", urlChunkSize/4)
+	const n = 12
 	for i := 0; i < n; i++ {
 		url := fmt.Sprintf("%s-%d", long, i)
 		if _, err := ix.Append(Attrs{ProductID: uint64(i), URL: url}); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
+	if chunks := len(*ix.urlDir.Load()); chunks < 3 {
+		t.Fatalf("%d URL chunks after %d quarter-chunk URLs, want a rollover into at least 3", chunks, n)
+	}
 	for i := 0; i < n; i++ {
 		a, ok := ix.Get(uint32(i))
 		if !ok || a.URL != fmt.Sprintf("%s-%d", long, i) {
 			t.Fatalf("URL %d corrupted after chunk rollover", i)
 		}
+	}
+}
+
+// TestChunkStorageFootprint: an index holds at most one partly filled
+// chunk of records and one of URL bytes beyond what its rows use — no
+// fixed per-index floor. The bound is absolute (the 64 KiB the partly
+// filled last chunk may take), not a multiple of the chunk constants, so
+// growing those constants fails here.
+func TestChunkStorageFootprint(t *testing.T) {
+	const rows, slack = 2000, 64 << 10
+	ix := New()
+	urlBytes := 0
+	for i := 0; i < rows; i++ {
+		a := sampleAttrs(i)
+		urlBytes += len(a.URL)
+		if _, err := ix.Append(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recHeld := len(*ix.dir.Load()) * int(unsafe.Sizeof(recordChunk{}))
+	if used := rows * int(unsafe.Sizeof(record{})); recHeld > used+slack {
+		t.Errorf("record chunks hold %d B for %d B of records, want at most %d B of slack", recHeld, used, slack)
+	}
+	urlHeld := 0
+	for _, c := range *ix.urlDir.Load() {
+		urlHeld += len(c.buf)
+	}
+	if urlHeld > urlBytes+slack {
+		t.Errorf("URL chunks hold %d B for %d B of URLs, want at most %d B of slack", urlHeld, urlBytes, slack)
 	}
 }
 
@@ -202,18 +220,39 @@ func TestURLPackingProperty(t *testing.T) {
 	}
 }
 
+// wideAttrs is sampleAttrs with a URL about 100 bytes long, so appending
+// them crosses URL chunk boundaries as well as record chunk boundaries.
+func wideAttrs(i int) Attrs {
+	a := sampleAttrs(i)
+	a.URL = fmt.Sprintf("%s#%080d", a.URL, i)
+	return a
+}
+
 // TestConcurrentReadsDuringWrites is the paper's core forward-index claim:
-// attribute updates are atomic and never conflict with readers.
+// attribute updates are atomic and never conflict with readers. The
+// appender starts once every reader is running and grows the index across
+// at least 20 record chunk boundaries (and as many URL chunk boundaries),
+// so each directory publish happens under concurrent reads.
 func TestConcurrentReadsDuringWrites(t *testing.T) {
 	ix := New()
 	const n = 2000
+	const grown, nReaders = 21 * recordsPerChunk, 4
 	for i := 0; i < n; i++ {
 		if _, err := ix.Append(sampleAttrs(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	recChunks, urlChunks := len(*ix.dir.Load()), len(*ix.urlDir.Load())
+	want := func(id uint32) Attrs {
+		if id < n {
+			return sampleAttrs(int(id))
+		}
+		return wideAttrs(int(id))
+	}
 	stop := make(chan struct{})
-	var writers sync.WaitGroup
+	appended := make(chan struct{})
+	var writers, readersUp sync.WaitGroup
+	readersUp.Add(nReaders)
 	// Updater: each field is independently atomic, so readers verify
 	// per-field sanity: observed values are always ones some writer stored.
 	writers.Add(1)
@@ -231,27 +270,35 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 			ix.SetSales(id, v)
 		}
 	}()
-	// Appender: grows the index concurrently (bounded so memory stays flat
-	// even if readers finish slowly).
+	// Appender: grows the index concurrently by a fixed number of records.
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		for i := n; i < n+200000; i++ {
-			select {
-			case <-stop:
+		defer close(appended)
+		readersUp.Wait()
+		for i := n; i < n+grown; i++ {
+			if _, err := ix.Append(wideAttrs(i)); err != nil {
+				t.Errorf("append %d: %v", i, err)
 				return
-			default:
 			}
-			_, _ = ix.Append(sampleAttrs(i))
 		}
 	}()
 	var readers sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < nReaders; w++ {
 		readers.Add(1)
 		go func(w int) {
 			defer readers.Done()
+			readersUp.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 50000; i++ {
+			// Read until the appender is done, and at least 20000 times.
+			for i := 0; ; i++ {
+				if i >= 20000 {
+					select {
+					case <-appended:
+						return
+					default:
+					}
+				}
 				id := uint32(rng.Intn(ix.Len()))
 				a, ok := ix.Get(id)
 				if !ok {
@@ -259,12 +306,12 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 				}
 				// Sales is either the original seed value or an even
 				// updater value — never torn garbage above the ceiling.
-				if a.Sales >= 2000 && a.Sales != sampleAttrs(int(id)).Sales {
+				if a.Sales >= 2000 && a.Sales != want(id).Sales {
 					t.Errorf("torn sales read: %d", a.Sales)
 					return
 				}
-				if a.URL == "" {
-					t.Errorf("record %d lost its URL during concurrent append", id)
+				if a.URL != want(id).URL || a.ProductID != want(id).ProductID {
+					t.Errorf("record %d read %q (product %d) during concurrent append", id, a.URL, a.ProductID)
 					return
 				}
 			}
@@ -273,6 +320,12 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writers.Wait()
+	if d := len(*ix.dir.Load()) - recChunks; d < 20 {
+		t.Errorf("appends crossed %d record chunk boundaries, want at least 20", d)
+	}
+	if d := len(*ix.urlDir.Load()) - urlChunks; d < 20 {
+		t.Errorf("appends crossed %d URL chunk boundaries, want at least 20", d)
+	}
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {

@@ -18,15 +18,24 @@ import (
 // published directory, so the search path reads rows lock-free while the
 // (single) real-time indexing writer appends — a row is visible only once
 // the length counter publishes it, and committed rows are immutable.
+//
+// Chunks are small so that a shard's partly filled last chunk — the only
+// storage it holds beyond its rows — stays at 64 KiB at dim 64 rather than
+// pinning a fixed megabyte per shard. The directory grows geometrically:
+// a new chunk is appended into the directory's spare capacity (a slot past
+// every published header's length, so no reader can see it) and the longer
+// header is then published, so appending N rows copies O(N/featRowsPerChunk)
+// directory entries in total rather than re-copying the whole directory
+// per chunk.
 type featMat struct {
 	dim int // floats per row
 
 	mu     sync.Mutex
-	dir    atomic.Pointer[[][]float32] // chunks of featRowsPerChunk × dim, each allocated once
+	dir    atomic.Pointer[[][]float32] // chunks of featRowsPerChunk × dim, never moved or resized
 	length atomic.Uint32
 }
 
-const featRowsPerChunk = 1 << 12 // 4096 rows per chunk
+const featRowsPerChunk = 1 << 8 // 256 rows per chunk: 64 KiB at dim 64
 
 func newFeatMat(dim int) *featMat {
 	m := &featMat{dim: dim}
@@ -49,11 +58,8 @@ func (m *featMat) Append(row []float32) (uint32, error) {
 	chunks := *m.dir.Load()
 	ci := int(id) / featRowsPerChunk
 	if ci >= len(chunks) {
-		next := make([][]float32, ci+1)
-		copy(next, chunks)
-		for i := len(chunks); i <= ci; i++ {
-			next[i] = make([]float32, featRowsPerChunk*m.dim)
-		}
+		// Rows are appended in id order, so ci == len(chunks) here.
+		next := append(chunks, make([]float32, featRowsPerChunk*m.dim))
 		m.dir.Store(&next)
 		chunks = next
 	}
