@@ -30,7 +30,8 @@ import (
 	"jdvs/internal/analysis"
 )
 
-// TestData returns the testdata directory of the caller's package.
+// TestData returns the testdata directory of the caller's package. Only
+// tests call it: this package exists to support analyzer tests.
 func TestData(t *testing.T) string {
 	t.Helper()
 	dir, err := filepath.Abs("testdata")

@@ -155,6 +155,7 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 // inside GOROOT resolves as "vendor/golang.org/x/...").
 type mapImporter map[string]*types.Package
 
+// Import implements types.Importer.
 func (m mapImporter) Import(path string) (*types.Package, error) {
 	if p, ok := m[path]; ok && p != nil {
 		return p, nil

@@ -141,9 +141,6 @@ func (b *Bitmap) Get(id uint32) bool {
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int { return int(b.setCount.Load()) }
 
-// Cap returns the number of addressable bits.
-func (b *Bitmap) Cap() int { return len(b.chunks()) * chunkBits }
-
 // Snapshot copies the bitmap's words into a plain []uint64 for
 // serialisation. The snapshot is consistent per word (each word is read
 // atomically) but not across words, matching the paper's semantics: the
@@ -261,15 +258,4 @@ func And(dst, a, b Words) Words {
 		dst[i] = a[i] & b[i]
 	}
 	return dst
-}
-
-// AndCount returns the number of set bits in a ∧ b without materialising
-// the intersection.
-func AndCount(a, b Words) int {
-	n := min(len(a), len(b))
-	c := 0
-	for i := 0; i < n; i++ {
-		c += bits.OnesCount64(a[i] & b[i])
-	}
-	return c
 }

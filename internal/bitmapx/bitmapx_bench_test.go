@@ -39,7 +39,7 @@ func BenchmarkGet(b *testing.B) {
 
 // BenchmarkIntersect measures the per-query admission-bitmap build:
 // snapshotting the validity bitmap into flat words and intersecting it
-// with a category bitmap, with the fused count alongside. 1<<20 bits ≈ a
+// with a category bitmap, then ranging over the result. 1<<20 bits ≈ a
 // 1M-image shard; the whole build is a few dozen µs, amortised against
 // the list scan it replaces per-candidate forward lookups in.
 func BenchmarkIntersect(b *testing.B) {
@@ -60,14 +60,6 @@ func BenchmarkIntersect(b *testing.B) {
 			wv = valid.AppendWords(wv[:0])
 			wc = cat.AppendWords(wc[:0])
 			dst = And(dst, wv, wc)
-		}
-	})
-	b.Run("andcount", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if AndCount(wv, wc) < 0 {
-				b.Fatal("impossible")
-			}
 		}
 	})
 	b.Run("range", func(b *testing.B) {

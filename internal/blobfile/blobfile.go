@@ -119,15 +119,6 @@ func (f *File) ReadInto(buf []byte, key string) (_ []byte, ok bool, err error) {
 	return buf, true, nil
 }
 
-// Has reports whether a blob is stored under key.
-func (f *File) Has(key string) bool {
-	s := f.shard(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.refs[key]
-	return ok
-}
-
 // Len returns the number of stored keys.
 func (f *File) Len() int {
 	n := 0

@@ -108,8 +108,8 @@ func (p *Product) Attrs(url string) core.Attrs {
 // Catalog is a generated corpus.
 //
 // Concurrency: the rng-backed generation methods (NewProduct,
-// UploadImages, QueryImage, TrainingLatents) serialise internally, so
-// distinct goroutines may generate concurrently. The Products slice itself
+// UploadImages, QueryImage) serialise internally, so distinct goroutines
+// may generate concurrently. The Products slice itself
 // is NOT synchronised — a goroutine growing the catalog (a workload
 // generator minting fresh products) must be the only one touching
 // Products for the duration; query sides should pre-generate their probe
@@ -235,22 +235,4 @@ func (c *Catalog) CategoryName(id uint16) string {
 		return fmt.Sprintf("category-%d", id)
 	}
 	return c.Categories[id].Name
-}
-
-// TrainingLatents returns n image-like latent samples drawn the same way
-// product photos are, for codebook training (§2.2 trains k-means "on a set
-// of training data set (i.e., image features)").
-func (c *Catalog) TrainingLatents(n int) [][]float32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([][]float32, 0, n)
-	for i := 0; i < n; i++ {
-		cat := &c.Categories[c.rng.Intn(len(c.Categories))]
-		v := make([]float32, imaging.LatentDim)
-		for d := range v {
-			v[d] = cat.Prototype[d] + float32(c.rng.NormFloat64()*c.cfg.CategorySpread)
-		}
-		out = append(out, v)
-	}
-	return out
 }

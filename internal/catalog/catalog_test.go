@@ -37,8 +37,8 @@ func TestGenerateBasics(t *testing.T) {
 		}
 		totalImages += len(p.ImageURLs)
 		for _, url := range p.ImageURLs {
-			if !store.Has(url) {
-				t.Fatalf("image %s not uploaded", url)
+			if _, err := store.Get(url); err != nil {
+				t.Fatalf("image %s not uploaded: %v", url, err)
 			}
 			if !strings.HasPrefix(url, "jfs://") {
 				t.Fatalf("unexpected URL scheme: %s", url)
@@ -179,22 +179,6 @@ func TestCategoryName(t *testing.T) {
 	}
 	if got := cat.CategoryName(250); got != "category-250" {
 		t.Fatalf("out-of-range name = %q", got)
-	}
-}
-
-func TestTrainingLatents(t *testing.T) {
-	cat, err := Generate(Config{Products: 5, Categories: 4, Seed: 9}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := cat.TrainingLatents(32)
-	if len(samples) != 32 {
-		t.Fatalf("samples = %d", len(samples))
-	}
-	for _, s := range samples {
-		if len(s) != imaging.LatentDim {
-			t.Fatalf("sample dim = %d", len(s))
-		}
 	}
 }
 

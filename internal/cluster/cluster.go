@@ -573,6 +573,11 @@ func (c *Cluster) Reindex() error {
 // the given interval. The returned stop function halts the cycle and waits
 // for any in-flight rebuild; errors from individual cycles go to onErr
 // (nil to ignore).
+//
+// Each cycle builds inside the serving process, competing with it for
+// every core; docs/OPERATIONS.md ("Serving during an in-process reindex")
+// gives the measured cost and the remedy, a separate jdvs-indexer process
+// plus a push. No binary starts it; it stays until that path exists.
 func (c *Cluster) StartPeriodicReindex(interval time.Duration, onErr func(error)) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -185,6 +185,3 @@ func (c *Classifier) Classify(feature []float32) (uint16, error) {
 	idx, _ := vecmath.NearestCentroid(feature, c.prototypes, c.dim)
 	return uint16(idx), nil
 }
-
-// Categories returns the number of categories the classifier knows.
-func (c *Classifier) Categories() int { return len(c.prototypes) / c.dim }

@@ -255,8 +255,8 @@ func TestClassifierValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Categories() != 2 {
-		t.Fatalf("Categories = %d", c.Categories())
+	if n := len(c.prototypes) / c.dim; n != 2 {
+		t.Fatalf("classifier holds %d categories, want 2", n)
 	}
 	if _, err := c.Classify([]float32{1}); err == nil {
 		t.Fatal("wrong-dim feature accepted")

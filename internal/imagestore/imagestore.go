@@ -66,9 +66,6 @@ func (s *Store) ReadInto(buf []byte, url string) ([]byte, error) {
 	return b, err
 }
 
-// Has reports whether a blob exists for url (normalised before lookup).
-func (s *Store) Has(url string) bool { return s.blobs.Has(core.NormalizeURL(url)) }
-
 // Len returns the number of stored images.
 func (s *Store) Len() int { return s.blobs.Len() }
 

@@ -54,7 +54,8 @@ func TestVariantURLAddressesSameBlob(t *testing.T) {
 	}
 }
 
-// TestPutGet: Has and Len answer for canonical keys too.
+// TestPutGet: Get and Len answer for canonical keys too, and a URL never
+// uploaded is ErrNotFound.
 func TestPutGet(t *testing.T) {
 	s := newStore(t)
 	if err := s.Put("jfs://img/a.jpg#v2", []byte("blob")); err != nil {
@@ -63,8 +64,14 @@ func TestPutGet(t *testing.T) {
 	if got, err := s.Get("JFS://img/a.jpg"); err != nil || string(got) != "blob" {
 		t.Fatalf("Get = %q, %v", got, err)
 	}
-	if !s.Has("jfs://img/a.jpg") || s.Has("jfs://img/b.jpg") || s.Len() != 1 {
-		t.Fatalf("Has/Len wrong: Len = %d", s.Len())
+	if _, err := s.Get("jfs://img/a.jpg"); err != nil {
+		t.Fatalf("Get canonical: %v", err)
+	}
+	if _, err := s.Get("jfs://img/b.jpg"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get missing = %v, want ErrNotFound", err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d", s.Len())
 	}
 }
 

@@ -74,8 +74,9 @@ func (cb *codeBlocks) block(b int) []byte {
 // score writes the ADC distances of blk's first n slots — all of which the
 // caller observed as published — into out[:n]. Distances are exact at or
 // below bound: each is bit-identical to scoring that code alone
-// (pq.ADCDist, pq.ADCDist4), so block boundaries never change a search
-// result. A distance above bound may instead read as any value above it:
+// (pq.ADCDist, or the 4-bit test oracle ADCDist4 in pq's kernel_test.go),
+// so block boundaries never change a search result. A distance above
+// bound may instead read as any value above it:
 // 8-bit codes go through pq.ADCScanBounded, which abandons a code after
 // its first four lookups once they exceed bound and writes +Inf. The
 // 4-bit kernels ignore the bound and score every code in full.

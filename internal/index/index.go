@@ -964,6 +964,8 @@ func (s *Shard) buildAdmission(req *core.SearchRequest, sc *searchScratch) admis
 }
 
 // HasURL reports whether the shard has ever indexed url (valid or not).
+// Only tests call it: the indexer and cluster tests look an image up by
+// URL, and Attrs takes an image ID.
 func (s *Shard) HasURL(url string) bool {
 	s.tabMu.RLock()
 	defer s.tabMu.RUnlock()

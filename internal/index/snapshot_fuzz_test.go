@@ -38,7 +38,7 @@ func categoryBitmapBytes(s *Shard) uint64 {
 	n := uint64(0)
 	for _, b := range *s.cats.Load() {
 		if b != nil {
-			n += uint64(b.Cap() / 8)
+			n += uint64(len(b.Snapshot()) * 8)
 		}
 	}
 	return n

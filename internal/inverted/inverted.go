@@ -102,9 +102,10 @@ func (ix *Index) Lists() int { return len(ix.lists) }
 // Len returns the total number of committed image IDs across all lists.
 func (ix *Index) Len() int { return int(ix.total.Load()) }
 
-// AuxLastPos returns the auxiliary last-element position of list c — the
-// number of committed entries, as maintained by the aux array of Fig. 5.
-func (ix *Index) AuxLastPos(c int) int {
+// ListLen returns the committed length of list c, migration tails
+// included: the auxiliary last-element position that Fig. 5's aux array
+// maintains.
+func (ix *Index) ListLen(c int) int {
 	n, next := ix.lists[c].Load().extent()
 	for l := next; l != nil; l = next {
 		var ln int
@@ -240,21 +241,6 @@ func (ix *Index) View(c int, buf *[]uint32) []uint32 {
 	}
 	*buf = ids
 	return ids
-}
-
-// ListLen returns the committed length of list c (including migration
-// tails).
-func (ix *Index) ListLen(c int) int { return ix.AuxLastPos(c) }
-
-// Capacity returns the currently allocated capacity of list c's head
-// segment chain (for memory accounting and the expansion tests).
-func (ix *Index) Capacity(c int) int {
-	l := ix.lists[c].Load()
-	capSum := len(l.data)
-	for nx := l.next.Load(); nx != nil; nx = nx.next.Load() {
-		capSum = len(nx.data) // successor supersedes predecessor's storage
-	}
-	return capSum
 }
 
 // WriteTo serialises the index. Appends must be quiesced; migrations are

@@ -65,18 +65,6 @@ func (cb *Codebook) Assign(v []float32) int {
 	return idx
 }
 
-// AssignN returns the indices of the n nearest centroids in ascending
-// distance order (for multi-probe search).
-func (cb *Codebook) AssignN(v []float32, n int) []int {
-	return vecmath.TopCentroids(v, cb.Centroids, cb.Dim, n)
-}
-
-// Centroid returns centroid i as a sub-slice of the flat matrix. Callers
-// must not modify it.
-func (cb *Codebook) Centroid(i int) []float32 {
-	return cb.Centroids[i*cb.Dim : (i+1)*cb.Dim]
-}
-
 // Train runs k-means over the training vectors. data is a flat row-major
 // matrix of n rows of cfg.Dim columns. If fewer distinct vectors than K are
 // supplied, the surplus centroids are seeded from random perturbations of

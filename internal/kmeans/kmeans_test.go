@@ -103,6 +103,7 @@ func TestAssignIsNearestCentroid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
+	centroid := func(c int) []float32 { return cb.Centroids[c*dim : (c+1)*dim] }
 	for trial := 0; trial < 200; trial++ {
 		v := make([]float32, dim)
 		for d := range v {
@@ -110,15 +111,15 @@ func TestAssignIsNearestCentroid(t *testing.T) {
 		}
 		got := cb.Assign(v)
 		want := 0
-		wantDist := vecmath.L2Squared(v, cb.Centroid(0))
+		wantDist := vecmath.L2Squared(v, centroid(0))
 		for c := 1; c < k; c++ {
-			if d := vecmath.L2Squared(v, cb.Centroid(c)); d < wantDist {
+			if d := vecmath.L2Squared(v, centroid(c)); d < wantDist {
 				want, wantDist = c, d
 			}
 		}
 		if got != want {
 			t.Fatalf("Assign = %d (dist %v), argmin = %d (dist %v)",
-				got, vecmath.L2Squared(v, cb.Centroid(got)), want, wantDist)
+				got, vecmath.L2Squared(v, centroid(got)), want, wantDist)
 		}
 	}
 }
@@ -251,30 +252,6 @@ func TestTrainIdenticalPoints(t *testing.T) {
 	}
 	if cb.Assign([]float32{1, 1, 1}) < 0 {
 		t.Fatal("assignment failed")
-	}
-}
-
-func TestAssignNWidth(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	data, _, _ := gaussianBlobs(rng, 4, 400, 4, 5, 0.5)
-	cb, err := Train(Config{K: 16, Dim: 4, Seed: 5}, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := []float32{1, 2, 3, 4}
-	got := cb.AssignN(v, 5)
-	if len(got) != 5 {
-		t.Fatalf("AssignN(5) returned %d lists", len(got))
-	}
-	if got[0] != cb.Assign(v) {
-		t.Fatalf("AssignN[0]=%d disagrees with Assign=%d", got[0], cb.Assign(v))
-	}
-	seen := make(map[int]bool)
-	for _, c := range got {
-		if seen[c] {
-			t.Fatalf("AssignN returned duplicate list %d", c)
-		}
-		seen[c] = true
 	}
 }
 

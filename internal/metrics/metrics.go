@@ -31,7 +31,6 @@ type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64 // total nanoseconds
 	maxNS   atomic.Uint64
-	minNS   atomic.Uint64 // offset by +1 so zero means "unset"
 }
 
 func bucketFor(ns uint64) int {
@@ -74,15 +73,6 @@ func (h *Histogram) Record(d time.Duration) {
 			break
 		}
 	}
-	for {
-		old := h.minNS.Load()
-		if old != 0 && ns+1 >= old {
-			break
-		}
-		if h.minNS.CompareAndSwap(old, ns+1) {
-			break
-		}
-	}
 }
 
 // Count returns the number of observations.
@@ -99,15 +89,6 @@ func (h *Histogram) Mean() time.Duration {
 
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.maxNS.Load()) }
-
-// Min returns the smallest observation (0 if none).
-func (h *Histogram) Min() time.Duration {
-	v := h.minNS.Load()
-	if v == 0 {
-		return 0
-	}
-	return time.Duration(v - 1)
-}
 
 // Percentile returns the p-th percentile (0 < p <= 100) as the lower bound
 // of the bucket containing that rank.

@@ -28,7 +28,7 @@ const (
 // every windowRefreshEvery records the recording goroutine additionally
 // recomputes the tracked quantiles from a snapshot of the ring, guarded by
 // a try-lock so concurrent recorders never queue behind the sort. Tracked
-// reads the cached value. Quantile/Quantiles sort a fresh snapshot on
+// reads the cached value. Quantiles sorts a fresh snapshot on
 // demand — exact over the current window, meant for stats endpoints, not
 // per-request paths.
 //
@@ -114,14 +114,9 @@ func (w *Window) snapshot() []time.Duration {
 	return out
 }
 
-// Quantile returns the q-th percentile (0 < q <= 100) over the current
-// window, exact at the time of the call (sorts a snapshot; stats-path
-// cost, not hot-path cost). Returns 0 with no samples.
-func (w *Window) Quantile(q float64) time.Duration {
-	return Quantiles(w.snapshot(), q)[0]
-}
-
-// Quantiles returns several percentiles from one snapshot (one sort).
+// Quantiles returns the qs-th percentiles (0 < q <= 100) over the current
+// window, exact at the time of the call: one snapshot, one sort
+// (stats-path cost, not hot-path cost). Each is 0 with no samples.
 func (w *Window) Quantiles(qs ...float64) []time.Duration {
 	return Quantiles(w.snapshot(), qs...)
 }

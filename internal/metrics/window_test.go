@@ -11,13 +11,13 @@ func TestWindowQuantileExact(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		w.Record(time.Duration(i) * time.Millisecond)
 	}
-	if got := w.Quantile(50); got != 50*time.Millisecond {
+	if got := w.Quantiles(50)[0]; got != 50*time.Millisecond {
 		t.Fatalf("p50 = %v, want 50ms", got)
 	}
-	if got := w.Quantile(95); got != 95*time.Millisecond {
+	if got := w.Quantiles(95)[0]; got != 95*time.Millisecond {
 		t.Fatalf("p95 = %v, want 95ms", got)
 	}
-	if got := w.Quantile(100); got != 100*time.Millisecond {
+	if got := w.Quantiles(100)[0]; got != 100*time.Millisecond {
 		t.Fatalf("p100 = %v, want 100ms", got)
 	}
 	qs := w.Quantiles(50, 95, 99)
@@ -28,7 +28,7 @@ func TestWindowQuantileExact(t *testing.T) {
 
 func TestWindowEmptyAndPartial(t *testing.T) {
 	w := NewWindow(64)
-	if w.Quantile(99) != 0 {
+	if w.Quantiles(99)[0] != 0 {
 		t.Fatal("empty window quantile not zero")
 	}
 	if w.Count() != 0 {
@@ -39,7 +39,7 @@ func TestWindowEmptyAndPartial(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Record(7 * time.Millisecond)
 	}
-	if got := w.Quantile(50); got != 7*time.Millisecond {
+	if got := w.Quantiles(50)[0]; got != 7*time.Millisecond {
 		t.Fatalf("partial-fill p50 = %v, want 7ms", got)
 	}
 }
@@ -52,7 +52,7 @@ func TestWindowSlides(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		w.Record(time.Millisecond) // new regime overwrites the ring
 	}
-	if got := w.Quantile(99); got != time.Millisecond {
+	if got := w.Quantiles(99)[0]; got != time.Millisecond {
 		t.Fatalf("window did not slide: p99 = %v, want 1ms", got)
 	}
 }
@@ -81,13 +81,13 @@ func TestWindowDefaultSizeAndNegativeClamp(t *testing.T) {
 		t.Fatalf("default size = %d, want %d", len(w.ring), DefaultWindowSize)
 	}
 	w.Record(-time.Second)
-	if got := w.Quantile(100); got != 0 {
+	if got := w.Quantiles(100)[0]; got != 0 {
 		t.Fatalf("negative sample recorded as %v, want 0", got)
 	}
 }
 
 // TestWindowQuantileBeforeWarmup: below windowRefreshEvery records the
-// cached estimate is still warm-up zero, but the on-demand Quantile is
+// cached estimate is still warm-up zero, but the on-demand Quantiles is
 // already exact over the partial fill — the two read paths must disagree
 // in exactly this way, or hedging would act on empty estimates.
 func TestWindowQuantileBeforeWarmup(t *testing.T) {
@@ -98,8 +98,8 @@ func TestWindowQuantileBeforeWarmup(t *testing.T) {
 	if got := w.Tracked(0); got != 0 {
 		t.Fatalf("Tracked before first refresh = %v, want 0", got)
 	}
-	if got := w.Quantile(95); got != 3*time.Millisecond {
-		t.Fatalf("on-demand Quantile before warmup = %v, want 3ms", got)
+	if got := w.Quantiles(95)[0]; got != 3*time.Millisecond {
+		t.Fatalf("on-demand Quantiles before warmup = %v, want 3ms", got)
 	}
 	// The next record crosses the refresh boundary and populates the cache.
 	w.Record(3 * time.Millisecond)
@@ -124,14 +124,14 @@ func TestWindowWrapAtRefreshInterval(t *testing.T) {
 	if got := w.Tracked(0); got != wantMax {
 		t.Fatalf("Tracked(p100) at wrap boundary = %v, want %v", got, wantMax)
 	}
-	if got := w.Quantile(100); got != wantMax {
-		t.Fatalf("Quantile(100) at wrap boundary = %v, want %v", got, wantMax)
+	if got := w.Quantiles(100)[0]; got != wantMax {
+		t.Fatalf("Quantiles(100) at wrap boundary = %v, want %v", got, wantMax)
 	}
 	// Record windowRefreshEvery+1 wraps to slot 0: the 1ms sample is
 	// evicted and the new maximum takes its place.
 	w.Record(2 * wantMax)
-	if got := w.Quantile(100); got != 2*wantMax {
-		t.Fatalf("post-wrap Quantile(100) = %v, want %v", got, 2*wantMax)
+	if got := w.Quantiles(100)[0]; got != 2*wantMax {
+		t.Fatalf("post-wrap Quantiles(100) = %v, want %v", got, 2*wantMax)
 	}
 	qs := w.Quantiles(1)
 	if qs[0] != 2*time.Millisecond {
@@ -139,7 +139,7 @@ func TestWindowWrapAtRefreshInterval(t *testing.T) {
 	}
 }
 
-// TestWindowConcurrentRecordQuantile races on-demand Quantile snapshots
+// TestWindowConcurrentRecordQuantile races on-demand Quantiles snapshots
 // against writers continuously wrapping a tiny ring — under -race this
 // pins down that snapshot reads and slot overwrites stay torn-free.
 func TestWindowConcurrentRecordQuantile(t *testing.T) {
@@ -161,7 +161,7 @@ func TestWindowConcurrentRecordQuantile(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 500; i++ {
-		_ = w.Quantile(95)
+		_ = w.Quantiles(95)[0]
 		_ = w.Quantiles(50, 99)
 		_ = w.Tracked(0)
 	}
@@ -172,7 +172,7 @@ func TestWindowConcurrentRecordQuantile(t *testing.T) {
 	}
 }
 
-// TestWindowConcurrent hammers Record/Tracked/Quantile from many
+// TestWindowConcurrent hammers Record/Tracked/Quantiles from many
 // goroutines; run under -race this is the lock-cheapness contract.
 func TestWindowConcurrent(t *testing.T) {
 	w := NewWindow(256, 50, 99)
@@ -185,7 +185,7 @@ func TestWindowConcurrent(t *testing.T) {
 				w.Record(time.Duration(g*1000+i) * time.Microsecond)
 				if i%100 == 0 {
 					_ = w.Tracked(0)
-					_ = w.Quantile(95)
+					_ = w.Quantiles(95)[0]
 				}
 			}
 		}(g)

@@ -33,9 +33,10 @@ package pq
 // distances: zero the accumulator, walk byte lanes in ascending order, and
 // fold each lane's low+high LUT pair into the accumulator as one
 // `acc += lo + hi`. The equivalence tests in kernel_test.go enforce this
-// between ScanBlock4, the reference loop, ADCDistBlockSlot and ADCDist4,
-// and the index package relies on it so that full-block and scalar-tail
-// paths return exactly equal search results.
+// between ScanBlock4, the reference loop, ADCDistBlockSlot and the
+// single-code oracle ADCDist4 (defined there too), and the index package
+// relies on it so that full-block and scalar-tail paths return exactly
+// equal search results.
 
 // BlockCodes is the fast-scan block width: codes are stored and scored in
 // groups of 32, matching the 32-way gather ScanBlock4 unrolls.

@@ -52,6 +52,26 @@ func scanBlock4Generic(lut []float32, blk []byte, mb int, out *[BlockCodes]float
 	}
 }
 
+// ADCDist4 is the single-code test oracle for the 4-bit kernels: the
+// asymmetric approximate squared distance of one packed 4-bit code (len
+// M/2) against a query's M×16 lookup table. Packed byte j covers
+// subquantizers 2j (low nibble) and 2j+1 (high nibble), whose LUT rows
+// are the contiguous 32 floats lut[j*32 : j*32+32].
+//
+// The summation shape (ascending byte lane, the lane's low+high pair
+// summed before folding into the accumulator) is the kernel contract
+// shared with ScanBlock4 and ADCDistBlockSlot: all three produce
+// bit-identical distances for the same code, so full-block, tail and
+// single-code paths can mix freely within one query.
+func ADCDist4(lut []float32, code []byte) float32 {
+	var s float32
+	for j, b := range code {
+		pair := lut[j*32 : j*32+32]
+		s += pair[b&0x0f] + pair[16+(b>>4)]
+	}
+	return s
+}
+
 // TestScanBlock4MatchesGeneric is the kernel equivalence gate: the
 // unrolled ScanBlock4 must return bit-identical distances to the
 // reference loop, across every packed width the index can produce and

@@ -328,7 +328,10 @@ func (cb *Codebook) BuildLUT(q []float32, lut []float32) ([]float32, error) {
 }
 
 // ADCDist returns the asymmetric approximate squared distance of one code
-// against a query's lookup table: Σ_m lut[m*NCentroids+code[m]].
+// against a query's lookup table: Σ_m lut[m*NCentroids+code[m]]. No
+// serving path scores one code alone; ADCDist stays because
+// ADCScanBounded's contract is stated against it and internal/index's
+// oracle test calls it.
 func ADCDist(lut []float32, code []byte) float32 {
 	return adcSum(lut, code, 0, 0, 0, 0)
 }
@@ -358,30 +361,12 @@ func adcSum(lut []float32, code []byte, s0, s1, s2, s3 float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// ADCDist4 returns the asymmetric approximate squared distance of one
-// packed 4-bit code (len M/2) against a query's M×16 lookup table. Packed
-// byte j covers subquantizers 2j (low nibble) and 2j+1 (high nibble),
-// whose LUT rows are the contiguous 32 floats lut[j*32 : j*32+32].
-//
-// The summation shape (ascending byte lane, the lane's low+high pair
-// summed before folding into the accumulator) is the kernel contract
-// shared with ScanBlock4 and ADCDistBlockSlot: all three produce
-// bit-identical distances for the same code, so full-block, tail and
-// single-code paths can mix freely within one query.
-func ADCDist4(lut []float32, code []byte) float32 {
-	var s float32
-	for j, b := range code {
-		pair := lut[j*32 : j*32+32]
-		s += pair[b&0x0f] + pair[16+(b>>4)]
-	}
-	return s
-}
-
 // ADCScan scores a contiguous block of n codes (codes holds n×m bytes,
 // code i at codes[i*m:(i+1)*m]) against lut, writing distances into out
 // and returning it. out[i] is bit-identical to ADCDist(lut, code i). It is
 // ADCScanBounded with an infinite bound: the one 8-bit scoring loop, with
-// nothing abandoned.
+// nothing abandoned. It is kept only because the benchmark's per-layer
+// harness (bench/layers.go) calls it.
 func ADCScan(lut []float32, codes []byte, m int, out []float32) []float32 {
 	return ADCScanBounded(lut, codes, m, float32(math.Inf(1)), out)
 }

@@ -63,6 +63,10 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// errChunkChecksum is wrapped by DecodeStreamChunk's error for a chunk
+// whose data does not match its CRC-32C.
+var errChunkChecksum = errors.New("checksum mismatch")
+
 // StreamMethods names the four RPC method IDs one chunked-transfer protocol
 // instance uses.
 type StreamMethods struct {
@@ -86,6 +90,8 @@ func DecodeStreamSession(p []byte) (uint64, error) {
 }
 
 // EncodeStreamChunk builds a chunk payload for data with its CRC-32C.
+// StreamSender fills its reused buffer's header in place instead; this
+// allocating form stays for tests, which inject raw chunks with it.
 func EncodeStreamChunk(session, seq uint64, data []byte) []byte {
 	b := make([]byte, chunkHeaderLen+len(data))
 	copy(b[chunkHeaderLen:], data)
@@ -102,7 +108,9 @@ func putChunkHeader(b []byte, session, seq uint64) {
 }
 
 // DecodeStreamChunk splits a chunk payload and verifies its checksum. The
-// returned data aliases p.
+// returned data aliases p. A chunk whose header parses but whose data
+// fails the checksum still returns its session and seq, with an error
+// wrapping errChunkChecksum, so the server can tear that session down.
 func DecodeStreamChunk(p []byte) (session, seq uint64, data []byte, err error) {
 	if len(p) < chunkHeaderLen {
 		return 0, 0, nil, fmt.Errorf("rpc: stream chunk payload is %d bytes, want >= %d", len(p), chunkHeaderLen)
@@ -112,7 +120,7 @@ func DecodeStreamChunk(p []byte) (session, seq uint64, data []byte, err error) {
 	sum := binary.LittleEndian.Uint32(p[16:20])
 	data = p[chunkHeaderLen:]
 	if got := crc32.Checksum(data, crcTable); got != sum {
-		return 0, 0, nil, fmt.Errorf("rpc: stream chunk %d checksum mismatch (got %08x, want %08x)", seq, got, sum)
+		return session, seq, nil, fmt.Errorf("rpc: stream session %d chunk %d %w (got %08x, want %08x)", session, seq, errChunkChecksum, got, sum)
 	}
 	return session, seq, data, nil
 }
@@ -458,15 +466,12 @@ func (ss *StreamServer) take(id uint64) *streamSession {
 // expected sequence number is accepted; a duplicate, a gap or a corrupt
 // chunk dooms the transfer.
 func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {
-	if len(payload) < chunkHeaderLen {
+	id, seq, data, err := DecodeStreamChunk(payload)
+	if err != nil && !errors.Is(err, errChunkChecksum) {
 		// Too short to even name a session; if the sender is gone the idle
 		// timer reaps whatever it had open.
-		return nil, fmt.Errorf("rpc: stream chunk payload is %d bytes, want >= %d", len(payload), chunkHeaderLen)
+		return nil, err
 	}
-	id := binary.LittleEndian.Uint64(payload[0:8])
-	seq := binary.LittleEndian.Uint64(payload[8:16])
-	sum := binary.LittleEndian.Uint32(payload[16:20])
-	data := payload[chunkHeaderLen:]
 
 	ss.mu.Lock()
 	sess, ok := ss.sessions[id]
@@ -481,9 +486,9 @@ func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {
 	// The header parsed, so the session is identifiable: a corrupt or
 	// out-of-sequence chunk dooms the transfer and the session is torn
 	// down now rather than lingering until the idle timeout.
-	if got := crc32.Checksum(data, crcTable); got != sum {
+	if err != nil {
 		ss.kill(sess)
-		return nil, fmt.Errorf("rpc: stream session %d chunk %d checksum mismatch (got %08x, want %08x)", id, seq, got, sum)
+		return nil, err
 	}
 
 	sess.mu.Lock()
@@ -491,7 +496,6 @@ func (ss *StreamServer) HandleChunk(payload []byte) ([]byte, error) {
 		sess.mu.Unlock()
 		return nil, ErrUnknownSession
 	}
-	var err error
 	if seq != sess.nextSeq {
 		err = fmt.Errorf("rpc: stream session %d chunk %d out of sequence (next seq %d)", id, seq, sess.nextSeq)
 	} else {

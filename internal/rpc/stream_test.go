@@ -109,13 +109,14 @@ func TestStreamChunkCodec(t *testing.T) {
 	if session != 7 || seq != 42 || !bytes.Equal(got, data) {
 		t.Fatalf("decoded (%d, %d, %q)", session, seq, got)
 	}
-	// Corrupt one data byte: the checksum must catch it.
+	// Corrupt one data byte: the checksum must catch it, and the header
+	// still names the session and seq the server must tear down.
 	p[len(p)-1] ^= 0xff
-	if _, _, _, err := DecodeStreamChunk(p); err == nil {
-		t.Fatal("corrupt chunk decoded cleanly")
+	if session, seq, _, err := DecodeStreamChunk(p); !errors.Is(err, errChunkChecksum) || session != 7 || seq != 42 {
+		t.Fatalf("corrupt chunk decoded as (%d, %d, %v)", session, seq, err)
 	}
-	if _, _, _, err := DecodeStreamChunk([]byte("short")); err == nil {
-		t.Fatal("truncated chunk decoded cleanly")
+	if _, _, _, err := DecodeStreamChunk([]byte("short")); err == nil || errors.Is(err, errChunkChecksum) {
+		t.Fatalf("truncated chunk: err = %v, want a length error", err)
 	}
 }
 
@@ -360,7 +361,9 @@ func TestStreamConcurrentChunks(t *testing.T) {
 
 // TestStreamChecksumMismatchKillsSession: a corrupted chunk whose header
 // still names the session must tear that session down immediately rather
-// than leaving it to the idle reaper.
+// than leaving it to the idle reaper. A payload too short to name a
+// session, and a corrupted chunk naming an unknown session, are refused
+// without touching it.
 func TestStreamChecksumMismatchKillsSession(t *testing.T) {
 	f := newStreamFixture(t, 0, 0)
 	c, err := Dial(f.addr)
@@ -369,6 +372,18 @@ func TestStreamChecksumMismatchKillsSession(t *testing.T) {
 	}
 	defer c.Close()
 	id := beginSession(t, c)
+	if _, err := c.Call(context.Background(), testMethods.Chunk, make([]byte, chunkHeaderLen-1)); err == nil {
+		t.Fatal("chunk shorter than its header accepted")
+	}
+	stranger := EncodeStreamChunk(id+1, 0, []byte("corrupt, and not ours"))
+	stranger[len(stranger)-1] ^= 0xff
+	if _, err := c.Call(context.Background(), testMethods.Chunk, stranger); err == nil ||
+		!strings.Contains(err.Error(), ErrUnknownSession.Error()) {
+		t.Fatalf("corrupt chunk of an unknown session: err = %v, want unknown session", err)
+	}
+	if n := f.ss.Sessions(); n != 1 {
+		t.Fatalf("%d sessions after chunks that name no live session, want 1", n)
+	}
 	payload := EncodeStreamChunk(id, 0, []byte("soon to be corrupted"))
 	payload[len(payload)-1] ^= 0xff
 	if _, err := c.Call(context.Background(), testMethods.Chunk, payload); err == nil {

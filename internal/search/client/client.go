@@ -44,7 +44,8 @@ func (c *Client) Query(ctx context.Context, q *core.QueryRequest) (*core.SearchR
 }
 
 // SearchFeature sends an already-extracted feature vector (bypassing the
-// blender's CNN), for tests and embedded callers.
+// blender's CNN). No binary calls it; it is kept because tests and the
+// benchmark (bench/quality.go, bench/trace.go) do.
 func (c *Client) SearchFeature(ctx context.Context, req *core.SearchRequest) (*core.SearchResponse, error) {
 	raw, err := c.pool.Call(ctx, search.MethodSearch, core.EncodeSearchRequest(req))
 	if err != nil {
@@ -53,7 +54,8 @@ func (c *Client) SearchFeature(ctx context.Context, req *core.SearchRequest) (*c
 	return core.DecodeSearchResponse(raw)
 }
 
-// Ping probes liveness.
+// Ping probes liveness. No binary calls it; it is kept because tests and
+// the benchmark's per-layer harness (bench/layers.go) do.
 func (c *Client) Ping(ctx context.Context) error {
 	_, err := c.pool.Call(ctx, search.MethodPing, nil)
 	return err

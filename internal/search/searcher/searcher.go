@@ -487,7 +487,8 @@ func (s *Searcher) applyOne(m mq.Message) {
 	}
 }
 
-// Applied returns the number of updates applied.
+// Applied returns the number of updates applied. Only the cluster tests
+// read it; the stats RPC reports the same value as Stats.Applied.
 func (s *Searcher) Applied() int64 { return s.applied.Value() }
 
 // Dropped returns the number of undecodable queue messages discarded.
@@ -496,14 +497,18 @@ func (s *Searcher) Dropped() int64 { return s.dropped.Value() }
 // ApplyErrors returns the number of decoded updates the indexer rejected.
 func (s *Searcher) ApplyErrors() int64 { return s.applyErrors.Value() }
 
-// SnapshotLoads returns the number of pushed snapshots installed.
+// SnapshotLoads returns the number of pushed snapshots installed. Only
+// the cluster tests read it; the stats RPC reports the same value.
 func (s *Searcher) SnapshotLoads() int64 { return s.snapshotLoads.Value() }
 
 // OffsetSkips returns the number of queue messages skipped because an
-// installed snapshot already covered them.
+// installed snapshot already covered them. Only the cluster tests read
+// it; the stats RPC reports the same value.
 func (s *Searcher) OffsetSkips() int64 { return s.offsetSkips.Value() }
 
-// LoadSessions returns the number of chunked snapshot transfers in flight.
+// LoadSessions returns the number of chunked snapshot transfers in
+// flight. Only the cluster tests read it; the stats RPC reports the same
+// value.
 func (s *Searcher) LoadSessions() int { return s.loads.Sessions() }
 
 // AppliedOffset returns the partition's applied-offset watermark.

@@ -38,15 +38,6 @@ func New(k int) *Selector {
 	return &Selector{k: k, heap: make([]Item, 0, k)}
 }
 
-// K returns the selector's capacity.
-func (s *Selector) K() int { return s.k }
-
-// Len returns the number of items currently held (≤ k).
-func (s *Selector) Len() int { return len(s.heap) }
-
-// Full reports whether the selector holds k items.
-func (s *Selector) Full() bool { return len(s.heap) == s.k }
-
 // WorstDist returns the largest distance among retained items, or +Inf-like
 // sentinel behaviour: if the selector is not yet full it returns false in
 // the second result, meaning every candidate should be pushed.
@@ -92,9 +83,6 @@ func (s *Selector) Results() []Item {
 	return out
 }
 
-// Reset drops all retained items, keeping capacity.
-func (s *Selector) Reset() { s.heap = s.heap[:0] }
-
 // ResetK drops all retained items and reconfigures the selector to retain
 // the k closest, reusing the existing backing array when it is large
 // enough. It lets pooled selectors serve queries of varying k without
@@ -115,14 +103,14 @@ func (s *Selector) ResetK(k int) {
 // function of the pushes — without sorting or draining: the read for
 // callers that re-score every retained item anyway (the ADC over-fetch on
 // its way to the exact re-rank). The slice is the selector's own; it is
-// invalidated by the next Push, Reset or ResetK.
+// invalidated by the next Push or ResetK.
 func (s *Selector) Items() []Item { return s.heap }
 
 // Sorted sorts the retained items in place by ascending distance (ties
 // broken by ascending ID) and returns the selector's internal slice.
 // Unlike Results it performs no allocation, which makes it the right
 // drain for pooled per-query selectors. Sorting destroys the heap
-// invariant: call Reset or ResetK before pushing again, and treat the
+// invariant: call ResetK before pushing again, and treat the
 // returned slice as invalidated by any subsequent use of the selector.
 func (s *Selector) Sorted() []Item {
 	Sort(s.heap)

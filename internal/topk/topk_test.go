@@ -19,8 +19,8 @@ func TestNewPanicsOnBadK(t *testing.T) {
 
 func TestSelectorBasics(t *testing.T) {
 	s := New(3)
-	if s.K() != 3 || s.Len() != 0 || s.Full() {
-		t.Fatalf("fresh selector state wrong: k=%d len=%d full=%v", s.K(), s.Len(), s.Full())
+	if s.k != 3 || len(s.Items()) != 0 {
+		t.Fatalf("fresh selector state wrong: k=%d len=%d", s.k, len(s.Items()))
 	}
 	if _, ok := s.WorstDist(); ok {
 		t.Fatal("WorstDist should report not-full")
@@ -28,8 +28,8 @@ func TestSelectorBasics(t *testing.T) {
 	s.Push(1, 5)
 	s.Push(2, 1)
 	s.Push(3, 3)
-	if !s.Full() {
-		t.Fatal("selector should be full after 3 pushes")
+	if n := len(s.Items()); n != 3 {
+		t.Fatalf("selector holds %d after 3 pushes, want k=3", n)
 	}
 	if w, ok := s.WorstDist(); !ok || w != 5 {
 		t.Fatalf("WorstDist = %v,%v, want 5,true", w, ok)
@@ -53,11 +53,11 @@ func TestSelectorBasics(t *testing.T) {
 		}
 	}
 	// Selector is reusable after Results.
-	if s.Len() != 0 {
+	if len(s.Items()) != 0 {
 		t.Fatal("selector not drained after Results")
 	}
 	s.Push(9, 1)
-	if s.Len() != 1 {
+	if len(s.Items()) != 1 {
 		t.Fatal("selector unusable after Results")
 	}
 }
@@ -203,8 +203,8 @@ func TestResetKReconfigures(t *testing.T) {
 		s.Push(uint64(i), float32(i))
 	}
 	s.ResetK(5)
-	if s.K() != 5 || s.Len() != 0 {
-		t.Fatalf("after ResetK(5): k=%d len=%d", s.K(), s.Len())
+	if s.k != 5 || len(s.Items()) != 0 {
+		t.Fatalf("after ResetK(5): k=%d len=%d", s.k, len(s.Items()))
 	}
 	for i := 0; i < 10; i++ {
 		s.Push(uint64(i), float32(10-i))

@@ -35,11 +35,6 @@ func L2Squared(a, b []float32) float32 {
 	return s0 + s1 + s2 + s3
 }
 
-// L2 returns the Euclidean distance between a and b.
-func L2(a, b []float32) float32 {
-	return float32(math.Sqrt(float64(L2Squared(a, b))))
-}
-
 // Dot returns the inner product of a and b.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
@@ -84,13 +79,6 @@ func Add(dst, src []float32) {
 	}
 	for i := range dst {
 		dst[i] += src[i]
-	}
-}
-
-// Scale multiplies every element of v by f.
-func Scale(v []float32, f float32) {
-	for i := range v {
-		v[i] *= f
 	}
 }
 
@@ -178,20 +166,15 @@ func nearestN(v, centroids []float32) (best int, bestDist float32) {
 	return best, bestDist
 }
 
-// TopCentroids returns the indices of the n closest centroids to v in
+// TopCentroidsInto returns the indices of the n closest centroids to v in
 // ascending distance order. It is used to select which inverted lists to
 // probe. n is clamped to the number of centroids.
-func TopCentroids(v []float32, centroids []float32, dim, n int) []int {
-	idx, _ := TopCentroidsInto(nil, nil, v, centroids, dim, n)
-	return idx
-}
-
-// TopCentroidsInto is TopCentroids writing into caller-supplied scratch:
+//
 // idx receives the selected centroid indices and dist carries their
-// distances during selection. Both are grown only when too small, so a
-// pooled pair of buffers makes repeated probe selection allocation-free.
-// It returns the filled index slice and the (possibly regrown) distance
-// scratch for the caller to retain.
+// distances during selection. Both are grown only when too small (nil is
+// fine), so a pooled pair of buffers makes repeated probe selection
+// allocation-free. It returns the filled index slice and the (possibly
+// regrown) distance scratch for the caller to retain.
 func TopCentroidsInto(idx []int, dist []float32, v, centroids []float32, dim, n int) ([]int, []float32) {
 	if dim <= 0 || len(centroids)%dim != 0 {
 		panic("vecmath: bad centroid layout")

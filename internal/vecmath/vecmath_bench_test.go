@@ -74,10 +74,12 @@ func BenchmarkTopCentroids(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	cents := randVec(rng, dim*k)
 	q := randVec(rng, dim)
+	var idx []int
+	var dist []float32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TopCentroids(q, cents, dim, 8)
+		idx, dist = TopCentroidsInto(idx, dist, q, cents, dim, 8)
 	}
 }
 

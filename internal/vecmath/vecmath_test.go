@@ -133,20 +133,13 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestAddScale(t *testing.T) {
+func TestAdd(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	Add(dst, []float32{10, 20, 30})
 	want := []float32{11, 22, 33}
 	for i := range dst {
 		if dst[i] != want[i] {
 			t.Fatalf("Add: got %v, want %v", dst, want)
-		}
-	}
-	Scale(dst, 2)
-	want = []float32{22, 44, 66}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("Scale: got %v, want %v", dst, want)
 		}
 	}
 }
@@ -249,26 +242,26 @@ func TestTopCentroidsOrderingAndClamp(t *testing.T) {
 		5, 0,
 		20, 0,
 	}
-	got := TopCentroids([]float32{0.4, 0}, centroids, 2, 3)
+	got, _ := TopCentroidsInto(nil, nil, []float32{0.4, 0}, centroids, 2, 3)
 	want := []int{0, 1, 2}
 	if len(got) != len(want) {
-		t.Fatalf("TopCentroids returned %v, want %v", got, want)
+		t.Fatalf("TopCentroidsInto returned %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("TopCentroids returned %v, want %v", got, want)
+			t.Fatalf("TopCentroidsInto returned %v, want %v", got, want)
 		}
 	}
 	// n larger than k clamps.
-	if got := TopCentroids([]float32{0, 0}, centroids, 2, 99); len(got) != 4 {
+	if got, _ := TopCentroidsInto(nil, nil, []float32{0, 0}, centroids, 2, 99); len(got) != 4 {
 		t.Fatalf("clamp: got %d centroids, want 4", len(got))
 	}
-	if got := TopCentroids([]float32{0, 0}, centroids, 2, 0); got != nil {
+	if got, _ := TopCentroidsInto(nil, nil, []float32{0, 0}, centroids, 2, 0); got != nil {
 		t.Fatalf("n=0: got %v, want nil", got)
 	}
 }
 
-// Property: TopCentroids(1) agrees with NearestCentroid.
+// Property: TopCentroidsInto with n = 1 agrees with NearestCentroid.
 func TestTopCentroidsAgreesWithNearest(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const dim, k = 8, 32
@@ -282,15 +275,15 @@ func TestTopCentroidsAgreesWithNearest(t *testing.T) {
 			v[i] = float32(rng.NormFloat64())
 		}
 		best, _ := NearestCentroid(v, centroids, dim)
-		top := TopCentroids(v, centroids, dim, 1)
+		top, _ := TopCentroidsInto(nil, nil, v, centroids, dim, 1)
 		if len(top) != 1 || top[0] != best {
-			t.Fatalf("trial %d: TopCentroids=%v, NearestCentroid=%d", trial, top, best)
+			t.Fatalf("trial %d: TopCentroidsInto=%v, NearestCentroid=%d", trial, top, best)
 		}
 	}
 }
 
-// TestTopCentroidsIntoMatchesTopCentroids checks the scratch-reusing
-// variant selects identically and actually reuses caller buffers.
+// TestTopCentroidsIntoMatchesTopCentroids checks that reused scratch
+// selects exactly what nil scratch selects, and is actually reused.
 func TestTopCentroidsIntoMatchesTopCentroids(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const dim = 8
@@ -306,7 +299,7 @@ func TestTopCentroidsIntoMatchesTopCentroids(t *testing.T) {
 			v[i] = float32(rng.NormFloat64())
 		}
 		n := rng.Intn(60) // sometimes above k to exercise clamping
-		want := TopCentroids(v, centroids, dim, n)
+		want, _ := TopCentroidsInto(nil, nil, v, centroids, dim, n)
 		idx, dist = TopCentroidsInto(idx, dist, v, centroids, dim, n)
 		if len(idx) != len(want) {
 			t.Fatalf("trial %d: len %d, want %d", trial, len(idx), len(want))
@@ -326,7 +319,7 @@ func TestTopCentroidsIntoMatchesTopCentroids(t *testing.T) {
 	}
 }
 
-// Property: TopCentroids returns distances in ascending order.
+// Property: TopCentroidsInto returns distances in ascending order.
 func TestTopCentroidsSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const dim, k = 6, 24
@@ -339,7 +332,7 @@ func TestTopCentroidsSorted(t *testing.T) {
 		for i := range v {
 			v[i] = float32(rng.NormFloat64())
 		}
-		top := TopCentroids(v, centroids, dim, 8)
+		top, _ := TopCentroidsInto(nil, nil, v, centroids, dim, 8)
 		prev := float32(-1)
 		for _, c := range top {
 			d := L2Squared(v, centroids[c*dim:(c+1)*dim])

@@ -91,8 +91,8 @@ func TestMixEventConsistency(t *testing.T) {
 			// Fresh products' images must be uploaded.
 			if fresh {
 				for _, url := range u.ImageURLs {
-					if !images.Has(url) {
-						t.Fatalf("fresh product image %s not uploaded", url)
+					if _, err := images.Get(url); err != nil {
+						t.Fatalf("fresh product image %s not uploaded: %v", url, err)
 					}
 				}
 			}
