@@ -6,6 +6,10 @@
 //
 //	jdvs-indexer -out /tmp/jdvs -partitions 4 -products 5000 -seed 1
 //
+// With -pq-subvectors it also trains one product quantizer and writes
+// every partition's codes into its snapshot; searchers serving those
+// snapshots scan ADC codes, the others scan exact floats.
+//
 // The catalog parameters (products, categories, seed) and the feature
 // parameters (dim, feature-seed) must match across jdvs-indexer, jdvsd
 // blenders and jdvs-client — they define the shared synthetic world that
@@ -46,6 +50,8 @@ func run() error {
 		dim         = flag.Int("dim", cnn.DefaultDim, "feature dimensionality")
 		featureSeed = flag.Int64("feature-seed", 42, "CNN weight seed (must match blenders)")
 		nlists      = flag.Int("nlists", 64, "IVF inverted lists per partition")
+		pqM         = flag.Int("pq-subvectors", 0, "product-quantization code bytes per image: train one quantizer shared by every partition and write its codes into each snapshot, so searchers serve the ADC scan (must divide -dim; 0 = exact float scan)")
+		pqBits      = flag.Int("pq-bits", 0, "PQ code bit width, with -pq-subvectors: 8 (default) = one code byte per subvector, 4 = two 16-centroid subvectors packed per byte, scanned through the blocked fast-scan kernel at half the code memory")
 		saveLog     = flag.String("save-log", "", "write the day's message log to this file after feeding")
 		loadLog     = flag.String("load-log", "", "replay an existing message log instead of generating listing events")
 	)
@@ -126,9 +132,11 @@ func run() error {
 		fmt.Printf("message log saved to %s\n", *saveLog)
 	}
 	full, err := indexer.NewFull(indexer.FullConfig{
-		Partitions: *partitions,
-		Shard:      index.Config{Dim: *dim, NLists: *nlists},
-		Seed:       *featureSeed,
+		Partitions:   *partitions,
+		Shard:        index.Config{Dim: *dim, NLists: *nlists},
+		PQSubvectors: *pqM,
+		PQBits:       *pqBits,
+		Seed:         *featureSeed,
 	}, res)
 	if err != nil {
 		return err

@@ -54,10 +54,7 @@ func run() error {
 		fseed     = flag.Int64("feature-seed", 42, "blender: CNN weight seed (must match the indexer)")
 		workers   = flag.Int("search-workers", 0, "searcher: goroutines scanning probed lists per query (0 = GOMAXPROCS-derived, 1 = serial)")
 		loadIdle  = flag.Duration("load-idle-timeout", 0, "searcher: abort an inbound snapshot stream idle longer than this (0 = default)")
-		pqM       = flag.Int("pq-subvectors", 0, "searcher: product-quantization code bytes per image (must divide -dim; 0 = exact float scan, -1 = dimension-derived default)")
 		pqRerank  = flag.Int("pq-rerank", 0, "searcher: ADC over-fetch depth re-ranked exactly per query (0 = bit-width default: 20×TopK at 8 bits, 30×TopK at 4)")
-		pqBits    = flag.Int("pq-bits", 0, "searcher: PQ code bit width: 8 (default) = one code byte per subvector, 4 = two 16-centroid subvectors packed per byte, scanned through the blocked fast-scan kernel at half the code memory")
-		pqSample  = flag.Int("pq-train-sample", 10000, "searcher: stored rows used to train PQ when the snapshot carries no codes")
 		hedgeQ    = flag.Float64("hedge-quantile", 0, "broker: latency percentile that triggers a hedged replica request (0 = default 95, negative disables)")
 		hedgeMin  = flag.Duration("hedge-min-delay", 0, "broker: floor on the hedge delay (0 = default 1ms)")
 		hedgeFrac = flag.Float64("hedge-max-fraction", 0, "broker: hedge budget as a fraction of query volume (0 = default 0.1)")
@@ -78,7 +75,7 @@ func run() error {
 		}
 		shard, err := index.New(index.Config{
 			Dim: *dim, NLists: *nlists, ListInitialCap: *listCap, DefaultNProbe: *nprobe,
-			PQSubvectors: *pqM, PQBits: *pqBits, RerankK: *pqRerank,
+			SearchWorkers: *workers, RerankK: *pqRerank,
 		})
 		if err != nil {
 			return err
@@ -92,25 +89,19 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("load snapshot: %w", err)
 		}
-		if shard.Config().PQSubvectors > 0 && !shard.PQEnabled() {
-			// A PQ-less snapshot carries features but no codes: train a
-			// quantizer from the stored rows so this node still serves the
-			// ADC scan path.
-			if err := shard.TrainPQStored(*pqSample, *fseed); err != nil {
-				return fmt.Errorf("pq re-encode: %w", err)
-			}
-		}
 		node, err := searcher.New(searcher.Config{
 			Partition:       core.PartitionID(*partition),
 			Shard:           shard,
 			Addr:            *addr,
-			SearchWorkers:   *workers,
 			LoadIdleTimeout: *loadIdle,
 		})
 		if err != nil {
 			return err
 		}
 		boundAddr, closer = node.Addr(), node.Close
+		// The snapshot decides the scan path: one written with a product
+		// quantizer (jdvs-indexer -pq-subvectors) serves ADC codes, one
+		// without serves the exact float scan.
 		st := shard.Stats()
 		scanPath := "exact scan"
 		if shard.PQEnabled() {

@@ -150,9 +150,9 @@ func checkCluster(pass *analysis.Pass) {
 // checkDaemon requires every non-exempt index.Config field to be
 // referenced as a struct-field write or composite-literal key somewhere
 // in the daemon — the shape flag wiring takes. Matching is by field
-// name: a knob threaded through an intermediate config (e.g.
-// searcher.Config.SearchWorkers) still counts, which is the point — the
-// contract is that the knob reaches the binary at all.
+// name: a knob threaded through an intermediate config (a same-named
+// field of another package's Config) still counts, which is the point —
+// the contract is that the knob reaches the binary at all.
 func checkDaemon(pass *analysis.Pass) {
 	fact, ok := pass.ImportFact(indexPkg, factKey)
 	if !ok {

@@ -167,14 +167,6 @@ func (c *Cache[V]) Remove(key string) bool {
 	return ok
 }
 
-// Len reports the live entry count.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	return int(c.entries.Load())
-}
-
 // Stats snapshots the counters. Safe on a nil cache (all zeros).
 func (c *Cache[V]) Stats() Stats {
 	if c == nil {

@@ -91,7 +91,7 @@ func TestNilCache(t *testing.T) {
 	if c.Remove("a") {
 		t.Fatal("nil cache removal")
 	}
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
+	if c.Stats() != (Stats{}) { // Entries included
 		t.Fatal("nil cache has state")
 	}
 }

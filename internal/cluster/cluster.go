@@ -73,15 +73,16 @@ type Config struct {
 	// width from GOMAXPROCS; 1 scans serially.
 	SearchWorkers int
 	// PQSubvectors switches the searchers' shard scan to product-quantized
-	// ADC codes with exact re-rank (index.Config.PQSubvectors): the number
-	// of code bytes per image, which must divide Dim. 0 keeps the exact
-	// float scan; negative derives a dimension-based default. RerankK is
-	// the ADC over-fetch depth re-ranked exactly per query (0 derives
-	// 20×TopK for 8-bit codes and 30×TopK for 4-bit ones).
+	// ADC codes with exact re-rank: every full build trains one quantizer
+	// of this many subquantizers (indexer.FullConfig.PQSubvectors), the
+	// number of code bytes per image, which must divide Dim. 0 keeps the
+	// exact float scan; negative is rejected. RerankK is the ADC
+	// over-fetch depth re-ranked exactly per query (0 derives 20×TopK for
+	// 8-bit codes and 30×TopK for 4-bit ones).
 	PQSubvectors int
 	RerankK      int
 	// PQBits selects the searchers' PQ code bit width
-	// (index.Config.PQBits): 8 (default) keeps byte codes, 4 packs two
+	// (indexer.FullConfig.PQBits): 8 (default) keeps byte codes, 4 packs two
 	// 16-centroid subquantizers per byte and scans them through the
 	// blocked fast-scan kernel — half the code memory per image at a
 	// deeper default re-rank. Only meaningful with PQSubvectors set.
@@ -171,18 +172,22 @@ func (c *Config) fill() {
 	}
 }
 
-// shardConfig is the index configuration of every shard this cluster
-// builds — at bootstrap and at every Reindex.
-func (c *Config) shardConfig() index.Config {
-	return index.Config{
-		Dim:            c.Dim,
-		NLists:         c.NLists,
-		ListInitialCap: c.ListInitialCap,
-		DefaultNProbe:  c.DefaultNProbe,
-		SearchWorkers:  c.SearchWorkers,
-		PQSubvectors:   c.PQSubvectors,
-		PQBits:         c.PQBits,
-		RerankK:        c.RerankK,
+// fullConfig is the full-build configuration this cluster runs at
+// bootstrap and at every Reindex.
+func (c *Config) fullConfig() indexer.FullConfig {
+	return indexer.FullConfig{
+		Partitions: c.Partitions,
+		Shard: index.Config{
+			Dim:            c.Dim,
+			NLists:         c.NLists,
+			ListInitialCap: c.ListInitialCap,
+			DefaultNProbe:  c.DefaultNProbe,
+			SearchWorkers:  c.SearchWorkers,
+			RerankK:        c.RerankK,
+		},
+		PQSubvectors: c.PQSubvectors,
+		PQBits:       c.PQBits,
+		Seed:         c.FeatureSeed,
 	}
 }
 
@@ -259,11 +264,7 @@ func Start(cfg Config) (_ *Cluster, err error) {
 	}
 
 	// Full indexing (Figs. 2–3).
-	full, err := indexer.NewFull(indexer.FullConfig{
-		Partitions: cfg.Partitions,
-		Shard:      cfg.shardConfig(),
-		Seed:       cfg.FeatureSeed,
-	}, c.resolver)
+	full, err := indexer.NewFull(cfg.fullConfig(), c.resolver)
 	if err != nil {
 		return nil, err
 	}
@@ -526,11 +527,7 @@ func (c *Cluster) WaitForDrain(timeout time.Duration) bool {
 // positions; events they re-apply on top of the fresh index are idempotent
 // (additions reuse, deletions flip bits, attribute updates overwrite).
 func (c *Cluster) Reindex() error {
-	full, err := indexer.NewFull(indexer.FullConfig{
-		Partitions: c.cfg.Partitions,
-		Shard:      c.cfg.shardConfig(),
-		Seed:       c.cfg.FeatureSeed,
-	}, c.resolver)
+	full, err := indexer.NewFull(c.cfg.fullConfig(), c.resolver)
 	if err != nil {
 		return err
 	}

@@ -414,7 +414,7 @@ func TestHedgingThroughFullStack(t *testing.T) {
 // over-fetch + exact re-rank.
 func TestQueryThroughFullStackPQ(t *testing.T) {
 	cfg := smallConfig()
-	cfg.PQSubvectors = -1 // dimension-derived M
+	cfg.PQSubvectors = 16
 	c := startTestCluster(t, cfg)
 	for p := 0; p < c.Partitions(); p++ {
 		shard := c.Searcher(p, 0).Shard()

@@ -218,7 +218,7 @@ func TestStartPeriodicReindex(t *testing.T) {
 // quantizer — both surviving the chunked push to every searcher.
 func TestReindexCarriesCoveredOffsetsAndPQ(t *testing.T) {
 	cfg := smallConfig()
-	cfg.PQSubvectors = -1
+	cfg.PQSubvectors = 16
 	cfg.SnapshotChunkSize = 16 << 10 // force multi-chunk pushes
 	c := startTestCluster(t, cfg)
 
@@ -271,7 +271,7 @@ func requireListMajor(t *testing.T, label string, s *index.Shard) {
 func TestFullIndexLayoutReachesEveryReplica(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Replicas = 2
-	cfg.PQSubvectors = -1
+	cfg.PQSubvectors = 16
 	c := startTestCluster(t, cfg)
 	check := func(stage string) {
 		for p := 0; p < c.Partitions(); p++ {

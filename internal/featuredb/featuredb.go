@@ -56,7 +56,9 @@ func decodeEntry(b []byte, url string) ([]float32, error) {
 	return f, nil
 }
 
-// Put stores (or overwrites) the feature for url.
+// Put stores (or overwrites) the feature for url. Only tests call it; it
+// stays because a test that re-lists an image with a changed feature must
+// overwrite a stored one, which GetOrCompute cannot do.
 func (db *DB) Put(url string, feature []float32) error {
 	return db.blobs.Put(url, core.AppendFeature(nil, feature))
 }

@@ -28,31 +28,37 @@ func loadCorpus(n, dim int) (rows []Row, train []float32) {
 	return rows, train
 }
 
-// loadConfig is the bulk-load tests' shard shape: bits 0 = exact, else
-// that PQ width at M=8.
-func loadConfig(dim, nlists, bits, workers int) Config {
-	cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: workers}
-	if bits != 0 {
-		cfg.PQSubvectors, cfg.PQBits = 8, bits
-	}
-	return cfg
+// shardSpec is a test shard's config plus the product quantizer
+// loadShard trains for it: pqM subquantizers at pqBits-wide codes, none
+// when pqM is 0.
+type shardSpec struct {
+	Config
+	pqM, pqBits int
 }
 
-// loadShard builds a shard of cfg, trains its codebooks (the product
-// quantizer when cfg asks for one) and fills it through load.
-func loadShard(t testing.TB, cfg Config, train []float32, load func(*Shard)) *Shard {
+// loadConfig is the bulk-load tests' shard shape: bits 0 = exact, else
+// that PQ width at M=8.
+func loadConfig(dim, nlists, bits, workers int) shardSpec {
+	spec := shardSpec{Config: Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: workers}}
+	if bits != 0 {
+		spec.pqM, spec.pqBits = 8, bits
+	}
+	return spec
+}
+
+// loadShard builds a shard of spec, trains its codebooks (the product
+// quantizer when spec asks for one) and fills it through load.
+func loadShard(t testing.TB, spec shardSpec, train []float32, load func(*Shard)) *Shard {
 	t.Helper()
-	s, err := New(cfg)
+	s, err := New(spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Train(train, 5); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.PQSubvectors > 0 {
-		if err := s.TrainPQ(train, 5); err != nil {
-			t.Fatal(err)
-		}
+	if spec.pqM > 0 {
+		trainPQ(t, s, spec.pqM, spec.pqBits, train, 5)
 	}
 	load(s)
 	return s

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"jdvs/internal/core"
+	"jdvs/internal/pq"
 )
 
 // buildPQBitsPair builds two shards over the identical corpus: one exact
@@ -21,11 +22,7 @@ func buildPQBitsPair(t testing.TB, n, dim, nlists, m, bits int) (exact, quantize
 		train = append(train, feats[i]...)
 	}
 	mk := func(pqM int) *Shard {
-		cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: pqM}
-		if pqM > 0 {
-			cfg.PQBits = bits
-		}
-		s, err := New(cfg)
+		s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,9 +30,7 @@ func buildPQBitsPair(t testing.TB, n, dim, nlists, m, bits int) (exact, quantize
 			t.Fatal(err)
 		}
 		if pqM > 0 {
-			if err := s.TrainPQ(train, 5); err != nil {
-				t.Fatal(err)
-			}
+			trainPQ(t, s, pqM, bits, train, 5)
 		}
 		for i, f := range feats {
 			a := core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://pq4/%d.jpg", i), Category: uint16(i % 4)}
@@ -299,28 +294,38 @@ func TestSnapshotRoundTripPQ(t *testing.T) {
 	}
 }
 
-// TestConfigPQBitsValidation: PQBits accepts only 0 (→8), 8 and 4; 4-bit
-// codes need an even subquantizer count.
+// TestConfigPQBitsValidation: a shard installs 8-bit and 4-bit product
+// quantizers (a zero width trains as 8) and refuses a codebook of any
+// other width, or a 4-bit one with an odd subquantizer count, whose codes
+// could not pack two subquantizers per byte.
 func TestConfigPQBitsValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 64, NLists: 4, PQSubvectors: 16, PQBits: 5}); err == nil {
-		t.Fatal("PQBits 5 accepted")
+	bad := []*pq.Codebook{
+		{Dim: 64, M: 16, SubDim: 4, Bits: 5, Centroids: make([]float32, 16*pq.NCentroids*4)},
+		{Dim: 66, M: 11, SubDim: 6, Bits: 4, Centroids: make([]float32, 11*16*6)},
 	}
-	if _, err := New(Config{Dim: 66, NLists: 4, PQSubvectors: 11, PQBits: 4}); err == nil {
-		t.Fatal("odd PQSubvectors accepted with PQBits 4")
+	for _, cb := range bad {
+		s, err := New(Config{Dim: cb.Dim, NLists: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetPQCodebook(cb); err == nil {
+			t.Fatalf("codebook Bits %d M %d accepted", cb.Bits, cb.M)
+		}
 	}
-	s, err := New(Config{Dim: 64, NLists: 4, PQSubvectors: 16})
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(9))
+	train := make([]float32, 64*300)
+	for i := range train {
+		train[i] = rng.Float32()
 	}
-	if s.Config().PQBits != 8 {
-		t.Fatalf("defaulted PQBits = %d, want 8", s.Config().PQBits)
-	}
-	s4, err := New(Config{Dim: 64, NLists: 4, PQSubvectors: 16, PQBits: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4.Config().PQBits != 4 {
-		t.Fatalf("PQBits = %d, want 4", s4.Config().PQBits)
+	for _, c := range []struct{ bits, want int }{{0, 8}, {8, 8}, {4, 4}} {
+		s, err := New(Config{Dim: 64, NLists: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainPQ(t, s, 16, c.bits, train, 1)
+		if got := s.Stats().PQBits; got != c.want {
+			t.Fatalf("bits %d: installed PQBits = %d, want %d", c.bits, got, c.want)
+		}
 	}
 }
 

@@ -37,9 +37,9 @@ func filterAttrs(i, n int) core.Attrs {
 }
 
 // buildFilterShard builds one shard over a clustered corpus with
-// filterAttrs attributes; pqM > 0 trains a product quantizer, cfgMut (may
-// be nil) tweaks the config before construction.
-func buildFilterShard(t testing.TB, n, dim, nlists, pqM int, cfgMut func(*Config)) (*Shard, [][]float32) {
+// filterAttrs attributes; pqM > 0 trains a product quantizer of bits-wide
+// codes.
+func buildFilterShard(t testing.TB, n, dim, nlists, pqM, bits int) (*Shard, [][]float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(19))
 	feats := clusteredFeatures(rng, n, dim, 24, 0.25)
@@ -47,11 +47,7 @@ func buildFilterShard(t testing.TB, n, dim, nlists, pqM int, cfgMut func(*Config
 	for i := 0; i < min(n, 2000); i++ {
 		train = append(train, feats[i]...)
 	}
-	cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: pqM}
-	if cfgMut != nil {
-		cfgMut(&cfg)
-	}
-	s, err := New(cfg)
+	s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +55,7 @@ func buildFilterShard(t testing.TB, n, dim, nlists, pqM int, cfgMut func(*Config
 		t.Fatal(err)
 	}
 	if pqM > 0 {
-		if err := s.TrainPQ(train, 5); err != nil {
-			t.Fatal(err)
-		}
+		trainPQ(t, s, pqM, bits, train, 5)
 	}
 	for i, f := range feats {
 		if _, _, err := s.Insert(filterAttrs(i, n), f); err != nil {
@@ -130,7 +124,7 @@ func filterQuery(rng *rand.Rand, feats [][]float32, dim int) []float32 {
 // all matches come back.
 func TestFilteredExactMatchesOracle(t *testing.T) {
 	const n, dim, nlists = 4000, 32, 16
-	s, feats := buildFilterShard(t, n, dim, nlists, 0, nil)
+	s, feats := buildFilterShard(t, n, dim, nlists, 0, 0)
 	cases := []struct {
 		name string
 		req  core.SearchRequest
@@ -186,7 +180,7 @@ func TestFilteredExactMatchesOracle(t *testing.T) {
 // outside the uint16 range are equally unsatisfiable.
 func TestFilteredEmptyCategory(t *testing.T) {
 	const n, dim, nlists = 1000, 16, 8
-	s, feats := buildFilterShard(t, n, dim, nlists, 0, nil)
+	s, feats := buildFilterShard(t, n, dim, nlists, 0, 0)
 	for _, cat := range []int32{9, 77, 1 << 20} {
 		req := &core.SearchRequest{Feature: feats[0], TopK: 10, NProbe: nlists, Category: cat}
 		resp, err := s.Search(req)
@@ -210,7 +204,7 @@ func TestFilteredEmptyCategory(t *testing.T) {
 // is what makes this pass at the default probe width.
 func TestFilteredRecallGuardrail(t *testing.T) {
 	const n, dim, queries = 6000, 64, 60
-	s, feats := buildFilterShard(t, n, dim, 32, 16, nil)
+	s, feats := buildFilterShard(t, n, dim, 32, 16, 0)
 	rng := rand.New(rand.NewSource(77))
 	var hit, want int
 	for qi := 0; qi < queries; qi++ {
@@ -269,7 +263,7 @@ func TestFilteredPlanMatchesOracle(t *testing.T) {
 	}
 	for _, w := range planWidths {
 		t.Run(w.name, func(t *testing.T) {
-			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, w.bits)
 			rng := rand.New(rand.NewSource(29))
 			for _, band := range bands {
 				for qi := 0; qi < perBand; qi++ {
@@ -314,7 +308,7 @@ func TestExactPlanTailAndDelisted(t *testing.T) {
 	const n, dim, nlists = 4000, 32, 16
 	for _, w := range planWidths {
 		t.Run(w.name, func(t *testing.T) {
-			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, w.bits)
 			rng := rand.New(rand.NewSource(31))
 			req := &core.SearchRequest{
 				Feature: filterQuery(rng, feats, dim), TopK: 10,
@@ -380,7 +374,7 @@ func TestExactPlanBoundary(t *testing.T) {
 	const moved = 7 // a category no filterAttrs image carries
 	for _, w := range planWidths {
 		t.Run(w.name, func(t *testing.T) {
-			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, w.bits)
 			for _, c := range []struct{ nprobe, k, want int }{
 				{2, 10, 500},   // what the probe scores: 2 lists of 250 rows
 				{1, 10, 480},   // the page-fill term: 3·10·16 / 1
@@ -444,7 +438,7 @@ func TestSearchBatchMixedPlans(t *testing.T) {
 	const n, dim, nlists = 4000, 32, 16
 	for _, w := range planWidths[1:] {
 		t.Run(w.name, func(t *testing.T) {
-			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, func(c *Config) { c.PQBits = w.bits })
+			s, feats := buildFilterShard(t, n, dim, nlists, w.pqM, w.bits)
 			rng := rand.New(rand.NewSource(43))
 			reqs := []*core.SearchRequest{
 				{Category: 1},               // 4 rows: exact plan
@@ -483,7 +477,7 @@ func TestSearchBatchMixedPlans(t *testing.T) {
 // admitted (or rejected) correctly via the per-candidate fallback.
 func TestFilteredAdmissionTailFallback(t *testing.T) {
 	const n, dim, nlists = 1000, 16, 8
-	s, feats := buildFilterShard(t, n, dim, nlists, 0, nil)
+	s, feats := buildFilterShard(t, n, dim, nlists, 0, 0)
 	req := &core.SearchRequest{Feature: append([]float32(nil), feats[3]...), TopK: 10, NProbe: nlists, Category: -1, MinSales: 120}
 	// No image has sales ≥ 120 yet; this search materialises (and caches)
 	// an all-zero predicate bitmap.
@@ -525,7 +519,7 @@ func TestFilteredAdmissionTailFallback(t *testing.T) {
 // applied on the replica.
 func TestFilteredSnapshotRoundtrip(t *testing.T) {
 	const n, dim, nlists = 2000, 16, 8
-	s, feats := buildFilterShard(t, n, dim, nlists, 0, nil)
+	s, feats := buildFilterShard(t, n, dim, nlists, 0, 0)
 	var buf bytes.Buffer
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -579,7 +573,7 @@ func TestFilteredSnapshotRoundtrip(t *testing.T) {
 // liveness, not exact sets.
 func TestFilteredConcurrentCategoryMoves(t *testing.T) {
 	const n, dim, nlists = 2000, 16, 8
-	s, feats := buildFilterShard(t, n, dim, nlists, 0, nil)
+	s, feats := buildFilterShard(t, n, dim, nlists, 0, 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

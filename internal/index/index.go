@@ -61,22 +61,6 @@ type Config struct {
 	// lock-free reader contract: any number of scan workers may run while
 	// the single real-time writer mutates the shard.
 	SearchWorkers int
-	// PQSubvectors configures the product-quantized ADC scan path: the
-	// number of subquantizers M; must divide Dim. 0 disables PQ training;
-	// negative picks a dimension-derived default (pq.DefaultSubvectors).
-	// Note the scan path itself follows the installed codebook, not this
-	// knob: a shard only scans ADC codes once TrainPQ/SetPQCodebook has
-	// run (or a PQ-bearing snapshot loaded), and falls back to the exact
-	// float scan until then.
-	PQSubvectors int
-	// PQBits selects the centroid index width PQ training uses: 8 (256
-	// centroids per subquantizer, M code bytes per image — the default
-	// when zero) or 4 (16 centroids, two subquantizers packed per byte —
-	// M/2 code bytes per image, scanned through the blocked fast-scan
-	// kernel; requires an even PQSubvectors). Like PQSubvectors this knob
-	// steers training; a loaded snapshot's codebook decides the live scan
-	// path.
-	PQBits int
 	// RerankK is the ADC over-fetch depth: the approximate scan selects
 	// this many candidates, which are then re-ranked exactly against the
 	// raw feature rows before the final top-k. <= 0 derives a bit-width
@@ -130,23 +114,6 @@ func (c *Config) validate() error {
 	}
 	if c.SearchWorkers <= 0 {
 		c.SearchWorkers = defaultSearchWorkers()
-	}
-	if c.PQSubvectors < 0 {
-		c.PQSubvectors = pq.DefaultSubvectors(c.Dim)
-	}
-	if c.PQSubvectors > 0 && c.Dim%c.PQSubvectors != 0 {
-		return fmt.Errorf("index: PQSubvectors %d must divide Dim %d", c.PQSubvectors, c.Dim)
-	}
-	switch c.PQBits {
-	case 0:
-		c.PQBits = 8
-	case 8:
-	case 4:
-		if c.PQSubvectors > 0 && c.PQSubvectors%2 != 0 {
-			return fmt.Errorf("index: PQBits 4 packs two subquantizers per byte; PQSubvectors %d must be even", c.PQSubvectors)
-		}
-	default:
-		return fmt.Errorf("index: PQBits must be 4 or 8, got %d", c.PQBits)
 	}
 	if c.RerankK < 0 {
 		c.RerankK = 0
@@ -280,7 +247,9 @@ var ErrNotTrained = errors.New("index: codebook not trained")
 var ErrUnknownURL = errors.New("index: unknown image URL")
 
 // Train fits the IVF codebook on the given training features (flat row-major
-// n×Dim) — §2.2's "k-mean algorithm on a set of training data set".
+// n×Dim) — §2.2's "k-mean algorithm on a set of training data set". Only
+// tests call it; it stays because it sizes the codebook from the shard's
+// own config, which their many call sites rely on.
 func (s *Shard) Train(features []float32, seed int64) error {
 	cb, err := kmeans.Train(kmeans.Config{K: s.cfg.NLists, Dim: s.cfg.Dim, Seed: seed}, features)
 	if err != nil {
@@ -333,50 +302,13 @@ func (ps *shardPQ) codeHeapBytes() int64 {
 	return n
 }
 
-// TrainPQ fits the product-quantization codebook on the given training
-// features (flat row-major n×Dim), encodes every stored feature row, and
-// switches searches to the ADC scan path. Requires Config.PQSubvectors.
-// Like snapshot operations it must run in the writer's context (no
-// concurrent Insert); searches keep running on the exact path until the
-// encoded codes publish atomically.
-func (s *Shard) TrainPQ(features []float32, seed int64) error {
-	if s.cfg.PQSubvectors <= 0 {
-		return errors.New("index: PQSubvectors not configured")
-	}
-	cb, err := pq.Train(pq.Config{Dim: s.cfg.Dim, M: s.cfg.PQSubvectors, Bits: s.cfg.PQBits, Seed: seed}, features)
-	if err != nil {
-		return fmt.Errorf("index: train pq: %w", err)
-	}
-	return s.installPQ(cb)
-}
-
-// TrainPQStored is TrainPQ training on up to sample of the shard's own
-// stored feature rows — the lazy re-encode path for shards loaded from a
-// pre-PQ snapshot, which carry features but no codes. sample <= 0 trains
-// on every row. The sample strides evenly across the matrix rather than
-// taking a prefix: rows arrive in insertion order (often product- or
-// time-clustered), and a prefix sample would fit the quantizer to one
-// slice of the feature distribution.
-func (s *Shard) TrainPQStored(sample int, seed int64) error {
-	n := s.feats.Len()
-	if n == 0 {
-		return errors.New("index: no stored features to train PQ on")
-	}
-	if sample <= 0 || sample > n {
-		sample = n
-	}
-	stride := n / sample
-	train := make([]float32, 0, sample*s.cfg.Dim)
-	for i := 0; i < sample; i++ {
-		train = append(train, s.feats.Row(uint32(i*stride))...)
-	}
-	return s.TrainPQ(train, seed)
-}
-
 // SetPQCodebook installs a pre-trained product quantizer (full indexing
-// distributes one PQ codebook to all shards alongside the IVF codebook),
-// encoding every stored row before the ADC path publishes. Writer-context
-// only, like TrainPQ.
+// trains one and distributes it to all shards alongside the IVF codebook),
+// encoding every stored row before the ADC path publishes. Each inverted
+// list's block store is filled in list order, because a code's slot must
+// match the position of the id the list yields (codeBlocks contract).
+// Writer-context only: the list walk assumes no concurrent appends, and
+// searches keep running on the exact path until the codes publish.
 func (s *Shard) SetPQCodebook(cb *pq.Codebook) error {
 	if err := cb.Valid(); err != nil {
 		return err
@@ -384,15 +316,6 @@ func (s *Shard) SetPQCodebook(cb *pq.Codebook) error {
 	if cb.Dim != s.cfg.Dim {
 		return fmt.Errorf("index: pq codebook dim %d, shard dim %d", cb.Dim, s.cfg.Dim)
 	}
-	return s.installPQ(cb)
-}
-
-// installPQ backfills codes for every committed feature row and publishes
-// the ADC state. Each inverted list's block store is filled in list order,
-// because a code's slot must match the position of the id the list yields
-// (codeBlocks contract). Writer-context only — the list walk below assumes
-// no concurrent appends.
-func (s *Shard) installPQ(cb *pq.Codebook) error {
 	lists := make([]*codeBlocks, s.cfg.NLists)
 	code := make([]byte, cb.CodeBytes())
 	var encErr error
@@ -1145,7 +1068,7 @@ func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.S
 // that many goroutines, each selecting a private top-k over its share,
 // merged at the end; results are identical to the serial scan.
 //
-// When a product quantizer is installed (TrainPQ / SetPQCodebook / a
+// When a product quantizer is installed (SetPQCodebook or a
 // PQ-bearing snapshot) the scan scores ADC codes instead of float rows —
 // a per-query lookup table turns each candidate into M byte-indexed table
 // adds (scanADC), the scan over-fetches RerankK candidates, and that short

@@ -119,7 +119,7 @@ func BenchmarkADCScan(b *testing.B) {
 		train = append(train, feats[i]...)
 	}
 	build := func(pqM, bits int) *Shard {
-		s, err := New(Config{Dim: dim, NLists: 64, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: pqM, PQBits: bits})
+		s, err := New(Config{Dim: dim, NLists: 64, DefaultNProbe: 8, SearchWorkers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,9 +127,7 @@ func BenchmarkADCScan(b *testing.B) {
 			b.Fatal(err)
 		}
 		if pqM > 0 {
-			if err := s.TrainPQ(train, 1); err != nil {
-				b.Fatal(err)
-			}
+			trainPQ(b, s, pqM, bits, train, 1)
 		}
 		for i, f := range feats {
 			a := core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://adc/%d.jpg", i)}
@@ -165,7 +163,7 @@ func BenchmarkADCScan(b *testing.B) {
 	}
 	b.Run("shape=scan_uniform/bits=8", func(b *testing.B) {
 		const rows, nprobe = 30_000, 48
-		cfg := Config{Dim: dim, NLists: 64, DefaultNProbe: nprobe, SearchWorkers: 1, PQSubvectors: m, PQBits: 8}
+		cfg := shardSpec{Config{Dim: dim, NLists: 64, DefaultNProbe: nprobe, SearchWorkers: 1}, m, 8}
 		load := make([]Row, rows)
 		for i := range load {
 			load[i] = Row{Feature: feats[i], Attrs: core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://adc/%d.jpg", i)}}
@@ -422,7 +420,7 @@ func BenchmarkMixedRealtimeStages(b *testing.B) {
 	}
 	for _, layout := range layouts {
 		b.Run("layout="+layout.name, func(b *testing.B) {
-			cfg := Config{Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1, PQSubvectors: 16, PQBits: 4}
+			cfg := shardSpec{Config{Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1}, 16, 4}
 			s := loadShard(b, cfg, train, layout.load)
 			ps := s.pqState.Load()
 			for _, pct := range []int{1, 10, 50} {

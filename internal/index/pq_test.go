@@ -31,6 +31,19 @@ func clusteredFeatures(rng *rand.Rand, n, dim, nc int, spread float64) [][]float
 	return rows
 }
 
+// trainPQ fits a product quantizer of m subquantizers at bits-wide codes
+// on train and installs it on s, the path FullIndexer.Build takes.
+func trainPQ(t testing.TB, s *Shard, m, bits int, train []float32, seed int64) {
+	t.Helper()
+	cb, err := pq.Train(pq.Config{Dim: s.Config().Dim, M: m, Bits: bits, Seed: seed}, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPQCodebook(cb); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // buildPQPair builds two shards over the identical corpus: one exact, one
 // with a trained product quantizer.
 func buildPQPair(t testing.TB, n, dim, nlists, m int) (exact, quantized *Shard, feats [][]float32) {
@@ -42,7 +55,7 @@ func buildPQPair(t testing.TB, n, dim, nlists, m int) (exact, quantized *Shard, 
 		train = append(train, feats[i]...)
 	}
 	mk := func(pqM int) *Shard {
-		s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: pqM})
+		s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,9 +63,7 @@ func buildPQPair(t testing.TB, n, dim, nlists, m int) (exact, quantized *Shard, 
 			t.Fatal(err)
 		}
 		if pqM > 0 {
-			if err := s.TrainPQ(train, 5); err != nil {
-				t.Fatal(err)
-			}
+			trainPQ(t, s, pqM, 8, train, 5)
 		}
 		for i, f := range feats {
 			a := core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://pq/%d.jpg", i), Category: uint16(i % 4)}
@@ -260,9 +271,7 @@ func TestPQCategoryFilter(t *testing.T) {
 }
 
 // TestSnapshotNoPQ: shards without a quantizer keep round-tripping (flag
-// byte 0) and stay on the exact path — and TrainPQStored then lazily
-// re-encodes the loaded rows onto the ADC path with consistent results
-// (what jdvsd -pq-train-sample does with a PQ-less snapshot).
+// byte 0) and stay on the exact path.
 func TestSnapshotNoPQ(t *testing.T) {
 	const n, dim = 1500, 32
 	exact, _, feats := buildPQPair(t, n, dim, 16, 8)
@@ -270,7 +279,7 @@ func TestSnapshotNoPQ(t *testing.T) {
 	if err := exact.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := New(Config{Dim: dim, NLists: 16, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: 8})
+	loaded, err := New(Config{Dim: dim, NLists: 16, DefaultNProbe: 8, SearchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,24 +300,6 @@ func TestSnapshotNoPQ(t *testing.T) {
 	}
 	if len(want.Hits) != len(got.Hits) || want.Hits[0].Image != got.Hits[0].Image {
 		t.Fatalf("round-tripped exact shard disagrees with source: %+v vs %+v", got.Hits, want.Hits)
-	}
-
-	// Lazy re-encode: train PQ from the loaded shard's own rows.
-	if err := loaded.TrainPQStored(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if !loaded.PQEnabled() {
-		t.Fatal("TrainPQStored did not enable PQ")
-	}
-	if st := loaded.Stats(); st.PQCodes != st.Images {
-		t.Fatalf("re-encode produced %d codes for %d images", st.PQCodes, st.Images)
-	}
-	adc, err := loaded.Search(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(adc.Hits) == 0 || adc.Hits[0].Image != want.Hits[0].Image {
-		t.Fatalf("re-encoded shard lost the nearest neighbour: %+v vs %+v", adc.Hits, want.Hits)
 	}
 }
 
@@ -347,19 +338,39 @@ func TestLoadSnapshotRejectsOldVersions(t *testing.T) {
 	}
 }
 
-// TestPQConfigValidation: PQSubvectors must divide Dim.
+// TestPQConfigValidation: a shard installs only a product quantizer that
+// fits it. A codebook for another dimensionality, or one whose
+// subquantizers do not tile Dim, is refused and leaves the shard on the
+// exact path; a fitting one switches it to ADC.
 func TestPQConfigValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 64, NLists: 4, PQSubvectors: 7}); err == nil {
-		t.Fatal("PQSubvectors 7 over Dim 64 accepted")
-	}
-	s, err := New(Config{Dim: 64, NLists: 4, PQSubvectors: -1})
+	s, err := New(Config{Dim: 64, NLists: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Config().PQSubvectors != 16 {
-		t.Fatalf("derived PQSubvectors = %d, want 16", s.Config().PQSubvectors)
+	rng := rand.New(rand.NewSource(5))
+	train := func(dim, n int) []float32 {
+		out := make([]float32, dim*n)
+		for i := range out {
+			out[i] = rng.Float32()
+		}
+		return out
 	}
-	if _, err := New(Config{Dim: 64, NLists: 4}); err != nil {
+	other, err := pq.Train(pq.Config{Dim: 32, M: 8, Seed: 1}, train(32, 300))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := s.SetPQCodebook(other); err == nil {
+		t.Fatal("codebook of Dim 32 accepted by a Dim 64 shard")
+	}
+	untiled := &pq.Codebook{Dim: 64, M: 7, SubDim: 9, Bits: 8, Centroids: make([]float32, 7*pq.NCentroids*9)}
+	if err := s.SetPQCodebook(untiled); err == nil {
+		t.Fatal("codebook with M 7 over Dim 64 accepted")
+	}
+	if s.PQEnabled() {
+		t.Fatal("refused codebook switched the shard to ADC")
+	}
+	trainPQ(t, s, 16, 0, train(64, 300), 1)
+	if !s.PQEnabled() || s.PQCodebook().M != 16 {
+		t.Fatal("fitting codebook not installed")
 	}
 }

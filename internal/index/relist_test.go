@@ -24,16 +24,14 @@ func relistShard(t *testing.T, bits int) (*Shard, [][]float32) {
 	for _, f := range feats {
 		train = append(train, f...)
 	}
-	s, err := New(Config{Dim: testDim, NLists: 8, DefaultNProbe: 8, SearchWorkers: 1, PQSubvectors: 4, PQBits: bits})
+	s, err := New(Config{Dim: testDim, NLists: 8, DefaultNProbe: 8, SearchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Train(train, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TrainPQ(train, 3); err != nil {
-		t.Fatal(err)
-	}
+	trainPQ(t, s, 4, bits, train, 3)
 	for i, f := range feats {
 		a := core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://relist/%d.jpg", i)}
 		if _, _, err := s.Insert(a, f); err != nil {

@@ -34,7 +34,7 @@ func TestRerankSweep(t *testing.T) {
 	// (The nc=64 benchmark corpus packs ~1,500 variants per motif; there
 	// no practical depth can cover a motif and every depth looks equally
 	// bad — density tuning, not depth tuning.) PQ trains on 10k rows, the
-	// production default (jdvsd -pq-train-sample).
+	// full build's default sample (indexer.FullConfig.TrainSample).
 	const n, dim, m, nlists, k, nprobe, queries = 100_000, 64, 16, 64, 10, 8, 200
 	const trainRows = 10_000
 	rng := rand.New(rand.NewSource(41))
@@ -46,7 +46,7 @@ func TestRerankSweep(t *testing.T) {
 	build := func(pqM, bits, rerankK int) *Shard {
 		s, err := New(Config{
 			Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1,
-			PQSubvectors: pqM, PQBits: bits, RerankK: rerankK,
+			RerankK: rerankK,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,9 +55,7 @@ func TestRerankSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pqM > 0 {
-			if err := s.TrainPQ(train, 1); err != nil {
-				t.Fatal(err)
-			}
+			trainPQ(t, s, pqM, bits, train, 1)
 		}
 		for i, f := range feats {
 			a := core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://sweep/%d.jpg", i)}

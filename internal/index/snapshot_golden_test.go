@@ -16,9 +16,10 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/snapshot_v4.golden from the current encoder")
 
 // goldenConfig is the shard shape of the golden snapshot and of the
-// snapshot fuzzer: dim 4, two lists, two subquantizers.
+// snapshot fuzzer: dim 4, two lists (goldenShard installs two
+// subquantizers).
 func goldenConfig() Config {
-	return Config{Dim: 4, NLists: 2, DefaultNProbe: 2, SearchWorkers: 1, PQSubvectors: 2}
+	return Config{Dim: 4, NLists: 2, DefaultNProbe: 2, SearchWorkers: 1}
 }
 
 // goldenShard builds a tiny shard from fixed codebooks, with no training:

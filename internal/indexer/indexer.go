@@ -187,6 +187,18 @@ type FullConfig struct {
 	// Shard configures each partition's index. Required fields per
 	// index.Config.
 	Shard index.Config
+	// PQSubvectors, when positive, makes each build train one product
+	// quantizer of that many subquantizers (M code bytes per image at 8
+	// bits; must divide Shard.Dim) and install it on every shard, which
+	// then scans ADC codes. 0 builds exact-scan shards; negative is
+	// rejected.
+	PQSubvectors int
+	// PQBits is the quantizer's centroid index width: 8 (256 centroids
+	// per subquantizer, the default when zero) or 4 (16 centroids, two
+	// subquantizers packed per code byte and scanned through the blocked
+	// fast-scan kernel; needs an even PQSubvectors). Setting it without
+	// PQSubvectors is an error.
+	PQBits int
 	// TrainSample caps how many image features train the codebook
 	// (default 10,000).
 	TrainSample int
@@ -214,13 +226,21 @@ func NewFull(cfg FullConfig, res *Resolver) (*FullIndexer, error) {
 	if err := checkShardConfig(cfg.Shard); err != nil {
 		return nil, err
 	}
-	// Resolve a derived PQ width here: Build decides whether to train a
-	// quantizer from this field before any shard's own config validation
-	// runs.
-	if cfg.Shard.PQSubvectors < 0 {
-		cfg.Shard.PQSubvectors = pq.DefaultSubvectors(cfg.Shard.Dim)
+	// Zero PQSubvectors and PQBits build without a quantizer. Anything
+	// else, a negative M or a width set without M included, must be a
+	// shape pq.Train accepts.
+	if cfg.PQSubvectors != 0 || cfg.PQBits != 0 {
+		pc := cfg.pqConfig()
+		if err := pc.Validate(); err != nil {
+			return nil, fmt.Errorf("indexer: %w", err)
+		}
 	}
 	return &FullIndexer{cfg: cfg, res: res}, nil
+}
+
+// pqConfig is the product-quantizer shape every build trains.
+func (c *FullConfig) pqConfig() pq.Config {
+	return pq.Config{Dim: c.Shard.Dim, M: c.PQSubvectors, Bits: c.PQBits, Seed: c.Seed}
 }
 
 func checkShardConfig(c index.Config) error {
@@ -241,8 +261,8 @@ type imageState struct {
 // returns freshly built shards (index p serves partition p) plus the
 // codebook they share. Each shard records the queue offset its build
 // covered (Shard.CoveredOffset), so distributing its snapshot tells the
-// receiving searcher how far its real-time consumer may skip. When the
-// shard config enables PQSubvectors, one product quantizer is trained on
+// receiving searcher how far its real-time consumer may skip. When
+// PQSubvectors is set, one product quantizer is trained on
 // the same sample as the IVF codebook and installed on every shard, so
 // ADC codes agree across replicas.
 func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, error) {
@@ -313,13 +333,8 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 		return nil, nil, fmt.Errorf("indexer: train codebook: %w", err)
 	}
 	var pcb *pq.Codebook
-	if fi.cfg.Shard.PQSubvectors > 0 {
-		pcb, err = pq.Train(pq.Config{
-			Dim:  fi.cfg.Shard.Dim,
-			M:    fi.cfg.Shard.PQSubvectors,
-			Bits: fi.cfg.Shard.PQBits,
-			Seed: fi.cfg.Seed,
-		}, train)
+	if fi.cfg.PQSubvectors > 0 {
+		pcb, err = pq.Train(fi.cfg.pqConfig(), train)
 		if err != nil {
 			return nil, nil, fmt.Errorf("indexer: train pq codebook: %w", err)
 		}

@@ -63,9 +63,11 @@ func BenchmarkFullBuild(b *testing.B) {
 			defer db.Close()
 			res := &Resolver{DB: db, Images: images, Extractor: extractor}
 			fi, err := NewFull(FullConfig{
-				Partitions: partitions,
-				Shard:      index.Config{Dim: cnn.DefaultDim, NLists: 64, PQSubvectors: 16, PQBits: 8},
-				Seed:       7,
+				Partitions:   partitions,
+				Shard:        index.Config{Dim: cnn.DefaultDim, NLists: 64},
+				PQSubvectors: 16,
+				PQBits:       8,
+				Seed:         7,
 			}, res)
 			if err != nil {
 				b.Fatal(err)

@@ -410,6 +410,26 @@ func TestNewFullValidation(t *testing.T) {
 	if _, err := NewFull(FullConfig{Partitions: 1}, f.res); err == nil {
 		t.Fatal("missing shard config accepted")
 	}
+	shard := index.Config{Dim: 64, NLists: 4}
+	for _, c := range []struct {
+		name    string
+		m, bits int
+	}{
+		{"negative M", -1, 0},
+		{"M not dividing Dim", 7, 0},
+		{"bits 5", 16, 5},
+		{"odd M at 4 bits", 11, 4},
+		{"bits without M", 0, 4},
+	} {
+		if _, err := NewFull(FullConfig{Partitions: 1, Shard: shard, PQSubvectors: c.m, PQBits: c.bits}, f.res); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+	}
+	for _, bits := range []int{0, 8, 4} {
+		if _, err := NewFull(FullConfig{Partitions: 1, Shard: shard, PQSubvectors: 16, PQBits: bits}, f.res); err != nil {
+			t.Fatalf("M 16 at bits %d: %v", bits, err)
+		}
+	}
 }
 
 // TestFullBuildCoveredOffsetsAndPQ: every built shard records the queue
@@ -426,9 +446,11 @@ func TestFullBuildCoveredOffsetsAndPQ(t *testing.T) {
 		}
 	}
 	fi, err := NewFull(FullConfig{
-		Partitions: partitions,
-		Shard:      index.Config{Dim: testDim, NLists: 8, PQSubvectors: 4, PQBits: 4},
-		Seed:       1,
+		Partitions:   partitions,
+		Shard:        index.Config{Dim: testDim, NLists: 8},
+		PQSubvectors: 4,
+		PQBits:       4,
+		Seed:         1,
 	}, f.res)
 	if err != nil {
 		t.Fatal(err)
@@ -510,9 +532,11 @@ func TestFullBuildListMajorAndDeterministic(t *testing.T) {
 	build := func(procs int) [][]byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		fi, err := NewFull(FullConfig{
-			Partitions: partitions,
-			Shard:      index.Config{Dim: testDim, NLists: 8, PQSubvectors: 4, PQBits: 4},
-			Seed:       1,
+			Partitions:   partitions,
+			Shard:        index.Config{Dim: testDim, NLists: 8},
+			PQSubvectors: 4,
+			PQBits:       4,
+			Seed:         1,
 		}, f.res)
 		if err != nil {
 			t.Fatal(err)

@@ -97,7 +97,10 @@ type Config struct {
 	Seed int64
 }
 
-func (c *Config) validate() error {
+// Validate checks the shape and defaults Bits to 8: M must divide Dim,
+// and at 4 bits M must be even. Train runs it; a caller that takes the
+// shape from its own config runs it first to fail before any work.
+func (c *Config) Validate() error {
 	if c.Dim <= 0 {
 		return errors.New("pq: Dim must be positive")
 	}
@@ -189,7 +192,7 @@ func (cb *Codebook) subCentroids(m int) []float32 {
 // n×cfg.Dim). Fewer than KPerSub distinct subvectors is fine: the
 // underlying k-means seeds surplus centroids from perturbed data rows.
 func Train(cfg Config, data []float32) (*Codebook, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(data)%cfg.Dim != 0 {
@@ -268,8 +271,9 @@ func (cb *Codebook) Encode(v []float32, code []byte) error {
 }
 
 // Decode reconstructs the centroid approximation of code into out
-// (len Dim) — the vector ADC distances are actually measured to. Used by
-// tests to bound quantization error.
+// (len Dim) — the vector ADC distances are actually measured to. Only
+// tests call it; it stays as their reconstruction oracle, bounding
+// quantization error.
 func (cb *Codebook) Decode(code []byte, out []float32) error {
 	if len(code) != cb.CodeBytes() {
 		return fmt.Errorf("pq: code length %d, want %d", len(code), cb.CodeBytes())
@@ -418,24 +422,4 @@ func ADCScanBounded(lut []float32, codes []byte, m int, bound float32, out []flo
 		out[i] = adcSum(lut[4*NCentroids:], code[4:], s0, s1, s2, s3)
 	}
 	return out
-}
-
-// DefaultSubvectors picks an M for dim when the caller does not: the
-// largest divisor of dim not exceeding dim/4 (4 components per subspace
-// keeps quantization error low while still compressing 16× against
-// float32 rows), floored at 1.
-func DefaultSubvectors(dim int) int {
-	if dim <= 0 {
-		return 1
-	}
-	target := dim / 4
-	if target < 1 {
-		target = 1
-	}
-	for m := target; m > 1; m-- {
-		if dim%m == 0 {
-			return m
-		}
-	}
-	return 1
 }

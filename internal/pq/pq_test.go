@@ -270,20 +270,6 @@ func TestADCScanBoundedContract(t *testing.T) {
 	}
 }
 
-func TestDefaultSubvectors(t *testing.T) {
-	cases := map[int]int{64: 16, 128: 32, 100: 25, 12: 3, 7: 1, 4: 1, 1: 1, 0: 1}
-	for dim, want := range cases {
-		if got := DefaultSubvectors(dim); got != want {
-			t.Fatalf("DefaultSubvectors(%d) = %d, want %d", dim, got, want)
-		}
-	}
-	for _, dim := range []int{64, 128, 100, 12, 96} {
-		if m := DefaultSubvectors(dim); dim%m != 0 {
-			t.Fatalf("DefaultSubvectors(%d) = %d does not divide", dim, m)
-		}
-	}
-}
-
 func TestBuildLUTReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const dim = 16

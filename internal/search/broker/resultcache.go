@@ -168,6 +168,6 @@ func (rc *resultCache) get(key string) ([]byte, bool) {
 // put stores a freshly computed full page under key with the watermark
 // snapshot taken before its fan-out.
 func (rc *resultCache) put(key string, resp []byte, marks []int64) {
-	//jdvs:alias-ok resp is a freshly encoded page and marks a fresh watermark snapshot; the sole caller (Broker.search) hands both over write-once and never touches them again
+	//jdvs:alias-ok resp is a freshly encoded page and marks a fresh watermark snapshot; the sole caller (Broker.handleSearch) hands both over write-once and never touches them again
 	rc.entries.Put(key, cachedResult{resp: resp, marks: marks}, int64(len(resp)))
 }

@@ -94,10 +94,13 @@ func (f *Frontend) proxy(method uint16) rpc.Handler {
 		f.queries.Inc()
 		ctx := context.Background()
 		n := len(f.pools)
-		start := int(f.next.Add(1))
+		// The modulo is computed in uint64: converting the cursor to int
+		// first would go negative once it passes the int range and panic
+		// the index expression.
+		start := f.next.Add(1)
 		var lastErr error
 		for i := 0; i < n; i++ {
-			pool := f.pools[(start+i)%n]
+			pool := f.pools[(start+uint64(i))%uint64(n)]
 			resp, err := pool.Call(ctx, method, payload)
 			if err == nil {
 				return resp, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +98,28 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	}
 	if c1 == 0 || c2 == 0 {
 		t.Fatalf("round robin skipped a blender: %d/%d", c1, c2)
+	}
+}
+
+// TestRoundRobinCursorNearWrap: queries keep alternating blenders while
+// the round-robin cursor wraps past math.MaxUint64.
+func TestRoundRobinCursorNearWrap(t *testing.T) {
+	b1 := newFakeBlender(t, "b1")
+	b2 := newFakeBlender(t, "b2")
+	f, err := New(Config{Blenders: []string{b1.srv.Addr(), b2.srv.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.next.Store(math.MaxUint64 - 3)
+	const n = 8
+	for i := 0; i < n; i++ {
+		if _, err := call(t, f.Addr(), search.MethodQuery); err != nil {
+			t.Fatalf("query %d across cursor wrap: %v", i, err)
+		}
+	}
+	if c1, c2 := b1.count(), b2.count(); c1 != n/2 || c2 != n/2 {
+		t.Fatalf("blender counts %d/%d across cursor wrap, want %d each", c1, c2, n/2)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"jdvs/internal/core"
 	"jdvs/internal/index"
+	"jdvs/internal/pq"
 	"jdvs/internal/rpc"
 	"jdvs/internal/search"
 )
@@ -358,6 +359,36 @@ func TestPushSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestPushKeepsSearchWorkers: a pushed shard takes the serving shard's
+// scan width. The serving shard is built at SearchWorkers 5, above the
+// cap of the GOMAXPROCS-derived default (4), so a sink that built the
+// fresh shard from a default config would report another width.
+func TestPushKeepsSearchWorkers(t *testing.T) {
+	f := newFixture(t, 10)
+	cfg := f.shard.Config()
+	cfg.SearchWorkers = 5
+	own, err := index.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Shard: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := PushSnapshot(ctx, s.Addr(), f.shard, 0); err != nil {
+		t.Fatalf("PushSnapshot: %v", err)
+	}
+	if s.Shard() == own {
+		t.Fatal("push did not swap the serving shard")
+	}
+	if got := s.Shard().SearchWorkers(); got != 5 {
+		t.Fatalf("pushed shard SearchWorkers = %d, want 5", got)
+	}
+}
+
 // TestPushSnapshotPQMultiChunk: a PQ-enabled snapshot — quantizer, code
 // matrix and covered offset — must round-trip through the chunked
 // streaming push path and serve the ADC scan on the receiving searcher,
@@ -370,28 +401,7 @@ func TestPushSnapshotPQMultiChunk(t *testing.T) {
 	}
 	defer s.Close()
 
-	next, err := index.New(index.Config{Dim: testDim, NLists: 8, DefaultNProbe: 8, PQSubvectors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := next.SetCodebook(f.shard.Codebook()); err != nil {
-		t.Fatal(err)
-	}
-	var train []float32
-	for _, feat := range f.feats {
-		train = append(train, feat...)
-	}
-	if err := next.TrainPQ(train, 3); err != nil {
-		t.Fatal(err)
-	}
-	for i := range f.cat.Products {
-		p := &f.cat.Products[i]
-		for _, url := range p.ImageURLs {
-			if _, _, err := next.Insert(p.Attrs(url), f.feats[url]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	next := pqShard(t, f, 8)
 	next.SetCoveredOffset(123)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -433,9 +443,7 @@ func TestPushSnapshotPQMultiChunk(t *testing.T) {
 // requested bit width.
 func pqShard(t *testing.T, f *fixture, bits int) *index.Shard {
 	t.Helper()
-	s, err := index.New(index.Config{
-		Dim: testDim, NLists: 8, DefaultNProbe: 8, PQSubvectors: 4, PQBits: bits,
-	})
+	s, err := index.New(index.Config{Dim: testDim, NLists: 8, DefaultNProbe: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +454,11 @@ func pqShard(t *testing.T, f *fixture, bits int) *index.Shard {
 	for _, feat := range f.feats {
 		train = append(train, feat...)
 	}
-	if err := s.TrainPQ(train, 3); err != nil {
+	cb, err := pq.Train(pq.Config{Dim: testDim, M: 4, Bits: bits, Seed: 3}, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPQCodebook(cb); err != nil {
 		t.Fatal(err)
 	}
 	for i := range f.cat.Products {

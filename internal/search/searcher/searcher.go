@@ -64,10 +64,6 @@ type Config struct {
 	Addr string
 	// OnApplied, if set, observes applied updates.
 	OnApplied AppliedFunc
-	// SearchWorkers, when > 0, overrides the shard's intra-query scan
-	// parallelism (index.Config.SearchWorkers) on the initial shard and on
-	// every shard subsequently installed by snapshot push or SwapShard.
-	SearchWorkers int
 	// LoadIdleTimeout reaps an inbound snapshot-streaming session whose
 	// sender stalls between chunks (default rpc.DefaultStreamIdleTimeout).
 	// A reaped session never disturbs the serving shard.
@@ -84,14 +80,13 @@ type Config struct {
 
 // Searcher is a running searcher node.
 type Searcher struct {
-	partition     core.PartitionID
-	shard         atomic.Pointer[index.Shard]
-	res           *indexer.Resolver
-	srv           *rpc.Server
-	queue         *mq.Queue
-	startOff      int64
-	onApplied     AppliedFunc
-	searchWorkers int
+	partition core.PartitionID
+	shard     atomic.Pointer[index.Shard]
+	res       *indexer.Resolver
+	srv       *rpc.Server
+	queue     *mq.Queue
+	startOff  int64
+	onApplied AppliedFunc
 
 	loads *rpc.StreamServer
 
@@ -146,13 +141,12 @@ func New(cfg Config) (*Searcher, error) {
 		cfg.Addr = "127.0.0.1:0"
 	}
 	s := &Searcher{
-		partition:     cfg.Partition,
-		res:           cfg.Resolver,
-		queue:         cfg.Queue,
-		startOff:      cfg.StartOffset,
-		onApplied:     cfg.OnApplied,
-		searchWorkers: cfg.SearchWorkers,
-		done:          make(chan struct{}),
+		partition: cfg.Partition,
+		res:       cfg.Resolver,
+		queue:     cfg.Queue,
+		startOff:  cfg.StartOffset,
+		onApplied: cfg.OnApplied,
+		done:      make(chan struct{}),
 	}
 	s.resyncTo.Store(-1)
 	s.appliedOff.Store(cfg.StartOffset)
@@ -166,9 +160,6 @@ func New(cfg Config) (*Searcher, error) {
 		if s.delayEvery < 1 {
 			s.delayEvery = 1
 		}
-	}
-	if s.searchWorkers > 0 {
-		cfg.Shard.SetSearchWorkers(s.searchWorkers)
 	}
 	s.shard.Store(cfg.Shard)
 
@@ -207,18 +198,13 @@ func (s *Searcher) Shard() *index.Shard { return s.shard.Load() }
 
 // SwapShard atomically replaces the served index — the zero-downtime swap
 // at the end of a full indexing cycle. In-flight searches finish on the
-// old shard; new searches see the new one. A configured SearchWorkers
-// override is re-applied so a pushed index keeps the node's parallelism.
-// If the incoming shard records the queue offset its build covered, the
-// real-time consumer resynchronises to it: a consumer behind the offset
-// skips straight past the snapshot-covered span, and a consumer ahead of
-// it rewinds to replay the gap it had applied to the outgoing shard —
-// otherwise those updates would be missing from the fresh index until the
-// next full build.
+// old shard; new searches see the new one. If the incoming shard records
+// the queue offset its build covered, the real-time consumer
+// resynchronises to it: a consumer behind the offset skips straight past
+// the snapshot-covered span, and a consumer ahead of it rewinds to replay
+// the gap it had applied to the outgoing shard — otherwise those updates
+// would be missing from the fresh index until the next full build.
 func (s *Searcher) SwapShard(next *index.Shard) {
-	if s.searchWorkers > 0 {
-		next.SetSearchWorkers(s.searchWorkers)
-	}
 	s.shard.Store(next)
 	if covered := next.CoveredOffset(); covered > 0 {
 		s.skipTo.Store(covered)
@@ -341,7 +327,8 @@ type snapshotSink struct {
 var errSnapshotAborted = errors.New("searcher: snapshot transfer aborted")
 
 // openSnapshotSink starts a streamed load session (rpc.StreamServer open
-// hook).
+// hook). The fresh shard takes the serving shard's Config, so a pushed
+// index keeps the node's scan width.
 func (s *Searcher) openSnapshotSink() (rpc.StreamSink, error) {
 	fresh, err := index.New(s.shard.Load().Config())
 	if err != nil {

@@ -132,29 +132,6 @@ func TestSearchOverRPC(t *testing.T) {
 	}
 }
 
-// TestSearchWorkersOverride checks the node-level knob is applied to the
-// initial shard and re-applied across hot swaps.
-func TestSearchWorkersOverride(t *testing.T) {
-	f := newFixture(t, 10)
-	s, err := New(Config{Partition: 1, Shard: f.shard, SearchWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.Shard().SearchWorkers(); got != 3 {
-		t.Fatalf("initial shard SearchWorkers = %d, want 3", got)
-	}
-	next, err := index.New(f.shard.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	next.SetSearchWorkers(1)
-	s.SwapShard(next)
-	if got := s.Shard().SearchWorkers(); got != 3 {
-		t.Fatalf("swapped shard SearchWorkers = %d, want 3", got)
-	}
-}
-
 func TestRealtimeLoopAppliesUpdates(t *testing.T) {
 	f := newFixture(t, 10)
 	var mu sync.Mutex

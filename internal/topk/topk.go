@@ -73,16 +73,6 @@ func (s *Selector) Push(id uint64, dist float32) bool {
 	return true
 }
 
-// Results returns the retained items sorted by ascending distance (ties
-// broken by ascending ID for determinism). The selector is drained and may
-// be reused afterwards.
-func (s *Selector) Results() []Item {
-	out := s.heap
-	s.heap = make([]Item, 0, s.k)
-	Sort(out)
-	return out
-}
-
 // ResetK drops all retained items and reconfigures the selector to retain
 // the k closest, reusing the existing backing array when it is large
 // enough. It lets pooled selectors serve queries of varying k without
@@ -107,9 +97,9 @@ func (s *Selector) ResetK(k int) {
 func (s *Selector) Items() []Item { return s.heap }
 
 // Sorted sorts the retained items in place by ascending distance (ties
-// broken by ascending ID) and returns the selector's internal slice.
-// Unlike Results it performs no allocation, which makes it the right
-// drain for pooled per-query selectors. Sorting destroys the heap
+// broken by ascending ID) and returns the selector's internal slice. It
+// performs no allocation, which makes it the right drain for pooled
+// per-query selectors. Sorting destroys the heap
 // invariant: call ResetK before pushing again, and treat the
 // returned slice as invalidated by any subsequent use of the selector.
 func (s *Selector) Sorted() []Item {
@@ -147,8 +137,7 @@ func (s *Selector) siftDown(i int) {
 	}
 }
 
-// Sort orders items by (Dist, ID) ascending, the order Sorted and Results
-// return.
+// Sort orders items by (Dist, ID) ascending, the order Sorted returns.
 func Sort(items []Item) {
 	slices.SortFunc(items, func(a, b Item) int {
 		switch {

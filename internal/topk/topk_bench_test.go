@@ -21,7 +21,7 @@ func BenchmarkPush(b *testing.B) {
 	}
 }
 
-func BenchmarkResults(b *testing.B) {
+func BenchmarkSorted(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -29,7 +29,7 @@ func BenchmarkResults(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			s.Push(uint64(j), rng.Float32())
 		}
-		if got := s.Results(); len(got) != 100 {
+		if got := s.Sorted(); len(got) != 100 {
 			b.Fatal("short results")
 		}
 	}
@@ -43,7 +43,7 @@ func BenchmarkMerge(b *testing.B) {
 		for j := 0; j < 200; j++ {
 			s.Push(uint64(l*1000+j), rng.Float32())
 		}
-		lists[l] = s.Results()
+		lists[l] = s.Sorted()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

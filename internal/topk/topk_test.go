@@ -42,23 +42,24 @@ func TestSelectorBasics(t *testing.T) {
 	if s.Push(5, 100) {
 		t.Fatal("worse candidate accepted")
 	}
-	got := s.Results()
+	got := s.Sorted()
 	want := []Item{{2, 1}, {4, 2}, {3, 3}}
 	if len(got) != len(want) {
-		t.Fatalf("Results = %v, want %v", got, want)
+		t.Fatalf("Sorted = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Results = %v, want %v", got, want)
+			t.Fatalf("Sorted = %v, want %v", got, want)
 		}
 	}
-	// Selector is reusable after Results.
+	// Selector is reusable after Sorted and ResetK.
+	s.ResetK(3)
 	if len(s.Items()) != 0 {
-		t.Fatal("selector not drained after Results")
+		t.Fatal("selector not drained by ResetK")
 	}
 	s.Push(9, 1)
 	if len(s.Items()) != 1 {
-		t.Fatal("selector unusable after Results")
+		t.Fatal("selector unusable after Sorted and ResetK")
 	}
 }
 
@@ -67,7 +68,7 @@ func TestSelectorTieBreaksByID(t *testing.T) {
 	s.Push(30, 1)
 	s.Push(10, 1)
 	s.Push(20, 1)
-	got := s.Results()
+	got := s.Sorted()
 	for i, want := range []uint64{10, 20, 30} {
 		if got[i].ID != want {
 			t.Fatalf("tie-break order wrong: %v", got)
@@ -84,7 +85,7 @@ func TestSelectorBoundaryTieKeepsSmallestID(t *testing.T) {
 		for _, id := range order {
 			s.Push(id, 2)
 		}
-		got := s.Results()
+		got := s.Sorted()
 		if len(got) != 1 || got[0].ID != 5 {
 			t.Fatalf("push order %v: retained %v, want ID 5", order, got)
 		}
@@ -106,7 +107,7 @@ func TestSelectorMatchesSortOracle(t *testing.T) {
 		for _, it := range items {
 			s.Push(it.ID, it.Dist)
 		}
-		got := s.Results()
+		got := s.Sorted()
 
 		oracle := make([]Item, n)
 		copy(oracle, items)
@@ -137,7 +138,7 @@ func TestSelectorResultsSortedProperty(t *testing.T) {
 		for i, d := range dists {
 			s.Push(uint64(i), d)
 		}
-		got := s.Results()
+		got := s.Sorted()
 		if len(got) > k {
 			return false
 		}
@@ -238,19 +239,22 @@ func TestResetKPanicsOnBadK(t *testing.T) {
 	New(1).ResetK(0)
 }
 
-// TestSortedMatchesResults checks the allocation-free drain returns the
-// same sequence Results would.
+// TestSortedMatchesResults checks the drain of one selector reused across
+// queries through ResetK, the pooled per-query pattern, returns the same
+// results a fresh selector does.
 func TestSortedMatchesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	a := New(1)
 	for trial := 0; trial < 50; trial++ {
 		k := 1 + rng.Intn(10)
-		a, b := New(k), New(k)
+		a.ResetK(k)
+		b := New(k)
 		for i := 0; i < rng.Intn(40); i++ {
 			id, d := uint64(rng.Intn(100)), float32(rng.Intn(20))
 			a.Push(id, d)
 			b.Push(id, d)
 		}
-		got, want := a.Sorted(), b.Results()
+		got, want := a.Sorted(), b.Sorted()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: len %d vs %d", trial, len(got), len(want))
 		}
