@@ -19,13 +19,14 @@ import (
 	"jdvs/internal/imagestore"
 	"jdvs/internal/index"
 	"jdvs/internal/inverted"
+	"jdvs/internal/kmeans"
 )
 
 // benchShard builds a standalone trained shard with n indexed images.
 func benchShard(b *testing.B, n int) (*index.Shard, [][]float32) {
 	b.Helper()
 	const dim = 64
-	s, err := index.New(index.Config{Dim: dim, NLists: 64, DefaultNProbe: 8})
+	s, err := index.New(index.Config{DefaultNProbe: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +35,11 @@ func benchShard(b *testing.B, n int) (*index.Shard, [][]float32) {
 	for i := range train {
 		train[i] = float32(rng.NormFloat64())
 	}
-	if err := s.Train(train, 1); err != nil {
+	cb, err := kmeans.Train(kmeans.Config{K: 64, Dim: dim, Seed: 1}, train)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.SetCodebook(cb); err != nil {
 		b.Fatal(err)
 	}
 	feats := make([][]float32, n)

@@ -27,7 +27,6 @@ import (
 	"jdvs/internal/cnn"
 	"jdvs/internal/featuredb"
 	"jdvs/internal/imagestore"
-	"jdvs/internal/index"
 	"jdvs/internal/indexer"
 	"jdvs/internal/mq"
 	"jdvs/internal/msg"
@@ -47,9 +46,9 @@ func run() error {
 		products    = flag.Int("products", 5_000, "catalog size")
 		categories  = flag.Int("categories", 12, "catalog categories")
 		seed        = flag.Int64("seed", 1, "catalog seed")
-		dim         = flag.Int("dim", cnn.DefaultDim, "feature dimensionality")
+		dim         = flag.Int("dim", cnn.DefaultDim, "feature dimensionality (must match blenders; searchers read it from the snapshot)")
 		featureSeed = flag.Int64("feature-seed", 42, "CNN weight seed (must match blenders)")
-		nlists      = flag.Int("nlists", 64, "IVF inverted lists per partition")
+		nlists      = flag.Int("nlists", 64, "IVF inverted lists per partition (searchers read it from the snapshot)")
 		pqM         = flag.Int("pq-subvectors", 0, "product-quantization code bytes per image: train one quantizer shared by every partition and write its codes into each snapshot, so searchers serve the ADC scan (must divide -dim; 0 = exact float scan)")
 		pqBits      = flag.Int("pq-bits", 0, "PQ code bit width, with -pq-subvectors: 8 (default) = one code byte per subvector, 4 = two 16-centroid subvectors packed per byte, scanned through the blocked fast-scan kernel at half the code memory")
 		saveLog     = flag.String("save-log", "", "write the day's message log to this file after feeding")
@@ -133,7 +132,8 @@ func run() error {
 	}
 	full, err := indexer.NewFull(indexer.FullConfig{
 		Partitions:   *partitions,
-		Shard:        index.Config{Dim: *dim, NLists: *nlists},
+		Dim:          *dim,
+		NLists:       *nlists,
 		PQSubvectors: *pqM,
 		PQBits:       *pqBits,
 		Seed:         *featureSeed,
@@ -166,8 +166,7 @@ func run() error {
 	}
 	fmt.Printf("\nfull index built in %s: %d images across %d partitions, codebook %dx%d\n",
 		time.Since(start).Round(time.Millisecond), totalImages, *partitions, cb.K, cb.Dim)
-	fmt.Printf("serve with: jdvsd -role searcher -partition <p> -snapshot %s/part<p>.snap -dim %d -nlists %d\n",
-		*out, *dim, *nlists)
+	fmt.Printf("serve with: jdvsd -role searcher -partition <p> -snapshot %s/part<p>.snap\n", *out)
 	return nil
 }
 

@@ -10,6 +10,10 @@
 //	jdvsd -role frontend -addr :7001 -blenders 127.0.0.1:7301 &
 //	jdvs-client -addr 127.0.0.1:7001 -query-product 42
 //
+// A searcher serves what its snapshot holds: its shape (feature
+// dimensionality and IVF list count) and scan path. Only blenders take
+// -dim, which must match the indexer's.
+//
 // Searcher address lists: partitions are separated by ';', replicas of one
 // partition by ','.
 package main
@@ -17,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -42,12 +47,10 @@ func run() error {
 	var (
 		role      = flag.String("role", "", "node role: searcher, broker, blender, frontend")
 		addr      = flag.String("addr", "127.0.0.1:0", "listen address")
-		partition = flag.Int("partition", 0, "searcher: partition number")
+		partition = flag.Int("partition", 0, "searcher: partition number, 0 to 65535")
 		snapshot  = flag.String("snapshot", "", "searcher: snapshot file to serve")
-		dim       = flag.Int("dim", cnn.DefaultDim, "searcher/blender: feature dimensionality")
-		nlists    = flag.Int("nlists", 64, "searcher: IVF lists (must match the snapshot)")
-		nprobe    = flag.Int("nprobe", 0, "searcher: inverted lists probed per query when the request does not specify (0 = default 8, clamped to -nlists)")
-		listCap   = flag.Int("list-cap", 0, "searcher: initial per-inverted-list capacity, in images (0 = library default; size to expected images per list to avoid growth churn during bulk loads)")
+		dim       = flag.Int("dim", cnn.DefaultDim, "blender: feature dimensionality (must match the indexer)")
+		nprobe    = flag.Int("nprobe", 0, "searcher: inverted lists probed per query when the request does not specify (0 = default 8, clamped to the snapshot's list count)")
 		searchers = flag.String("searchers", "", "broker: searcher addresses, ';' between partitions, ',' between replicas")
 		brokers   = flag.String("brokers", "", "blender: comma-separated broker addresses")
 		blenders  = flag.String("blenders", "", "frontend: comma-separated blender addresses")
@@ -73,9 +76,13 @@ func run() error {
 		if *snapshot == "" {
 			return fmt.Errorf("searcher needs -snapshot")
 		}
+		// Hits carry the partition in their packed image IDs
+		// (core.ImageRef.Pack): a wrapped value would alias another's.
+		if *partition < 0 || *partition > math.MaxUint16 {
+			return fmt.Errorf("-partition %d out of range [0, %d]", *partition, math.MaxUint16)
+		}
 		shard, err := index.New(index.Config{
-			Dim: *dim, NLists: *nlists, ListInitialCap: *listCap, DefaultNProbe: *nprobe,
-			SearchWorkers: *workers, RerankK: *pqRerank,
+			DefaultNProbe: *nprobe, SearchWorkers: *workers, RerankK: *pqRerank,
 		})
 		if err != nil {
 			return err
@@ -99,17 +106,17 @@ func run() error {
 			return err
 		}
 		boundAddr, closer = node.Addr(), node.Close
-		// The snapshot decides the scan path: one written with a product
-		// quantizer (jdvs-indexer -pq-subvectors) serves ADC codes, one
-		// without serves the exact float scan.
+		// The snapshot decides the shape and the scan path: one written
+		// with a product quantizer (jdvs-indexer -pq-subvectors) serves
+		// ADC codes, one without serves the exact float scan.
 		st := shard.Stats()
 		scanPath := "exact scan"
 		if shard.PQEnabled() {
 			cb := shard.PQCodebook()
 			scanPath = fmt.Sprintf("ADC scan, %d-bit PQ, %d-byte codes", st.PQBits, cb.CodeBytes())
 		}
-		fmt.Printf("searcher partition %d serving %d images (%d valid, %s, %.1f MiB feature heap) on %s\n",
-			*partition, st.Images, st.ValidImages, scanPath,
+		fmt.Printf("searcher partition %d serving %d images (%d valid, %s, %d lists, dim %d, %.1f MiB feature heap) on %s\n",
+			*partition, st.Images, st.ValidImages, scanPath, st.Lists, shard.Codebook().Dim,
 			float64(st.FeatureHeapBytes)/(1<<20), boundAddr)
 
 	case "broker":

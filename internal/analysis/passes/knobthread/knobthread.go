@@ -4,7 +4,7 @@
 // cluster.Config — the in-process cluster harness that experiments and
 // jdvs-bench drive — and (2) be referenced in cmd/jdvsd, the per-node
 // daemon, where a knob becomes a flag. Knobs used to be threaded by
-// hand (SearchWorkers, PQSubvectors, RerankK); this pass is what
+// hand (SearchWorkers, DefaultNProbe, RerankK); this pass is what
 // notices the one that gets forgotten.
 //
 // Fields that are deliberately not runtime knobs carry `//jdvs:noknob

@@ -56,15 +56,11 @@ type Config struct {
 	// Blenders is the blender count (default 2).
 	Blenders int
 
-	// Dim is the feature dimensionality (default cnn.DefaultDim).
-	Dim int
-	// NLists is the IVF cluster count per shard (default 64).
+	// Dim is the feature dimensionality (default cnn.DefaultDim) and
+	// NLists the IVF cluster count per shard (default 64): the shape every
+	// full build trains (indexer.FullConfig.Dim and NLists).
+	Dim    int
 	NLists int
-	// ListInitialCap pre-allocates each inverted list in every shard
-	// (index.Config.ListInitialCap; 0 takes inverted.DefaultInitialCap).
-	// Size it to expected images per list to avoid migration churn while
-	// bulk-loading.
-	ListInitialCap int
 	// DefaultNProbe is the per-searcher probe width (default 8).
 	DefaultNProbe int
 	// SearchWorkers is the intra-query scan parallelism inside each
@@ -177,13 +173,12 @@ func (c *Config) fill() {
 func (c *Config) fullConfig() indexer.FullConfig {
 	return indexer.FullConfig{
 		Partitions: c.Partitions,
+		Dim:        c.Dim,
+		NLists:     c.NLists,
 		Shard: index.Config{
-			Dim:            c.Dim,
-			NLists:         c.NLists,
-			ListInitialCap: c.ListInitialCap,
-			DefaultNProbe:  c.DefaultNProbe,
-			SearchWorkers:  c.SearchWorkers,
-			RerankK:        c.RerankK,
+			DefaultNProbe: c.DefaultNProbe,
+			SearchWorkers: c.SearchWorkers,
+			RerankK:       c.RerankK,
 		},
 		PQSubvectors: c.PQSubvectors,
 		PQBits:       c.PQBits,

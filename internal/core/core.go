@@ -142,8 +142,9 @@ type SearchResponse struct {
 const (
 	reqCodecVersion  = 1
 	respCodecVersion = 1
-	// MaxFeatureDim bounds decoded feature vectors as a corruption guard.
-	MaxFeatureDim = 1 << 14
+	// MaxFeatureDim bounds decoded feature vectors as a corruption guard,
+	// and with them a shard's Dim, since a query must be able to reach it.
+	MaxFeatureDim = 1 << 12
 	// MaxHits bounds decoded hit lists as a corruption guard.
 	MaxHits = 1 << 20
 )

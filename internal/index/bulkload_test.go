@@ -28,18 +28,19 @@ func loadCorpus(n, dim int) (rows []Row, train []float32) {
 	return rows, train
 }
 
-// shardSpec is a test shard's config plus the product quantizer
-// loadShard trains for it: pqM subquantizers at pqBits-wide codes, none
-// when pqM is 0.
+// shardSpec is a test shard's config plus the codebooks loadShard trains
+// for it: nLists IVF centroids of dim floats, and a product quantizer of
+// pqM subquantizers at pqBits-wide codes, none when pqM is 0.
 type shardSpec struct {
 	Config
+	dim, nLists int
 	pqM, pqBits int
 }
 
 // loadConfig is the bulk-load tests' shard shape: bits 0 = exact, else
 // that PQ width at M=8.
 func loadConfig(dim, nlists, bits, workers int) shardSpec {
-	spec := shardSpec{Config: Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: workers}}
+	spec := shardSpec{Config: Config{DefaultNProbe: 8, SearchWorkers: workers}, dim: dim, nLists: nlists}
 	if bits != 0 {
 		spec.pqM, spec.pqBits = 8, bits
 	}
@@ -50,13 +51,7 @@ func loadConfig(dim, nlists, bits, workers int) shardSpec {
 // quantizer when spec asks for one) and fills it through load.
 func loadShard(t testing.TB, spec shardSpec, train []float32, load func(*Shard)) *Shard {
 	t.Helper()
-	s, err := New(spec.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Train(train, 5); err != nil {
-		t.Fatal(err)
-	}
+	s := trainShard(t, spec.Config, spec.nLists, spec.dim, train, 5)
 	if spec.pqM > 0 {
 		trainPQ(t, s, spec.pqM, spec.pqBits, train, 5)
 	}
@@ -347,7 +342,7 @@ func TestBulkLoadRejectsBadRows(t *testing.T) {
 	if st := s.Stats(); st.Images != 0 {
 		t.Fatalf("failed load committed %d images", st.Images)
 	}
-	raw, err := New(Config{Dim: dim, NLists: 4})
+	raw, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

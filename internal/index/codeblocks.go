@@ -178,7 +178,7 @@ func readCodeBlockLists(r io.Reader, nlists int, pcb *pq.Codebook) ([]*codeBlock
 		return nil, err
 	}
 	if got := int(binary.LittleEndian.Uint32(hdr[:])); got != nlists {
-		return nil, fmt.Errorf("index: snapshot pq code lists %d, shard NLists %d", got, nlists)
+		return nil, fmt.Errorf("index: snapshot pq code lists %d, codebook K %d", got, nlists)
 	}
 	lists := make([]*codeBlocks, nlists)
 	code := make([]byte, pcb.CodeBytes())

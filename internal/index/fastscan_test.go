@@ -22,13 +22,7 @@ func buildPQBitsPair(t testing.TB, n, dim, nlists, m, bits int) (exact, quantize
 		train = append(train, feats[i]...)
 	}
 	mk := func(pqM int) *Shard {
-		s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Train(train, 5); err != nil {
-			t.Fatal(err)
-		}
+		s := trainShard(t, Config{DefaultNProbe: 8, SearchWorkers: 1}, nlists, dim, train, 5)
 		if pqM > 0 {
 			trainPQ(t, s, pqM, bits, train, 5)
 		}
@@ -142,7 +136,7 @@ func TestPQInsertLockstep(t *testing.T) {
 				if err != nil || reused {
 					t.Fatalf("insert %d: id=%d reused=%v err=%v", i, id, reused, err)
 				}
-				resp, err := quant.Search(&core.SearchRequest{Feature: f, TopK: 1, NProbe: quant.cfg.NLists, Category: -1})
+				resp, err := quant.Search(&core.SearchRequest{Feature: f, TopK: 1, NProbe: quant.codebook.K, Category: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,7 +270,7 @@ func TestSnapshotRoundTripPQ(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := loaded.Search(&core.SearchRequest{Feature: f, TopK: 10, NProbe: loaded.cfg.NLists, Category: -1})
+			resp, err := loaded.Search(&core.SearchRequest{Feature: f, TopK: 10, NProbe: loaded.codebook.K, Category: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,10 +298,7 @@ func TestConfigPQBitsValidation(t *testing.T) {
 		{Dim: 66, M: 11, SubDim: 6, Bits: 4, Centroids: make([]float32, 11*16*6)},
 	}
 	for _, cb := range bad {
-		s, err := New(Config{Dim: cb.Dim, NLists: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := shapedShard(t, Config{}, 4, cb.Dim)
 		if err := s.SetPQCodebook(cb); err == nil {
 			t.Fatalf("codebook Bits %d M %d accepted", cb.Bits, cb.M)
 		}
@@ -318,10 +309,7 @@ func TestConfigPQBitsValidation(t *testing.T) {
 		train[i] = rng.Float32()
 	}
 	for _, c := range []struct{ bits, want int }{{0, 8}, {8, 8}, {4, 4}} {
-		s, err := New(Config{Dim: 64, NLists: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := shapedShard(t, Config{}, 4, 64)
 		trainPQ(t, s, 16, c.bits, train, 1)
 		if got := s.Stats().PQBits; got != c.want {
 			t.Fatalf("bits %d: installed PQBits = %d, want %d", c.bits, got, c.want)

@@ -116,43 +116,30 @@ func (m *featMat) heapBytes() int64 {
 	return int64(chunks) * featRowsPerChunk * int64(m.dim) * 4
 }
 
-// readFrom replaces the matrix contents (snapshot load). Not
-// concurrent-safe with readers or the writer.
-func (m *featMat) readFrom(r io.Reader) (int64, error) {
-	var read int64
+// readFeatMat decodes a writeTo stream, whose rows must have dim floats,
+// into a new matrix (snapshot load).
+func readFeatMat(r io.Reader, dim int) (*featMat, error) {
 	var hdr [8]byte
-	k, err := io.ReadFull(r, hdr[:])
-	read += int64(k)
-	if err != nil {
-		return read, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
 	}
-	dim := int(binary.LittleEndian.Uint32(hdr[0:4]))
+	if got := int(binary.LittleEndian.Uint32(hdr[0:4])); got != dim {
+		return nil, fmt.Errorf("index: snapshot feature dim %d, codebook dim %d", got, dim)
+	}
 	n := binary.LittleEndian.Uint32(hdr[4:8])
-	if dim != m.dim {
-		return read, fmt.Errorf("index: snapshot dim %d, shard dim %d", dim, m.dim)
-	}
-	fresh := newFeatMat(dim)
+	m := newFeatMat(dim)
 	buf := make([]byte, 4*dim)
 	row := make([]float32, dim)
 	for id := uint32(0); id < n; id++ {
-		k, err = io.ReadFull(r, buf)
-		read += int64(k)
-		if err != nil {
-			return read, err
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
 		}
 		for i := range row {
 			row[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 		}
-		if _, err := fresh.Append(row); err != nil {
-			return read, err
+		if _, err := m.Append(row); err != nil {
+			return nil, err
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Bound before backing, matching Row's read order; fresh is
-	// quiescent here, so this is for uniformity, not correctness.
-	length := fresh.length.Load()
-	m.dir.Store(fresh.dir.Load())
-	m.length.Store(length)
-	return read, nil
+	return m, nil
 }

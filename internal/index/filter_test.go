@@ -47,13 +47,7 @@ func buildFilterShard(t testing.TB, n, dim, nlists, pqM, bits int) (*Shard, [][]
 	for i := 0; i < min(n, 2000); i++ {
 		train = append(train, feats[i]...)
 	}
-	s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Train(train, 5); err != nil {
-		t.Fatal(err)
-	}
+	s := trainShard(t, Config{DefaultNProbe: 8, SearchWorkers: 1}, nlists, dim, train, 5)
 	if pqM > 0 {
 		trainPQ(t, s, pqM, bits, train, 5)
 	}
@@ -524,7 +518,7 @@ func TestFilteredSnapshotRoundtrip(t *testing.T) {
 	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	replica, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1})
+	replica, err := New(Config{DefaultNProbe: 8, SearchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,6 @@ import (
 // a multiple of featRowsPerChunk, so growing the chunk fails here.
 func TestFeatureHeapFootprint(t *testing.T) {
 	const rows, dim, slack = 2000, 64, 64 << 10
-	s, err := New(Config{Dim: dim, NLists: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(5))
 	feature := func() []float32 {
 		f := make([]float32, dim)
@@ -35,9 +31,7 @@ func TestFeatureHeapFootprint(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		train = append(train, feature()...)
 	}
-	if err := s.Train(train, 1); err != nil {
-		t.Fatal(err)
-	}
+	s := trainShard(t, Config{}, 4, dim, train, 1)
 	for i := 0; i < rows; i++ {
 		if _, _, err := s.Insert(attrsFor(i), feature()); err != nil {
 			t.Fatal(err)

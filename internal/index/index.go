@@ -40,17 +40,12 @@ import (
 	"jdvs/internal/vecmath"
 )
 
-// Config parameterises a shard.
+// Config holds a shard's serving settings. Its shape — the feature
+// dimensionality and the number of IVF inverted lists — is not configured:
+// it is the installed codebook's (SetCodebook, LoadSnapshot).
 type Config struct {
-	// Dim is the feature dimensionality. Required.
-	Dim int
-	// NLists is the number of IVF inverted lists (k-means K). Required.
-	NLists int
-	// ListInitialCap pre-allocates each inverted list (default
-	// inverted.DefaultInitialCap).
-	ListInitialCap int
 	// DefaultNProbe is the number of lists probed when a query does not
-	// specify one (default 8, clamped to NLists).
+	// specify one (default 8, clamped to the codebook's list count).
 	DefaultNProbe int
 	// SearchWorkers is the number of goroutines one Search call uses to
 	// scan its probed inverted lists — the paper's §2.4 "multi-thread
@@ -99,18 +94,9 @@ func defaultSearchWorkers() int {
 	return n
 }
 
-func (c *Config) validate() error {
-	if c.Dim <= 0 {
-		return errors.New("index: Dim must be positive")
-	}
-	if c.NLists <= 0 {
-		return errors.New("index: NLists must be positive")
-	}
+func (c *Config) fill() {
 	if c.DefaultNProbe <= 0 {
 		c.DefaultNProbe = 8
-	}
-	if c.DefaultNProbe > c.NLists {
-		c.DefaultNProbe = c.NLists
 	}
 	if c.SearchWorkers <= 0 {
 		c.SearchWorkers = defaultSearchWorkers()
@@ -118,7 +104,6 @@ func (c *Config) validate() error {
 	if c.RerankK < 0 {
 		c.RerankK = 0
 	}
-	return nil
 }
 
 // Stats is a point-in-time summary of shard state.
@@ -151,12 +136,15 @@ type Stats struct {
 	FeatureHeapBytes int64
 }
 
-// Shard is one partition's index. Construct with New, then Train (or
-// install a codebook / load a snapshot) before inserting.
+// Shard is one partition's index. Construct with New, then install a
+// codebook (SetCodebook) or load a snapshot before inserting.
 type Shard struct {
 	cfg Config
 
-	codebook *kmeans.Codebook // immutable once installed
+	// codebook (immutable once installed) is the shard's shape: inv holds
+	// its K lists, feats rows of its Dim floats. Until one is installed,
+	// codebook and inv are nil and feats holds no rows.
+	codebook *kmeans.Codebook
 	fwd      *forward.Index
 	inv      *inverted.Index
 	valid    *bitmapx.Bitmap
@@ -217,17 +205,15 @@ type Shard struct {
 	stats   Stats
 }
 
-// New returns an untrained shard.
+// New returns a shard with no codebook. It never fails; the error result
+// stays for the benchmark's per-layer harness (bench/layers.go).
 func New(cfg Config) (*Shard, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+	cfg.fill()
 	s := &Shard{
 		cfg:   cfg,
 		fwd:   forward.New(),
-		inv:   inverted.New(cfg.NLists, cfg.ListInitialCap),
 		valid: bitmapx.New(0),
-		feats: newFeatMat(cfg.Dim),
+		feats: newFeatMat(0),
 		byURL: make(map[string]core.ImageID),
 	}
 	s.searchWorkers.Store(int32(cfg.SearchWorkers))
@@ -246,27 +232,30 @@ var ErrNotTrained = errors.New("index: codebook not trained")
 // the shard has never indexed.
 var ErrUnknownURL = errors.New("index: unknown image URL")
 
-// Train fits the IVF codebook on the given training features (flat row-major
-// n×Dim) — §2.2's "k-mean algorithm on a set of training data set". Only
-// tests call it; it stays because it sizes the codebook from the shard's
-// own config, which their many call sites rely on.
-func (s *Shard) Train(features []float32, seed int64) error {
-	cb, err := kmeans.Train(kmeans.Config{K: s.cfg.NLists, Dim: s.cfg.Dim, Seed: seed}, features)
-	if err != nil {
-		return fmt.Errorf("index: train: %w", err)
+// checkShape refuses a shape no shard can have: no lists, no dimensions,
+// or more dimensions than a query may carry (core.MaxFeatureDim).
+func checkShape(k, dim int) error {
+	if k <= 0 || dim <= 0 || dim > core.MaxFeatureDim {
+		return fmt.Errorf("index: codebook K=%d Dim=%d (want K > 0 and Dim in 1..%d)", k, dim, core.MaxFeatureDim)
 	}
-	s.codebook = cb
 	return nil
 }
 
-// SetCodebook installs a pre-trained codebook (full indexing distributes
-// one codebook to all shards so cluster IDs agree).
+// SetCodebook installs a pre-trained IVF codebook, and with it the shard's
+// shape (full indexing distributes one codebook to all shards so cluster
+// IDs agree). A shard holding no rows gets fresh inverted lists and
+// feature matrix of that shape; one holding rows or a product quantizer
+// accepts only a codebook of its own shape. Writer-context only.
 func (s *Shard) SetCodebook(cb *kmeans.Codebook) error {
-	if cb.Dim != s.cfg.Dim {
-		return fmt.Errorf("index: codebook dim %d, shard dim %d", cb.Dim, s.cfg.Dim)
+	if err := checkShape(cb.K, cb.Dim); err != nil {
+		return err
 	}
-	if cb.K != s.cfg.NLists {
-		return fmt.Errorf("index: codebook K %d, shard NLists %d", cb.K, s.cfg.NLists)
+	old := s.codebook
+	if old != nil && (cb.K != old.K || cb.Dim != old.Dim) && (s.fwd.Len() > 0 || s.pqState.Load() != nil) {
+		return fmt.Errorf("index: codebook K=%d Dim=%d, shard holding rows or a quantizer is K=%d Dim=%d", cb.K, cb.Dim, old.K, old.Dim)
+	}
+	if s.fwd.Len() == 0 {
+		s.inv, s.feats = inverted.New(cb.K, 0), newFeatMat(cb.Dim)
 	}
 	s.codebook = cb
 	return nil
@@ -310,13 +299,16 @@ func (ps *shardPQ) codeHeapBytes() int64 {
 // Writer-context only: the list walk assumes no concurrent appends, and
 // searches keep running on the exact path until the codes publish.
 func (s *Shard) SetPQCodebook(cb *pq.Codebook) error {
+	if s.codebook == nil {
+		return ErrNotTrained
+	}
 	if err := cb.Valid(); err != nil {
 		return err
 	}
-	if cb.Dim != s.cfg.Dim {
-		return fmt.Errorf("index: pq codebook dim %d, shard dim %d", cb.Dim, s.cfg.Dim)
+	if cb.Dim != s.codebook.Dim {
+		return fmt.Errorf("index: pq codebook dim %d, shard dim %d", cb.Dim, s.codebook.Dim)
 	}
-	lists := make([]*codeBlocks, s.cfg.NLists)
+	lists := make([]*codeBlocks, s.codebook.K)
 	code := make([]byte, cb.CodeBytes())
 	var encErr error
 	for l := range lists {
@@ -453,8 +445,8 @@ func (s *Shard) BulkLoad(rows []Row) error {
 	parallel.For(len(rows), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f := rows[i].Feature
-			if len(f) != s.cfg.Dim {
-				errs[i] = fmt.Errorf("feature dim %d, shard dim %d", len(f), s.cfg.Dim)
+			if len(f) != s.codebook.Dim {
+				errs[i] = fmt.Errorf("feature dim %d, shard dim %d", len(f), s.codebook.Dim)
 				continue
 			}
 			assign[i] = int32(s.codebook.Assign(f))
@@ -470,7 +462,7 @@ func (s *Shard) BulkLoad(rows []Row) error {
 	}
 	// Counting sort by list: stable, so equal-list rows keep the caller's
 	// order and the load is a pure function of (codebook, rows).
-	next := make([]int32, s.cfg.NLists+1)
+	next := make([]int32, s.codebook.K+1)
 	for _, l := range assign {
 		next[l+1]++
 	}
@@ -555,8 +547,8 @@ func (s *Shard) insert(attrs core.Attrs, feature []float32, list int, code []byt
 	// A new generation: a fresh URL, or a re-listing whose vector changed
 	// (a wrong-dim vector never matches the stored row, so it is refused
 	// here, not reused).
-	if len(feature) != s.cfg.Dim {
-		return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.cfg.Dim)
+	if len(feature) != s.codebook.Dim {
+		return 0, false, fmt.Errorf("index: feature dim %d, shard dim %d", len(feature), s.codebook.Dim)
 	}
 	if list == unassigned {
 		// The code only has to outlive appendRow, which copies it.
@@ -1017,8 +1009,8 @@ func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.S
 	if s.codebook == nil {
 		return nil, ErrNotTrained
 	}
-	if len(req.Feature) != s.cfg.Dim {
-		return nil, fmt.Errorf("index: query dim %d, shard dim %d", len(req.Feature), s.cfg.Dim)
+	if len(req.Feature) != s.codebook.Dim {
+		return nil, fmt.Errorf("index: query dim %d, shard dim %d", len(req.Feature), s.codebook.Dim)
 	}
 	k := req.TopK
 	if k <= 0 {
@@ -1029,7 +1021,7 @@ func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.S
 	}
 	nprobe := req.NProbe
 	if nprobe <= 0 {
-		nprobe = s.cfg.DefaultNProbe
+		nprobe = min(s.cfg.DefaultNProbe, s.codebook.K)
 	}
 	sc := q.sc
 
@@ -1050,11 +1042,11 @@ func (s *Shard) prepare(q *query, req *core.SearchRequest, ps *shardPQ) (*core.S
 	}
 
 	sc.probe, sc.probeDist = vecmath.TopCentroidsInto(
-		sc.probe, sc.probeDist, req.Feature, s.codebook.Centroids, s.cfg.Dim, nprobe)
+		sc.probe, sc.probeDist, req.Feature, s.codebook.Centroids, s.codebook.Dim, nprobe)
 	if ps != nil {
-		// Dimensions were validated against the shard config above, and the
-		// codebook against the shard at install time, so BuildLUT cannot
-		// fail here.
+		// The query's dimension was validated against the codebook above,
+		// and the quantizer against the codebook at install time, so
+		// BuildLUT cannot fail here.
 		sc.lut, _ = ps.cb.BuildLUT(req.Feature, sc.lut)
 		q.rerankK = s.rerankDepth(k, ps.cb.Bits)
 	}
@@ -1377,7 +1369,9 @@ func (s *Shard) Stats() Stats {
 	st.ValidImages = s.valid.Count()
 	st.FilteredSearches = s.filteredSearches.Load()
 	st.ExactPlanSearches = s.exactPlanSearches.Load()
-	st.Lists = s.inv.Lists()
+	if s.inv != nil {
+		st.Lists = s.inv.Lists()
+	}
 	st.FeatureHeapBytes = s.feats.heapBytes()
 	if ps := s.pqState.Load(); ps != nil {
 		st.PQCodes = ps.codeCount()
@@ -1468,16 +1462,15 @@ func (s *Shard) WriteSnapshot(w io.Writer) error {
 // one feature row per forward record, and every row in exactly one inverted
 // list. A snapshot that breaks it would serve searches but fail every later
 // insert on an id skew, or return an image twice.
-func (s *Shard) checkRowsListed() error {
-	rows := s.fwd.Len()
-	if s.feats.Len() != rows || s.inv.Len() != rows {
+func checkRowsListed(rows int, feats *featMat, inv *inverted.Index) error {
+	if feats.Len() != rows || inv.Len() != rows {
 		return fmt.Errorf("index: snapshot has %d records, %d feature rows, %d list entries",
-			rows, s.feats.Len(), s.inv.Len())
+			rows, feats.Len(), inv.Len())
 	}
 	seen := make(bitmapx.Words, (rows+63)/64)
 	var buf []uint32
-	for l := 0; l < s.inv.Lists(); l++ {
-		for _, id := range s.inv.View(l, &buf) {
+	for l := 0; l < inv.Lists(); l++ {
+		for _, id := range inv.View(l, &buf) {
 			if int(id) >= rows || seen.Get(id) {
 				return fmt.Errorf("index: snapshot list %d holds id %d twice or past %d rows", l, id, rows)
 			}
@@ -1487,10 +1480,10 @@ func (s *Shard) checkRowsListed() error {
 	return nil
 }
 
-// LoadSnapshot replaces the shard contents from a WriteSnapshot stream and
-// rebuilds the URL table from the forward index. Readers and the
-// writer must be quiesced. A stream of another snapshot version is refused
-// before anything is replaced.
+// LoadSnapshot replaces the shard contents, shape included, from a
+// WriteSnapshot stream and rebuilds the URL table from the forward index.
+// Readers and the writer must be quiesced. A stream of another snapshot
+// version is refused before anything is replaced.
 func (s *Shard) LoadSnapshot(r io.Reader) error {
 	magic := make([]byte, len(snapMagic)+1)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -1511,26 +1504,25 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 	if covered < 0 {
 		return fmt.Errorf("index: corrupt snapshot covered offset %d", covered)
 	}
-	cb, err := readCodebook(r, s.cfg.NLists, s.cfg.Dim)
+	cb, err := readCodebook(r)
 	if err != nil {
 		return fmt.Errorf("index: snapshot codebook: %w", err)
-	}
-	if err := s.SetCodebook(cb); err != nil {
-		return err
 	}
 	if _, err := s.fwd.ReadFrom(r); err != nil {
 		return fmt.Errorf("index: snapshot forward: %w", err)
 	}
-	if _, err := s.inv.ReadFrom(r); err != nil {
+	inv, err := inverted.ReadFrom(r, cb.K)
+	if err != nil {
 		return fmt.Errorf("index: snapshot inverted: %w", err)
 	}
 	if err := readBitmap(r, s.valid, s.fwd.Len()); err != nil {
 		return fmt.Errorf("index: snapshot bitmap: %w", err)
 	}
-	if _, err := s.feats.readFrom(r); err != nil {
+	feats, err := readFeatMat(r, cb.Dim)
+	if err != nil {
 		return fmt.Errorf("index: snapshot features: %w", err)
 	}
-	if err := s.checkRowsListed(); err != nil {
+	if err := checkRowsListed(s.fwd.Len(), feats, inv); err != nil {
 		return err
 	}
 	var fresh *shardPQ
@@ -1546,11 +1538,11 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 		if bb[0] != 4 && bb[0] != 8 {
 			return fmt.Errorf("index: corrupt snapshot pq bits %d", bb[0])
 		}
-		pcb, err := readPQCodebook(r, int(bb[0]), s.cfg.Dim)
+		pcb, err := readPQCodebook(r, int(bb[0]), cb.Dim)
 		if err != nil {
 			return fmt.Errorf("index: snapshot pq codebook: %w", err)
 		}
-		lists, err := readCodeBlockLists(r, s.cfg.NLists, pcb)
+		lists, err := readCodeBlockLists(r, cb.K, pcb)
 		if err != nil {
 			return fmt.Errorf("index: snapshot pq code lists: %w", err)
 		}
@@ -1558,16 +1550,17 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 		// list's code count must match its inverted length. A truncated or
 		// mismatched code section fails the load here instead of serving
 		// shifted codes.
-		for l, cb := range lists {
-			if int(cb.published()) != s.inv.ListLen(l) {
+		for l, blocks := range lists {
+			if int(blocks.published()) != inv.ListLen(l) {
 				return fmt.Errorf("index: snapshot pq list %d has %d codes, inverted %d entries",
-					l, cb.published(), s.inv.ListLen(l))
+					l, blocks.published(), inv.ListLen(l))
 			}
 		}
 		fresh = &shardPQ{cb: pcb, lists: lists}
 	} else if flag[0] != 0 {
 		return fmt.Errorf("index: corrupt snapshot pq flag %d", flag[0])
 	}
+	s.codebook, s.inv, s.feats = cb, inv, feats
 	s.pqState.Store(fresh)
 	// Rebuild the per-category bitmaps from the forward records. Stale
 	// generations (tombstoned by feature refreshes) keep their bits — their

@@ -14,18 +14,12 @@ import (
 func benchShard(b *testing.B, n int) (*Shard, [][]float32) {
 	b.Helper()
 	const dim = 64
-	s, err := New(Config{Dim: dim, NLists: 64, DefaultNProbe: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(7))
 	train := make([]float32, 2_000*dim)
 	for i := range train {
 		train[i] = float32(rng.NormFloat64())
 	}
-	if err := s.Train(train, 1); err != nil {
-		b.Fatal(err)
-	}
+	s := trainShard(b, Config{DefaultNProbe: 8}, 64, dim, train, 1)
 	feats := make([][]float32, n)
 	for i := 0; i < n; i++ {
 		f := make([]float32, dim)
@@ -119,13 +113,7 @@ func BenchmarkADCScan(b *testing.B) {
 		train = append(train, feats[i]...)
 	}
 	build := func(pqM, bits int) *Shard {
-		s, err := New(Config{Dim: dim, NLists: 64, DefaultNProbe: 8, SearchWorkers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Train(train, 1); err != nil {
-			b.Fatal(err)
-		}
+		s := trainShard(b, Config{DefaultNProbe: 8, SearchWorkers: 1}, 64, dim, train, 1)
 		if pqM > 0 {
 			trainPQ(b, s, pqM, bits, train, 1)
 		}
@@ -163,7 +151,7 @@ func BenchmarkADCScan(b *testing.B) {
 	}
 	b.Run("shape=scan_uniform/bits=8", func(b *testing.B) {
 		const rows, nprobe = 30_000, 48
-		cfg := shardSpec{Config{Dim: dim, NLists: 64, DefaultNProbe: nprobe, SearchWorkers: 1}, m, 8}
+		cfg := shardSpec{Config{DefaultNProbe: nprobe, SearchWorkers: 1}, dim, 64, m, 8}
 		load := make([]Row, rows)
 		for i := range load {
 			load[i] = Row{Feature: feats[i], Attrs: core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://adc/%d.jpg", i)}}
@@ -190,7 +178,7 @@ func BenchmarkADCScan(b *testing.B) {
 // admission bitmap. sel and the probe buffers are caller-owned so the
 // baseline pays no per-query allocations the real path doesn't.
 func filteredScanBaseline(s *Shard, req *core.SearchRequest, probe []int, probeDist []float32, sel *topk.Selector) ([]int, []float32) {
-	probe, probeDist = vecmath.TopCentroidsInto(probe, probeDist, req.Feature, s.codebook.Centroids, s.cfg.Dim, req.NProbe)
+	probe, probeDist = vecmath.TopCentroidsInto(probe, probeDist, req.Feature, s.codebook.Centroids, s.codebook.Dim, req.NProbe)
 	sel.ResetK(req.TopK)
 	for _, l := range probe {
 		s.inv.Scan(l, func(id uint32) bool {
@@ -235,13 +223,7 @@ func BenchmarkFilteredScan(b *testing.B) {
 	for i := 0; i < 2000; i++ {
 		train = append(train, feats[i]...)
 	}
-	s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Train(train, 1); err != nil {
-		b.Fatal(err)
-	}
+	s := trainShard(b, Config{DefaultNProbe: nprobe, SearchWorkers: 1}, nlists, dim, train, 1)
 	for i, f := range feats {
 		a := filterAttrs(i, n)
 		if _, _, err := s.Insert(a, f); err != nil {
@@ -420,7 +402,7 @@ func BenchmarkMixedRealtimeStages(b *testing.B) {
 	}
 	for _, layout := range layouts {
 		b.Run("layout="+layout.name, func(b *testing.B) {
-			cfg := shardSpec{Config{Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1}, 16, 4}
+			cfg := shardSpec{Config{DefaultNProbe: nprobe, SearchWorkers: 1}, dim, nlists, 16, 4}
 			s := loadShard(b, cfg, train, layout.load)
 			ps := s.pqState.Load()
 			for _, pct := range []int{1, 10, 50} {

@@ -10,17 +10,48 @@ import (
 	"testing"
 
 	"jdvs/internal/core"
+	"jdvs/internal/kmeans"
 )
 
 const testDim = 16
 
-// testShard builds a trained shard over nClusters synthetic clusters.
-func testShard(t *testing.T, nLists int) (*Shard, *rand.Rand) {
+// trainShard returns a shard of cfg holding an IVF codebook of nLists
+// centroids that kmeans fits on train (row-major, dim floats per row): the
+// path FullIndexer.Build takes.
+func trainShard(t testing.TB, cfg Config, nLists, dim int, train []float32, seed int64) *Shard {
 	t.Helper()
-	s, err := New(Config{Dim: testDim, NLists: nLists, DefaultNProbe: 4})
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cb, err := kmeans.Train(kmeans.Config{K: nLists, Dim: dim, Seed: seed}, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCodebook(cb); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// shapedShard returns an empty shard of cfg with nLists lists of dim
+// floats, its codebook all zero centroids: a shape for tests that do not
+// depend on where rows are listed.
+func shapedShard(t testing.TB, cfg Config, nLists, dim int) *Shard {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCodebook(&kmeans.Codebook{K: nLists, Dim: dim, Centroids: make([]float32, nLists*dim)}); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// testShard builds a trained shard over nClusters synthetic clusters.
+func testShard(t *testing.T, nLists int) (*Shard, *rand.Rand) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(17))
 	train := make([]float32, 0, 500*testDim)
 	for i := 0; i < 500; i++ {
@@ -28,10 +59,7 @@ func testShard(t *testing.T, nLists int) (*Shard, *rand.Rand) {
 			train = append(train, float32(rng.NormFloat64()))
 		}
 	}
-	if err := s.Train(train, 1); err != nil {
-		t.Fatal(err)
-	}
-	return s, rng
+	return trainShard(t, Config{DefaultNProbe: 4}, nLists, testDim, train, 1), rng
 }
 
 func randFeature(rng *rand.Rand) []float32 {
@@ -54,7 +82,7 @@ func attrsFor(i int) core.Attrs {
 }
 
 func TestInsertRequiresTraining(t *testing.T) {
-	s, err := New(Config{Dim: testDim, NLists: 4})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -739,25 +767,21 @@ func TestReListingMovesProduct(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 0, NLists: 4}); err == nil {
-		t.Fatal("zero dim accepted")
-	}
-	if _, err := New(Config{Dim: 4, NLists: 0}); err == nil {
-		t.Fatal("zero lists accepted")
-	}
-	s, err := New(Config{Dim: 4, NLists: 2, DefaultNProbe: 100})
+	// A DefaultNProbe above the codebook's list count probes every list.
+	s := shapedShard(t, Config{DefaultNProbe: 100}, 2, 4)
+	resp, err := s.Search(&core.SearchRequest{Feature: make([]float32, 4), Category: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Config().DefaultNProbe != 2 {
-		t.Fatalf("nprobe not clamped: %d", s.Config().DefaultNProbe)
+	if resp.Probed != 2 {
+		t.Fatalf("nprobe not clamped: probed %d lists of 2", resp.Probed)
 	}
 	// SearchWorkers defaults from GOMAXPROCS and round-trips through
 	// Config for derived shards.
 	if s.Config().SearchWorkers < 1 {
 		t.Fatalf("SearchWorkers not defaulted: %d", s.Config().SearchWorkers)
 	}
-	s2, err := New(Config{Dim: 4, NLists: 2, SearchWorkers: 6})
+	s2, err := New(Config{SearchWorkers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -771,27 +795,42 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestSetCodebookValidation(t *testing.T) {
-	s, _ := testShard(t, 8)
+	s, rng := testShard(t, 8)
 	other, _ := testShard(t, 8)
+	small, _ := testShard(t, 4)
 	if err := s.SetCodebook(other.Codebook()); err != nil {
 		t.Fatalf("compatible codebook rejected: %v", err)
 	}
-	wrong, err := New(Config{Dim: testDim, NLists: 4})
-	if err != nil {
-		t.Fatal(err)
+	// An empty shard takes the shape of any codebook it is given.
+	empty, _ := testShard(t, 8)
+	if err := empty.SetCodebook(small.Codebook()); err != nil {
+		t.Fatalf("empty shard refused a 4-list codebook: %v", err)
 	}
-	_ = wrong
-	// K mismatch.
-	small, _ := New(Config{Dim: testDim, NLists: 4})
-	rng := rand.New(rand.NewSource(1))
-	train := make([]float32, 100*testDim)
-	for i := range train {
-		train[i] = float32(rng.NormFloat64())
+	if got := empty.Stats().Lists; got != 4 {
+		t.Fatalf("reshaped shard has %d lists, want 4", got)
 	}
-	if err := small.Train(train, 1); err != nil {
+	// A shard holding rows keeps its shape.
+	if _, _, err := s.Insert(attrsFor(0), randFeature(rng)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetCodebook(small.Codebook()); err == nil {
 		t.Fatal("K-mismatched codebook accepted")
+	}
+	if err := s.SetCodebook(&kmeans.Codebook{K: 8, Dim: 8, Centroids: make([]float32, 64)}); err == nil {
+		t.Fatal("Dim-mismatched codebook accepted")
+	}
+	if err := s.SetCodebook(other.Codebook()); err != nil {
+		t.Fatalf("compatible codebook rejected by a shard holding rows: %v", err)
+	}
+	// Shapes no shard can have.
+	for _, cb := range []*kmeans.Codebook{
+		{K: 0, Dim: 4},
+		{K: 2, Dim: 0},
+		{K: 1, Dim: core.MaxFeatureDim + 1, Centroids: make([]float32, core.MaxFeatureDim+1)},
+	} {
+		fresh, _ := New(Config{})
+		if err := fresh.SetCodebook(cb); err == nil {
+			t.Errorf("codebook K=%d Dim=%d accepted", cb.K, cb.Dim)
+		}
 	}
 }

@@ -26,7 +26,7 @@ func (s *Shard) admittedBound(adm *admission) int {
 // a wider probe to fill its page, and scoring every admitted row is the
 // widest probe there is, with the brute-force answer.
 func (s *Shard) exactPlanLimit(nprobe, k int) int {
-	n := s.cfg.NLists
+	n := s.codebook.K
 	perList := (s.inv.Len() + n - 1) / n
 	return max(nprobe*perList, (filterCandidateTarget*k*n+nprobe-1)/nprobe)
 }

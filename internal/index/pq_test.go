@@ -35,7 +35,7 @@ func clusteredFeatures(rng *rand.Rand, n, dim, nc int, spread float64) [][]float
 // on train and installs it on s, the path FullIndexer.Build takes.
 func trainPQ(t testing.TB, s *Shard, m, bits int, train []float32, seed int64) {
 	t.Helper()
-	cb, err := pq.Train(pq.Config{Dim: s.Config().Dim, M: m, Bits: bits, Seed: seed}, train)
+	cb, err := pq.Train(pq.Config{Dim: s.Codebook().Dim, M: m, Bits: bits, Seed: seed}, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +55,7 @@ func buildPQPair(t testing.TB, n, dim, nlists, m int) (exact, quantized *Shard, 
 		train = append(train, feats[i]...)
 	}
 	mk := func(pqM int) *Shard {
-		s, err := New(Config{Dim: dim, NLists: nlists, DefaultNProbe: 8, SearchWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Train(train, 5); err != nil {
-			t.Fatal(err)
-		}
+		s := trainShard(t, Config{DefaultNProbe: 8, SearchWorkers: 1}, nlists, dim, train, 5)
 		if pqM > 0 {
 			trainPQ(t, s, pqM, 8, train, 5)
 		}
@@ -188,7 +182,8 @@ func unboundedADCSearch(t *testing.T, s *Shard, req *core.SearchRequest) *core.S
 }
 
 // TestBoundedADCScanMatchesUnbounded: on an 8-bit, list-major shard whose
-// small lists keep expanding under a real-time writer, Search with one and
+// lists, loaded from a snapshot at their exact lengths, expand under a
+// real-time writer, Search with one and
 // two scan workers returns the hits and Scanned count of
 // unboundedADCSearch. Each round inserts a burst of rows while queries run
 // (under -race this races the bounded kernel and inverted.View against the
@@ -200,9 +195,15 @@ func TestBoundedADCScanMatchesUnbounded(t *testing.T) {
 	const n, dim, rounds, burst = 3000, 32, 4, 150
 	rows, train := loadCorpus(n+rounds*burst, dim)
 	cfg := loadConfig(dim, 16, 8, 1)
-	cfg.ListInitialCap = 8
 	cfg.RerankK = 1
-	s := loadShard(t, cfg, train, bulkLoader(t, rows[:n]))
+	built := loadShard(t, cfg, train, bulkLoader(t, rows[:n]))
+	s, err := New(built.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadSnapshot(bytes.NewReader(snapshotBytes(t, built))); err != nil {
+		t.Fatal(err)
+	}
 	feats := make([][]float32, n)
 	for i := range feats {
 		feats[i] = rows[i].Feature
@@ -279,7 +280,7 @@ func TestSnapshotNoPQ(t *testing.T) {
 	if err := exact.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := New(Config{Dim: dim, NLists: 16, DefaultNProbe: 8, SearchWorkers: 1})
+	loaded, err := New(Config{DefaultNProbe: 8, SearchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +344,7 @@ func TestLoadSnapshotRejectsOldVersions(t *testing.T) {
 // subquantizers do not tile Dim, is refused and leaves the shard on the
 // exact path; a fitting one switches it to ADC.
 func TestPQConfigValidation(t *testing.T) {
-	s, err := New(Config{Dim: 64, NLists: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := shapedShard(t, Config{}, 4, 64)
 	rng := rand.New(rand.NewSource(5))
 	train := func(dim, n int) []float32 {
 		out := make([]float32, dim*n)

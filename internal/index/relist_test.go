@@ -24,13 +24,7 @@ func relistShard(t *testing.T, bits int) (*Shard, [][]float32) {
 	for _, f := range feats {
 		train = append(train, f...)
 	}
-	s, err := New(Config{Dim: testDim, NLists: 8, DefaultNProbe: 8, SearchWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Train(train, 3); err != nil {
-		t.Fatal(err)
-	}
+	s := trainShard(t, Config{DefaultNProbe: 8, SearchWorkers: 1}, 8, testDim, train, 3)
 	trainPQ(t, s, 4, bits, train, 3)
 	for i, f := range feats {
 		a := core.Attrs{ProductID: uint64(i + 1), URL: fmt.Sprintf("jfs://relist/%d.jpg", i)}
@@ -165,7 +159,7 @@ func runRelistChangedFeature(t *testing.T, bits int) {
 	}
 
 	// Exact path: same corpus without PQ.
-	se, err := New(Config{Dim: testDim, NLists: 8, DefaultNProbe: 8, SearchWorkers: 1})
+	se, err := New(Config{DefaultNProbe: 8, SearchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,16 +44,7 @@ func TestRerankSweep(t *testing.T) {
 		train = append(train, feats[i]...)
 	}
 	build := func(pqM, bits, rerankK int) *Shard {
-		s, err := New(Config{
-			Dim: dim, NLists: nlists, DefaultNProbe: nprobe, SearchWorkers: 1,
-			RerankK: rerankK,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Train(train, 1); err != nil {
-			t.Fatal(err)
-		}
+		s := trainShard(t, Config{DefaultNProbe: nprobe, SearchWorkers: 1, RerankK: rerankK}, nlists, dim, train, 1)
 		if pqM > 0 {
 			trainPQ(t, s, pqM, bits, train, 1)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"jdvs/internal/bitmapx"
 	"jdvs/internal/kmeans"
@@ -27,27 +28,48 @@ func writeCodebook(w io.Writer, cb *kmeans.Codebook) error {
 	return err
 }
 
-// readCodebook deserialises a codebook, which must have wantK centroids of
-// wantDim floats — checked before the header's claim sizes anything.
-func readCodebook(r io.Reader, wantK, wantDim int) (*kmeans.Codebook, error) {
+// readCodebook deserialises a codebook. Its header decides the shard's
+// shape, so it must be one checkShape accepts; K×Dim stays a claim until
+// the centroids behind it arrive.
+func readCodebook(r io.Reader) (*kmeans.Codebook, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	k := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	dim := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if k != wantK || dim != wantDim {
-		return nil, fmt.Errorf("index: codebook K=%d Dim=%d, shard NLists %d Dim %d", k, dim, wantK, wantDim)
-	}
-	buf := make([]byte, 4*k*dim)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := checkShape(k, dim); err != nil {
 		return nil, err
 	}
-	cents := make([]float32, k*dim)
-	for i := range cents {
-		cents[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	cents, err := readFloats(r, k*dim)
+	if err != nil {
+		return nil, err
 	}
 	return &kmeans.Codebook{K: k, Dim: dim, Centroids: cents}, nil
+}
+
+// floatStep is how many floats readFloats decodes per read.
+const floatStep = 1024
+
+// readFloats reads n little-endian float32s. n is a claim of the stream
+// until the bytes behind it arrive, so the result grows only as they do:
+// at most doubling what has been read, never past n.
+func readFloats(r io.Reader, n int) ([]float32, error) {
+	var raw [4 * floatStep]byte
+	var out []float32
+	for len(out) < n {
+		step := min(n-len(out), floatStep)
+		if _, err := io.ReadFull(r, raw[:4*step]); err != nil {
+			return nil, err
+		}
+		if len(out)+step > cap(out) {
+			out = slices.Grow(out, min(n-len(out), max(len(out), step)))
+		}
+		for i := 0; i < step; i++ {
+			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])))
+		}
+	}
+	return out, nil
 }
 
 // writePQCodebook serialises a product quantizer:
@@ -69,7 +91,8 @@ func writePQCodebook(w io.Writer, cb *pq.Codebook) error {
 	return err
 }
 
-// readPQCodebook deserialises a product quantizer over wantDim floats.
+// readPQCodebook deserialises a product quantizer over wantDim floats, the
+// IVF codebook's Dim.
 func readPQCodebook(r io.Reader, bits, wantDim int) (*pq.Codebook, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -78,7 +101,7 @@ func readPQCodebook(r io.Reader, bits, wantDim int) (*pq.Codebook, error) {
 	m := int(binary.LittleEndian.Uint32(hdr[0:4]))
 	dim := int(binary.LittleEndian.Uint32(hdr[4:8]))
 	if dim != wantDim {
-		return nil, fmt.Errorf("index: pq codebook dim %d, shard dim %d", dim, wantDim)
+		return nil, fmt.Errorf("index: pq codebook dim %d, codebook dim %d", dim, wantDim)
 	}
 	if m <= 0 || m > dim || dim%m != 0 {
 		return nil, fmt.Errorf("index: corrupt pq codebook header (M=%d Dim=%d)", m, dim)
@@ -87,20 +110,11 @@ func readPQCodebook(r io.Reader, bits, wantDim int) (*pq.Codebook, error) {
 	if bits == 4 {
 		kPerSub = pq.NCentroids4
 	}
-	cb := &pq.Codebook{
-		M:         m,
-		Dim:       dim,
-		SubDim:    dim / m,
-		Bits:      bits,
-		Centroids: make([]float32, m*kPerSub*(dim/m)),
-	}
-	buf := make([]byte, 4*len(cb.Centroids))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	cents, err := readFloats(r, kPerSub*dim)
+	if err != nil {
 		return nil, err
 	}
-	for i := range cb.Centroids {
-		cb.Centroids[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
+	cb := &pq.Codebook{M: m, Dim: dim, SubDim: dim / m, Bits: bits, Centroids: cents}
 	if err := cb.Valid(); err != nil {
 		return nil, err
 	}

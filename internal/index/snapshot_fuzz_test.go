@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 
 	"jdvs/internal/bitmapx"
 	"jdvs/internal/core"
+	"jdvs/internal/forward"
+	"jdvs/internal/kmeans"
 )
 
 // snapshotAllocBound is how many bytes LoadSnapshot may allocate into a
@@ -93,7 +96,7 @@ func codebookClaimSnapshot(k, dim uint32) []byte {
 
 // oneListSnapshot is the exact-path golden shard's snapshot with its
 // inverted section replaced by a single list holding every image — a
-// section whose list count disagrees with the shard's NLists.
+// section whose list count disagrees with its codebook's K.
 func oneListSnapshot(t testing.TB) []byte {
 	t.Helper()
 	s := goldenShard(t, 0)
@@ -125,6 +128,54 @@ func oneListSnapshot(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// shapeShard is a shard of k lists of dim floats holding one image per
+// list: row i sits on centroid i, whose every coordinate is i, and so in
+// list i, where Insert would place it.
+func shapeShard(t testing.TB, k, dim int) *Shard {
+	t.Helper()
+	s, err := New(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cents := make([]float32, k*dim)
+	for i := range cents {
+		cents[i] = float32(i / dim)
+	}
+	if err := s.SetCodebook(&kmeans.Codebook{K: k, Dim: dim, Centroids: cents}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		id, err := s.appendRow(core.Attrs{ProductID: uint64(i), URL: fmt.Sprintf("jfs://shape/%d.jpg", i)}, cents[i*dim:(i+1)*dim], i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.valid.Set(id)
+	}
+	return s
+}
+
+// listsOnlySnapshot is a stream of s's codebook and inverted lists with an
+// empty forward section between them, ending after the lists: the lists
+// name ids no record backs. The load fails, but only after decoding the
+// lists, whose storage must stay within what the stream carried.
+func listsOnlySnapshot(t testing.TB, s *Shard) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(snapMagic)
+	buf.WriteByte(snapVersion)
+	buf.Write(binary.LittleEndian.AppendUint64(nil, 0))
+	if err := writeCodebook(&buf, s.codebook); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := forward.New().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.inv.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzLoadSnapshot: loading arbitrary bytes into a goldenConfig shard never
 // panics and allocates within snapshotAllocBound. A stream the load
 // accepts re-encodes through WriteSnapshot to exactly the bytes it
@@ -148,6 +199,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(codebookClaimSnapshot(1<<12, 1<<10))
 	// One inverted list for a two-list shard: every insert into list 1 fails.
 	f.Add(oneListSnapshot(f))
+	// The widest shape a query can reach: one 256-row feature chunk of
+	// Dim core.MaxFeatureDim is 4 MiB.
+	f.Add(snapshotBytes(f, shapeShard(f, 2, core.MaxFeatureDim)))
+	// 50k one-entry lists at Dim 1, with no forward records behind them:
+	// per-list storage sized ahead of its ids would outgrow the stream.
+	f.Add(listsOnlySnapshot(f, shapeShard(f, 50_000, 1)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := New(goldenConfig())
 		if err != nil {
@@ -225,5 +282,58 @@ func TestLoadSnapshotRejectsInconsistentSections(t *testing.T) {
 		if err := dup.LoadSnapshot(bytes.NewReader(tc.edit(append([]byte(nil), golden...)))); err == nil {
 			t.Errorf("%s: snapshot accepted", tc.name)
 		}
+	}
+}
+
+// TestLoadSnapshotSectionsMatchCodebook: the codebook header decides a
+// loaded shard's shape, and every later section that repeats part of it
+// must agree: the inverted list count, the feature rows' Dim, and the
+// product quantizer's Dim and code list count.
+func TestLoadSnapshotSectionsMatchCodebook(t *testing.T) {
+	s := goldenShard(t, 8)
+	golden := snapshotBytes(t, s)
+	var sections [3]bytes.Buffer
+	fwdLen, err := s.fwd.WriteTo(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invLen, err := s.inv.WriteTo(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeBitmap(&sections[0], s.valid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.feats.writeTo(&sections[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := writePQCodebook(&sections[2], s.PQCodebook()); err != nil {
+		t.Fatal(err)
+	}
+	featAt := len(snapMagic) + 1 + 8 + 8 + 4*len(s.codebook.Centroids) + int(fwdLen) + int(invLen) + sections[0].Len()
+	pqAt := featAt + sections[1].Len() + 2 // past [present][bits]
+	codesAt := pqAt + sections[2].Len()
+	for _, tc := range []struct {
+		name         string
+		at           int
+		was, claimed uint32
+	}{
+		{"feature rows of Dim 2", featAt, 4, 2},
+		{"pq codebook of Dim 8", pqAt + 4, 4, 8},
+		{"pq codes in three lists", codesAt, 2, 3},
+	} {
+		if got := binary.LittleEndian.Uint32(golden[tc.at:]); got != tc.was {
+			t.Fatalf("%s: offset %d holds %d, want the header's %d", tc.name, tc.at, got, tc.was)
+		}
+		b := append([]byte(nil), golden...)
+		binary.LittleEndian.PutUint32(b[tc.at:], tc.claimed)
+		dup, _ := New(goldenConfig())
+		if err := dup.LoadSnapshot(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: snapshot accepted", tc.name)
+		}
+	}
+	dup, _ := New(goldenConfig())
+	if err := dup.LoadSnapshot(bytes.NewReader(oneListSnapshot(t))); err == nil {
+		t.Error("one inverted list for a two-list codebook: snapshot accepted")
 	}
 }

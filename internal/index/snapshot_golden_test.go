@@ -15,11 +15,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/snapshot_v4.golden from the current encoder")
 
-// goldenConfig is the shard shape of the golden snapshot and of the
-// snapshot fuzzer: dim 4, two lists (goldenShard installs two
-// subquantizers).
+// goldenConfig is the serving config of the golden shard and of the
+// snapshot fuzzer's. It carries no shape: goldenShard's codebook makes the
+// golden shard dim 4 with two lists (and two subquantizers), and a loaded
+// shard takes whatever shape its stream's codebook header says.
 func goldenConfig() Config {
-	return Config{Dim: 4, NLists: 2, DefaultNProbe: 2, SearchWorkers: 1}
+	return Config{DefaultNProbe: 2, SearchWorkers: 1}
 }
 
 // goldenShard builds a tiny shard from fixed codebooks, with no training:

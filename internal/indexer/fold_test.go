@@ -37,7 +37,7 @@ func runFoldTrial(t *testing.T, seed int64) {
 		// Shared codebook for determinism.
 		ref := newShard(t, f)
 		for p := range liveShards {
-			s, err := index.New(index.Config{Dim: testDim, NLists: 8})
+			s, err := index.New(index.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,8 @@ func runFoldTrial(t *testing.T, seed int64) {
 	// Full build over the identical log.
 	fi, err := NewFull(FullConfig{
 		Partitions: partitions,
-		Shard:      index.Config{Dim: testDim, NLists: 8},
+		Dim:        testDim,
+		NLists:     8,
 		Seed:       1,
 	}, f.res)
 	if err != nil {

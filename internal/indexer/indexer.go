@@ -184,12 +184,16 @@ func Apply(s *index.Shard, r *Resolver, u *msg.ProductUpdate) (kind string, reus
 type FullConfig struct {
 	// Partitions is the number of index partitions to build. Required.
 	Partitions int
-	// Shard configures each partition's index. Required fields per
-	// index.Config.
+	// Dim is the feature dimensionality and NLists the number of IVF
+	// lists (k-means K) of every shard the build makes; both required.
+	// They travel in the codebook, so a loaded snapshot carries them.
+	Dim    int
+	NLists int
+	// Shard holds each partition's serving settings (index.Config).
 	Shard index.Config
 	// PQSubvectors, when positive, makes each build train one product
 	// quantizer of that many subquantizers (M code bytes per image at 8
-	// bits; must divide Shard.Dim) and install it on every shard, which
+	// bits; must divide Dim) and install it on every shard, which
 	// then scans ADC codes. 0 builds exact-scan shards; negative is
 	// rejected.
 	PQSubvectors int
@@ -223,8 +227,8 @@ func NewFull(cfg FullConfig, res *Resolver) (*FullIndexer, error) {
 	if cfg.TrainSample <= 0 {
 		cfg.TrainSample = 10_000
 	}
-	if err := checkShardConfig(cfg.Shard); err != nil {
-		return nil, err
+	if cfg.Dim <= 0 || cfg.NLists <= 0 {
+		return nil, errors.New("indexer: full build needs Dim and NLists")
 	}
 	// Zero PQSubvectors and PQBits build without a quantizer. Anything
 	// else, a negative M or a width set without M included, must be a
@@ -240,14 +244,7 @@ func NewFull(cfg FullConfig, res *Resolver) (*FullIndexer, error) {
 
 // pqConfig is the product-quantizer shape every build trains.
 func (c *FullConfig) pqConfig() pq.Config {
-	return pq.Config{Dim: c.Shard.Dim, M: c.PQSubvectors, Bits: c.PQBits, Seed: c.Seed}
-}
-
-func checkShardConfig(c index.Config) error {
-	if c.Dim <= 0 || c.NLists <= 0 {
-		return errors.New("indexer: shard config needs Dim and NLists")
-	}
-	return nil
+	return pq.Config{Dim: c.Dim, M: c.PQSubvectors, Bits: c.PQBits, Seed: c.Seed}
 }
 
 // imageState is the replayed final state of one image URL.
@@ -309,7 +306,7 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 	// The training sample is the first TrainSample features in sorted-URL
 	// order, picked serially.
 	perPartition := make([][]index.Row, fi.cfg.Partitions)
-	train := make([]float32, 0, fi.cfg.TrainSample*fi.cfg.Shard.Dim)
+	train := make([]float32, 0, fi.cfg.TrainSample*fi.cfg.Dim)
 	trained := 0
 	for i, url := range urls {
 		st := states[url]
@@ -325,8 +322,8 @@ func (fi *FullIndexer) Build(q *mq.Queue) ([]*index.Shard, *kmeans.Codebook, err
 	}
 
 	cb, err := kmeans.Train(kmeans.Config{
-		K:    fi.cfg.Shard.NLists,
-		Dim:  fi.cfg.Shard.Dim,
+		K:    fi.cfg.NLists,
+		Dim:  fi.cfg.Dim,
 		Seed: fi.cfg.Seed,
 	}, train)
 	if err != nil {

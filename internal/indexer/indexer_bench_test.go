@@ -7,7 +7,6 @@ import (
 	"jdvs/internal/cnn"
 	"jdvs/internal/featuredb"
 	"jdvs/internal/imagestore/imagestoretest"
-	"jdvs/internal/index"
 	"jdvs/internal/mq"
 	"jdvs/internal/msg"
 )
@@ -64,7 +63,8 @@ func BenchmarkFullBuild(b *testing.B) {
 			res := &Resolver{DB: db, Images: images, Extractor: extractor}
 			fi, err := NewFull(FullConfig{
 				Partitions:   partitions,
-				Shard:        index.Config{Dim: cnn.DefaultDim, NLists: 64},
+				Dim:          cnn.DefaultDim,
+				NLists:       64,
 				PQSubvectors: 16,
 				PQBits:       8,
 				Seed:         7,

@@ -15,6 +15,7 @@ import (
 	"jdvs/internal/imagestore"
 	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/index"
+	"jdvs/internal/kmeans"
 	"jdvs/internal/mq"
 	"jdvs/internal/msg"
 )
@@ -172,7 +173,7 @@ func TestRouteUpdateRejectsOversizedURL(t *testing.T) {
 
 func newShard(t *testing.T, f *fixture) *index.Shard {
 	t.Helper()
-	s, err := index.New(index.Config{Dim: testDim, NLists: 8})
+	s, err := index.New(index.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,11 @@ func newShard(t *testing.T, f *fixture) *index.Shard {
 		}
 		train = append(train, feat...)
 	}
-	if err := s.Train(train, 1); err != nil {
+	cb, err := kmeans.Train(kmeans.Config{K: 8, Dim: testDim, Seed: 1}, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCodebook(cb); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -326,7 +331,8 @@ func TestFullBuildFromLog(t *testing.T) {
 
 	fi, err := NewFull(FullConfig{
 		Partitions: partitions,
-		Shard:      index.Config{Dim: testDim, NLists: 8},
+		Dim:        testDim,
+		NLists:     8,
 		Seed:       1,
 	}, f.res)
 	if err != nil {
@@ -392,7 +398,8 @@ func TestFullBuildEmptyLog(t *testing.T) {
 	f := newFixture(t, 2, 2)
 	fi, err := NewFull(FullConfig{
 		Partitions: 2,
-		Shard:      index.Config{Dim: testDim, NLists: 4},
+		Dim:        testDim,
+		NLists:     4,
 	}, f.res)
 	if err != nil {
 		t.Fatal(err)
@@ -404,13 +411,12 @@ func TestFullBuildEmptyLog(t *testing.T) {
 
 func TestNewFullValidation(t *testing.T) {
 	f := newFixture(t, 2, 1)
-	if _, err := NewFull(FullConfig{Partitions: 0, Shard: index.Config{Dim: 4, NLists: 2}}, f.res); err == nil {
+	if _, err := NewFull(FullConfig{Partitions: 0, Dim: 4, NLists: 2}, f.res); err == nil {
 		t.Fatal("zero partitions accepted")
 	}
 	if _, err := NewFull(FullConfig{Partitions: 1}, f.res); err == nil {
-		t.Fatal("missing shard config accepted")
+		t.Fatal("missing shape accepted")
 	}
-	shard := index.Config{Dim: 64, NLists: 4}
 	for _, c := range []struct {
 		name    string
 		m, bits int
@@ -421,12 +427,12 @@ func TestNewFullValidation(t *testing.T) {
 		{"odd M at 4 bits", 11, 4},
 		{"bits without M", 0, 4},
 	} {
-		if _, err := NewFull(FullConfig{Partitions: 1, Shard: shard, PQSubvectors: c.m, PQBits: c.bits}, f.res); err == nil {
+		if _, err := NewFull(FullConfig{Partitions: 1, Dim: 64, NLists: 4, PQSubvectors: c.m, PQBits: c.bits}, f.res); err == nil {
 			t.Fatalf("%s accepted", c.name)
 		}
 	}
 	for _, bits := range []int{0, 8, 4} {
-		if _, err := NewFull(FullConfig{Partitions: 1, Shard: shard, PQSubvectors: 16, PQBits: bits}, f.res); err != nil {
+		if _, err := NewFull(FullConfig{Partitions: 1, Dim: 64, NLists: 4, PQSubvectors: 16, PQBits: bits}, f.res); err != nil {
 			t.Fatalf("M 16 at bits %d: %v", bits, err)
 		}
 	}
@@ -447,7 +453,8 @@ func TestFullBuildCoveredOffsetsAndPQ(t *testing.T) {
 	}
 	fi, err := NewFull(FullConfig{
 		Partitions:   partitions,
-		Shard:        index.Config{Dim: testDim, NLists: 8},
+		Dim:          testDim,
+		NLists:       8,
 		PQSubvectors: 4,
 		PQBits:       4,
 		Seed:         1,
@@ -533,7 +540,8 @@ func TestFullBuildListMajorAndDeterministic(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		fi, err := NewFull(FullConfig{
 			Partitions:   partitions,
-			Shard:        index.Config{Dim: testDim, NLists: 8},
+			Dim:          testDim,
+			NLists:       8,
 			PQSubvectors: 4,
 			PQBits:       4,
 			Seed:         1,

@@ -135,8 +135,9 @@ func (ix *Index) Append(c int, id uint32) error {
 	pos := l.n.Load()
 	if int(pos) == len(l.data) {
 		// Expansion (Fig. 9): allocate a double-size segment whose prefix is
-		// reserved for the background copy; append into its tail.
-		nl := newList(len(l.data)*2, len(l.data))
+		// reserved for the background copy; append into its tail. A list
+		// decoded empty (ReadFrom) has no segment capacity to double.
+		nl := newList(max(len(l.data)*2, DefaultInitialCap), len(l.data))
 		l.next.Store(nl)
 		ix.startMigration(c)
 		l = nl
@@ -284,43 +285,37 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // readStep is how many ids ReadFrom decodes per read.
 const readStep = 1024
 
-// ReadFrom replaces the index contents from a WriteTo stream, which must
-// carry as many lists as the index has. It must not run concurrently with
-// readers or writers. Counts in the stream are claims until the bytes
-// behind them arrive, so each list grows as its ids are read.
-func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
-	var read int64
+// ReadFrom decodes a WriteTo stream, which must carry nLists lists, into a
+// new index. Counts in the stream are claims until the bytes behind them
+// arrive, so a list's ids are stored only as they are read: a list holds
+// no spare capacity up front, and an empty one none at all.
+func ReadFrom(r io.Reader, nLists int) (*Index, error) {
 	var hdr [8]byte
-	k, err := io.ReadFull(r, hdr[:])
-	read += int64(k)
-	if err != nil {
-		return read, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
 	}
-	nLists := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	if nLists != len(ix.lists) {
-		return read, fmt.Errorf("inverted: snapshot has %d lists, index %d", nLists, len(ix.lists))
+	if got := int(binary.LittleEndian.Uint32(hdr[0:4])); got != nLists {
+		return nil, fmt.Errorf("inverted: snapshot has %d lists, want %d", got, nLists)
 	}
-	lists := make([]atomic.Pointer[list], nLists)
-	migrating := make([]atomic.Bool, nLists)
+	ix := &Index{
+		lists:     make([]atomic.Pointer[list], nLists),
+		migrating: make([]atomic.Bool, nLists),
+	}
 	var total int64
 	var raw [4 * readStep]byte
-	for c := 0; c < nLists; c++ {
-		k, err = io.ReadFull(r, raw[:4])
-		read += int64(k)
-		if err != nil {
-			return read, err
+	for c := range ix.lists {
+		if _, err := io.ReadFull(r, raw[:4]); err != nil {
+			return nil, err
 		}
 		n := int(binary.LittleEndian.Uint32(raw[:4]))
-		data := make([]uint32, 0, DefaultInitialCap)
+		var data []uint32
 		for len(data) < n {
-			if len(data) == cap(data) {
-				data = slices.Grow(data, min(n-len(data), len(data)))
+			step := min(n-len(data), readStep)
+			if _, err := io.ReadFull(r, raw[:4*step]); err != nil {
+				return nil, err
 			}
-			step := min(n-len(data), cap(data)-len(data), readStep)
-			k, err = io.ReadFull(r, raw[:4*step])
-			read += int64(k)
-			if err != nil {
-				return read, err
+			if len(data)+step > cap(data) {
+				data = slices.Grow(data, min(n-len(data), max(len(data), step)))
 			}
 			for i := 0; i < step; i++ {
 				data = append(data, binary.LittleEndian.Uint32(raw[4*i:]))
@@ -329,15 +324,11 @@ func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 		l := &list{data: data[:cap(data)]}
 		l.n.Store(int64(n))
 		total += int64(n)
-		lists[c].Store(l)
+		ix.lists[c].Store(l)
 	}
 	if want := int64(binary.LittleEndian.Uint32(hdr[4:8])); total != want {
-		return read, fmt.Errorf("inverted: snapshot lists hold %d ids, header says %d", total, want)
+		return nil, fmt.Errorf("inverted: snapshot lists hold %d ids, header says %d", total, want)
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.lists = lists
-	ix.migrating = migrating
 	ix.total.Store(total)
-	return read, nil
+	return ix, nil
 }

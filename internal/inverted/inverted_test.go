@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,8 +390,8 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	restored := New(8, 4)
-	if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	restored, err := ReadFrom(bytes.NewReader(buf.Bytes()), 8)
+	if err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
 	if restored.Len() != ix.Len() {
@@ -421,8 +422,7 @@ func TestReadFromTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 4, buf.Len() / 3, buf.Len() - 2} {
-		restored := New(4, 4)
-		if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+		if _, err := ReadFrom(bytes.NewReader(buf.Bytes()[:cut]), 4); err == nil {
 			t.Errorf("truncated snapshot (%d bytes) accepted", cut)
 		}
 	}
@@ -441,13 +441,47 @@ func TestReadFromRejectsMismatch(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(8, 4).ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ReadFrom(bytes.NewReader(buf.Bytes()), 8); err == nil {
 		t.Error("4-list stream loaded into an 8-list index")
 	}
 	bad := append([]byte(nil), buf.Bytes()...)
 	binary.LittleEndian.PutUint32(bad[4:8], 11)
-	if _, err := New(4, 4).ReadFrom(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadFrom(bytes.NewReader(bad), 4); err == nil {
 		t.Error("header total of 11 accepted for 10 ids")
+	}
+}
+
+// TestAppendAfterReadFrom: a decoded list holds exactly its ids, an empty
+// one no storage at all, and appends to either grow the list through the
+// expansion protocol without losing an entry.
+func TestAppendAfterReadFrom(t *testing.T) {
+	ix := New(3, 4)
+	for i := uint32(0); i < 5; i++ {
+		if err := ix.Append(int(i%2), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ReadFrom(bytes.NewReader(buf.Bytes()), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]uint32{{0, 2, 4}, {1, 3}, nil}
+	for i := uint32(5); i < 300; i++ {
+		c := int(i % 3)
+		if err := restored.Append(c, i); err != nil {
+			t.Fatal(err)
+		}
+		want[c] = append(want[c], i)
+	}
+	restored.Flush()
+	for c := range want {
+		if got := collect(restored, c); !slices.Equal(got, want[c]) {
+			t.Fatalf("list %d: got %v, want %v", c, got, want[c])
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"jdvs/internal/imaging"
 	"jdvs/internal/index"
 	"jdvs/internal/indexer"
+	"jdvs/internal/kmeans"
 	"jdvs/internal/rpc"
 	"jdvs/internal/search"
 	"jdvs/internal/search/broker"
@@ -64,11 +65,15 @@ func newStack(t *testing.T, nBrokers int) *stack {
 		}
 	}
 	for part := 0; part < nBrokers; part++ {
-		shard, err := index.New(index.Config{Dim: testDim, NLists: 8, DefaultNProbe: 8})
+		shard, err := index.New(index.Config{DefaultNProbe: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := shard.Train(train, 1); err != nil {
+		cb, err := kmeans.Train(kmeans.Config{K: 8, Dim: testDim, Seed: 1}, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.SetCodebook(cb); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range perPartition[part] {

@@ -18,6 +18,7 @@ import (
 	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/index"
 	"jdvs/internal/indexer"
+	"jdvs/internal/kmeans"
 	"jdvs/internal/rpc"
 	"jdvs/internal/search"
 	"jdvs/internal/search/searcher"
@@ -65,11 +66,15 @@ func newTwoPartitions(t *testing.T, replicas int) *twoPartitionFixture {
 		}
 	}
 	newShard := func(part int) *index.Shard {
-		s, err := index.New(index.Config{Dim: testDim, NLists: 8, DefaultNProbe: 8})
+		s, err := index.New(index.Config{DefaultNProbe: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Train(train, 1); err != nil {
+		cb, err := kmeans.Train(kmeans.Config{K: 8, Dim: testDim, Seed: 1}, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetCodebook(cb); err != nil {
 			t.Fatal(err)
 		}
 		for i := range cat.Products {

@@ -15,18 +15,12 @@ import (
 // catalog machinery, so push throughput dominates the benchmark.
 func benchShard(b *testing.B, images, dim int) *index.Shard {
 	b.Helper()
-	s, err := index.New(index.Config{Dim: dim, NLists: 32, DefaultNProbe: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(41))
 	train := make([]float32, dim*512)
 	for i := range train {
 		train[i] = float32(rng.NormFloat64())
 	}
-	if err := s.Train(train, 1); err != nil {
-		b.Fatal(err)
-	}
+	s := trainShard(b, 32, dim, train)
 	f := make([]float32, dim)
 	for i := 0; i < images; i++ {
 		for j := range f {

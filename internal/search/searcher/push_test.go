@@ -389,6 +389,98 @@ func TestPushKeepsSearchWorkers(t *testing.T) {
 	}
 }
 
+// TestPushChangesListCount: a pushed generation may have another list
+// count than the serving shard — the count travels in its codebook. A
+// searcher serving 8 lists installs a 16-list snapshot, answers a query
+// over all 16, and keeps its serving settings.
+func TestPushChangesListCount(t *testing.T) {
+	f := newFixture(t, 30)
+	cfg := f.shard.Config()
+	cfg.SearchWorkers = 5
+	own, err := index.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := own.SetCodebook(f.shard.Codebook()); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Shard: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var train []float32
+	var images []core.Attrs
+	for i := range f.cat.Products {
+		p := &f.cat.Products[i]
+		for _, url := range p.ImageURLs {
+			train = append(train, f.feats[url]...)
+			images = append(images, p.Attrs(url))
+		}
+	}
+	next := trainShard(t, 16, testDim, train)
+	for _, a := range images {
+		if _, _, err := next.Insert(a, f.feats[a.URL]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := PushSnapshot(ctx, s.Addr(), next, 0); err != nil {
+		t.Fatalf("PushSnapshot: %v", err)
+	}
+	got := s.Shard()
+	if st := got.Stats(); st.Lists != 16 || st.Images != len(images) {
+		t.Fatalf("serving %d lists and %d images, want 16 and %d", st.Lists, st.Images, len(images))
+	}
+	if w := got.SearchWorkers(); w != 5 {
+		t.Fatalf("pushed shard SearchWorkers = %d, want 5", w)
+	}
+	query := f.feats[images[3].URL]
+	resp := callSearch(t, s.Addr(), &core.SearchRequest{Feature: query, TopK: 5, NProbe: 16, Category: -1})
+	if resp.Probed != 16 {
+		t.Fatalf("query probed %d lists, want 16", resp.Probed)
+	}
+	if len(resp.Hits) == 0 || resp.Hits[0].Dist != 0 {
+		t.Fatalf("query for an indexed image: %+v", resp.Hits)
+	}
+}
+
+// TestPushRefusesDimChange: a pushed snapshot of another feature Dim is
+// refused at Commit — a new Dim means a new extractor, which every blender
+// in front of the searcher would need too — and the serving shard keeps
+// serving.
+func TestPushRefusesDimChange(t *testing.T) {
+	f := newFixture(t, 10)
+	s, err := New(Config{Shard: f.shard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(5))
+	train := make([]float32, 200*2*testDim)
+	for i := range train {
+		train[i] = float32(rng.NormFloat64())
+	}
+	wide := trainShard(t, 8, 2*testDim, train)
+	if _, _, err := wide.Insert(core.Attrs{ProductID: 1, URL: "jfs://wide.jpg"}, train[:2*testDim]); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := PushSnapshot(ctx, s.Addr(), wide, 0); err == nil {
+		t.Fatal("snapshot of another Dim installed")
+	}
+	if s.Shard() != f.shard || s.SnapshotLoads() != 0 {
+		t.Fatal("refused push replaced the serving shard")
+	}
+	url := f.cat.Products[0].ImageURLs[0]
+	resp := callSearch(t, s.Addr(), &core.SearchRequest{Feature: f.feats[url], TopK: 1, Category: -1})
+	if len(resp.Hits) != 1 || resp.Hits[0].URL != url {
+		t.Fatalf("serving shard after the refused push: %+v", resp.Hits)
+	}
+}
+
 // TestPushSnapshotPQMultiChunk: a PQ-enabled snapshot — quantizer, code
 // matrix and covered offset — must round-trip through the chunked
 // streaming push path and serve the ADC scan on the receiving searcher,
@@ -443,7 +535,7 @@ func TestPushSnapshotPQMultiChunk(t *testing.T) {
 // requested bit width.
 func pqShard(t *testing.T, f *fixture, bits int) *index.Shard {
 	t.Helper()
-	s, err := index.New(index.Config{Dim: testDim, NLists: 8, DefaultNProbe: 8})
+	s, err := index.New(index.Config{DefaultNProbe: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

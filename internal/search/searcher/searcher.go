@@ -328,7 +328,8 @@ var errSnapshotAborted = errors.New("searcher: snapshot transfer aborted")
 
 // openSnapshotSink starts a streamed load session (rpc.StreamServer open
 // hook). The fresh shard takes the serving shard's Config, so a pushed
-// index keeps the node's scan width.
+// index keeps the node's serving settings, and the pushed snapshot's
+// shape.
 func (s *Searcher) openSnapshotSink() (rpc.StreamSink, error) {
 	fresh, err := index.New(s.shard.Load().Config())
 	if err != nil {
@@ -356,11 +357,16 @@ func (s *Searcher) openSnapshotSink() (rpc.StreamSink, error) {
 func (k *snapshotSink) Write(p []byte) (int, error) { return k.pw.Write(p) }
 
 // Commit implements rpc.StreamSink: the stream is complete and
-// totals-verified — finish decoding and hot-swap the shard in.
+// totals-verified — finish decoding and hot-swap the shard in. A pushed
+// generation may change the list count but not Dim: a new Dim needs a new
+// extractor in the blenders too, so such a shard is refused.
 func (k *snapshotSink) Commit() error {
 	_ = k.pw.Close()
 	if err := <-k.done; err != nil {
 		return fmt.Errorf("searcher: load pushed index: %w", err)
+	}
+	if cur := k.s.shard.Load().Codebook(); cur != nil && cur.Dim != k.fresh.Codebook().Dim {
+		return fmt.Errorf("searcher: pushed index has dim %d, serving dim %d", k.fresh.Codebook().Dim, cur.Dim)
 	}
 	k.s.SwapShard(k.fresh)
 	k.s.snapshotLoads.Inc()

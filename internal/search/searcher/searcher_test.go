@@ -16,6 +16,7 @@ import (
 	"jdvs/internal/imagestore/imagestoretest"
 	"jdvs/internal/index"
 	"jdvs/internal/indexer"
+	"jdvs/internal/kmeans"
 	"jdvs/internal/mq"
 	"jdvs/internal/msg"
 	"jdvs/internal/rpc"
@@ -59,10 +60,6 @@ func newFixture(t *testing.T, products int) *fixture {
 		Images:    f.images,
 		Extractor: cnn.New(cnn.Config{Dim: testDim, Seed: 7}),
 	}
-	shard, err := index.New(index.Config{Dim: testDim, NLists: 8, DefaultNProbe: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var train []float32
 	for i := range cat.Products {
 		p := &cat.Products[i]
@@ -75,9 +72,7 @@ func newFixture(t *testing.T, products int) *fixture {
 			train = append(train, feat...)
 		}
 	}
-	if err := shard.Train(train, 1); err != nil {
-		t.Fatal(err)
-	}
+	shard := trainShard(t, 8, testDim, train)
 	for i := range cat.Products {
 		p := &cat.Products[i]
 		for _, url := range p.ImageURLs {
@@ -88,6 +83,24 @@ func newFixture(t *testing.T, products int) *fixture {
 	}
 	f.shard = shard
 	return f
+}
+
+// trainShard returns a shard whose IVF codebook of nLists centroids kmeans
+// fits on train (row-major, dim floats per row), as a full build does.
+func trainShard(t testing.TB, nLists, dim int, train []float32) *index.Shard {
+	t.Helper()
+	s, err := index.New(index.Config{DefaultNProbe: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := kmeans.Train(kmeans.Config{K: nLists, Dim: dim, Seed: 1}, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCodebook(cb); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func callSearch(t *testing.T, addr string, req *core.SearchRequest) *core.SearchResponse {
@@ -193,7 +206,7 @@ func TestSwapShardZeroDowntime(t *testing.T) {
 	defer s.Close()
 
 	// Build a replacement shard containing a single marker product.
-	next, err := index.New(index.Config{Dim: testDim, NLists: 8, DefaultNProbe: 8})
+	next, err := index.New(index.Config{DefaultNProbe: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
