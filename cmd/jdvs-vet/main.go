@@ -5,10 +5,9 @@
 // (lockhold), end-to-end knob threading (knobthread), counted error
 // paths (statcount), conventional package comments on every package
 // (pkgdoc), no producer-reachable mutable state shared through caches or
-// fan-out (aliasshare), balanced sync.Pool borrows (poolreturn), settled
-// timers and tickers (timerstop) — plus stdlib-only stand-ins for the
-// stock nilness and unusedwrite passes, which the offline build
-// environment cannot fetch from x/tools. The directiverot audit runs last and checks the
+// fan-out (aliasshare) — plus stdlib-only stand-ins for the stock
+// nilness and unusedwrite passes, which the offline build environment
+// cannot fetch from x/tools. The directiverot audit runs last and checks the
 // `//jdvs:` escape hatches themselves: unknown names, missing
 // justifications, and suppressions whose finding no longer exists.
 //
@@ -42,10 +41,8 @@ import (
 	"jdvs/internal/analysis/passes/lockhold"
 	"jdvs/internal/analysis/passes/nilness"
 	"jdvs/internal/analysis/passes/pkgdoc"
-	"jdvs/internal/analysis/passes/poolreturn"
 	"jdvs/internal/analysis/passes/publishorder"
 	"jdvs/internal/analysis/passes/statcount"
-	"jdvs/internal/analysis/passes/timerstop"
 	"jdvs/internal/analysis/passes/unusedwrite"
 )
 
@@ -62,8 +59,6 @@ var all = []*analysis.Analyzer{
 	unusedwrite.Analyzer,
 	publishorder.Analyzer,
 	aliasshare.Analyzer,
-	poolreturn.Analyzer,
-	timerstop.Analyzer,
 	directiverot.Analyzer,
 }
 

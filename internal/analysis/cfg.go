@@ -6,19 +6,16 @@ import (
 )
 
 // This file is the function-level control-flow engine the concurrency
-// analyzers (publishorder, poolreturn, timerstop, aliasshare) are built
-// on. PR 6's passes were per-statement AST walks; the contracts added
-// since — "every element write precedes the publishing store", "every
-// Get is Put on every exit", "a timer is stopped on every
-// non-terminating path" — are statements about *orderings along paths*,
-// which need a real CFG.
+// analyzers (publishorder, aliasshare) are built on. Contracts such as
+// "every element write precedes the publishing store" and "a length load
+// precedes the directory load" are statements about *orderings along
+// paths*, which a per-statement AST walk cannot check.
 //
 // The construction mirrors golang.org/x/tools/go/cfg in shape (basic
 // blocks of statement/expression nodes, branch/loop/switch/select
 // lowering, a synthetic exit block) but stays stdlib-only like the rest
-// of the framework. Panics are modelled as edges to Exit that queries
-// can ignore: a pool entry lost or a timer leaked on a panicking path is
-// not a serving-path leak.
+// of the framework. A panic ends its block with an edge to Exit, so the
+// statements after it are unreachable.
 
 // A CFG is the control-flow graph of one function body. Build one via
 // Pass.FuncCFG, which caches per function.
@@ -29,10 +26,6 @@ type CFG struct {
 	// Exit is the synthetic sink: returns, panics and falling off the end
 	// all edge here.
 	Exit *Block
-	// Defers collects the function's defer statements in source order.
-	// Deferred work runs at every exit, so path queries usually treat a
-	// matching deferred call as covering all paths.
-	Defers []*ast.DeferStmt
 
 	pos map[ast.Node]NodePos
 }
@@ -45,9 +38,6 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 
-	// panics marks a block whose (single) successor edge models a panic
-	// unwind rather than normal control flow.
-	panics bool
 	// back[i] marks Succs[i] as a loop back edge (computed after
 	// construction by a DFS over the finished graph).
 	back []bool
@@ -81,45 +71,6 @@ func (c *CFG) NodePos(n ast.Node, stack []ast.Node) NodePos {
 		}
 	}
 	return NodePos{}
-}
-
-// ReachableAfter reports whether dst can execute after src on some path.
-// With followBack false the path may not traverse a loop back edge —
-// "later in the same iteration", which is the ordering the publish
-// protocol cares about (a write in iteration i+1 naturally follows the
-// store that published iteration i).
-func (c *CFG) ReachableAfter(src, dst NodePos, followBack bool) bool {
-	if !src.ok || !dst.ok {
-		return false
-	}
-	if src.Block == dst.Block && dst.Index > src.Index {
-		return true
-	}
-	seen := make([]bool, len(c.Blocks))
-	var queue []*Block
-	push := func(b *Block, from *Block, backIdx int) {
-		if from != nil && !followBack && from.back[backIdx] {
-			return
-		}
-		if !seen[b.Index] {
-			seen[b.Index] = true
-			queue = append(queue, b)
-		}
-	}
-	for i, s := range src.Block.Succs {
-		push(s, src.Block, i)
-	}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		if b == dst.Block {
-			return true
-		}
-		for i, s := range b.Succs {
-			push(s, b, i)
-		}
-	}
-	return false
 }
 
 // ReachableAfterAvoiding reports whether dst can execute after src on a
@@ -201,24 +152,6 @@ func (c *CFG) ReachableAfterAvoiding(src, dst NodePos, avoid func(ast.Node) bool
 	return false
 }
 
-// PathAvoiding reports whether execution can flow from just after `from`
-// to the function exit without executing any node for which avoid
-// returns true. Panic edges are not followed: a path that dies in a
-// panic is not a leak. This is the "must pass" primitive: poolreturn
-// asks PathAvoiding(get, isPut) — true means some exit skips the Put.
-func (c *CFG) PathAvoiding(from NodePos, avoid func(ast.Node) bool) bool {
-	if !from.ok {
-		return false
-	}
-	// Remainder of the source block after the node itself.
-	for _, n := range from.Block.Nodes[from.Index+1:] {
-		if avoid(n) {
-			return false
-		}
-	}
-	return c.search(from.Block, c.Exit, avoid, true)
-}
-
 // PathToAvoiding reports whether execution can reach `to` from function
 // entry without first executing an avoiding node — the reader-ordering
 // primitive: publishorder asks whether a directory load is reachable
@@ -238,7 +171,7 @@ func (c *CFG) PathToAvoiding(to NodePos, avoid func(ast.Node) bool) bool {
 			return false
 		}
 	}
-	return c.search(c.Entry, to.Block, avoid, false) && !blockedBefore(to, avoid)
+	return c.search(c.Entry, to.Block, avoid) && !blockedBefore(to, avoid)
 }
 
 // blockedBefore reports whether an avoid node precedes to within its own
@@ -254,16 +187,12 @@ func blockedBefore(to NodePos, avoid func(ast.Node) bool) bool {
 
 // search is a block-granular BFS from -> to. A block containing an avoid
 // node blocks traversal through it (blocks are straight-line, so any
-// path through the block executes the node). skipPanic drops panic
-// edges. The start block's own nodes are not re-examined (callers handle
-// the partial block).
-func (c *CFG) search(from, to *Block, avoid func(ast.Node) bool, skipPanic bool) bool {
+// path through the block executes the node). The start block's own nodes
+// are not re-examined (callers handle the partial block).
+func (c *CFG) search(from, to *Block, avoid func(ast.Node) bool) bool {
 	seen := make([]bool, len(c.Blocks))
 	queue := []*Block{}
 	expand := func(b *Block) {
-		if skipPanic && b.panics {
-			return
-		}
 		for _, s := range b.Succs {
 			if !seen[s.Index] {
 				seen[s.Index] = true
@@ -378,13 +307,9 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.ExprStmt:
 		b.add(st)
 		if isPanic(st.X) {
-			b.cur.panics = true
 			b.edge(b.cur, b.cfg.Exit)
 			b.cur = b.newBlock()
 		}
-	case *ast.DeferStmt:
-		b.add(st)
-		b.cfg.Defers = append(b.cfg.Defers, st)
 	case *ast.BlockStmt:
 		b.stmts(st.List)
 	case *ast.IfStmt:

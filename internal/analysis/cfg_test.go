@@ -68,6 +68,27 @@ func findCall(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl, want string) 
 	return call, result
 }
 
+// never avoids no node: ReachableAfterAvoiding with it asks plain
+// back-edge-free reachability, and PathToAvoiding whether any path from
+// entry reaches a node.
+func never(ast.Node) bool { return false }
+
+// callTo returns an avoid predicate matching nodes that call name.
+func callTo(name string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		found := false
+		ast.Inspect(n, func(m ast.Node) bool {
+			if c, ok := m.(*ast.CallExpr); ok {
+				if id, ok := c.Fun.(*ast.Ident); ok && id.Name == name {
+					found = true
+				}
+			}
+			return !found
+		})
+		return found
+	}
+}
+
 func TestCFGOrdering(t *testing.T) {
 	src := `
 func f(cond bool) {
@@ -99,16 +120,16 @@ func d() {}
 		}
 	}
 
-	if !cfg.ReachableAfter(pa, pb, false) || !cfg.ReachableAfter(pa, pc, false) {
+	if !cfg.ReachableAfterAvoiding(pa, pb, never) || !cfg.ReachableAfterAvoiding(pa, pc, never) {
 		t.Errorf("b and c must be reachable after a")
 	}
-	if cfg.ReachableAfter(pb, pc, false) {
+	if cfg.ReachableAfterAvoiding(pb, pc, never) {
 		t.Errorf("c must not be reachable after b (b's branch returns)")
 	}
-	if cfg.ReachableAfter(pc, pb, false) {
+	if cfg.ReachableAfterAvoiding(pc, pb, never) {
 		t.Errorf("b must not be reachable after c")
 	}
-	if !cfg.ReachableAfter(pc, pd, false) {
+	if !cfg.ReachableAfterAvoiding(pc, pd, never) {
 		t.Errorf("d must be reachable after c")
 	}
 }
@@ -131,17 +152,16 @@ func p() {}
 	pw, pp := cfg.NodePos(w, ws), cfg.NodePos(p, ps)
 
 	// Within one iteration w precedes p; w after p requires the back edge.
-	if !cfg.ReachableAfter(pw, pp, false) {
+	if !cfg.ReachableAfterAvoiding(pw, pp, never) {
 		t.Errorf("p must be reachable after w without back edges")
 	}
-	if cfg.ReachableAfter(pp, pw, false) {
+	if cfg.ReachableAfterAvoiding(pp, pw, never) {
 		t.Errorf("w after p should require a back edge")
-	}
-	if !cfg.ReachableAfter(pp, pw, true) {
-		t.Errorf("w must be reachable after p when following back edges")
 	}
 }
 
+// TestCFGPathAvoiding: an early return leaves the function by its own
+// edge, so a call placed after the if is skipped on that path.
 func TestCFGPathAvoiding(t *testing.T) {
 	src := `
 func covered(cond bool) {
@@ -162,33 +182,26 @@ func leaky(cond bool) {
 func get() {}
 func put() {}
 `
-	isPut := func(fset *token.FileSet) func(ast.Node) bool {
-		return func(n ast.Node) bool {
-			found := false
-			ast.Inspect(n, func(m ast.Node) bool {
-				if c, ok := m.(*ast.CallExpr); ok {
-					if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "put" {
-						found = true
-					}
-				}
-				return !found
-			})
-			return found
+	firstReturn := func(fn *ast.FuncDecl) (ret *ast.ReturnStmt) {
+		ast.Inspect(fn, func(n ast.Node) bool {
+			if r, ok := n.(*ast.ReturnStmt); ok && ret == nil {
+				ret = r
+			}
+			return ret == nil
+		})
+		return ret
+	}
+	for _, tc := range []struct {
+		fn   string
+		skip bool
+	}{{"covered", false}, {"leaky", true}} {
+		fset, _, fn := parseFunc(t, src, tc.fn)
+		cfg := BuildCFG(fn)
+		g, gs := findCall(t, fset, fn, "get")
+		ret := cfg.NodePos(firstReturn(fn), nil)
+		if got := cfg.ReachableAfterAvoiding(cfg.NodePos(g, gs), ret, callTo("put")); got != tc.skip {
+			t.Errorf("%s: return reachable from get without put = %v, want %v", tc.fn, got, tc.skip)
 		}
-	}
-
-	fset, _, fn := parseFunc(t, src, "covered")
-	cfg := BuildCFG(fn)
-	g, gs := findCall(t, fset, fn, "get")
-	if cfg.PathAvoiding(cfg.NodePos(g, gs), isPut(fset)) {
-		t.Errorf("covered: every exit passes put, PathAvoiding must be false")
-	}
-
-	fset2, _, fn2 := parseFunc(t, src, "leaky")
-	cfg2 := BuildCFG(fn2)
-	g2, gs2 := findCall(t, fset2, fn2, "get")
-	if !cfg2.PathAvoiding(cfg2.NodePos(g2, gs2), isPut(fset2)) {
-		t.Errorf("leaky: the early return skips put, PathAvoiding must be true")
 	}
 }
 
@@ -207,18 +220,7 @@ func ordered() {
 func loadLen() {}
 func loadDir() {}
 `
-	isLen := func(n ast.Node) bool {
-		found := false
-		ast.Inspect(n, func(m ast.Node) bool {
-			if c, ok := m.(*ast.CallExpr); ok {
-				if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "loadLen" {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
-	}
+	isLen := callTo("loadLen")
 
 	fset, _, fn := parseFunc(t, src, "reader")
 	cfg := BuildCFG(fn)
@@ -253,17 +255,24 @@ func tail() {}
 `
 	fset, _, fn := parseFunc(t, src, "f")
 	cfg := BuildCFG(fn)
-	if len(cfg.Defers) != 1 {
-		t.Fatalf("Defers = %d, want 1", len(cfg.Defers))
-	}
+	c, cs := findCall(t, fset, fn, "cleanup")
 	u, us := findCall(t, fset, fn, "use")
 	tl, ts := findCall(t, fset, fn, "tail")
-	pu, pt := cfg.NodePos(u, us), cfg.NodePos(tl, ts)
-	if !pu.Valid() || !pt.Valid() {
-		t.Fatal("select-branch calls did not resolve")
+	pc, pu, pt := cfg.NodePos(c, cs), cfg.NodePos(u, us), cfg.NodePos(tl, ts)
+	if !pc.Valid() || !pu.Valid() || !pt.Valid() {
+		t.Fatal("defer or select-branch calls did not resolve")
 	}
-	if !cfg.ReachableAfter(pu, pt, false) {
+	// The defer statement is a plain node where it stands: the select
+	// follows it.
+	if !cfg.ReachableAfterAvoiding(pc, pu, never) {
+		t.Errorf("the select branch must be reachable after the defer")
+	}
+	if !cfg.ReachableAfterAvoiding(pu, pt, never) {
 		t.Errorf("tail must be reachable after the first select branch")
+	}
+	// The <-done branch returns, so tail is reached only through use.
+	if cfg.PathToAvoiding(pt, callTo("use")) {
+		t.Errorf("tail must not be reachable without passing use")
 	}
 }
 
@@ -273,31 +282,32 @@ func f(cond bool) {
 	get()
 	if cond {
 		panic("boom")
+		dead()
 	}
 	put()
 }
 func get() {}
+func dead() {}
 func put() {}
 `
 	fset, _, fn := parseFunc(t, src, "f")
 	cfg := BuildCFG(fn)
 	g, gs := findCall(t, fset, fn, "get")
-	isPut := func(n ast.Node) bool {
-		found := false
-		ast.Inspect(n, func(m ast.Node) bool {
-			if c, ok := m.(*ast.CallExpr); ok {
-				if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "put" {
-					found = true
-				}
-			}
-			return !found
-		})
-		return found
+	p, ps := findCall(t, fset, fn, "panic")
+	d, ds := findCall(t, fset, fn, "dead")
+	u, us := findCall(t, fset, fn, "put")
+	pp, pu := cfg.NodePos(p, ps), cfg.NodePos(u, us)
+	// The panic edges to Exit: nothing after it runs, in its block or
+	// after the if.
+	if cfg.PathToAvoiding(cfg.NodePos(d, ds), never) {
+		t.Errorf("the call after panic must be unreachable")
 	}
-	// The only put-free exit is the panic; PathAvoiding skips panic
-	// edges, so the function counts as covered.
-	if cfg.PathAvoiding(cfg.NodePos(g, gs), isPut) {
-		t.Errorf("panic-only escape must not count as a leak")
+	if cfg.ReachableAfterAvoiding(pp, pu, never) {
+		t.Errorf("put must not be reachable after the panic")
+	}
+	// The cond=false path still reaches put, and only a panic skips it.
+	if !cfg.ReachableAfterAvoiding(cfg.NodePos(g, gs), pu, callTo("panic")) {
+		t.Errorf("put must be reachable after get on the path that does not panic")
 	}
 }
 
@@ -324,10 +334,10 @@ func c() {}
 	b, bs := findCall(t, fset, fn, "b")
 	c, cs := findCall(t, fset, fn, "c")
 	pa, pb, pc := cfg.NodePos(a, as), cfg.NodePos(b, bs), cfg.NodePos(c, cs)
-	if !cfg.ReachableAfter(pa, pb, false) {
+	if !cfg.ReachableAfterAvoiding(pa, pb, never) {
 		t.Errorf("fallthrough: b must be reachable after a")
 	}
-	if cfg.ReachableAfter(pa, pc, false) {
+	if cfg.ReachableAfterAvoiding(pa, pc, never) {
 		t.Errorf("default must not be reachable after case 0's body")
 	}
 }

@@ -9,8 +9,7 @@ import (
 // produced the value a use observes. publishorder uses it to decide
 // whether the base of an element write was derived from the structure
 // being published (chunks := *m.dir.Load(); chunks[i] = v writes m's
-// element region); poolreturn uses it to tell a pooled value obtained by
-// this iteration's Get from one re-obtained after a Put.
+// element region).
 
 // A DefUse holds the reaching-definition solution for one CFG.
 type DefUse struct {
@@ -184,8 +183,8 @@ func eq(a, b bitset) bool {
 	return true
 }
 
-// DefsAt returns the definition nodes of v that may reach position pos.
-func (d *DefUse) DefsAt(v *types.Var, pos NodePos) []ast.Node {
+// defsAt returns the definition nodes of v that may reach position pos.
+func (d *DefUse) defsAt(v *types.Var, pos NodePos) []ast.Node {
 	if !pos.ok {
 		return nil
 	}
@@ -242,7 +241,7 @@ func (d *DefUse) DerivedFrom(use *ast.Ident, pos NodePos, root types.Object) boo
 			return false
 		}
 		seen[v] = true
-		for _, def := range d.DefsAt(v, at) {
+		for _, def := range d.defsAt(v, at) {
 			rhs := rhsFor(def, v, d.info)
 			if rhs == nil {
 				continue

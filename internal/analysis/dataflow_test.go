@@ -57,7 +57,7 @@ func f(cond bool) int {
 	if v == nil {
 		t.Fatal("x did not resolve to a local var")
 	}
-	defs := du.DefsAt(v, cfg.NodePos(use, stack))
+	defs := du.defsAt(v, cfg.NodePos(use, stack))
 	if len(defs) != 2 {
 		t.Fatalf("defs reaching `return x` = %d, want 2 (init + branch)", len(defs))
 	}
@@ -77,7 +77,7 @@ func f() int {
 
 	use, stack := findIdentUse(t, fn, info, "x", 1) // the `return x` read
 	v := asLocalVar2(info, use)
-	defs := du.DefsAt(v, cfg.NodePos(use, stack))
+	defs := du.defsAt(v, cfg.NodePos(use, stack))
 	if len(defs) != 1 {
 		t.Fatalf("defs reaching `return x` = %d, want 1 (the reassignment kills the init)", len(defs))
 	}

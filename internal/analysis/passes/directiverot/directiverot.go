@@ -43,8 +43,6 @@ var owners = map[string]string{
 	"nostat":      "statcount",
 	"publish-ok":  "publishorder",
 	"alias-ok":    "aliasshare",
-	"pool-ok":     "poolreturn",
-	"timer-ok":    "timerstop",
 }
 
 func run(pass *analysis.Pass) error {

@@ -6,13 +6,13 @@ import (
 	"jdvs/internal/analysis"
 	"jdvs/internal/analysis/analysistest"
 	"jdvs/internal/analysis/passes/directiverot"
-	"jdvs/internal/analysis/passes/timerstop"
+	"jdvs/internal/analysis/passes/lockhold"
 )
 
-// TestDirectiveRot runs the audit behind a live owner (timerstop), the
+// TestDirectiveRot runs the audit behind a live owner (lockhold), the
 // way the checker always runs it: last, over the shared directive index.
 func TestDirectiveRot(t *testing.T) {
 	analysistest.RunSuite(t, analysistest.TestData(t),
-		[]*analysis.Analyzer{timerstop.Analyzer, directiverot.Analyzer},
+		[]*analysis.Analyzer{lockhold.Analyzer, directiverot.Analyzer},
 		"directiverot/...")
 }

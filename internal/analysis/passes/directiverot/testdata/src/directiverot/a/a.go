@@ -1,51 +1,48 @@
 // Package a seeds directive states: live, stale, unjustified, unknown.
-// The test runs the suite [timerstop, directiverot], so timer-ok
+// The test runs the suite [lockhold, directiverot], so blocking-ok
 // directives have a live owner.
 package a
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
-func work()          {}
-func done() chan int { return nil }
+var mu sync.Mutex
 
-// liveDirective suppresses a real timerstop finding and carries a
-// reason: both audits pass.
-func liveDirective(d time.Duration) {
-	for {
-		select {
-		case <-done():
-			return
-		//jdvs:timer-ok the loop exits after the first tick in every configuration
-		case <-time.After(d):
-			work()
-		}
-	}
+// liveDirective suppresses a real lockhold finding and carries a reason:
+// both audits pass.
+func liveDirective() {
+	mu.Lock()
+	//jdvs:blocking-ok the only other holder is this test's own teardown
+	time.Sleep(time.Millisecond)
+	mu.Unlock()
 }
 
 // staleDirective excuses code that no longer violates anything.
-func staleDirective(d time.Duration) {
-	//jdvs:timer-ok this drain used to sit in the accept loop // want `suppresses no timerstop finding`
-	t := time.NewTimer(d)
-	<-t.C
-	work()
+func staleDirective() {
+	//jdvs:blocking-ok this sleep used to sit under mu // want `suppresses no lockhold finding`
+	time.Sleep(time.Millisecond)
 }
 
 // unjustified suppresses a live finding but gives the next reader
 // nothing to re-evaluate.
-func unjustified(d time.Duration) {
-	for {
-		select {
-		case <-done():
-			return
-		/* want `has no justification` */ //jdvs:timer-ok
-		case <-time.After(d):
-			work()
-		}
-	}
+func unjustified() {
+	mu.Lock()
+	/* want `has no justification` */ //jdvs:blocking-ok
+	time.Sleep(time.Millisecond)
+	mu.Unlock()
 }
 
 // typoDirective names no analyzer.
 func typoDirective() {
-	//jdvs:timer-okk stop is deferred upstream // want `unknown directive`
-	work()
+	//jdvs:blocking-okk the sleep is bounded // want `unknown directive`
+	time.Sleep(time.Millisecond)
+}
+
+// retiredDirectives name analyzers the suite no longer has.
+func retiredDirectives() {
+	//jdvs:pool-ok the scratch goes back in the caller // want `unknown directive`
+	//jdvs:timer-ok the ticker lives as long as the process // want `unknown directive`
+	time.Sleep(time.Millisecond)
 }

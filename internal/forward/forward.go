@@ -336,38 +336,30 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadFrom replaces the index contents from a WriteTo stream. It must not
-// run concurrently with readers or writers.
-func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
-	var read int64
+// ReadFrom decodes a WriteTo stream into a new index.
+func ReadFrom(r io.Reader) (*Index, error) {
 	var hdr [4]byte
-	k, err := io.ReadFull(r, hdr[:])
-	read += int64(k)
-	if err != nil {
-		return read, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
-	fresh := New()
+	ix := New()
 	var buf [26]byte
 	urlBuf := make([]byte, 0, 256)
 	for id := uint32(0); id < n; id++ {
-		k, err = io.ReadFull(r, buf[:])
-		read += int64(k)
-		if err != nil {
-			return read, err
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
+			return nil, err
 		}
 		urlLen := binary.LittleEndian.Uint32(buf[22:26])
 		if urlLen > MaxURLLen {
-			return read, fmt.Errorf("forward: corrupt snapshot: url length %d", urlLen)
+			return nil, fmt.Errorf("forward: corrupt snapshot: url length %d", urlLen)
 		}
 		if cap(urlBuf) < int(urlLen) {
 			urlBuf = make([]byte, urlLen)
 		}
 		urlBuf = urlBuf[:urlLen]
-		k, err = io.ReadFull(r, urlBuf)
-		read += int64(k)
-		if err != nil {
-			return read, err
+		if _, err := io.ReadFull(r, urlBuf); err != nil {
+			return nil, err
 		}
 		a := Attrs{
 			ProductID:  binary.LittleEndian.Uint64(buf[0:8]),
@@ -377,18 +369,9 @@ func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 			Category:   binary.LittleEndian.Uint16(buf[20:22]),
 			URL:        string(urlBuf),
 		}
-		if _, err := fresh.Append(a); err != nil {
-			return read, err
+		if _, err := ix.Append(a); err != nil {
+			return nil, err
 		}
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	// Bound before backing, the same order every reader uses; fresh is
-	// quiescent here, so this is for uniformity, not correctness.
-	length := fresh.length.Load()
-	ix.dir.Store(fresh.dir.Load())
-	ix.urlDir.Store(fresh.urlDir.Load())
-	ix.urlChunkN = fresh.urlChunkN
-	ix.length.Store(length)
-	return read, nil
+	return ix, nil
 }

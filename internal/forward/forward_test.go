@@ -341,8 +341,8 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	restored := New()
-	if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	restored, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+	if err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
 	if restored.Len() != n {
@@ -369,8 +369,7 @@ func TestReadFromTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 3, 10, buf.Len() / 2, buf.Len() - 1} {
-		restored := New()
-		if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+		if _, err := ReadFrom(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Errorf("truncated snapshot (%d bytes) accepted", cut)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -389,5 +390,88 @@ func TestConcurrentADCSearchDuringInserts(t *testing.T) {
 				t.Fatalf("codes %d out of lockstep with images %d after concurrent inserts", st.PQCodes, st.Images)
 			}
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// searchAllocBound is a steady search's allocation budget: the response
+// and its hits take 14 on either shard, and a search whose scratch is not
+// recycled takes 20 (exact) or 24 (8-bit PQ).
+const searchAllocBound = 16
+
+// TestSearchReusesScratch: Search borrows its probe set, lookup table,
+// selectors and id buffers from searchScratchPool and puts them back, so
+// a steady stream of searches allocates only its response. A borrow that
+// is never returned turns the pool into an allocator and shows here as
+// the scratch's allocations on every call.
+func TestSearchReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	exact, quant, feats := buildPQBitsPair(t, 2000, 32, 16, 8, 8)
+	req := &core.SearchRequest{Feature: feats[7], TopK: 10, Category: -1}
+	for _, tc := range []struct {
+		name string
+		s    *Shard
+	}{{"exact", exact}, {"pq8", quant}} {
+		if _, err := tc.s.Search(req); err != nil { // warm the pool
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(200, func() {
+			if _, err := tc.s.Search(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > searchAllocBound {
+			t.Errorf("%s: %.1f allocations per search, want at most %d", tc.name, n, searchAllocBound)
+		}
+	}
+}
+
+// TestSearchResponsesOutliveScratch: a response belongs to its caller.
+// Search recycles its scratch through searchScratchPool, so nothing a
+// response holds may point into it. Each goroutine here keeps a response
+// while it and three others search again, then checks the kept response
+// still reads as it did; under -race an alias also shows as a race between
+// one search's writes and another caller's reads.
+func TestSearchResponsesOutliveScratch(t *testing.T) {
+	exact, quant, feats := buildPQBitsPair(t, 1000, 32, 16, 8, 8)
+	for _, s := range []*Shard{exact, quant} {
+		reqs := make([]*core.SearchRequest, 8)
+		want := make([][]core.Hit, len(reqs))
+		for i := range reqs {
+			reqs[i] = &core.SearchRequest{Feature: feats[i*97], TopK: 10, Category: -1}
+			resp, err := s.Search(reqs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = slices.Clone(resp.Hits)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					q := (w + i) % len(reqs)
+					kept, err := s.Search(reqs[q])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := s.Search(reqs[(q+1)%len(reqs)]); err != nil {
+						t.Error(err)
+						return
+					}
+					if !slices.Equal(kept.Hits, want[q]) {
+						t.Errorf("query %d: kept response changed under later searches", q)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

@@ -1482,8 +1482,9 @@ func checkRowsListed(rows int, feats *featMat, inv *inverted.Index) error {
 
 // LoadSnapshot replaces the shard contents, shape included, from a
 // WriteSnapshot stream and rebuilds the URL table from the forward index.
-// Readers and the writer must be quiesced. A stream of another snapshot
-// version is refused before anything is replaced.
+// Readers and the writer must be quiesced. Nothing is replaced until the
+// whole stream has decoded and checked out: a stream that fails anywhere
+// leaves the shard as it was.
 func (s *Shard) LoadSnapshot(r io.Reader) error {
 	magic := make([]byte, len(snapMagic)+1)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -1508,21 +1509,23 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("index: snapshot codebook: %w", err)
 	}
-	if _, err := s.fwd.ReadFrom(r); err != nil {
+	fwd, err := forward.ReadFrom(r)
+	if err != nil {
 		return fmt.Errorf("index: snapshot forward: %w", err)
 	}
 	inv, err := inverted.ReadFrom(r, cb.K)
 	if err != nil {
 		return fmt.Errorf("index: snapshot inverted: %w", err)
 	}
-	if err := readBitmap(r, s.valid, s.fwd.Len()); err != nil {
+	valid, err := readBitmap(r, fwd.Len())
+	if err != nil {
 		return fmt.Errorf("index: snapshot bitmap: %w", err)
 	}
 	feats, err := readFeatMat(r, cb.Dim)
 	if err != nil {
 		return fmt.Errorf("index: snapshot features: %w", err)
 	}
-	if err := checkRowsListed(s.fwd.Len(), feats, inv); err != nil {
+	if err := checkRowsListed(fwd.Len(), feats, inv); err != nil {
 		return err
 	}
 	var fresh *shardPQ
@@ -1560,7 +1563,8 @@ func (s *Shard) LoadSnapshot(r io.Reader) error {
 	} else if flag[0] != 0 {
 		return fmt.Errorf("index: corrupt snapshot pq flag %d", flag[0])
 	}
-	s.codebook, s.inv, s.feats = cb, inv, feats
+	// Every section checked out: only now does the shard change.
+	s.codebook, s.fwd, s.inv, s.valid, s.feats = cb, fwd, inv, valid, feats
 	s.pqState.Store(fresh)
 	// Rebuild the per-category bitmaps from the forward records. Stale
 	// generations (tombstoned by feature refreshes) keep their bits — their

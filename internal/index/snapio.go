@@ -139,19 +139,19 @@ func writeBitmap(w io.Writer, b *bitmapx.Bitmap) error {
 
 // readBitmap deserialises a bitmap over rows bits: whole chunks, as
 // Snapshot writes them, with no chunk and no set bit past the last row.
-func readBitmap(r io.Reader, b *bitmapx.Bitmap, rows int) error {
+func readBitmap(r io.Reader, rows int) (*bitmapx.Bitmap, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+		return nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	const chunkBits = 64 * bitmapx.ChunkWords
 	if n%bitmapx.ChunkWords != 0 || n > (rows+chunkBits-1)/chunkBits*bitmapx.ChunkWords {
-		return fmt.Errorf("index: corrupt bitmap header (%d words for %d rows)", n, rows)
+		return nil, fmt.Errorf("index: corrupt bitmap header (%d words for %d rows)", n, rows)
 	}
 	buf := make([]byte, 8*n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
+		return nil, err
 	}
 	words := make([]uint64, n)
 	for i := range words {
@@ -159,9 +159,10 @@ func readBitmap(r io.Reader, b *bitmapx.Bitmap, rows int) error {
 	}
 	for id := rows; id < 64*n; id++ {
 		if bitmapx.Words(words).Get(uint32(id)) {
-			return fmt.Errorf("index: bitmap bit %d set past %d rows", id, rows)
+			return nil, fmt.Errorf("index: bitmap bit %d set past %d rows", id, rows)
 		}
 	}
+	b := bitmapx.New(0)
 	b.Restore(words)
-	return nil
+	return b, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"jdvs/internal/core"
@@ -116,5 +117,78 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 	if again := snapshotBytes(t, loaded); !bytes.Equal(again, want) {
 		t.Fatalf("golden snapshot does not re-encode to itself (%d bytes, want %d)", len(again), len(want))
+	}
+}
+
+// TestFailedLoadLeavesShardIntact: a snapshot that fails to load changes
+// nothing. A 9-image stream is cut at every section boundary, and one byte
+// past it, then loaded into the 6-image golden shard: the load fails, and
+// the shard reports the same stats, answers a query with the same hits
+// and takes its next insert.
+func TestFailedLoadLeavesShardIntact(t *testing.T) {
+	src := goldenShard(t, 8)
+	for i := 6; i < 9; i++ {
+		a := core.Attrs{ProductID: uint64(200 + i), Category: 1, URL: fmt.Sprintf("jfs://golden/%d.jpg", i)}
+		if _, _, err := src.Insert(a, []float32{float32(i), 1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := snapshotBytes(t, src)
+
+	// Section ends, from the writers WriteSnapshot calls in order.
+	var buf bytes.Buffer
+	var ends []int
+	mark := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, buf.Len())
+	}
+	buf.WriteString(snapMagic)
+	mark(buf.WriteByte(snapVersion))
+	_, err := buf.Write(full[buf.Len() : buf.Len()+8]) // covered offset
+	mark(err)
+	mark(writeCodebook(&buf, src.codebook))
+	_, err = src.fwd.WriteTo(&buf)
+	mark(err)
+	_, err = src.inv.WriteTo(&buf)
+	mark(err)
+	mark(writeBitmap(&buf, src.valid))
+	_, err = src.feats.writeTo(&buf)
+	mark(err)
+	_, err = buf.Write([]byte{1, 8}) // PQ flag and bits
+	mark(err)
+	mark(writePQCodebook(&buf, src.pqState.Load().cb))
+	if !bytes.HasPrefix(full, buf.Bytes()) {
+		t.Fatal("section writers do not reproduce the snapshot's prefix")
+	}
+
+	req := &core.SearchRequest{Feature: []float32{0.5, 0.5, 0.5, 0.5}, TopK: 10, Category: -1}
+	for _, end := range ends {
+		for _, cut := range []int{end, end + 1} {
+			s := goldenShard(t, 8)
+			st := s.Stats()
+			before, err := s.Search(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LoadSnapshot(bytes.NewReader(full[:cut])); err == nil {
+				t.Fatalf("cut at %d of %d bytes: load succeeded", cut, len(full))
+			}
+			if got := s.Stats(); got != st {
+				t.Errorf("cut at %d: stats %+v, want %+v", cut, got, st)
+			}
+			after, err := s.Search(req)
+			if err != nil {
+				t.Fatalf("cut at %d: search: %v", cut, err)
+			}
+			if !slices.Equal(after.Hits, before.Hits) {
+				t.Errorf("cut at %d: hits %v, want %v", cut, after.Hits, before.Hits)
+			}
+			if _, _, err := s.Insert(core.Attrs{ProductID: 300, URL: "jfs://golden/next.jpg"}, []float32{1, 1, 1, 1}); err != nil {
+				t.Errorf("cut at %d: next insert: %v", cut, err)
+			}
+		}
 	}
 }

@@ -185,6 +185,36 @@ func TestCancelRacingReplyLeavesSlotEmpty(t *testing.T) {
 	wg.Wait()
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestCallReusesReplySlot: Call borrows its one-reply channel from
+// replySlots and puts it back, so a steady stream of calls allocates only
+// its frames. A slot that is never returned costs a fresh channel per
+// call.
+func TestCallReusesReplySlot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	_, addr := startEchoServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payload := []byte("ping")
+	call := func() {
+		if _, err := c.Call(context.Background(), methodEcho, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // warm the pool
+	n := testing.AllocsPerRun(500, call)
+	if n > 3 {
+		t.Fatalf("%.2f allocations per call, want at most 3", n)
+	}
+}
+
 // workerGoroutines counts the server's handler workers, busy or parked.
 func workerGoroutines() int {
 	buf := make([]byte, 1<<20)
