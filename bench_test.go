@@ -161,7 +161,7 @@ func BenchmarkAblation_LockFree(b *testing.B) {
 	const preload = 100_000
 	appendTarget := uint32(2 * preload)
 	b.Run("lockfree", func(b *testing.B) {
-		ix := inverted.New(1, 1024)
+		ix := inverted.New(1)
 		for i := uint32(0); i < preload; i++ {
 			if err := ix.Append(0, i); err != nil {
 				b.Fatal(err)

@@ -5,11 +5,11 @@
 // (lockhold), end-to-end knob threading (knobthread), counted error
 // paths (statcount), conventional package comments on every package
 // (pkgdoc), no producer-reachable mutable state shared through caches or
-// fan-out (aliasshare) — plus stdlib-only stand-ins for the stock
-// nilness and unusedwrite passes, which the offline build environment
-// cannot fetch from x/tools. The directiverot audit runs last and checks the
-// `//jdvs:` escape hatches themselves: unknown names, missing
-// justifications, and suppressions whose finding no longer exists.
+// fan-out (aliasshare) — plus a stdlib-only stand-in for the stock
+// nilness pass, which the offline build environment cannot fetch from
+// x/tools. The directiverot audit runs last and checks the `//jdvs:`
+// escape hatches themselves: unknown names, missing justifications, and
+// suppressions whose finding no longer exists.
 //
 // Usage:
 //
@@ -43,7 +43,6 @@ import (
 	"jdvs/internal/analysis/passes/pkgdoc"
 	"jdvs/internal/analysis/passes/publishorder"
 	"jdvs/internal/analysis/passes/statcount"
-	"jdvs/internal/analysis/passes/unusedwrite"
 )
 
 // all lists every analyzer in execution order. directiverot must stay
@@ -56,7 +55,6 @@ var all = []*analysis.Analyzer{
 	statcount.Analyzer,
 	pkgdoc.Analyzer,
 	nilness.Analyzer,
-	unusedwrite.Analyzer,
 	publishorder.Analyzer,
 	aliasshare.Analyzer,
 	directiverot.Analyzer,

@@ -255,7 +255,7 @@ func (s *Shard) SetCodebook(cb *kmeans.Codebook) error {
 		return fmt.Errorf("index: codebook K=%d Dim=%d, shard holding rows or a quantizer is K=%d Dim=%d", cb.K, cb.Dim, old.K, old.Dim)
 	}
 	if s.fwd.Len() == 0 {
-		s.inv, s.feats = inverted.New(cb.K, 0), newFeatMat(cb.Dim)
+		s.inv, s.feats = inverted.New(cb.K), newFeatMat(cb.Dim)
 	}
 	s.codebook = cb
 	return nil
@@ -932,7 +932,9 @@ func (s *Shard) Valid(id core.ImageID) bool { return s.valid.Get(id) }
 func (s *Shard) Attrs(id core.ImageID) (core.Attrs, bool) { return s.fwd.Get(id) }
 
 // Feature returns image id's feature row (nil if unknown). Callers must
-// not modify it.
+// not modify it. Only tests call it: the index, indexer and cluster
+// tests read stored rows through it to check list placement, re-list
+// refreshes and filtered results.
 func (s *Shard) Feature(id core.ImageID) []float32 { return s.feats.Row(id) }
 
 // searchScratch is the pooled per-query scratch: probe-selection buffers,

@@ -31,8 +31,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultInitialCap is the pre-allocated capacity of each inverted list.
-const DefaultInitialCap = 64
+// initialCap is the pre-allocated capacity of each inverted list.
+const initialCap = 64
 
 // list is one immutable-capacity segment of an inverted list. data[0:base)
 // is reserved for the background copy of the predecessor's contents and must
@@ -78,13 +78,10 @@ type Index struct {
 }
 
 // New returns an index with n lists, each pre-allocated to initialCap
-// entries (DefaultInitialCap if initialCap <= 0).
-func New(n, initialCap int) *Index {
+// entries.
+func New(n int) *Index {
 	if n <= 0 {
 		panic("inverted: list count must be positive")
-	}
-	if initialCap <= 0 {
-		initialCap = DefaultInitialCap
 	}
 	ix := &Index{
 		lists:     make([]atomic.Pointer[list], n),
@@ -137,7 +134,7 @@ func (ix *Index) Append(c int, id uint32) error {
 		// Expansion (Fig. 9): allocate a double-size segment whose prefix is
 		// reserved for the background copy; append into its tail. A list
 		// decoded empty (ReadFrom) has no segment capacity to double.
-		nl := newList(max(len(l.data)*2, DefaultInitialCap), len(l.data))
+		nl := newList(max(len(l.data)*2, initialCap), len(l.data))
 		l.next.Store(nl)
 		ix.startMigration(c)
 		l = nl

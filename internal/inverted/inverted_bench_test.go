@@ -8,7 +8,7 @@ import (
 // BenchmarkAppend measures the real-time insertion hot path (Fig. 8):
 // write the ID, publish the aux position.
 func BenchmarkAppend(b *testing.B) {
-	ix := New(64, 1024)
+	ix := newWithCap(64, 1024)
 	rng := rand.New(rand.NewSource(1))
 	lists := make([]int, b.N)
 	for i := range lists {
@@ -33,7 +33,7 @@ func BenchmarkScan(b *testing.B) {
 			name = "list=100k"
 		}
 		b.Run(name, func(b *testing.B) {
-			ix := New(1, 1024)
+			ix := newWithCap(1, 1024)
 			for i := 0; i < size; i++ {
 				if err := ix.Append(0, uint32(i)); err != nil {
 					b.Fatal(err)
@@ -59,7 +59,7 @@ func BenchmarkScan(b *testing.B) {
 // BenchmarkScanDuringAppends measures reader throughput while the single
 // writer appends — the paper's concurrent search/update workload.
 func BenchmarkScanDuringAppends(b *testing.B) {
-	ix := New(1, 1024)
+	ix := newWithCap(1, 1024)
 	for i := 0; i < 50_000; i++ {
 		if err := ix.Append(0, uint32(i)); err != nil {
 			b.Fatal(err)

@@ -12,6 +12,17 @@ import (
 	"time"
 )
 
+// newWithCap returns New(n) with every list re-seeded at capacity
+// entries, so a few appends force the expansions and migrations under
+// test.
+func newWithCap(n, capacity int) *Index {
+	ix := New(n)
+	for i := range ix.lists {
+		ix.lists[i].Store(newList(capacity, 0))
+	}
+	return ix
+}
+
 func collect(ix *Index, c int) []uint32 {
 	var out []uint32
 	ix.Scan(c, func(id uint32) bool {
@@ -27,11 +38,11 @@ func TestNewValidation(t *testing.T) {
 			t.Fatal("expected panic for zero lists")
 		}
 	}()
-	New(0, 8)
+	New(0)
 }
 
 func TestAppendScanOrder(t *testing.T) {
-	ix := New(4, 8)
+	ix := newWithCap(4, 8)
 	for i := uint32(0); i < 5; i++ {
 		if err := ix.Append(2, i); err != nil {
 			t.Fatal(err)
@@ -58,7 +69,7 @@ func TestAppendScanOrder(t *testing.T) {
 }
 
 func TestAppendOutOfRange(t *testing.T) {
-	ix := New(2, 8)
+	ix := newWithCap(2, 8)
 	if err := ix.Append(2, 1); err == nil {
 		t.Fatal("append to list 2 of 2 succeeded")
 	}
@@ -68,7 +79,7 @@ func TestAppendOutOfRange(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	ix := New(1, 8)
+	ix := newWithCap(1, 8)
 	for i := uint32(0); i < 6; i++ {
 		if err := ix.Append(0, i); err != nil {
 			t.Fatal(err)
@@ -87,7 +98,7 @@ func TestScanEarlyStop(t *testing.T) {
 // TestExpansionPreservesContents drives a list through several doublings
 // (Fig. 9) and verifies nothing is lost or reordered.
 func TestExpansionPreservesContents(t *testing.T) {
-	ix := New(2, 4) // tiny initial capacity forces many expansions
+	ix := newWithCap(2, 4) // tiny initial capacity forces many expansions
 	const n = 5000
 	for i := uint32(0); i < n; i++ {
 		if err := ix.Append(1, i); err != nil {
@@ -110,7 +121,7 @@ func TestExpansionPreservesContents(t *testing.T) {
 // guarantee: an ID appended mid-expansion is immediately scannable, before
 // the background copy completes.
 func TestFreshAppendsVisibleDuringMigration(t *testing.T) {
-	ix := New(1, 4)
+	ix := newWithCap(1, 4)
 	// Fill to capacity: next append triggers expansion.
 	for i := uint32(0); i < 4; i++ {
 		if err := ix.Append(0, i); err != nil {
@@ -140,7 +151,7 @@ func TestFreshAppendsVisibleDuringMigration(t *testing.T) {
 // searches scan while real-time indexing appends, lock-free, including
 // across expansions. Run with -race.
 func TestConcurrentAppendScan(t *testing.T) {
-	ix := New(4, 8)
+	ix := newWithCap(4, 8)
 	const total = 30000
 	var produced atomic.Uint32
 	done := make(chan struct{})
@@ -220,7 +231,7 @@ func TestConcurrentAppendScan(t *testing.T) {
 // head segment's committed prefix itself, clipped so that a caller's append
 // reallocates instead of writing into the list, and leaves buf alone.
 func TestViewAliasesHeadSegment(t *testing.T) {
-	ix := New(1, 8)
+	ix := newWithCap(1, 8)
 	for i := uint32(0); i < 5; i++ {
 		if err := ix.Append(0, i); err != nil {
 			t.Fatal(err)
@@ -258,7 +269,7 @@ func TestViewAliasesHeadSegment(t *testing.T) {
 // doublings: View must then copy into buf exactly Scan's sequence, and
 // reuse buf's array on the next call.
 func TestViewCopiesDuringExpansion(t *testing.T) {
-	ix := New(1, 4)
+	ix := newWithCap(1, 4)
 	ix.migrating[0].Store(true)
 	for i := uint32(0); i < 40; i++ {
 		if err := ix.Append(0, i); err != nil {
@@ -293,7 +304,7 @@ func TestViewCopiesDuringExpansion(t *testing.T) {
 // shorter than the one before. A reader that paired a segment's stale
 // length with its successor's tail would skip entries. Run with -race.
 func TestViewConcurrentAppend(t *testing.T) {
-	ix := New(1, 2)
+	ix := newWithCap(1, 2)
 	const total = 20000
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -352,7 +363,7 @@ func TestViewConcurrentAppend(t *testing.T) {
 // still be running (append bursts far beyond one doubling).
 func TestMigrationChain(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		ix := New(1, 2)
+		ix := newWithCap(1, 2)
 		const n = 4096
 		for i := uint32(0); i < n; i++ {
 			if err := ix.Append(0, i); err != nil {
@@ -376,7 +387,7 @@ func TestMigrationChain(t *testing.T) {
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
-	ix := New(8, 4)
+	ix := newWithCap(8, 4)
 	rng := rand.New(rand.NewSource(42))
 	want := make([][]uint32, 8)
 	for i := uint32(0); i < 2000; i++ {
@@ -411,7 +422,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 }
 
 func TestReadFromTruncated(t *testing.T) {
-	ix := New(4, 4)
+	ix := newWithCap(4, 4)
 	for i := uint32(0); i < 100; i++ {
 		if err := ix.Append(int(i%4), i); err != nil {
 			t.Fatal(err)
@@ -431,7 +442,7 @@ func TestReadFromTruncated(t *testing.T) {
 // TestReadFromRejectsMismatch: a stream written for another list count, or
 // whose header total disagrees with its lists, is refused.
 func TestReadFromRejectsMismatch(t *testing.T) {
-	ix := New(4, 4)
+	ix := newWithCap(4, 4)
 	for i := uint32(0); i < 10; i++ {
 		if err := ix.Append(int(i%4), i); err != nil {
 			t.Fatal(err)
@@ -455,7 +466,7 @@ func TestReadFromRejectsMismatch(t *testing.T) {
 // one no storage at all, and appends to either grow the list through the
 // expansion protocol without losing an entry.
 func TestAppendAfterReadFrom(t *testing.T) {
-	ix := New(3, 4)
+	ix := newWithCap(3, 4)
 	for i := uint32(0); i < 5; i++ {
 		if err := ix.Append(int(i%2), i); err != nil {
 			t.Fatal(err)
@@ -489,7 +500,7 @@ func TestAppendAfterReadFrom(t *testing.T) {
 // per list, in order.
 func TestScanMatchesModel(t *testing.T) {
 	f := func(ops []uint16) bool {
-		ix := New(4, 2)
+		ix := newWithCap(4, 2)
 		model := make([][]uint32, 4)
 		for i, op := range ops {
 			c := int(op % 4)
@@ -520,7 +531,7 @@ func TestScanMatchesModel(t *testing.T) {
 // TestAuxPositionMonotone verifies the auxiliary last-position only moves
 // forward while appends race with reads.
 func TestAuxPositionMonotone(t *testing.T) {
-	ix := New(1, 4)
+	ix := newWithCap(1, 4)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
