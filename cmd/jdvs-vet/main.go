@@ -2,14 +2,14 @@
 // over the analyzers in internal/analysis/passes that encode the
 // contracts the type system cannot — the lock-free publish protocol
 // (atomicmix, publishorder), no blocking ops under serving-path mutexes
-// (lockhold), end-to-end knob threading (knobthread), counted error
-// paths (statcount), conventional package comments on every package
-// (pkgdoc), no producer-reachable mutable state shared through caches or
-// fan-out (aliasshare) — plus a stdlib-only stand-in for the stock
-// nilness pass, which the offline build environment cannot fetch from
-// x/tools. The directiverot audit runs last and checks the `//jdvs:`
-// escape hatches themselves: unknown names, missing justifications, and
-// suppressions whose finding no longer exists.
+// (lockhold), end-to-end knob threading (knobthread), conventional
+// package comments on every package (pkgdoc), no producer-reachable
+// mutable state shared through caches or fan-out (aliasshare) — plus a
+// stdlib-only stand-in for the stock nilness pass, which the offline
+// build environment cannot fetch from x/tools. The directiverot audit
+// runs last and checks the `//jdvs:` escape hatches themselves: unknown
+// names, missing justifications, and suppressions whose finding no
+// longer exists.
 //
 // Usage:
 //
@@ -42,7 +42,6 @@ import (
 	"jdvs/internal/analysis/passes/nilness"
 	"jdvs/internal/analysis/passes/pkgdoc"
 	"jdvs/internal/analysis/passes/publishorder"
-	"jdvs/internal/analysis/passes/statcount"
 )
 
 // all lists every analyzer in execution order. directiverot must stay
@@ -52,7 +51,6 @@ var all = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	lockhold.Analyzer,
 	knobthread.Analyzer,
-	statcount.Analyzer,
 	pkgdoc.Analyzer,
 	nilness.Analyzer,
 	publishorder.Analyzer,

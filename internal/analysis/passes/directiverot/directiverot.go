@@ -40,7 +40,6 @@ var owners = map[string]string{
 	"nolock":      "atomicmix",
 	"blocking-ok": "lockhold",
 	"noknob":      "knobthread",
-	"nostat":      "statcount",
 	"publish-ok":  "publishorder",
 	"alias-ok":    "aliasshare",
 }

@@ -147,7 +147,7 @@ func (s *Server) acceptLoop(lis net.Listener) {
 	defer s.wg.Done()
 	for {
 		conn, err := lis.Accept()
-		//jdvs:nostat accept fails only when the listener closes; shutdown, not dropped work
+		// Accept fails only when the listener closes: shutdown, not dropped work.
 		if err != nil {
 			return // listener closed
 		}
@@ -193,7 +193,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	for {
 		frame, err := readFrame(br)
-		//jdvs:nostat read failure is connection teardown; in-flight handlers drain via inflight, nothing is dropped
+		// Read failure is teardown, not dropped work: in-flight handlers drain via inflight.
 		if err != nil {
 			return
 		}

@@ -80,6 +80,43 @@ func TestResultCacheStaleness(t *testing.T) {
 	}
 }
 
+// TestResultCachePollErrorsCounted pins the two dropped watermark reads in
+// refreshWatermarks: a replica whose stats payload does not decode and a
+// replica that cannot be reached each add one to ResultCachePollErrors per
+// refresh, and the group's healthy replica still raises its watermark.
+func TestResultCachePollErrorsCounted(t *testing.T) {
+	healthy, down, garbled := newFakeReplica(t, 1), newFakeReplica(t, 2), newFakeReplica(t, 3)
+	garbled.srv.Handle(search.MethodStats, func([]byte) ([]byte, error) {
+		return []byte("not json"), nil
+	})
+	br, err := New(Config{
+		PartitionReplicas: [][]string{{healthy.addr, down.addr, garbled.addr}},
+		ResultCacheSize:   8,
+		ResultCachePoll:   -1, // manual refreshes only
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	refresh := func(applied, wantErrors int64) {
+		t.Helper()
+		before := brokerStats(t, br.Addr()).ResultCachePollErrors
+		healthy.applied.Store(applied)
+		br.rcache.refreshWatermarks(br)
+		if got := brokerStats(t, br.Addr()).ResultCachePollErrors - before; got != wantErrors {
+			t.Fatalf("one refresh added %d poll errors; want %d", got, wantErrors)
+		}
+		if got := br.rcache.marks[0].Load(); got != applied {
+			t.Fatalf("group watermark = %d after the healthy replica reported %d", got, applied)
+		}
+	}
+
+	refresh(5, 1) // the undecodable payload
+	down.srv.Close()
+	refresh(7, 2) // and the unreachable replica
+	refresh(9, 2)
+}
+
 // TestResultCacheConcurrentInvalidation races queries against watermark
 // advances and refreshes — the -race proof that the serve/invalidate paths
 // share no unsynchronised state. Correctness of counts is covered by the

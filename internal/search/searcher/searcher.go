@@ -422,9 +422,10 @@ func (s *Searcher) realtimeLoop(consumer *mq.Consumer) {
 		default:
 		}
 		msgs, err := consumer.Poll(256, 50*time.Millisecond)
-		//jdvs:nostat Poll errors only when the queue is closed; loop exit, not a dropped update
+		// Poll errors only once the queue is closed (NewConsumer already
+		// checked the topic and partition): loop exit, not a dropped update.
 		if err != nil {
-			return // queue closed
+			return
 		}
 		// A resync request raised since the last batch repositions the
 		// consumer relative to this batch's start; the per-message skip
