@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -43,6 +44,10 @@ func run() error {
 		timeout    = flag.Duration("timeout", 10*time.Second, "query timeout")
 	)
 	flag.Parse()
+	minCents, maxCents, sales, err := filterBounds(*minPrice, *maxPrice, *minSales)
+	if err != nil {
+		return err
+	}
 
 	cat, err := catalog.Generate(catalog.Config{
 		Products: *products, Categories: *categories, Seed: *seed,
@@ -73,9 +78,9 @@ func run() error {
 		TopK:          *k,
 		NProbe:        *nprobe,
 		CategoryScope: scope,
-		MinPriceCents: uint32(*minPrice * 100),
-		MaxPriceCents: uint32(*maxPrice * 100),
-		MinSales:      uint32(*minSales),
+		MinPriceCents: minCents,
+		MaxPriceCents: maxCents,
+		MinSales:      sales,
 	})
 	if err != nil {
 		return fmt.Errorf("query: %w", err)
@@ -95,4 +100,27 @@ func run() error {
 			i+1, marker, h.ProductID, cat.CategoryName(h.Category), h.Dist, h.Score, h.Sales, float64(h.PriceCents)/100)
 	}
 	return nil
+}
+
+// maxPriceYuan is the largest price a uint32 count of cents holds.
+const maxPriceYuan = math.MaxUint32 / 100.0
+
+// filterBounds converts the filter flags to the request's fields: prices
+// in yuan round to the nearest cent, and a value its uint32 field cannot
+// hold is an error naming the flag, not a wrapped or truncated filter.
+func filterBounds(minPrice, maxPrice float64, minSales uint64) (minCents, maxCents, sales uint32, err error) {
+	for _, p := range []struct {
+		flag  string
+		yuan  float64
+		cents *uint32
+	}{{"-min-price", minPrice, &minCents}, {"-max-price", maxPrice, &maxCents}} {
+		if !(p.yuan >= 0 && p.yuan <= maxPriceYuan) {
+			return 0, 0, 0, fmt.Errorf("%s %g out of range [0, %.2f] yuan", p.flag, p.yuan, maxPriceYuan)
+		}
+		*p.cents = uint32(math.Round(p.yuan * 100))
+	}
+	if minSales > math.MaxUint32 {
+		return 0, 0, 0, fmt.Errorf("-min-sales %d out of range [0, %d]", minSales, uint32(math.MaxUint32))
+	}
+	return minCents, maxCents, uint32(minSales), nil
 }

@@ -1,7 +1,7 @@
 // Command jdvs-vet is the project's invariant checker: a multichecker
 // over the analyzers in internal/analysis/passes that encode the
-// contracts the type system cannot — the lock-free publish protocol
-// (atomicmix, publishorder), no blocking ops under serving-path mutexes
+// contracts the type system cannot — the lock-free publish order
+// (publishorder), no blocking ops under serving-path mutexes
 // (lockhold), end-to-end knob threading (knobthread), conventional
 // package comments on every package (pkgdoc), no producer-reachable
 // mutable state shared through caches or fan-out (aliasshare) — plus a
@@ -14,7 +14,7 @@
 // Usage:
 //
 //	go run ./cmd/jdvs-vet ./...
-//	go run ./cmd/jdvs-vet -only atomicmix,lockhold ./internal/index
+//	go run ./cmd/jdvs-vet -only publishorder,lockhold ./internal/index
 //	go run ./cmd/jdvs-vet -json ./... | jq .
 //
 // Exit status is 0 when no analyzer reports, 1 on findings, 2 on a
@@ -35,7 +35,6 @@ import (
 
 	"jdvs/internal/analysis"
 	"jdvs/internal/analysis/passes/aliasshare"
-	"jdvs/internal/analysis/passes/atomicmix"
 	"jdvs/internal/analysis/passes/directiverot"
 	"jdvs/internal/analysis/passes/knobthread"
 	"jdvs/internal/analysis/passes/lockhold"
@@ -48,7 +47,6 @@ import (
 // last: its dead-suppression audit reads the directive hits the other
 // analyzers record into the per-package index as they run.
 var all = []*analysis.Analyzer{
-	atomicmix.Analyzer,
 	lockhold.Analyzer,
 	knobthread.Analyzer,
 	pkgdoc.Analyzer,

@@ -17,7 +17,7 @@ import (
 //
 // Directive comments look like:
 //
-//	//jdvs:nolock reason this plain access is safe
+//	//jdvs:blocking-ok reason this blocking call is safe under the lock
 //
 // The directive name runs to the first space; everything after is the
 // justification. The directiverot audit pass flags directives with an

@@ -37,7 +37,6 @@ var Analyzer = &analysis.Analyzer{
 // owners maps each directive name to the analyzer whose findings it
 // suppresses. New analyzers with escape hatches register here.
 var owners = map[string]string{
-	"nolock":      "atomicmix",
 	"blocking-ok": "lockhold",
 	"noknob":      "knobthread",
 	"publish-ok":  "publishorder",

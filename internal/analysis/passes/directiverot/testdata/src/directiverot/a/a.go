@@ -45,5 +45,6 @@ func retiredDirectives() {
 	//jdvs:pool-ok the scratch goes back in the caller // want `unknown directive`
 	//jdvs:timer-ok the ticker lives as long as the process // want `unknown directive`
 	//jdvs:nostat the queue closed, so nothing was dropped // want `unknown directive`
+	//jdvs:nolock built before it is published // want `unknown directive`
 	time.Sleep(time.Millisecond)
 }

@@ -1,5 +1,6 @@
 // Package publishorder checks the ordering half of the shard's lock-free
-// publish protocol (atomicmix checks the atomicity half). featMat,
+// publish protocol; the typed atomics carry the atomicity half, since a
+// plain read of an atomic.Uint32 does not compile. featMat,
 // codeBlocks, the inverted lists and the COW category bitmaps all share
 // one shape: a writer fills an element region with plain stores, then
 // publishes it with a single atomic store of the length (or a pointer
