@@ -1,8 +1,8 @@
 // Command jdvs-indexer runs the offline full indexing pipeline (Figs. 2–3):
-// it generates (or re-generates) the synthetic catalog, replays the listing
-// events through the feature pipeline exactly as production full indexing
-// replays the day's message log, and writes one snapshot file per index
-// partition, ready for jdvsd searchers to serve.
+// it generates the synthetic catalog, replays the listing events through
+// the feature pipeline exactly as production full indexing replays the
+// day's message log, and writes one snapshot file per index partition,
+// ready for jdvsd searchers to serve.
 //
 //	jdvs-indexer -out /tmp/jdvs -partitions 4 -products 5000 -seed 1
 //
@@ -51,28 +51,17 @@ func run() error {
 		nlists      = flag.Int("nlists", 64, "IVF inverted lists per partition (searchers read it from the snapshot)")
 		pqM         = flag.Int("pq-subvectors", 0, "product-quantization code bytes per image: train one quantizer shared by every partition and write its codes into each snapshot, so searchers serve the ADC scan (must divide -dim; 0 = exact float scan)")
 		pqBits      = flag.Int("pq-bits", 0, "PQ code bit width, with -pq-subvectors: 8 (default) = one code byte per subvector, 4 = two 16-centroid subvectors packed per byte, scanned through the blocked fast-scan kernel at half the code memory")
-		saveLog     = flag.String("save-log", "", "write the day's message log to this file after feeding")
-		loadLog     = flag.String("load-log", "", "replay an existing message log instead of generating listing events")
 	)
 	flag.Parse()
 
 	start := time.Now()
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return err
-	}
-
-	// The synthetic world: catalog + image store + feature pipeline.
+	// The synthetic world: image store + feature pipeline, then the catalog
+	// once the build's shape has been checked.
 	images, err := imagestore.New()
 	if err != nil {
 		return err
 	}
 	defer images.Close()
-	cat, err := catalog.Generate(catalog.Config{
-		Products: *products, Categories: *categories, Seed: *seed,
-	}, images)
-	if err != nil {
-		return fmt.Errorf("generate catalog: %w", err)
-	}
 	features, err := featuredb.New()
 	if err != nil {
 		return err
@@ -84,52 +73,6 @@ func run() error {
 		Extractor: cnn.New(cnn.Config{Dim: *dim, Seed: *featureSeed}),
 	}
 
-	// The "day's message log": either replay a saved one, or feed the
-	// listing event for every product, then run the full build over it.
-	q := mq.New()
-	defer q.Close()
-	if *loadLog != "" {
-		f, err := os.Open(*loadLog)
-		if err != nil {
-			return err
-		}
-		_, err = q.ReadFrom(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("load log %s: %w", *loadLog, err)
-		}
-		if got := q.Partitions(indexer.UpdatesTopic); got != *partitions {
-			return fmt.Errorf("log %s has %d partitions, -partitions says %d", *loadLog, got, *partitions)
-		}
-		fmt.Printf("replaying message log %s\n", *loadLog)
-	} else {
-		if err := q.CreateTopic(indexer.UpdatesTopic, *partitions); err != nil {
-			return err
-		}
-		seq := uint64(0)
-		for i := range cat.Products {
-			p := &cat.Products[i]
-			seq++
-			u := catalogAddEvent(p, seq)
-			if _, err := indexer.RouteUpdate(q, u); err != nil {
-				return fmt.Errorf("feed: %w", err)
-			}
-		}
-	}
-	if *saveLog != "" {
-		f, err := os.Create(*saveLog)
-		if err != nil {
-			return err
-		}
-		_, err = q.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("save log %s: %w", *saveLog, err)
-		}
-		fmt.Printf("message log saved to %s\n", *saveLog)
-	}
 	full, err := indexer.NewFull(indexer.FullConfig{
 		Partitions:   *partitions,
 		Dim:          *dim,
@@ -140,6 +83,28 @@ func run() error {
 	}, res)
 	if err != nil {
 		return err
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
+	}
+	cat, err := catalog.Generate(catalog.Config{
+		Products: *products, Categories: *categories, Seed: *seed,
+	}, images)
+	if err != nil {
+		return fmt.Errorf("generate catalog: %w", err)
+	}
+
+	// The "day's message log": the listing event for every product, which
+	// the full build then replays.
+	q := mq.New()
+	defer q.Close()
+	if err := q.CreateTopic(indexer.UpdatesTopic, *partitions); err != nil {
+		return err
+	}
+	for i := range cat.Products {
+		if _, err := indexer.RouteUpdate(q, catalogAddEvent(&cat.Products[i], uint64(i+1))); err != nil {
+			return fmt.Errorf("feed: %w", err)
+		}
 	}
 	shards, cb, err := full.Build(q)
 	if err != nil {

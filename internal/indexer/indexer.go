@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"jdvs/internal/cache"
@@ -221,8 +222,10 @@ type FullIndexer struct {
 
 // NewFull returns a full indexer.
 func NewFull(cfg FullConfig, res *Resolver) (*FullIndexer, error) {
-	if cfg.Partitions <= 0 {
-		return nil, errors.New("indexer: Partitions must be positive")
+	// A hit packs its partition into a 16-bit core.PartitionID
+	// (core.ImageRef.Pack): a partition past it would alias another's.
+	if cfg.Partitions < 1 || cfg.Partitions > math.MaxUint16+1 {
+		return nil, fmt.Errorf("indexer: Partitions %d out of range [1, %d]", cfg.Partitions, math.MaxUint16+1)
 	}
 	if cfg.TrainSample <= 0 {
 		cfg.TrainSample = 10_000

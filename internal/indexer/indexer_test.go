@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -411,8 +412,13 @@ func TestFullBuildEmptyLog(t *testing.T) {
 
 func TestNewFullValidation(t *testing.T) {
 	f := newFixture(t, 2, 1)
-	if _, err := NewFull(FullConfig{Partitions: 0, Dim: 4, NLists: 2}, f.res); err == nil {
-		t.Fatal("zero partitions accepted")
+	for _, parts := range []int{0, math.MaxUint16 + 2} {
+		if _, err := NewFull(FullConfig{Partitions: parts, Dim: 4, NLists: 2}, f.res); err == nil {
+			t.Fatalf("%d partitions accepted", parts)
+		}
+	}
+	if _, err := NewFull(FullConfig{Partitions: math.MaxUint16 + 1, Dim: 4, NLists: 2}, f.res); err != nil {
+		t.Fatalf("%d partitions: %v", math.MaxUint16+1, err)
 	}
 	if _, err := NewFull(FullConfig{Partitions: 1}, f.res); err == nil {
 		t.Fatal("missing shape accepted")

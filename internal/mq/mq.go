@@ -22,7 +22,8 @@ import (
 	"time"
 )
 
-// Message is one enqueued payload with its partition-local offset.
+// Message is one enqueued payload with its partition-local offset and the
+// time Produce appended it, from which a searcher times each update.
 type Message struct {
 	Offset   int64
 	Payload  []byte
@@ -46,10 +47,11 @@ func newPartition() *partition {
 	return p
 }
 
-func (p *partition) produce(payload []byte, now time.Time) (int64, error) {
+func (p *partition) produce(payload []byte) (int64, error) {
 	// Copy at the boundary: the caller may reuse its buffer.
 	dup := make([]byte, len(payload))
 	copy(dup, payload)
+	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -175,7 +177,7 @@ func (q *Queue) Produce(topic string, part int, payload []byte) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.produce(payload, time.Now())
+	return p.produce(payload)
 }
 
 // ProduceKeyed appends payload to the partition selected by hashing key —

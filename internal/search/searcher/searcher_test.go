@@ -121,6 +121,24 @@ func callSearch(t *testing.T, addr string, req *core.SearchRequest) *core.Search
 	return resp
 }
 
+func callStats(t *testing.T, addr string) Stats {
+	t.Helper()
+	c, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	raw, err := c.Call(context.Background(), search.MethodStats, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("stats json: %v", err)
+	}
+	return st
+}
+
 func TestSearchOverRPC(t *testing.T) {
 	f := newFixture(t, 30)
 	s, err := New(Config{Partition: 5, Shard: f.shard})
@@ -172,7 +190,8 @@ func TestRealtimeLoopAppliesUpdates(t *testing.T) {
 	if _, err := indexer.RouteUpdate(f.queue, del); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	const wait = 5 * time.Second
+	deadline := time.Now().Add(wait)
 	for {
 		if s.Applied() >= int64(len(p.ImageURLs)) {
 			break
@@ -181,6 +200,12 @@ func TestRealtimeLoopAppliesUpdates(t *testing.T) {
 			t.Fatal("real-time loop did not apply the deletion")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// The update latency runs from the queue's enqueue stamp: it must be
+	// positive and inside the wait above (an unstamped message reads as
+	// centuries).
+	if st := callStats(t, s.Addr()); st.RTAvgMicros <= 0 || st.RTP99Micros >= wait.Microseconds() {
+		t.Fatalf("rt latency avg %dµs p99 %dµs, want avg > 0 and p99 < %dµs", st.RTAvgMicros, st.RTP99Micros, wait.Microseconds())
 	}
 	// The deletion is reflected in search through the same node.
 	url := p.ImageURLs[0]
@@ -276,19 +301,7 @@ func TestStatsEndpoint(t *testing.T) {
 	url := f.cat.Products[0].ImageURLs[0]
 	callSearch(t, s.Addr(), &core.SearchRequest{Feature: f.feats[url], TopK: 1, NProbe: 1, Category: -1})
 
-	c, err := rpc.Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	raw, err := c.Call(context.Background(), search.MethodStats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatalf("stats json: %v", err)
-	}
+	st := callStats(t, s.Addr())
 	if st.Partition != 2 || st.Searches != 1 || st.Index.Images == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -397,20 +410,7 @@ func TestDroppedAndApplyErrorsCounted(t *testing.T) {
 	}
 
 	// Both surface in the stats payload.
-	c, err := rpc.Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	raw, err := c.Call(context.Background(), search.MethodStats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Dropped != 1 || st.ApplyErrors != 1 {
+	if st := callStats(t, s.Addr()); st.Dropped != 1 || st.ApplyErrors != 1 {
 		t.Fatalf("stats = dropped %d / apply_errors %d, want 1/1", st.Dropped, st.ApplyErrors)
 	}
 }
