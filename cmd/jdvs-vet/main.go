@@ -1,8 +1,9 @@
 // Command jdvs-vet is the project's invariant checker: a multichecker
 // over the analyzers in internal/analysis/passes that encode the
-// contracts the type system cannot — the lock-free publish order
-// (publishorder), no blocking ops under serving-path mutexes
-// (lockhold), end-to-end knob threading (knobthread), conventional
+// contracts the type system cannot — a lock-free reader loads the
+// length before the chunk directory it indexes (publishorder; the
+// writer's order is carried by -race tests), no blocking ops under
+// serving-path mutexes (lockhold), end-to-end knob threading (knobthread), conventional
 // package comments on every package (pkgdoc), no producer-reachable
 // mutable state shared through caches or fan-out (aliasshare) — plus a
 // stdlib-only stand-in for the stock nilness pass, which the offline

@@ -626,3 +626,39 @@ func isParamOf(v *types.Var, fn ast.Node, info *types.Info) bool {
 	}
 	return false
 }
+
+// fieldLists returns the receiver, parameter and named-result lists of a
+// declaration — every identifier defined at function entry.
+func fieldLists(fd *ast.FuncDecl) []*ast.FieldList {
+	var out []*ast.FieldList
+	if fd.Recv != nil {
+		out = append(out, fd.Recv)
+	}
+	if fd.Type.Params != nil {
+		out = append(out, fd.Type.Params)
+	}
+	if fd.Type.Results != nil {
+		out = append(out, fd.Type.Results)
+	}
+	return out
+}
+
+// asLocalVar resolves id to the *types.Var it defines or assigns;
+// package-level and field objects return nil (their defs cannot be
+// tracked intraprocedurally).
+func asLocalVar(info *types.Info, id *ast.Ident) *types.Var {
+	var obj types.Object
+	if o, ok := info.Defs[id]; ok {
+		obj = o
+	} else if o, ok := info.Uses[id]; ok {
+		obj = o
+	}
+	v, ok := obj.(*types.Var)
+	if !ok || v.IsField() {
+		return nil
+	}
+	if v.Parent() != nil && v.Parent().Parent() == types.Universe {
+		return nil // package scope
+	}
+	return v
+}

@@ -37,88 +37,6 @@ func findIdentUse(t *testing.T, fn *ast.FuncDecl, info *types.Info, name string,
 	return id, result
 }
 
-func TestReachingDefsBranch(t *testing.T) {
-	src := `
-func f(cond bool) int {
-	x := 1
-	if cond {
-		x = 2
-	}
-	return x
-}
-`
-	fset, info, fn := parseFunc(t, src, "f")
-	_ = fset
-	cfg := BuildCFG(fn)
-	du := solveReachingDefs(cfg, info)
-
-	use, stack := findIdentUse(t, fn, info, "x", 1) // the `return x` read (use 0 is the branch LHS)
-	v := asLocalVar2(info, use)
-	if v == nil {
-		t.Fatal("x did not resolve to a local var")
-	}
-	defs := du.defsAt(v, cfg.NodePos(use, stack))
-	if len(defs) != 2 {
-		t.Fatalf("defs reaching `return x` = %d, want 2 (init + branch)", len(defs))
-	}
-}
-
-func TestReachingDefsKill(t *testing.T) {
-	src := `
-func f() int {
-	x := 1
-	x = 2
-	return x
-}
-`
-	_, info, fn := parseFunc(t, src, "f")
-	cfg := BuildCFG(fn)
-	du := solveReachingDefs(cfg, info)
-
-	use, stack := findIdentUse(t, fn, info, "x", 1) // the `return x` read
-	v := asLocalVar2(info, use)
-	defs := du.defsAt(v, cfg.NodePos(use, stack))
-	if len(defs) != 1 {
-		t.Fatalf("defs reaching `return x` = %d, want 1 (the reassignment kills the init)", len(defs))
-	}
-}
-
-func TestDerivedFrom(t *testing.T) {
-	src := `
-type M struct{ rows []int }
-
-func (m *M) write(i, v int) {
-	rows := m.rows
-	alias := rows
-	alias[i] = v
-}
-
-func (m *M) fresh(i, v int) {
-	local := make([]int, 8)
-	local[i] = v
-}
-`
-	_, info, fn := parseFunc(t, src, "write")
-	cfg := BuildCFG(fn)
-	du := solveReachingDefs(cfg, info)
-
-	// The receiver object.
-	recv := info.Defs[fn.Recv.List[0].Names[0]]
-	use, stack := findIdentUse(t, fn, info, "alias", 0) // alias[i] = v
-	if !du.DerivedFrom(use, cfg.NodePos(use, stack), recv) {
-		t.Errorf("alias must be derived from the receiver through rows")
-	}
-
-	_, info2, fn2 := parseFunc(t, src, "fresh")
-	cfg2 := BuildCFG(fn2)
-	du2 := solveReachingDefs(cfg2, info2)
-	recv2 := info2.Defs[fn2.Recv.List[0].Names[0]]
-	use2, stack2 := findIdentUse(t, fn2, info2, "local", 0)
-	if du2.DerivedFrom(use2, cfg2.NodePos(use2, stack2), recv2) {
-		t.Errorf("a make()d local is not derived from the receiver")
-	}
-}
-
 func TestAliasingParamTaint(t *testing.T) {
 	src := `
 type R struct {

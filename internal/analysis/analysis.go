@@ -3,10 +3,10 @@
 // standard library (the build environment is offline, so x/tools itself
 // cannot be vendored). It exists to machine-check the concurrency and
 // configuration contracts the jdvs codebase otherwise maintains by
-// convention — the atomic-length lock-free publish,
-// no-blocking-under-lock, knob threading across layers, and
-// counted error paths — via the analyzers under passes/ and the
-// cmd/jdvs-vet multichecker.
+// convention — the reader's load order in the lock-free publish,
+// no-blocking-under-lock, knob threading across layers, and no shared
+// mutable state through caches — via the analyzers under passes/ and
+// the cmd/jdvs-vet multichecker.
 //
 // The model mirrors x/tools deliberately: an Analyzer holds a Run
 // function over a Pass; a Pass exposes one type-checked package and a
@@ -67,10 +67,10 @@ type Pass struct {
 	// (unit tests) constructs its own lazily.
 	directives *directiveIndex
 
-	// Per-function engine caches, keyed by the CFG so analyzers that
-	// share a function pay for construction and fixpoints once.
+	// Per-function engine caches, the CFG keyed by its function and the
+	// alias solution by its CFG, so analyzers that share a function pay
+	// for construction and fixpoints once.
 	cfgs     map[ast.Node]*CFG
-	defuse   map[*CFG]*DefUse
 	aliasing map[*CFG]*Aliasing
 }
 

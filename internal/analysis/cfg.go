@@ -6,10 +6,9 @@ import (
 )
 
 // This file is the function-level control-flow engine the concurrency
-// analyzers (publishorder, aliasshare) are built on. Contracts such as
-// "every element write precedes the publishing store" and "a length load
-// precedes the directory load" are statements about *orderings along
-// paths*, which a per-statement AST walk cannot check.
+// analyzers (publishorder, aliasshare) are built on. A contract such as
+// "a length load precedes the directory load" is a statement about
+// *orderings along paths*, which a per-statement AST walk cannot check.
 //
 // The construction mirrors golang.org/x/tools/go/cfg in shape (basic
 // blocks of statement/expression nodes, branch/loop/switch/select
@@ -37,10 +36,6 @@ type Block struct {
 	Index int
 	Nodes []ast.Node
 	Succs []*Block
-
-	// back[i] marks Succs[i] as a loop back edge (computed after
-	// construction by a DFS over the finished graph).
-	back []bool
 }
 
 // NodePos locates a node inside a CFG.
@@ -71,85 +66,6 @@ func (c *CFG) NodePos(n ast.Node, stack []ast.Node) NodePos {
 		}
 	}
 	return NodePos{}
-}
-
-// ReachableAfterAvoiding reports whether dst can execute after src on a
-// back-edge-free path that does not pass through a node for which avoid
-// returns true. publishorder uses it with avoid = "unpublish store": a
-// write after a publish is only a violation if no unpublish intervenes.
-func (c *CFG) ReachableAfterAvoiding(src, dst NodePos, avoid func(ast.Node) bool) bool {
-	if !src.ok || !dst.ok {
-		return false
-	}
-	if src.Block == dst.Block && dst.Index > src.Index {
-		clear := true
-		for _, n := range src.Block.Nodes[src.Index+1 : dst.Index] {
-			if avoid(n) {
-				clear = false
-				break
-			}
-		}
-		if clear {
-			return true
-		}
-	}
-	// Leave src's block: the remainder of the block must be avoid-free to
-	// continue past it.
-	for _, n := range src.Block.Nodes[src.Index+1:] {
-		if avoid(n) {
-			return false
-		}
-	}
-	seen := make([]bool, len(c.Blocks))
-	var queue []*Block
-	for i, s := range src.Block.Succs {
-		if src.Block.back[i] {
-			continue
-		}
-		if !seen[s.Index] {
-			seen[s.Index] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		if b == dst.Block {
-			// Check the prefix before dst within its block.
-			blocked := false
-			for _, n := range b.Nodes[:dst.Index] {
-				if avoid(n) {
-					blocked = true
-					break
-				}
-			}
-			if !blocked {
-				return true
-			}
-			// The block may still be transited (past dst) if avoid-free
-			// overall; handled by the generic scan below.
-		}
-		blocked := false
-		for _, n := range b.Nodes {
-			if avoid(n) {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			continue
-		}
-		for i, s := range b.Succs {
-			if b.back[i] {
-				continue
-			}
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				queue = append(queue, s)
-			}
-		}
-	}
-	return false
 }
 
 // PathToAvoiding reports whether execution can reach `to` from function
@@ -246,7 +162,6 @@ func BuildCFG(fn ast.Node) *CFG {
 			b.edge(g.from, lf.target)
 		}
 	}
-	c.markBackEdges()
 	return c
 }
 
@@ -284,7 +199,6 @@ func (b *builder) newBlock() *Block {
 
 func (b *builder) edge(from, to *Block) {
 	from.Succs = append(from.Succs, to)
-	from.back = append(from.back, false)
 }
 
 func (b *builder) add(n ast.Node) {
@@ -543,40 +457,4 @@ func isPanic(e ast.Expr) bool {
 	}
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && id.Name == "panic"
-}
-
-// markBackEdges classifies each edge by an iterative DFS: an edge to a
-// block currently on the DFS stack is a back edge.
-func (c *CFG) markBackEdges() {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, len(c.Blocks))
-	type frame struct {
-		b  *Block
-		si int
-	}
-	var stack []frame
-	color[c.Entry.Index] = grey
-	stack = append(stack, frame{b: c.Entry})
-	for len(stack) > 0 {
-		top := len(stack) - 1
-		f := stack[top]
-		if f.si >= len(f.b.Succs) {
-			color[f.b.Index] = black
-			stack = stack[:top]
-			continue
-		}
-		stack[top].si++
-		s := f.b.Succs[f.si]
-		switch color[s.Index] {
-		case grey:
-			f.b.back[f.si] = true
-		case white:
-			color[s.Index] = grey
-			stack = append(stack, frame{b: s})
-		}
-	}
 }

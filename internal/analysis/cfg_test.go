@@ -68,10 +68,42 @@ func findCall(t *testing.T, fset *token.FileSet, fn *ast.FuncDecl, want string) 
 	return call, result
 }
 
-// never avoids no node: ReachableAfterAvoiding with it asks plain
-// back-edge-free reachability, and PathToAvoiding whether any path from
-// entry reaches a node.
+// never avoids no node: reachableAfter with it asks plain reachability,
+// and PathToAvoiding whether any path from entry reaches a node.
 func never(ast.Node) bool { return false }
+
+// reachableAfter reports whether dst can execute after src on a path that
+// runs no node for which avoid returns true: the probe the builder's
+// cases below are written against.
+func reachableAfter(c *CFG, src, dst NodePos, avoid func(ast.Node) bool) bool {
+	type at struct {
+		b *Block
+		i int // first node of b still to run
+	}
+	seen := make([]bool, len(c.Blocks))
+	queue := []at{{src.Block, src.Index + 1}}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		blocked := false
+		for i := p.i; i < len(p.b.Nodes) && !blocked; i++ {
+			if p.b == dst.Block && i == dst.Index {
+				return true
+			}
+			blocked = avoid(p.b.Nodes[i])
+		}
+		if blocked {
+			continue
+		}
+		for _, s := range p.b.Succs {
+			if !seen[s.Index] {
+				seen[s.Index] = true
+				queue = append(queue, at{s, 0})
+			}
+		}
+	}
+	return false
+}
 
 // callTo returns an avoid predicate matching nodes that call name.
 func callTo(name string) func(ast.Node) bool {
@@ -120,43 +152,17 @@ func d() {}
 		}
 	}
 
-	if !cfg.ReachableAfterAvoiding(pa, pb, never) || !cfg.ReachableAfterAvoiding(pa, pc, never) {
+	if !reachableAfter(cfg, pa, pb, never) || !reachableAfter(cfg, pa, pc, never) {
 		t.Errorf("b and c must be reachable after a")
 	}
-	if cfg.ReachableAfterAvoiding(pb, pc, never) {
+	if reachableAfter(cfg, pb, pc, never) {
 		t.Errorf("c must not be reachable after b (b's branch returns)")
 	}
-	if cfg.ReachableAfterAvoiding(pc, pb, never) {
+	if reachableAfter(cfg, pc, pb, never) {
 		t.Errorf("b must not be reachable after c")
 	}
-	if !cfg.ReachableAfterAvoiding(pc, pd, never) {
+	if !reachableAfter(cfg, pc, pd, never) {
 		t.Errorf("d must be reachable after c")
-	}
-}
-
-func TestCFGLoopBackEdges(t *testing.T) {
-	src := `
-func f(n int) {
-	for i := 0; i < n; i++ {
-		w()
-		p()
-	}
-}
-func w() {}
-func p() {}
-`
-	fset, _, fn := parseFunc(t, src, "f")
-	cfg := BuildCFG(fn)
-	w, ws := findCall(t, fset, fn, "w")
-	p, ps := findCall(t, fset, fn, "p")
-	pw, pp := cfg.NodePos(w, ws), cfg.NodePos(p, ps)
-
-	// Within one iteration w precedes p; w after p requires the back edge.
-	if !cfg.ReachableAfterAvoiding(pw, pp, never) {
-		t.Errorf("p must be reachable after w without back edges")
-	}
-	if cfg.ReachableAfterAvoiding(pp, pw, never) {
-		t.Errorf("w after p should require a back edge")
 	}
 }
 
@@ -199,7 +205,7 @@ func put() {}
 		cfg := BuildCFG(fn)
 		g, gs := findCall(t, fset, fn, "get")
 		ret := cfg.NodePos(firstReturn(fn), nil)
-		if got := cfg.ReachableAfterAvoiding(cfg.NodePos(g, gs), ret, callTo("put")); got != tc.skip {
+		if got := reachableAfter(cfg, cfg.NodePos(g, gs), ret, callTo("put")); got != tc.skip {
 			t.Errorf("%s: return reachable from get without put = %v, want %v", tc.fn, got, tc.skip)
 		}
 	}
@@ -264,10 +270,10 @@ func tail() {}
 	}
 	// The defer statement is a plain node where it stands: the select
 	// follows it.
-	if !cfg.ReachableAfterAvoiding(pc, pu, never) {
+	if !reachableAfter(cfg, pc, pu, never) {
 		t.Errorf("the select branch must be reachable after the defer")
 	}
-	if !cfg.ReachableAfterAvoiding(pu, pt, never) {
+	if !reachableAfter(cfg, pu, pt, never) {
 		t.Errorf("tail must be reachable after the first select branch")
 	}
 	// The <-done branch returns, so tail is reached only through use.
@@ -302,11 +308,11 @@ func put() {}
 	if cfg.PathToAvoiding(cfg.NodePos(d, ds), never) {
 		t.Errorf("the call after panic must be unreachable")
 	}
-	if cfg.ReachableAfterAvoiding(pp, pu, never) {
+	if reachableAfter(cfg, pp, pu, never) {
 		t.Errorf("put must not be reachable after the panic")
 	}
 	// The cond=false path still reaches put, and only a panic skips it.
-	if !cfg.ReachableAfterAvoiding(cfg.NodePos(g, gs), pu, callTo("panic")) {
+	if !reachableAfter(cfg, cfg.NodePos(g, gs), pu, callTo("panic")) {
 		t.Errorf("put must be reachable after get on the path that does not panic")
 	}
 }
@@ -334,10 +340,10 @@ func c() {}
 	b, bs := findCall(t, fset, fn, "b")
 	c, cs := findCall(t, fset, fn, "c")
 	pa, pb, pc := cfg.NodePos(a, as), cfg.NodePos(b, bs), cfg.NodePos(c, cs)
-	if !cfg.ReachableAfterAvoiding(pa, pb, never) {
+	if !reachableAfter(cfg, pa, pb, never) {
 		t.Errorf("fallthrough: b must be reachable after a")
 	}
-	if cfg.ReachableAfterAvoiding(pa, pc, never) {
+	if reachableAfter(cfg, pa, pc, never) {
 		t.Errorf("default must not be reachable after case 0's body")
 	}
 }

@@ -39,7 +39,6 @@ var Analyzer = &analysis.Analyzer{
 var owners = map[string]string{
 	"blocking-ok": "lockhold",
 	"noknob":      "knobthread",
-	"publish-ok":  "publishorder",
 	"alias-ok":    "aliasshare",
 }
 

@@ -232,7 +232,9 @@ func wideAttrs(i int) Attrs {
 // attribute updates are atomic and never conflict with readers. The
 // appender starts once every reader is running and grows the index across
 // at least 20 record chunk boundaries (and as many URL chunk boundaries),
-// so each directory publish happens under concurrent reads.
+// so each directory publish happens under concurrent reads. One reader
+// reads record Len()-1 each time Len moves, right after its publish: a
+// record published before its fields are stored reads as zeros there.
 func TestConcurrentReadsDuringWrites(t *testing.T) {
 	ix := New()
 	const n = 2000
@@ -252,7 +254,7 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	stop := make(chan struct{})
 	appended := make(chan struct{})
 	var writers, readersUp sync.WaitGroup
-	readersUp.Add(nReaders)
+	readersUp.Add(nReaders + 1)
 	// Updater: each field is independently atomic, so readers verify
 	// per-field sanity: observed values are always ones some writer stored.
 	writers.Add(1)
@@ -317,6 +319,30 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 			}
 		}(w)
 	}
+	// Newest-record reader: appended records are never updated, so the
+	// one just published reads exactly as the appender stored it.
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		readersUp.Done()
+		for seen := n; ; {
+			select {
+			case <-appended:
+				return
+			default:
+			}
+			l := ix.Len()
+			if l == seen {
+				continue
+			}
+			seen = l
+			id := uint32(l - 1)
+			if a, ok := ix.Get(id); !ok || a != want(id) {
+				t.Errorf("newest record %d read %+v (ok %v), want %+v", id, a, ok, want(id))
+				return
+			}
+		}
+	}()
 	readers.Wait()
 	close(stop)
 	writers.Wait()

@@ -125,7 +125,9 @@ func (ix *Index) Append(c int, id uint32) error {
 	// Walk to the tail segment of the migration chain: new IDs always go to
 	// the most recent segment.
 	l := ix.lists[c].Load()
-	//jdvs:publish-ok Append holds ix.mu, the sole-writer lock; this is the writer locating its own tail, not a reader snapshot, so the length-before-pointer order is moot
+	// Append holds ix.mu, the sole-writer lock, so this is the writer
+	// locating its own tail, not a reader snapshot: following next before
+	// reading n is safe here.
 	for nx := l.next.Load(); nx != nil; nx = nx.next.Load() {
 		l = nx
 	}
